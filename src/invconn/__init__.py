@@ -12,20 +12,19 @@ from .chars import (Character, PlethysmOps, adams, alt2, alt3, decompose, expand
 from .conncalc import (MatrixAlgebra, build_algebra, laquer_basis, classify_type,
                        torsion, curvature, ricci, einstein_check)
 from .rootsys import RootSystem, SimpleType, adjoint_weight
-from .siiclass import (Budget, IsotropyDatum, SIIReport, catalog, classify,
-                       classify_reducible, duality_type, external_cross_check,
-                       emit_tables, family, get_row, isotropy_from_embedding,
-                       unitary_group_module)
+from .siiclass import (Budget, IsotropyDatum, SIIReport, classify, classify_reducible,
+                       duality_type, external_cross_check, emit_tables, family, get_row,
+                       isotropy_from_embedding, load_catalog, unitary_group_module)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Budget", "Character", "IsotropyDatum", "MatrixAlgebra", "PlethysmOps",
     "RootSystem", "SIIReport", "SimpleType", "adams", "adjoint_weight", "alt2",
-    "alt3", "build_algebra", "catalog", "classify", "classify_reducible",
-    "classify_type", "curvature", "decompose", "duality_type", "einstein_check",
-    "emit_tables", "expand", "external_cross_check", "family", "get_row",
-    "irrep_character", "isotropy_from_embedding", "laquer_basis", "multiplicity",
+    "alt3", "build_algebra", "classify", "classify_reducible", "classify_type",
+    "curvature", "decompose", "duality_type", "einstein_check", "emit_tables",
+    "expand", "external_cross_check", "family", "get_row", "irrep_character",
+    "isotropy_from_embedding", "laquer_basis", "load_catalog", "multiplicity",
     "plethysm21", "ricci", "sym2", "sym3", "tensor", "torsion",
     "trivial_character", "unitary_group_module",
 ]

@@ -12,10 +12,15 @@ the Adams operations:
     alt3 = (chi^3 - 3 chi*psi2 + 2 psi3)/6
     sym3 = (chi^3 + 3 chi*psi2 + 2 psi3)/6
 
-where psi_k rescales every weight by k.  `PlethysmOps` evaluates the same
-expressions at single weights without materializing the cubes, which keeps
-trivial-multiplicity and highest-weight extraction affordable for large
-modules.
+where psi_k rescales every weight by k.  Each formula is written once for
+whole characters and once, in `PlethysmOps`, at single weights without
+materializing the cubes, which keeps trivial-multiplicity and
+highest-weight extraction affordable for large modules.
+
+Multiplicities of irreducibles come from two independent algorithms:
+`multiplicity` sums over the Weyl orbit of lam + rho (Weyl's character
+formula), and `decompose` folds every weight into the dominant chamber
+(Racah-Speiser).
 """
 
 from __future__ import annotations
@@ -65,18 +70,14 @@ class Character:
         return self.mult.get(tuple(w), 0)
 
     def __add__(self, other: "Character") -> "Character":
-        _check_same_rs(self, other)
-        out = dict(self.mult)
-        for w, m in other.mult.items():
-            out[w] = out.get(w, 0) + m
-        return Character(self.rs, out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Character") -> "Character":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Character", sign: int) -> "Character":
         _check_same_rs(self, other)
-        out = dict(self.mult)
-        for w, m in other.mult.items():
-            out[w] = out.get(w, 0) - m
-        return Character(self.rs, out)
+        return Character(self.rs, _lincomb((1, self.mult), (sign, other.mult)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Character) and self.rs is other.rs and self.mult == other.mult
@@ -92,6 +93,27 @@ def _check_same_rs(a: Character, b: Character) -> None:
 
 def trivial_character(rs: RootSystem) -> Character:
     return Character(rs, {(0,) * rs.rank: 1})
+
+
+def _lincomb(*terms: tuple[int, dict[Weight, int]]) -> dict[Weight, int]:
+    """sum(c * d for c, d in terms), as a weight map (zeros not yet dropped)."""
+    out: dict[Weight, int] = {}
+    get = out.get
+    for c, d in terms:
+        for w, m in d.items():
+            out[w] = get(w, 0) + c * m
+    return out
+
+
+def _exact_div(m: int, k: int) -> int:
+    q, r = divmod(m, k)
+    if r:
+        raise InternalError(f"plethysm coefficient {m} is not divisible by {k}")
+    return q
+
+
+def _divided(d: dict[Weight, int], k: int) -> dict[Weight, int]:
+    return {w: _exact_div(m, k) for w, m in d.items() if m}
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +173,9 @@ def irrep_character(rs: RootSystem, lam: Weight) -> Character:
     cached = rs._irrep_cache.get(lam)
     if cached is not None:
         return Character(rs, cached)
+    if len(lam) != rs.rank:
+        raise PreconditionError(f"highest weight {lam} has {len(lam)} labels, "
+                                f"but {rs} has rank {rs.rank}")
     if not rs.is_dominant(lam):
         raise PreconditionError(f"highest weight {lam} is not dominant")
 
@@ -200,61 +225,37 @@ def adams(chi: Character, k: int) -> Character:
     return Character(chi.rs, {_wscale(w, k): m for w, m in chi.mult.items()})
 
 
-def _halve(d: dict[Weight, int]) -> dict[Weight, int]:
-    out = {}
-    for w, m in d.items():
-        if m % 2:
-            raise InternalError("non-even coefficient while halving a character")
-        if m:
-            out[w] = m // 2
-    return out
+def _square_power(chi: Character, sign: int,
+                  sq: dict[Weight, int] | None = None) -> dict[Weight, int]:
+    """(chi^2 + sign psi2)/2: alt2 for sign -1, sym2 for sign +1.  `sq` is
+    chi^2 when the caller already has it."""
+    if sq is None:
+        sq = tensor(chi, chi).mult
+    return _divided(_lincomb((1, sq), (sign, adams(chi, 2).mult)), 2)
 
 
 def alt2(chi: Character) -> Character:
     """Exterior square of a genuine character."""
-    sq = tensor(chi, chi)
-    p2 = adams(chi, 2)
-    return Character(chi.rs, _halve((sq - p2).mult))
+    return Character(chi.rs, _square_power(chi, -1))
 
 
 def sym2(chi: Character) -> Character:
-    sq = tensor(chi, chi)
-    p2 = adams(chi, 2)
-    return Character(chi.rs, _halve((sq + p2).mult))
+    return Character(chi.rs, _square_power(chi, 1))
 
 
-def _sixth(d: dict[Weight, int]) -> dict[Weight, int]:
-    out = {}
-    for w, m in d.items():
-        if m % 6:
-            raise InternalError("non-divisible coefficient in a cubic plethysm")
-        if m:
-            out[w] = m // 6
-    return out
+def _cube_power(chi: Character, sign: int) -> dict[Weight, int]:
+    """(chi^3 + 3 sign chi*psi2 + 2 psi3)/6: alt3 for sign -1, sym3 for sign +1."""
+    cube = tensor(tensor(chi, chi), chi).mult
+    mixed = tensor(chi, adams(chi, 2)).mult
+    return _divided(_lincomb((1, cube), (3 * sign, mixed), (2, adams(chi, 3).mult)), 6)
 
 
 def alt3(chi: Character) -> Character:
-    cube = tensor(tensor(chi, chi), chi)
-    mixed = tensor(chi, adams(chi, 2))
-    p3 = adams(chi, 3)
-    combo = {w: m for w, m in cube.mult.items()}
-    for w, m in mixed.mult.items():
-        combo[w] = combo.get(w, 0) - 3 * m
-    for w, m in p3.mult.items():
-        combo[w] = combo.get(w, 0) + 2 * m
-    return Character(chi.rs, _sixth(combo))
+    return Character(chi.rs, _cube_power(chi, -1))
 
 
 def sym3(chi: Character) -> Character:
-    cube = tensor(tensor(chi, chi), chi)
-    mixed = tensor(chi, adams(chi, 2))
-    p3 = adams(chi, 3)
-    combo = {w: m for w, m in cube.mult.items()}
-    for w, m in mixed.mult.items():
-        combo[w] = combo.get(w, 0) + 3 * m
-    for w, m in p3.mult.items():
-        combo[w] = combo.get(w, 0) + 2 * m
-    return Character(chi.rs, _sixth(combo))
+    return Character(chi.rs, _cube_power(chi, 1))
 
 
 def plethysm21(chi: Character) -> Character:
@@ -286,42 +287,39 @@ def multiplicity(chi: Character, lam: Weight) -> int:
     return _alternating_sum(chi.rs, lam, lambda w: get(w, 0))
 
 
-def decompose(chi: Character, max_support: int = 100_000) -> list[tuple[Weight, int]]:
-    """Exact decomposition into irreducibles by peeling highest weights.
+def decompose(chi: Character) -> list[tuple[Weight, int]]:
+    """Exact decomposition of a Weyl-invariant character into irreducibles.
 
-    Intended for characters of moderate support; large modules should use
-    `multiplicity`/`PlethysmOps` point queries instead.
+    Racah-Speiser (Humphreys, section 24): each weight nu contributes
+    sgn * chi(nu) to L(dom(nu + rho) - rho), where dom(nu + rho) and its
+    sign come from `to_dominant` and weights on a chamber wall (sign 0)
+    contribute nothing.  Terms are sorted by decreasing height.  Raises
+    `UsageError` for a character that is not Weyl-invariant or not genuine.
     """
-    if chi.support_size() > max_support:
-        raise UsageError(f"character support {chi.support_size()} exceeds {max_support}")
     rs = chi.rs
-    work = dict(chi.mult)
-    terms: list[tuple[Weight, int]] = []
-    while work:
-        top = max(work, key=lambda w: (rs.height(w), w))
-        if not rs.is_dominant(top):
-            raise UsageError("not a genuine character: maximal weight is not dominant")
-        m = work[top]
-        if m < 0:
-            raise UsageError("not a genuine character: negative leading multiplicity")
-        terms.append((top, m))
-        for w, mw in irrep_character(rs, top).mult.items():
-            new = work.get(w, 0) - m * mw
-            if new:
-                work[w] = new
-            else:
-                work.pop(w, None)
+    mult = chi.mult
+    for w, m in mult.items():
+        for i in range(rs.rank):
+            if w[i] and mult.get(rs.reflect(i, w)) != m:
+                raise UsageError(f"character is not Weyl-invariant: weight {w} and its "
+                                 f"reflection s_{i + 1} have different multiplicities")
+    rho = rs.rho
+    coeff: dict[Weight, int] = {}
+    for w, m in mult.items():
+        top, sign = rs.to_dominant(_wadd(w, rho))
+        if sign:
+            lam = _wsub(top, rho)
+            coeff[lam] = coeff.get(lam, 0) + sign * m
+    terms = [(lam, m) for lam, m in coeff.items() if m]
+    if any(m < 0 for _, m in terms):
+        raise UsageError("not a genuine character: negative multiplicity of an irreducible")
     terms.sort(key=lambda t: (-rs.height(t[0]), t[0]))
     return terms
 
 
 def expand(rs: RootSystem, terms) -> Character:
     """Inverse of `decompose`: rebuild the character of a sum of irreducibles."""
-    out = Character(rs, {})
-    for lam, m in terms:
-        piece = irrep_character(rs, tuple(lam))
-        out = out + Character(rs, {w: m * mm for w, mm in piece.mult.items()})
-    return out
+    return Character(rs, _lincomb(*((m, irrep_character(rs, lam).mult) for lam, m in terms)))
 
 
 class PlethysmOps:
@@ -341,37 +339,28 @@ class PlethysmOps:
         self._sq = tensor(chi, chi).mult
         self._p2 = adams(chi, 2).mult
         self._p3 = adams(chi, 3).mult
-        alt2_m = {}
-        for w, m in self._sq.items():
-            m2 = m - self._p2.get(w, 0)
-            if m2:
-                if m2 % 2:
-                    raise InternalError("odd alt2 coefficient")
-                alt2_m[w] = m2 // 2
-        self._alt2 = alt2_m
+        self._alt2 = _square_power(chi, -1, self._sq)
 
     # -- point values ---------------------------------------------------------
 
-    def square_at(self, nu: Weight) -> int:
-        return self._sq.get(nu, 0)
+    def _convolve_at(self, table: dict[Weight, int], nu: Weight) -> int:
+        """(chi * table)(nu), one pass over the support of chi."""
+        get = table.get
+        total = 0
+        for w, m in self._items:
+            v = get(_wsub(nu, w))
+            if v:
+                total += m * v
+        return total
 
     def cube_at(self, nu: Weight) -> int:
-        sq = self._sq
-        total = 0
-        for w, m in self._items:
-            v = sq.get(_wsub(nu, w))
-            if v:
-                total += m * v
-        return total
+        return self._convolve_at(self._sq, nu)
 
     def chi_psi2_at(self, nu: Weight) -> int:
-        p2 = self._p2
-        total = 0
-        for w, m in self._items:
-            v = p2.get(_wsub(nu, w))
-            if v:
-                total += m * v
-        return total
+        return self._convolve_at(self._p2, nu)
+
+    def chi_alt2_at(self, nu: Weight) -> int:
+        return self._convolve_at(self._alt2, nu)
 
     def alt2_at(self, nu: Weight) -> int:
         return self._alt2.get(nu, 0)
@@ -379,26 +368,16 @@ class PlethysmOps:
     def sym2_at(self, nu: Weight) -> int:
         return self._sq.get(nu, 0) - self._alt2.get(nu, 0)
 
+    def _cube_power_at(self, nu: Weight, sign: int) -> int:
+        """Point value of `_cube_power`: alt3 for sign -1, sym3 for sign +1."""
+        val = self.cube_at(nu) + 3 * sign * self.chi_psi2_at(nu) + 2 * self._p3.get(nu, 0)
+        return _exact_div(val, 6)
+
     def alt3_at(self, nu: Weight) -> int:
-        val = self.cube_at(nu) - 3 * self.chi_psi2_at(nu) + 2 * self._p3.get(nu, 0)
-        if val % 6:
-            raise InternalError("alt3 point value not divisible by 6")
-        return val // 6
+        return self._cube_power_at(nu, -1)
 
     def sym3_at(self, nu: Weight) -> int:
-        val = self.cube_at(nu) + 3 * self.chi_psi2_at(nu) + 2 * self._p3.get(nu, 0)
-        if val % 6:
-            raise InternalError("sym3 point value not divisible by 6")
-        return val // 6
-
-    def chi_alt2_at(self, nu: Weight) -> int:
-        a2 = self._alt2
-        total = 0
-        for w, m in self._items:
-            v = a2.get(_wsub(nu, w))
-            if v:
-                total += m * v
-        return total
+        return self._cube_power_at(nu, 1)
 
     def plethysm21_at(self, nu: Weight) -> int:
         return self.chi_alt2_at(nu) - self.alt3_at(nu)
@@ -411,9 +390,6 @@ class PlethysmOps:
             raise PreconditionError(f"weight {lam} is not dominant")
         return _alternating_sum(self.rs, lam, point_fn)
 
-    def mult_in_square(self, lam: Weight) -> int:
-        return self._mult(lam, self.square_at)
-
     def mult_in_alt2(self, lam: Weight) -> int:
         return self._mult(lam, self.alt2_at)
 
@@ -423,14 +399,8 @@ class PlethysmOps:
     def mult_in_alt3(self, lam: Weight) -> int:
         return self._mult(lam, self.alt3_at)
 
-    def mult_in_sym3(self, lam: Weight) -> int:
-        return self._mult(lam, self.sym3_at)
-
     def mult_in_chi_alt2(self, lam: Weight) -> int:
         return self._mult(lam, self.chi_alt2_at)
-
-    def mult_in_plethysm21(self, lam: Weight) -> int:
-        return self._mult(lam, self.plethysm21_at)
 
 
 EXPRESSIONS = ("tensor", "alt2", "sym2", "alt3", "sym3", "plethysm21")

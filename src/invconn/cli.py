@@ -2,7 +2,7 @@
 and the numerical verification batteries on matrix Lie groups.
 
 Exit codes: 0 success / all comparisons match, 1 verification failure,
-2 usage error.
+2 bad input (one `error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import conncalc, siiclass
-from .chars import EXPRESSIONS, PreconditionError, UsageError, decompose, expression_character, irrep_character, multiplicity
-from .rootsys import ConfigurationError, RootSystem, SimpleType
+from .chars import EXPRESSIONS, UsageError, decompose, expression_character, irrep_character, multiplicity
+from .rootsys import RootSystem, SimpleType
 from .siiclass import Budget, RangeError
 
 USAGE_ERROR = 2
@@ -309,14 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_classify(args) -> int:
     sel = args.selector
     params = {k: v for k, v in (("p", args.p), ("q", args.q), ("n", args.n)) if v is not None}
-    try:
-        if params:
-            entry = siiclass.family(sel, **params)
-        else:
-            entry = siiclass.get_row(sel, args.catalog)
-    except (KeyError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    if params:
+        entry = siiclass.family(sel, **params)
+    else:
+        entry = siiclass.get_row(sel, args.catalog)
     rep = siiclass.classify(entry, budget=args.budget)
     _emit(siiclass.emit_tables([(entry, rep)], args.format), args.output)
     if rep.status.startswith("skipped"):
@@ -327,7 +323,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    entries = siiclass.catalog(args.catalog)
+    entries = siiclass.load_catalog(args.catalog)
     if args.only in ("table4", "classical"):
         entries = [e for e in entries if e.source == "table4"]
     elif args.only in ("table5", "exceptions"):
@@ -342,14 +338,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        rs = _parse_system(args.system)
-        chi = irrep_character(rs, args.hw)
-        other = irrep_character(rs, args.hw2) if args.hw2 else None
-        result = expression_character(args.expression, chi, other)
-    except (PreconditionError, UsageError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    rs = _parse_system(args.system)
+    chi = irrep_character(rs, args.hw)
+    other = irrep_character(rs, args.hw2) if args.hw2 else None
+    result = expression_character(args.expression, chi, other)
     terms = decompose(result)
     lines = []
     total = 0
@@ -386,22 +378,14 @@ def _render_checks(title: str, checks: list[Check], fmt: str) -> str:
 
 
 def cmd_verify_un(args) -> int:
-    try:
-        checks = un_battery(args.n, tol=args.tolerance, seed=args.seed)
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    checks = un_battery(args.n, tol=args.tolerance, seed=args.seed)
     _emit(_render_checks(f"u({args.n}) bi-invariant battery", checks, args.format), args.output)
     return 0 if all(c.passed for c in checks) else VERIFY_ERROR
 
 
 def cmd_einstein(args) -> int:
-    try:
-        name, n = _parse_algebra(args.algebra)
-        alphas = [float(a) for a in args.alphas.split(",")]
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    name, n = _parse_algebra(args.algebra)
+    alphas = [float(a) for a in args.alphas.split(",")]
     checks = einstein_battery(name, n, alphas, tol=args.tolerance)
     _emit(_render_checks(f"{name}({n}) bracket-family Einstein battery", checks, args.format),
           args.output)
@@ -409,7 +393,7 @@ def cmd_einstein(args) -> int:
 
 
 def cmd_catalog_dump(args) -> int:
-    entries = siiclass.catalog(args.catalog)
+    entries = siiclass.load_catalog(args.catalog)
     if args.format == "json":
         rows = []
         for e in entries:
@@ -444,7 +428,15 @@ def main(argv=None) -> int:
         "einstein": cmd_einstein,
         "catalog-dump": cmd_catalog_dump,
     }
-    return handlers[args.command](args)
+    # Every library input error is a ValueError; KeyError is an unknown row or
+    # family and OSError an unreadable catalog or unwritable output.  Engine
+    # bugs (InternalError, AssertionError) keep their traceback.
+    try:
+        return handlers[args.command](args)
+    except (ValueError, KeyError, OSError) as exc:
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

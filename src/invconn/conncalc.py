@@ -278,10 +278,6 @@ class TypeDecomposition:
     a3: np.ndarray
 
     @property
-    def xi(self) -> np.ndarray:
-        return self.phi  # metric dual over an orthonormal basis
-
-    @property
     def a1_norm(self) -> float:
         return float(np.linalg.norm(self.a1))
 

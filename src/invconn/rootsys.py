@@ -343,26 +343,12 @@ class RootSystem:
             order *= f.weyl_order
         return order
 
-    def weyl_orbit(self, w: Weight) -> list[Weight]:
-        seen = {w}
-        frontier = [w]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.rank):
-                    if v[i] == 0:
-                        continue
-                    u = self._reflect(v, i)
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        return list(seen)
+    def _orbit(self, w: Weight) -> dict[Weight, int]:
+        """Breadth-first Weyl orbit; each point carries (-1)^(its BFS depth).
 
-    def signed_orbit(self, w: Weight) -> dict[Weight, int]:
-        """Orbit of a strictly dominant weight, with det(w) per point."""
-        if any(x <= 0 for x in w):
-            raise PreconditionError("signed_orbit requires a strictly dominant weight")
+        The parity is det of the Weyl element reaching the point only when w
+        is regular; otherwise just the keys are meaningful.
+        """
         out = {w: 1}
         frontier = [w]
         reflect = self._reflect
@@ -371,12 +357,23 @@ class RootSystem:
             for v in frontier:
                 s = -out[v]
                 for i in range(self.rank):
+                    if v[i] == 0:
+                        continue
                     u = reflect(v, i)
                     if u not in out:
                         out[u] = s
                         nxt.append(u)
             frontier = nxt
         return out
+
+    def weyl_orbit(self, w: Weight) -> list[Weight]:
+        return list(self._orbit(w))
+
+    def signed_orbit(self, w: Weight) -> dict[Weight, int]:
+        """Orbit of a strictly dominant weight, with det(w) per point."""
+        if any(x <= 0 for x in w):
+            raise PreconditionError("signed_orbit requires a strictly dominant weight")
+        return self._orbit(w)
 
     def stabilizer_order(self, w: Weight) -> int:
         """Order of the stabilizer of a dominant weight (a parabolic Weyl group)."""

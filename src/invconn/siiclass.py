@@ -25,7 +25,8 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .chars import Character, PlethysmOps, UsageError, alt2, alt3, decompose, irrep_character, sym2, sym3, tensor
+from .chars import (Character, PlethysmOps, UsageError, alt2, alt3, decompose, expand,
+                    irrep_character, sym2, sym3, tensor, trivial_character)
 from .rootsys import RootSystem, SimpleType, Weight, adjoint_weight
 
 Summand = tuple[Weight, ...]  # one external-tensor summand: one weight per factor
@@ -134,21 +135,34 @@ class Budget:
 # Catalog data
 # ---------------------------------------------------------------------------
 
-def _weight(seq) -> Weight:
-    return tuple(int(x) for x in seq)
+def _summands(factors: tuple[SimpleType, ...], seq) -> tuple[Summand, ...]:
+    """Parse summands, each one dominant weight per factor of the matching rank."""
+    out = []
+    for summand in seq:
+        weights = tuple(tuple(int(x) for x in w) for w in summand)
+        if len(weights) != len(factors):
+            raise CatalogError(f"summand {summand} has {len(weights)} weights "
+                               f"for {len(factors)} factors")
+        for f, w in zip(factors, weights):
+            if len(w) != f.rank:
+                raise CatalogError(f"weight {w} has {len(w)} labels; factor {f} has rank {f.rank}")
+            if any(x < 0 for x in w):
+                raise CatalogError(f"weight {w} has a negative label")
+        out.append(weights)
+    return tuple(out)
 
 
 def _row_from_json(rec: dict) -> IsotropyDatum:
     try:
         ambient = Ambient(rec["ambient"]["series"], int(rec["ambient"]["n"]))
         factors = tuple(SimpleType(s, int(r)) for s, r in rec["factors"])
-        constituents = tuple(tuple(_weight(w) for w in summand) for summand in rec["constituents"])
+        constituents = _summands(factors, rec["constituents"])
         expected = None
         if rec.get("expected"):
             e = rec["expected"]
             expected = Expected(int(e["a"]), int(e["s"]), int(e["N"]), int(e["l"]), e["type"])
         alt = rec.get("alt_constituents")
-        altc = tuple(tuple(_weight(w) for w in summand) for summand in alt) if alt else None
+        altc = _summands(factors, alt) if alt else None
         fam = rec.get("family") or {}
         return IsotropyDatum(
             id=rec["id"], ambient=ambient, factors=factors, constituents=constituents,
@@ -176,13 +190,9 @@ def load_catalog(path: str | None = None) -> list[IsotropyDatum]:
     return rows
 
 
-def catalog(path: str | None = None) -> list[IsotropyDatum]:
-    return load_catalog(path)
-
-
 def get_row(row_id: str, path: str | None = None) -> IsotropyDatum:
     key = row_id.replace(" ", "").lower()
-    for row in catalog(path):
+    for row in load_catalog(path):
         if row.id.lower() == key:
             return row
     raise KeyError(f"no catalog row with id {row_id!r}")
@@ -332,10 +342,7 @@ def constituent_dim(rs: RootSystem, summand: Summand) -> int:
 
 
 def module_character(rs: RootSystem, constituents) -> Character:
-    chi = Character(rs, {})
-    for summand in constituents:
-        chi = chi + irrep_character(rs, rs.join(summand))
-    return chi
+    return expand(rs, [(rs.join(summand), 1) for summand in constituents])
 
 
 def duality_type(rs: RootSystem, constituents) -> str:
@@ -374,14 +381,19 @@ def support_estimate(rs: RootSystem, constituents) -> int:
     return total
 
 
-def _classify_values(rs: RootSystem, constituents) -> tuple[int, int, int, int]:
-    chi = module_character(rs, constituents)
+def _counts(chi: Character, hws) -> tuple[int, int, int, int]:
+    """(a, s, l, epsilon) of a multiplicity-free module with highest weights hws."""
     ops = PlethysmOps(chi)
-    zero = (0,) * rs.rank
-    a = sum(ops.mult_in_alt2(rs.join(sm)) for sm in constituents)
-    s = sum(ops.mult_in_sym2(rs.join(sm)) for sm in constituents)
+    zero = (0,) * chi.rs.rank
+    a = sum(ops.mult_in_alt2(lam) for lam in hws)
+    s = sum(ops.mult_in_sym2(lam) for lam in hws)
     l = ops.mult_in_alt3(zero)
-    eps = ops.mult_in_chi_alt2(zero) - l
+    return a, s, l, ops.mult_in_chi_alt2(zero) - l
+
+
+def _classify_values(rs: RootSystem, constituents) -> tuple[int, int, int, int]:
+    a, s, l, eps = _counts(module_character(rs, constituents),
+                           [rs.join(sm) for sm in constituents])
     if eps != a - l:
         raise AssertionError("defect identity epsilon == a - l failed; engine bug")
     return a, s, l, eps
@@ -440,15 +452,8 @@ def classify_reducible(chi: Character) -> SIIReport:
     if any(m != 1 for _, m in terms):
         raise UsageError("module is not multiplicity-free; counts would need "
                          "endomorphism-algebra bookkeeping")
-    rs = chi.rs
-    zero = (0,) * rs.rank
-    ops = PlethysmOps(chi)
-    hws = [lam for lam, _ in terms]
-    N = sum(ops.mult_in_square(lam) for lam in hws)
-    a = sum(ops.mult_in_alt2(lam) for lam in hws)
-    l = ops.mult_in_alt3(zero)
-    eps = ops.mult_in_chi_alt2(zero) - l
-    return SIIReport("reducible", chi.dim(), a=a, s=N - a, N=N, l=l, epsilon=eps)
+    a, s, l, eps = _counts(chi, [lam for lam, _ in terms])
+    return SIIReport("reducible", chi.dim(), a=a, s=s, N=a + s, l=l, epsilon=eps)
 
 
 def unitary_group_module(n: int) -> Character:
@@ -456,9 +461,7 @@ def unitary_group_module(n: int) -> Character:
     if n < 2:
         raise RangeError("u(n) module requires n >= 2")
     rs = RootSystem([SimpleType("A", n - 1)])
-    chi = irrep_character(rs, adjoint_weight(SimpleType("A", n - 1)))
-    triv = Character(rs, {(0,) * rs.rank: 1})
-    return triv + chi
+    return trivial_character(rs) + irrep_character(rs, adjoint_weight(SimpleType("A", n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +494,7 @@ def isotropy_from_embedding(host: str, pi: Character) -> Character:
         out = sym2(pi) - adk
     elif host == "unitary":
         dual = Character(rs, {tuple(-x for x in w): m for w, m in pi.mult.items()})
-        out = tensor(pi, dual) - adk - Character(rs, {(0,) * rs.rank: 1})
+        out = tensor(pi, dual) - adk - trivial_character(rs)
     else:
         raise UsageError("host must be one of orthogonal, unitary, symplectic")
     if not out.is_genuine():
@@ -647,7 +650,7 @@ def classify_catalog(entries=None, budget: Budget | None = None, path: str | Non
     Rows are independent pure computations, so they may be fanned out over
     worker processes; results are reassembled in catalog order either way.
     """
-    entries = catalog(path) if entries is None else entries
+    entries = load_catalog(path) if entries is None else entries
     if jobs <= 1 or len(entries) <= 1:
         return [(entry, classify(entry, budget=budget)) for entry in entries]
     import concurrent.futures

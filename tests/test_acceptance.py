@@ -164,7 +164,7 @@ def test_c4_decompose_round_trip_and_klimyk():
         assert terms == merged, (rs, case)
         for lam in list(merged) + [(1,) * rs.rank, (3,) * rs.rank]:
             assert multiplicity(chi, lam) == terms.get(lam, 0)
-    gate("criterion 4: 50 random decompose round trips; orbit-sum == peeling", True)
+    gate("criterion 4: 50 random decompose round trips; orbit-sum == Racah–Speiser", True)
 
 
 def _random_irrep(rnd, max_dim, pool):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invconn.chars import (Character, PlethysmOps, UsageError, adams, alt2, alt3,
                            decompose, expand, expression_character, irrep_character,
@@ -228,3 +230,40 @@ def test_trivial_character(a2):
     assert one.dim() == 1
     ad = irrep_character(a2, (1, 1))
     assert tensor(one, ad) == ad
+
+
+HYPOTHESIS_SYSTEMS = [RootSystem([SimpleType(*f) for f in fs]) for fs in SMALL_SYSTEMS]
+
+
+@st.composite
+def _systems_and_terms(draw):
+    rs = draw(st.sampled_from(HYPOTHESIS_SYSTEMS))
+    label = st.integers(min_value=0, max_value=2 if rs.rank <= 3 else 1)
+    lam = st.tuples(*[label] * rs.rank)
+    terms = draw(st.dictionaries(lam, st.integers(min_value=1, max_value=3),
+                                 min_size=1, max_size=3))
+    return rs, terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems_and_terms())
+def test_racah_speiser_inverts_expand_and_matches_orbit_sum(case):
+    rs, terms = case
+    chi = expand(rs, terms.items())
+    expected = sorted(terms.items(), key=lambda t: (-rs.height(t[0]), t[0]))
+    assert decompose(chi) == expected
+    for lam in list(terms) + [(1,) * rs.rank]:
+        assert multiplicity(chi, lam) == terms.get(lam, 0)
+
+
+def test_decompose_rejects_non_invariant_characters(a2):
+    with pytest.raises(UsageError, match="not Weyl-invariant"):
+        decompose(Character(a2, {(1, 0): 1}))
+    chi = irrep_character(a2, (1, 1))
+    with pytest.raises(UsageError, match="not Weyl-invariant"):
+        decompose(chi + Character(a2, {(-1, 2): 1}))
+
+
+def test_irrep_character_rejects_wrong_length(a2):
+    with pytest.raises(PreconditionError, match="rank 2"):
+        irrep_character(a2, (1, 0, 0))

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import invconn
 from invconn.cli import main
+
+SRC = str(Path(invconn.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -157,3 +164,52 @@ def test_output_file(tmp_path, capsys):
                        "classify", "SO7/G2")
     assert code == 0
     assert json.loads(target.read_text())["rows"][0]["id"] == "SO7/G2"
+
+
+SO7_G2 = {"id": "SO7/G2", "ambient": {"series": "SO", "n": 7}, "factors": [["G", 2]],
+          "constituents": [[[1, 0]]], "expected": {"a": 1, "s": 0, "N": 1, "l": 1, "type": "r"},
+          "source": "table5"}
+
+
+def _catalog_file(tmp_path, **changes):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"version": 1, "rows": [dict(SO7_G2, **changes)]}))
+    return str(path)
+
+
+BAD_INPUTS = {
+    "missing catalog": lambda tmp: ["table", "--catalog", str(tmp / "absent.json")],
+    "malformed catalog json": lambda tmp: ["table", "--catalog",
+                                           str(tmp / "bad.json")],
+    "non-dominant constituent": lambda tmp: [
+        "table", "--catalog", _catalog_file(tmp, constituents=[[[1, -1]]])],
+    "catalog weight of the wrong length": lambda tmp: [
+        "table", "--catalog", _catalog_file(tmp, constituents=[[[1, 0, 0]]])],
+    "catalog summand with too many weights": lambda tmp: [
+        "table", "--catalog", _catalog_file(tmp, constituents=[[[1, 0], [1]]])],
+    "einstein su1": lambda tmp: ["einstein", "su1"],
+    "einstein non-numeric alphas": lambda tmp: ["einstein", "su3", "--alphas", "a,b"],
+    "decompose weight of the wrong length": lambda tmp: ["decompose", "A2", "alt2",
+                                                         "--hw", "1,0,0"],
+    "decompose second weight of the wrong length": lambda tmp: [
+        "decompose", "A2", "tensor", "--hw", "1,0", "--hw2", "1"],
+    "unknown catalog row": lambda tmp: ["classify", "XX/YY"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path):
+    (tmp_path / "bad.json").write_text('{"rows": [')
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "invconn.cli", *BAD_INPUTS[case](tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_key_error_message_is_not_quoted(capsys):
+    code, _, err = run(capsys, "classify", "XX/YY")
+    assert code == 2
+    assert err == "error: no catalog row with id 'XX/YY'\n"

@@ -4,7 +4,7 @@ import pytest
 
 from invconn.chars import UsageError, irrep_character, multiplicity, tensor
 from invconn.rootsys import RootSystem, SimpleType
-from invconn.siiclass import (Budget, CatalogError, RangeError, catalog, classify,
+from invconn.siiclass import (Budget, CatalogError, RangeError, classify,
                               classify_catalog, classify_reducible, constituent_dim,
                               duality_type, emit_tables, external_cross_check, family,
                               format_constituents, get_row, isotropy_from_embedding,
@@ -24,7 +24,7 @@ FAST_ROWS = ["SU10/SU5", "SU6/SU3", "SU9/SU3xSU3", "SU6/SU2xSU3", "SO8/SU3",
 
 
 def test_catalog_loads_and_is_consistent():
-    rows = catalog()
+    rows = load_catalog()
     assert len(rows) >= 50
     ids = {r.id for r in rows}
     assert "SO248/E8" in ids and "G2/SU3" in ids
@@ -248,6 +248,21 @@ def test_external_catalog_file(tmp_path):
     bad.write_text(json.dumps({"rows": [{"id": "x"}]}))
     with pytest.raises(CatalogError):
         load_catalog(str(bad))
+
+
+@pytest.mark.parametrize("constituents, message", [
+    ([[[1, 0], [1]]], "2 weights for 1 factors"),
+    ([[[1, 0, 0]]], "factor G2 has rank 2"),
+    ([[[1, -1]]], "negative label"),
+])
+def test_catalog_rejects_malformed_weights(tmp_path, constituents, message):
+    doc = {"version": 1, "rows": [{
+        "id": "SO7/G2", "ambient": {"series": "SO", "n": 7}, "factors": [["G", 2]],
+        "constituents": constituents, "source": "table5"}]}
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CatalogError, match=f"'SO7/G2'.*{message}"):
+        load_catalog(str(path))
 
 
 def test_format_constituents():
