@@ -151,13 +151,9 @@ def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
 
 
 def _printed_un_ricci(alg: conncalc.MatrixAlgebra, n: int) -> np.ndarray:
-    out = np.zeros((alg.dim, alg.dim))
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            x, y = alg.basis[i], alg.basis[j]
-            out[i, j] = float(np.real(
-                0.5 * ((n - 4) * np.trace(x @ y) + (5 - 2 * n) * np.trace(x) * np.trace(y))))
-    return out
+    """The published form (1/2){(n-4) tr XY + (5-2n) tr X tr Y} over the basis."""
+    tr_xy = np.real(np.einsum("iab,jba->ij", alg.basis, alg.basis))
+    return 0.5 * ((n - 4) * tr_xy + (5 - 2 * n) * _beta_form(alg))
 
 
 def _beta_form(alg: conncalc.MatrixAlgebra) -> np.ndarray:

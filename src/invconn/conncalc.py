@@ -12,6 +12,13 @@ so that mu = 0 is the flat minus-connection, mu(X,Y) = [X,Y] the flat
 plus-connection, and mu(X,Y) = [X,Y]/2 the Levi-Civita connection of the
 bi-invariant metric <X,Y> = -Re tr(XY), whose Ricci tensor is -B/4 for
 the Killing form B (the sign calibration used throughout).
+
+`covariant_derivative` is the one contraction of Lambda(Z) into a tensor,
+and three checks are derivatives of invariant tensors through it:
+
+    equivariance of mu = D of mu along ad          (equivariance_defect)
+    derivation defect  = D of the bracket along mu (der_tensor)
+    Jacobiator         = D of the bracket along ad (MatrixAlgebra)
 """
 
 from __future__ import annotations
@@ -46,28 +53,31 @@ class MatrixAlgebra:
     `basis` is a list of anti-Hermitian matrices orthonormal for
     <X,Y> = -Re tr(XY); `bracket` holds the structure coefficients
     c[i,j,k] = <[e_i, e_j], e_k> and `killing` the Killing form over the
-    basis.  Instances are immutable and safe to share.
+    basis.  A `bracket` passed in is taken as given, and the basis is then
+    declared orthonormal for some other inner product.  Instances are
+    immutable and safe to share.
     """
 
-    def __init__(self, name: str, n: int, basis: list[np.ndarray], check_tol: float = 1e-12):
+    def __init__(self, name: str, n: int, basis: list[np.ndarray], check_tol: float = 1e-12,
+                 bracket: np.ndarray | None = None):
         self.name = name
         self.n = n
         self.basis = np.array(basis)
         self.dim = len(basis)
 
-        gram = np.array([[_ip(x, y) for y in basis] for x in basis])
-        if np.abs(gram - np.eye(self.dim)).max() > check_tol:
-            raise AlgebraError(f"{name}: basis is not orthonormal")
-
-        br = np.einsum("iab,jbc->ijac", self.basis, self.basis)
-        comm = br - np.transpose(br, (1, 0, 2, 3))
-        self.bracket = -np.real(np.einsum("ijab,kba->ijk", comm, self.basis))
+        if bracket is None:
+            gram = np.array([[_ip(x, y) for y in basis] for x in basis])
+            if np.abs(gram - np.eye(self.dim)).max() > check_tol:
+                raise AlgebraError(f"{name}: basis is not orthonormal")
+            br = np.einsum("iab,jbc->ijac", self.basis, self.basis)
+            comm = br - np.transpose(br, (1, 0, 2, 3))
+            bracket = -np.real(np.einsum("ijab,kba->ijk", comm, self.basis))
+        self.bracket = bracket
         if np.abs(self.bracket + np.transpose(self.bracket, (1, 0, 2))).max() > check_tol:
             raise AlgebraError(f"{name}: bracket coefficients not antisymmetric")
 
-        jac = (np.einsum("jkp,ipm->ijkm", self.bracket, self.bracket)
-               + np.einsum("kip,jpm->ijkm", self.bracket, self.bracket)
-               + np.einsum("ijp,kpm->ijkm", self.bracket, self.bracket))
+        # The Jacobiator is the derivative of the bracket along ad.
+        jac = covariant_derivative(self, self.bracket, self.bracket)
         self.jacobi_residual = float(np.abs(jac).max())
         if self.jacobi_residual > 1e-11:
             raise AlgebraError(f"{name}: Jacobi identity fails ({self.jacobi_residual:.2e})")
@@ -149,15 +159,9 @@ def rescaled_algebra(alg: MatrixAlgebra, scales) -> MatrixAlgebra:
     recomputed over e_i' = scales[i] * e_i, declared orthonormal.
     """
     scales = np.asarray(scales, dtype=float)
-    out = object.__new__(MatrixAlgebra)
-    out.name = alg.name + "-rescaled"
-    out.n = alg.n
-    out.basis = alg.basis * scales[:, None, None]
-    out.dim = alg.dim
-    out.bracket = np.einsum("i,j,ijk,k->ijk", scales, scales, alg.bracket, 1.0 / scales)
-    out.jacobi_residual = alg.jacobi_residual
-    out.killing = np.einsum("iqp,jpq->ij", out.bracket, out.bracket)
-    return out
+    bracket = np.einsum("i,j,ijk,k->ijk", scales, scales, alg.bracket, 1.0 / scales)
+    return MatrixAlgebra(alg.name + "-rescaled", alg.n, alg.basis * scales[:, None, None],
+                         bracket=bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +220,14 @@ def vectorial_metric_map(alg: MatrixAlgebra) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def equivariance_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
-    """Max norm of mu([W,X],Y) + mu(X,[W,Y]) - [W, mu(X,Y)] over basis triples."""
-    br, c = alg.bracket, mu
-    d = (np.einsum("wxp,pyk->wxyk", br, c)
-         + np.einsum("wyp,xpk->wxyk", br, c)
-         - np.einsum("xyp,wpk->wxyk", c, br))
-    return float(np.sqrt((d * d).sum(axis=3)).max())
+    """Max norm of mu([W,X],Y) + mu(X,[W,Y]) - [W, mu(X,Y)] over basis triples:
+    the derivative of mu along ad W."""
+    return _max_slot_norm(covariant_derivative(alg, alg.bracket, mu))
+
+
+def _max_slot_norm(t: np.ndarray) -> float:
+    """Largest Euclidean norm of t over its last axis."""
+    return float(np.sqrt((t * t).sum(axis=-1)).max())
 
 
 def is_equivariant(alg: MatrixAlgebra, mu: np.ndarray, tol: float = DEFAULT_TOL):
@@ -269,7 +275,7 @@ class TypeDecomposition:
     """Orthogonal split of a difference tensor into its three pieces.
 
     a1: trace part built from a covector phi; a2: traceless cyclic part;
-    a3: totally skew part (also exposed as `skew_part`).
+    a3: totally skew part.
     """
 
     phi: np.ndarray
@@ -288,10 +294,6 @@ class TypeDecomposition:
     @property
     def a3_norm(self) -> float:
         return float(np.linalg.norm(self.a3))
-
-    @property
-    def skew_part(self) -> np.ndarray:
-        return self.a3
 
     def reassembled(self) -> np.ndarray:
         return self.a1 + self.a2 + self.a3
@@ -448,16 +450,13 @@ def vectorial_ricci(alg: MatrixAlgebra, xi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def der_tensor(alg: MatrixAlgebra, mu: np.ndarray) -> np.ndarray:
-    """der(X,Y;Z) = mu(Z,[X,Y]) - [mu(Z,X),Y] - [X,mu(Z,Y)], as der[x,y,z,k]."""
-    br = alg.bracket
-    return (np.einsum("xyp,zpk->xyzk", br, mu)
-            - np.einsum("zxp,pyk->xyzk", mu, br)
-            - np.einsum("zyp,xpk->xyzk", mu, br))
+    """der(X,Y;Z) = mu(Z,[X,Y]) - [mu(Z,X),Y] - [X,mu(Z,Y)], as der[x,y,z,k]:
+    the derivative of the bracket along Lambda(Z)."""
+    return np.moveaxis(covariant_derivative(alg, mu, alg.bracket), 0, 2)
 
 
 def derivation_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
-    d = der_tensor(alg, mu)
-    return float(np.sqrt((d * d).sum(axis=3)).max())
+    return _max_slot_norm(der_tensor(alg, mu))
 
 
 def covariant_derivative(alg: MatrixAlgebra, mu: np.ndarray, f: np.ndarray,
@@ -469,22 +468,20 @@ def covariant_derivative(alg: MatrixAlgebra, mu: np.ndarray, f: np.ndarray,
         (D_Z F)(X_1..X_p) = Lambda(Z) F(X_1..X_p) - sum_i F(.., Lambda(Z) X_i, ..)
 
     and for a scalar-valued form only the slot terms appear.  The result
-    gains a leading Z axis.
+    gains a leading Z axis.  Each term is one contraction subtracted in
+    place, so at most two arrays of the output's size are alive at once.
     """
     d = alg.dim
     p = f.ndim - (1 if vector_valued else 0)
     if f.shape != (d,) * f.ndim or p < 1:
         raise TensorShapeError("tensor shape does not match the algebra dimension")
-    letters = "abcefghm"
-    in_sub = letters[:f.ndim]
+    out = np.zeros((d,) + f.shape)
     if vector_valued:
-        out = np.einsum(f"zpk,{in_sub[:-1]}p->z{in_sub[:-1]}k", mu, f)
-    else:
-        out = np.zeros((d,) + f.shape)
+        # mu[z,q,k] f[x..,q] comes out as [z,k,x..]
+        out += np.moveaxis(np.tensordot(mu, f, axes=([1], [p])), 1, -1)
     for slot in range(p):
-        sub = list(in_sub)
-        sub[slot] = "p"
-        out = out - np.einsum(f"z{in_sub[slot]}p,{''.join(sub)}->z{in_sub}", mu, f)
+        # mu[z,x,q] f[..,q,..] comes out as [z,x,..]; x returns to its slot
+        out -= np.moveaxis(np.tensordot(mu, f, axes=([2], [slot])), 1, slot + 1)
     return out
 
 

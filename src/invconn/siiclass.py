@@ -40,10 +40,17 @@ class RangeError(ValueError):
     """Family parameter outside the stated range."""
 
 
+_EXCEPTIONAL_DIMS = {("G", 2): 14, ("F", 4): 52, ("E", 6): 78, ("E", 7): 133, ("E", 8): 248}
+
+
 @dataclass(frozen=True)
 class Ambient:
     series: str  # SU | SO | Sp | G | F | E
     n: int
+
+    def __post_init__(self):
+        if self.series not in ("SU", "SO", "Sp") and (self.series, self.n) not in _EXCEPTIONAL_DIMS:
+            raise CatalogError(f"unknown ambient group {self}")
 
     @property
     def dim(self) -> int:
@@ -53,8 +60,7 @@ class Ambient:
             return self.n * (self.n - 1) // 2
         if self.series == "Sp":
             return self.n * (2 * self.n + 1)
-        return {("G", 2): 14, ("F", 4): 52, ("E", 6): 78, ("E", 7): 133,
-                ("E", 8): 248}[(self.series, self.n)]
+        return _EXCEPTIONAL_DIMS[(self.series, self.n)]
 
     def __str__(self) -> str:
         return f"{self.series}{self.n}"

@@ -187,6 +187,8 @@ BAD_INPUTS = {
         "table", "--catalog", _catalog_file(tmp, constituents=[[[1, 0, 0]]])],
     "catalog summand with too many weights": lambda tmp: [
         "table", "--catalog", _catalog_file(tmp, constituents=[[[1, 0], [1]]])],
+    "catalog ambient of an unknown series": lambda tmp: [
+        "catalog-dump", "--catalog", _catalog_file(tmp, ambient={"series": "XX", "n": 7})],
     "einstein su1": lambda tmp: ["einstein", "su1"],
     "einstein non-numeric alphas": lambda tmp: ["einstein", "su3", "--alphas", "a,b"],
     "decompose weight of the wrong length": lambda tmp: ["decompose", "A2", "alt2",

@@ -257,20 +257,33 @@ def test_derivation_examples(u3, su3, laquer):
     assert cc.derivation_defect(u3, laquer["mu4"] - laquer["mu5"]) > 0.1
 
 
-def test_covariant_derivative_identities(su3):
+def test_covariant_derivative_identities(u3, su3, laquer, matrix_reference):
     rng = np.random.default_rng(42)
     mu = cc.random_bilinear(8, rng)
-    # der(X,Y;Z) equals the Z-derivative of the bracket, and minus that of
-    # the canonical torsion.
-    der = cc.der_tensor(su3, mu)
-    d_br = cc.covariant_derivative(su3, mu, su3.bracket)
-    assert np.abs(der - np.transpose(d_br, (1, 2, 0, 3))).max() < 1e-12
-    d_tc = cc.covariant_derivative(su3, mu, -su3.bracket)
-    assert np.abs(der + np.transpose(d_tc, (1, 2, 0, 3))).max() < 1e-12
+    # der and the equivariance defect against commutators of matrices, for
+    # random maps and the Laquer maps.
+    cases = [(su3, mu), (u3, cc.random_bilinear(9, rng))]
+    cases += [(u3, laquer[key]) for key in sorted(laquer)]
+    for alg, m in cases:
+        der, eq = matrix_reference(alg, m)
+        assert np.abs(cc.der_tensor(alg, m) - der).max() < 1e-12
+        eq_max = float(np.sqrt((eq * eq).sum(axis=3)).max())
+        assert abs(cc.equivariance_defect(alg, m) - eq_max) < 1e-12
     # (D_Z T) - (D_Z T^c) = C for arbitrary maps
     t = cc.torsion(su3, mu)
-    lhs = cc.covariant_derivative(su3, mu, t) - d_tc
+    lhs = cc.covariant_derivative(su3, mu, t) - cc.covariant_derivative(su3, mu, -su3.bracket)
     assert np.abs(np.transpose(lhs, (1, 2, 0, 3)) - cc.c_tensor(su3, mu)).max() < 1e-9
+
+
+def test_constructor_checks_jacobi(su3):
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((8, 8, 8))
+    skew = 0.5 * (raw - np.transpose(raw, (1, 0, 2)))
+    with pytest.raises(cc.AlgebraError, match="Jacobi"):
+        cc.MatrixAlgebra("random", 3, su3.basis, bracket=skew)
+    with pytest.raises(cc.AlgebraError, match="antisymmetric"):
+        cc.MatrixAlgebra("random", 3, su3.basis, bracket=raw)
+    assert cc.rescaled_algebra(su3, rng.uniform(0.5, 2.0, 8)).jacobi_residual < 1e-11
 
 
 def test_skew_map_derivative_identity(su3):
