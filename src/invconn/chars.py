@@ -21,9 +21,24 @@ Multiplicities of irreducibles come from two independent algorithms:
 `multiplicity` sums over the Weyl orbit of lam + rho (Weyl's character
 formula), and `decompose` folds every weight into the dominant chamber
 (Racah-Speiser).
+
+`tensor`, behind every materialized square and cube, is a numpy kernel:
+weights become mixed-radix codes over the box of supp a + supp b, so that a
+sum of weights is a sum of codes, and the products m1 * m2 are summed per
+code in blocks of about 16k weight pairs.  Small boxes (at most 2^17
+entries) accumulate with `np.add.at` into a dense int64 array, larger ones
+by sorting each block's codes, `np.add.reduceat`, and one merge.  Nothing
+is accumulated in floating point.  Codes are int64 only while the box has
+fewer than 2^62 entries and every coordinate is below 2^61 in size, and
+multiplicities only while sum|m_a| * sum|m_b| < 2^62; beyond either guard
+the same code runs on Python ints, so nothing wraps.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from .rootsys import PreconditionError, RootSystem, Weight
 
@@ -204,16 +219,84 @@ def irrep_character(rs: RootSystem, lam: Weight) -> Character:
 # Ring operations
 # ---------------------------------------------------------------------------
 
+_INT64_SAFE = 1 << 62  # int64 holds every code, product and sum below this
+_DENSE_BOX = 1 << 17  # largest box accumulated in a dense array (1 MiB of int64)
+_BLOCK_PAIRS = 1 << 14  # weight pairs formed at once
+
+
 def tensor(a: Character, b: Character) -> Character:
     """Pointwise convolution of weight systems; dimensions multiply."""
     _check_same_rs(a, b)
-    out: dict[Weight, int] = {}
-    get = out.get
-    for w1, m1 in a.mult.items():
-        for w2, m2 in b.mult.items():
-            key = _wadd(w1, w2)
-            out[key] = get(key, 0) + m1 * m2
-    return Character(a.rs, out)
+    if not a.mult or not b.mult:
+        return Character(a.rs, {})
+    return Character(a.rs, _convolve(a.mult, b.mult))
+
+
+def _weight_array(weights: list[Weight]) -> np.ndarray:
+    """(n, rank) int64 array of the weights, or of Python ints if one does not fit."""
+    try:
+        return np.array(weights, dtype=np.int64)
+    except OverflowError:
+        return np.array(weights, dtype=object)
+
+
+def _convolve(da: dict[Weight, int], db: dict[Weight, int]) -> dict[Weight, int]:
+    """The weight map of the product of two non-empty weight maps, exactly.
+
+    Each weight gets a mixed-radix code over the box of supp a + supp b, with
+    offsets chosen so that code(w1) + code(w2) = code(w1 + w2); the first
+    coordinate is the most significant digit.  Pair codes and products
+    m1 * m2 are formed for blocks of rows of a and summed per code: with
+    `np.add.at` into a dense array when the box is small, otherwise by a
+    sort and `np.add.reduceat` per block and one merge.
+
+    Two guards keep int64 from wrapping.  Codes are int64 only when the box
+    has fewer than 2^62 entries and every coordinate is below 2^61 in size;
+    multiplicities only when sum|m_a| * sum|m_b| < 2^62, which bounds every
+    product and every sum.  Otherwise the same code runs on Python ints
+    (dtype object).
+    """
+    wa, wb = _weight_array(list(da)), _weight_array(list(db))
+    lo_a, lo_b = wa.min(0).tolist(), wb.min(0).tolist()
+    hi_a, hi_b = wa.max(0).tolist(), wb.max(0).tolist()
+    lo = [x + y for x, y in zip(lo_a, lo_b)]
+    spans = [x + y - l + 1 for x, y, l in zip(hi_a, hi_b, lo)]
+    strides = [math.prod(spans[i + 1:]) for i in range(len(spans))]
+    box = math.prod(spans)
+    codes_fit = box < _INT64_SAFE and all(abs(x) < _INT64_SAFE // 2 for x in lo_a + lo_b + hi_a + hi_b)
+    cdt = np.int64 if codes_fit else object
+    mults_fit = sum(map(abs, da.values())) * sum(map(abs, db.values())) < _INT64_SAFE
+    mdt = np.int64 if mults_fit else object
+    stride_arr = np.array(strides, dtype=cdt)
+    ca = (wa.astype(cdt) - np.array(lo_a, dtype=cdt)) @ stride_arr
+    cb = (wb.astype(cdt) - np.array(lo_b, dtype=cdt)) @ stride_arr
+    ma, mb = np.array(list(da.values()), dtype=mdt), np.array(list(db.values()), dtype=mdt)
+
+    rows = max(1, _BLOCK_PAIRS // len(cb))
+    blocks = (((ca[i:i + rows, None] + cb).ravel(), (ma[i:i + rows, None] * mb).ravel())
+              for i in range(0, len(ca), rows))
+    if box <= _DENSE_BOX:
+        acc = np.zeros(box, dtype=mdt)
+        for codes, prods in blocks:
+            np.add.at(acc, codes.astype(np.intp, copy=False), prods)
+        nonzero = np.flatnonzero(acc)
+        codes, vals = nonzero.astype(cdt), acc[nonzero]
+    else:
+        parts = [_sum_by_code(codes, prods) for codes, prods in blocks]
+        codes, vals = _sum_by_code(np.concatenate([c for c, _ in parts]),
+                                   np.concatenate([v for _, v in parts]))
+        nonzero = np.flatnonzero(vals != 0)
+        codes, vals = codes[nonzero], vals[nonzero]
+    digits = (codes[:, None] // stride_arr) % np.array(spans, dtype=cdt) + np.array(lo, dtype=cdt)
+    return dict(zip(zip(*digits.T.tolist()), vals.tolist()))
+
+
+def _sum_by_code(codes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct codes in increasing order, each with the sum of its values."""
+    order = np.argsort(codes)
+    codes, vals = codes[order], vals[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[starts], np.add.reduceat(vals, starts)
 
 
 def adams(chi: Character, k: int) -> Character:

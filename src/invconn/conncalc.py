@@ -54,8 +54,10 @@ class MatrixAlgebra:
     <X,Y> = -Re tr(XY); `bracket` holds the structure coefficients
     c[i,j,k] = <[e_i, e_j], e_k> and `killing` the Killing form over the
     basis.  A `bracket` passed in is taken as given, and the basis is then
-    declared orthonormal for some other inner product.  Instances are
-    immutable and safe to share.
+    declared orthonormal for some other inner product; `coeffs` then reads
+    coefficients through the dual basis of -Re tr.  The Jacobi check is
+    relative: the Jacobiator may reach 1e-11 * max(1, max|c|^2).  Instances
+    are immutable and safe to share.
     """
 
     def __init__(self, name: str, n: int, basis: list[np.ndarray], check_tol: float = 1e-12,
@@ -65,13 +67,19 @@ class MatrixAlgebra:
         self.basis = np.array(basis)
         self.dim = len(basis)
 
+        gram = np.array([[_ip(x, y) for y in basis] for x in basis])
+        # Inverse Gram matrix of -Re tr; None while the basis is orthonormal for it.
+        self._dual = None
         if bracket is None:
-            gram = np.array([[_ip(x, y) for y in basis] for x in basis])
             if np.abs(gram - np.eye(self.dim)).max() > check_tol:
                 raise AlgebraError(f"{name}: basis is not orthonormal")
             br = np.einsum("iab,jbc->ijac", self.basis, self.basis)
             comm = br - np.transpose(br, (1, 0, 2, 3))
             bracket = -np.real(np.einsum("ijab,kba->ijk", comm, self.basis))
+        else:
+            if np.linalg.matrix_rank(gram) < self.dim:
+                raise AlgebraError(f"{name}: basis is not linearly independent")
+            self._dual = np.linalg.inv(gram)
         self.bracket = bracket
         if np.abs(self.bracket + np.transpose(self.bracket, (1, 0, 2))).max() > check_tol:
             raise AlgebraError(f"{name}: bracket coefficients not antisymmetric")
@@ -79,7 +87,7 @@ class MatrixAlgebra:
         # The Jacobiator is the derivative of the bracket along ad.
         jac = covariant_derivative(self, self.bracket, self.bracket)
         self.jacobi_residual = float(np.abs(jac).max())
-        if self.jacobi_residual > 1e-11:
+        if self.jacobi_residual > 1e-11 * max(1.0, float(np.abs(self.bracket).max()) ** 2):
             raise AlgebraError(f"{name}: Jacobi identity fails ({self.jacobi_residual:.2e})")
 
         # B(X, Y) = tr(ad X ad Y) from the structure coefficients.
@@ -91,7 +99,8 @@ class MatrixAlgebra:
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Basis coefficients of an algebra element."""
-        return -np.real(np.einsum("ab,iba->i", m, self.basis))
+        raw = -np.real(np.einsum("ab,iba->i", m, self.basis))
+        return raw if self._dual is None else self._dual @ raw
 
     def bilinear_coeffs(self, f) -> np.ndarray:
         """Structure coefficients c[i,j,k] of a matrix-valued bilinear map."""

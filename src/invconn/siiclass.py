@@ -20,6 +20,7 @@ reports matches, mismatches, and rows skipped under the cost budget.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -180,12 +181,23 @@ def _row_from_json(rec: dict) -> IsotropyDatum:
 
 
 def load_catalog(path: str | None = None) -> list[IsotropyDatum]:
-    """Load the bundled catalog, or an external file with the same schema."""
+    """Load the bundled catalog, or an external file with the same schema.
+
+    The bundled catalog is parsed once per process, an external file on
+    every call; either way the caller gets a list of its own.
+    """
     if path is None:
-        text = resources.files("invconn.data").joinpath("catalog.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return list(_bundled_catalog())
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_catalog(fh.read())
+
+
+@functools.cache
+def _bundled_catalog() -> tuple[IsotropyDatum, ...]:
+    return tuple(_parse_catalog(resources.files("invconn.data").joinpath("catalog.json").read_text()))
+
+
+def _parse_catalog(text: str) -> list[IsotropyDatum]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "rows" not in doc:
         raise CatalogError("catalog file must be an object with a 'rows' list")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from invconn.chars import Character
+
 
 def _matrix_reference(alg, mu):
     """der[x,y,z,k] and eq[w,x,y,k] evaluated on every basis triple.
@@ -35,3 +37,19 @@ def _matrix_reference(alg, mu):
 @pytest.fixture(scope="session")
 def matrix_reference():
     return _matrix_reference
+
+
+def _tensor_reference(a, b):
+    """The product of two characters by the pure-Python double loop over
+    weight pairs, with Python-int arithmetic throughout."""
+    out = {}
+    for w1, m1 in a.mult.items():
+        for w2, m2 in b.mult.items():
+            key = tuple(x + y for x, y in zip(w1, w2))
+            out[key] = out.get(key, 0) + m1 * m2
+    return Character(a.rs, out)
+
+
+@pytest.fixture(scope="session")
+def tensor_reference():
+    return _tensor_reference

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invconn import chars
 from invconn.chars import (Character, PlethysmOps, UsageError, adams, alt2, alt3,
                            decompose, expand, expression_character, irrep_character,
                            multiplicity, plethysm21, sym2, sym3, tensor,
@@ -267,3 +268,85 @@ def test_decompose_rejects_non_invariant_characters(a2):
 def test_irrep_character_rejects_wrong_length(a2):
     with pytest.raises(PreconditionError, match="rank 2"):
         irrep_character(a2, (1, 0, 0))
+
+
+# -- the convolution kernel behind `tensor`, against the pure-Python loop ------
+
+KERNEL_SYSTEMS = [RootSystem([SimpleType(*f) for f in fs])
+                  for fs in ([("A", 1)], [("A", 2)], [("B", 2)], [("G", 2)], [("A", 1), ("A", 2)])]
+
+
+@st.composite
+def _kernel_character(draw, rs):
+    """A genuine character (a sum of irreducibles) or a virtual weight map."""
+    if draw(st.booleans()):
+        lam = st.tuples(*[st.integers(min_value=0, max_value=2)] * rs.rank)
+        terms = draw(st.dictionaries(lam, st.integers(min_value=1, max_value=3),
+                                     min_size=1, max_size=2))
+        return expand(rs, terms.items())
+    weight = st.tuples(*[st.integers(min_value=-6, max_value=6)] * rs.rank)
+    return Character(rs, draw(st.dictionaries(weight, st.integers(min_value=-5, max_value=5),
+                                              max_size=12)))
+
+
+@st.composite
+def _kernel_pairs(draw):
+    rs = draw(st.sampled_from(KERNEL_SYSTEMS))
+    return draw(_kernel_character(rs)), draw(_kernel_character(rs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_pairs())
+def test_tensor_matches_reference_loop(tensor_reference, pair):
+    a, b = pair
+    assert tensor(a, b).mult == tensor_reference(a, b).mult
+
+
+def test_tensor_edge_cases(a2):
+    empty = Character(a2, {})
+    ad = irrep_character(a2, (1, 1))
+    assert tensor(empty, ad) == tensor(ad, empty) == tensor(empty, empty) == empty
+    cancelling = Character(a2, {(1, 0): 1, (0, 1): 1})
+    # (1, 0) + (0, 0) and (0, 1) + (1, -1) cancel: no zero entry is kept.
+    assert tensor(cancelling, Character(a2, {(0, 0): 1, (1, -1): -1})).mult == {
+        (2, -1): -1, (0, 1): 1}
+    with pytest.raises(UsageError, match="different root systems"):
+        tensor(ad, irrep_character(RootSystem([SimpleType("A", 2)]), (1, 1)))
+
+
+def _spread_character(rs, rnd, size, radius, mult):
+    return Character(rs, {tuple(rnd.randint(-radius, radius) for _ in range(rs.rank)):
+                          rnd.choice([-1, 1]) * rnd.randint(1, mult) for _ in range(size)})
+
+
+def test_tensor_sort_branch(tensor_reference, monkeypatch):
+    # Weights spread over a box of 161^3 > 2^17 entries, so the sums are
+    # accumulated by sorting codes, not in a dense array.
+    calls = []
+    real = chars._sum_by_code
+    monkeypatch.setattr(chars, "_sum_by_code", lambda c, v: calls.append(len(c)) or real(c, v))
+    rs = KERNEL_SYSTEMS[-1]
+    rnd = random.Random(5)
+    for _ in range(5):
+        a, b = (_spread_character(rs, rnd, 150, 40, 9) for _ in range(2))
+        assert tensor(a, b).mult == tensor_reference(a, b).mult
+    assert calls
+    chi = irrep_character(rs, (2, 1, 1))
+    assert tensor(chi, chi + chi) == tensor_reference(chi, chi + chi)
+
+
+def test_tensor_int64_guards(tensor_reference, a2):
+    rnd = random.Random(8)
+    # Multiplicities near 2^40: products and sums are far beyond int64.
+    a, b = (_spread_character(a2, rnd, 6, 3, 2 ** 40) for _ in range(2))
+    assert sum(map(abs, a.mult.values())) * sum(map(abs, b.mult.values())) >= 2 ** 62
+    assert tensor(a, b) == tensor_reference(a, b)
+    # Weights spread so that the radix product is over 2^63.
+    spread = _spread_character(a2, rnd, 8, 2 ** 33, 3)
+    assert tensor(spread, spread) == tensor_reference(spread, spread)
+    # Both at once, and coordinates that do not fit into int64 at all.
+    huge = Character(a2, {(2 ** 70, 0): 2 ** 41, (0, -2 ** 65): -(2 ** 41), (1, 1): 3})
+    assert tensor(huge, huge) == tensor_reference(huge, huge)
+    assert tensor(huge, a) == tensor_reference(huge, a)
+    far = Character(a2, {(2 ** 70, -2 ** 70): 3, (2 ** 70 + 1, -2 ** 70): -1})
+    assert tensor(far, far) == tensor_reference(far, far)  # a dense box of huge weights

@@ -286,6 +286,30 @@ def test_constructor_checks_jacobi(su3):
     assert cc.rescaled_algebra(su3, rng.uniform(0.5, 2.0, 8)).jacobi_residual < 1e-11
 
 
+def test_jacobi_check_is_relative_to_the_bracket_scale(su3):
+    # The Jacobiator is quadratic in the bracket: at scale 1000 it is about
+    # 1e-9 in rounding alone, which an absolute 1e-11 would reject.
+    for scale in (1e3, 1e4):
+        alg = cc.rescaled_algebra(su3, [scale] * 8)
+        assert np.abs(alg.bracket - scale * su3.bracket).max() < 1e-9 * scale
+        assert alg.jacobi_residual <= 1e-11 * np.abs(alg.bracket).max() ** 2
+
+
+def test_rescaled_algebra_coefficients(su3, matrix_reference):
+    alg = cc.rescaled_algebra(su3, np.linspace(1.0, 2.0, 8))
+    rng = np.random.default_rng(4)
+    for v in (np.arange(8.0), rng.standard_normal(8)):
+        assert np.abs(alg.coeffs(alg.matrix(v)) - v).max() < 1e-12
+    comm = alg.bilinear_coeffs(lambda x, y: x @ y - y @ x)
+    assert np.abs(comm - alg.bracket).max() < 1e-12
+    # With matrix/coeffs consistent, the matrix-level reference applies too.
+    mu = cc.random_bilinear(8, rng)
+    der, _ = matrix_reference(alg, mu)
+    assert np.abs(cc.der_tensor(alg, mu) - der).max() < 1e-10
+    with pytest.raises(cc.AlgebraError, match="linearly independent"):
+        cc.MatrixAlgebra("dependent", 3, [su3.basis[0]] * 8, bracket=su3.bracket)
+
+
 def test_skew_map_derivative_identity(su3):
     # For skew maps: D_Z T = 2 R(Z,X)Y + 2 Lambda(Y)(Lambda(Z)X - [Z,X]) - der.
     rng = np.random.default_rng(11)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from invconn import siiclass
 from invconn.chars import UsageError, irrep_character, multiplicity, tensor
 from invconn.rootsys import RootSystem, SimpleType
 from invconn.siiclass import (Budget, CatalogError, RangeError, classify,
@@ -248,6 +249,27 @@ def test_external_catalog_file(tmp_path):
     bad.write_text(json.dumps({"rows": [{"id": "x"}]}))
     with pytest.raises(CatalogError):
         load_catalog(str(bad))
+
+
+def test_bundled_catalog_is_parsed_once(tmp_path, monkeypatch):
+    parsed = []
+    real = siiclass._row_from_json
+    monkeypatch.setattr(siiclass, "_row_from_json", lambda rec: parsed.append(rec["id"]) or real(rec))
+    siiclass._bundled_catalog.cache_clear()
+    assert get_row("G2/SU3").id == "G2/SU3" and get_row("so7/g2").id == "SO7/G2"
+    rows = load_catalog()
+    assert sorted(parsed) == sorted(r.id for r in rows)
+    rows.clear()  # each caller gets a list of its own
+    assert len(load_catalog()) == len(parsed)
+    # An external file is read again on every call.
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"version": 1, "rows": [
+        {"id": "G2/SU3", "ambient": {"series": "G", "n": 2}, "factors": [["A", 2]],
+         "constituents": [[[1, 0]], [[0, 1]]]}]}))
+    parsed.clear()
+    load_catalog(str(path))
+    get_row("G2/SU3", str(path))
+    assert parsed == ["G2/SU3", "G2/SU3"]
 
 
 @pytest.mark.parametrize("constituents, message", [
