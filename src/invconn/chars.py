@@ -220,7 +220,7 @@ def irrep_character(rs: RootSystem, lam: Weight) -> Character:
 # ---------------------------------------------------------------------------
 
 _INT64_SAFE = 1 << 62  # int64 holds every code, product and sum below this
-_DENSE_BOX = 1 << 17  # largest box accumulated in a dense array (1 MiB of int64)
+_DENSE_BOX = 1 << 17  # a box this small is always accumulated densely (1 MiB of int64)
 _BLOCK_PAIRS = 1 << 14  # weight pairs formed at once
 
 
@@ -247,8 +247,10 @@ def _convolve(da: dict[Weight, int], db: dict[Weight, int]) -> dict[Weight, int]
     offsets chosen so that code(w1) + code(w2) = code(w1 + w2); the first
     coordinate is the most significant digit.  Pair codes and products
     m1 * m2 are formed for blocks of rows of a and summed per code: with
-    `np.add.at` into a dense array when the box is small, otherwise by a
-    sort and `np.add.reduceat` per block and one merge.
+    `np.add.at` into a dense array when the box has at most 2^17 entries or
+    no more entries than there are pairs, otherwise by a sort and
+    `np.add.reduceat` per block and one merge.  The dense array then never
+    outgrows the sort branch's arrays, which hold up to one entry per pair.
 
     Two guards keep int64 from wrapping.  Codes are int64 only when the box
     has fewer than 2^62 entries and every coordinate is below 2^61 in size;
@@ -275,7 +277,7 @@ def _convolve(da: dict[Weight, int], db: dict[Weight, int]) -> dict[Weight, int]
     rows = max(1, _BLOCK_PAIRS // len(cb))
     blocks = (((ca[i:i + rows, None] + cb).ravel(), (ma[i:i + rows, None] * mb).ravel())
               for i in range(0, len(ca), rows))
-    if box <= _DENSE_BOX:
+    if box <= max(_DENSE_BOX, len(ca) * len(cb)):
         acc = np.zeros(box, dtype=mdt)
         for codes, prods in blocks:
             np.add.at(acc, codes.astype(np.intp, copy=False), prods)

@@ -188,7 +188,8 @@ def einstein_battery(name: str, n: int, alphas, tol: float = 1e-9) -> list[Check
                                 f"residual={_fmt(rep.residual)}"))
         else:
             center = alg.coeffs(1j * np.eye(n) / np.sqrt(n))
-            center_val = float(center @ rep.ric_sym @ center)
+            # Adding 0.0 turns the -0.0 that rounding noise can leave into 0.0.
+            center_val = round(float(center @ rep.ric_sym @ center), 3) + 0.0
             checks.append(Check(
                 f"alpha={alpha:g}: not Einstein (center direction is Ricci-flat: "
                 f"{center_val:.3f} vs Einstein constant {rep.einstein_constant:.3f})",

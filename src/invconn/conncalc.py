@@ -13,12 +13,13 @@ plus-connection, and mu(X,Y) = [X,Y]/2 the Levi-Civita connection of the
 bi-invariant metric <X,Y> = -Re tr(XY), whose Ricci tensor is -B/4 for
 the Killing form B (the sign calibration used throughout).
 
-`covariant_derivative` is the one contraction of Lambda(Z) into a tensor,
-and three checks are derivatives of invariant tensors through it:
+`MatrixAlgebra` reads the bracket from the matrices and checks that their
+span is closed under the commutator.  `covariant_derivative` is the one
+contraction of Lambda(Z) into a tensor, and two checks are derivatives of
+invariant tensors through it:
 
     equivariance of mu = D of mu along ad          (equivariance_defect)
     derivation defect  = D of the bracket along mu (der_tensor)
-    Jacobiator         = D of the bracket along ad (MatrixAlgebra)
 """
 
 from __future__ import annotations
@@ -43,52 +44,46 @@ DEFAULT_TOL = 1e-9
 # Matrix algebras
 # ---------------------------------------------------------------------------
 
-def _ip(x: np.ndarray, y: np.ndarray) -> float:
-    return float(-np.real(np.trace(x @ y)))
-
-
 class MatrixAlgebra:
     """A compact matrix Lie algebra with a declared orthonormal basis.
 
-    `basis` is a list of anti-Hermitian matrices orthonormal for
-    <X,Y> = -Re tr(XY); `bracket` holds the structure coefficients
-    c[i,j,k] = <[e_i, e_j], e_k> and `killing` the Killing form over the
-    basis.  A `bracket` passed in is taken as given, and the basis is then
-    declared orthonormal for some other inner product; `coeffs` then reads
-    coefficients through the dual basis of -Re tr.  The Jacobi check is
-    relative: the Jacobiator may reach 1e-11 * max(1, max|c|^2).  Instances
-    are immutable and safe to share.
+    `basis` is a list of linearly independent anti-Hermitian matrices whose
+    real span is closed under the commutator; the inner product is the one
+    for which it is orthonormal.  That is <X,Y> = -Re tr(XY) when the basis
+    is orthonormal for -Re tr, as `build_algebra` checks; otherwise `coeffs`
+    still reads coefficients through the dual basis of -Re tr.  `bracket`
+    holds the structure coefficients c[i,j,k] of [e_i, e_j] = sum_k c[i,j,k] e_k
+    and `killing` the Killing form over the basis.
+
+    The constructor checks closure: every commutator must equal its
+    expansion up to 1e-11 * max(1, max|[e_i, e_j]|), and the largest entry
+    of the difference is kept as `closure_residual`.  For a closed span the
+    Jacobi identity then holds up to that residual.  Instances are immutable
+    and safe to share.
     """
 
-    def __init__(self, name: str, n: int, basis: list[np.ndarray], check_tol: float = 1e-12,
-                 bracket: np.ndarray | None = None):
+    def __init__(self, name: str, n: int, basis: list[np.ndarray]):
         self.name = name
         self.n = n
         self.basis = np.array(basis)
         self.dim = len(basis)
 
-        gram = np.array([[_ip(x, y) for y in basis] for x in basis])
-        # Inverse Gram matrix of -Re tr; None while the basis is orthonormal for it.
-        self._dual = None
-        if bracket is None:
-            if np.abs(gram - np.eye(self.dim)).max() > check_tol:
-                raise AlgebraError(f"{name}: basis is not orthonormal")
-            br = np.einsum("iab,jbc->ijac", self.basis, self.basis)
-            comm = br - np.transpose(br, (1, 0, 2, 3))
-            bracket = -np.real(np.einsum("ijab,kba->ijk", comm, self.basis))
-        else:
-            if np.linalg.matrix_rank(gram) < self.dim:
-                raise AlgebraError(f"{name}: basis is not linearly independent")
-            self._dual = np.linalg.inv(gram)
-        self.bracket = bracket
-        if np.abs(self.bracket + np.transpose(self.bracket, (1, 0, 2))).max() > check_tol:
-            raise AlgebraError(f"{name}: bracket coefficients not antisymmetric")
+        gram = -np.real(np.einsum("iab,jba->ij", self.basis, self.basis))
+        if np.linalg.matrix_rank(gram) < self.dim:
+            raise AlgebraError(f"{name}: basis is not linearly independent")
+        # Inverse Gram matrix of -Re tr: the dual basis that `coeffs` reads through.
+        self._dual = np.linalg.inv(gram)
 
-        # The Jacobiator is the derivative of the bracket along ad.
-        jac = covariant_derivative(self, self.bracket, self.bracket)
-        self.jacobi_residual = float(np.abs(jac).max())
-        if self.jacobi_residual > 1e-11 * max(1.0, float(np.abs(self.bracket).max()) ** 2):
-            raise AlgebraError(f"{name}: Jacobi identity fails ({self.jacobi_residual:.2e})")
+        prod = np.einsum("iab,jbc->ijac", self.basis, self.basis)
+        comm = prod - np.transpose(prod, (1, 0, 2, 3))
+        self.bracket = self.coeffs(comm)
+        # A commutator outside the span has no coefficients, only the
+        # projection that `coeffs` reads; closure is what the check tests.
+        residual = comm - np.einsum("ijk,kab->ijab", self.bracket, self.basis)
+        self.closure_residual = float(np.abs(residual).max())
+        if self.closure_residual > 1e-11 * max(1.0, float(np.abs(comm).max())):
+            raise AlgebraError(f"{name}: basis is not closed under the bracket "
+                               f"({self.closure_residual:.2e})")
 
         # B(X, Y) = tr(ad X ad Y) from the structure coefficients.
         self.killing = np.einsum("iqp,jpq->ij", self.bracket, self.bracket)
@@ -98,18 +93,13 @@ class MatrixAlgebra:
         return np.einsum("i,iab->ab", coeffs, self.basis)
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
-        """Basis coefficients of an algebra element."""
-        raw = -np.real(np.einsum("ab,iba->i", m, self.basis))
-        return raw if self._dual is None else self._dual @ raw
+        """Basis coefficients of an algebra element, or of a stack of them
+        (the leading axes are kept)."""
+        return -np.real(np.einsum("...ab,iba->...i", m, self.basis)) @ self._dual
 
     def bilinear_coeffs(self, f) -> np.ndarray:
         """Structure coefficients c[i,j,k] of a matrix-valued bilinear map."""
-        d = self.dim
-        out = np.zeros((d, d, d))
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = self.coeffs(f(self.basis[i], self.basis[j]))
-        return out
+        return self.coeffs(np.array([[f(x, y) for y in self.basis] for x in self.basis]))
 
     def __repr__(self) -> str:
         return f"MatrixAlgebra({self.name}, dim={self.dim})"
@@ -145,7 +135,12 @@ def build_algebra(name: str, n: int) -> MatrixAlgebra:
                 basis.append(e)
     else:
         raise AlgebraError(f"unsupported algebra {name!r}; expected u, su, or so")
-    return MatrixAlgebra(f"{name}({n})", n, basis)
+    alg = MatrixAlgebra(f"{name}({n})", n, basis)
+    # The declared metric is -Re tr, and so bi-invariant, only for a basis
+    # orthonormal for -Re tr.
+    if np.abs(alg._dual - np.eye(alg.dim)).max() > 1e-12:
+        raise AlgebraError(f"{alg.name}: basis is not orthonormal")
+    return alg
 
 
 def _offdiag(basis: list[np.ndarray], n: int, s: float) -> None:
@@ -165,12 +160,10 @@ def rescaled_algebra(alg: MatrixAlgebra, scales) -> MatrixAlgebra:
     """Same bracket, new inner product making the rescaled basis orthonormal.
 
     Used to probe non-bi-invariant metrics: the structure coefficients are
-    recomputed over e_i' = scales[i] * e_i, declared orthonormal.
+    read over e_i' = scales[i] * e_i, declared orthonormal.
     """
     scales = np.asarray(scales, dtype=float)
-    bracket = np.einsum("i,j,ijk,k->ijk", scales, scales, alg.bracket, 1.0 / scales)
-    return MatrixAlgebra(alg.name + "-rescaled", alg.n, alg.basis * scales[:, None, None],
-                         bracket=bracket)
+    return MatrixAlgebra(alg.name + "-rescaled", alg.n, alg.basis * scales[:, None, None])
 
 
 # ---------------------------------------------------------------------------

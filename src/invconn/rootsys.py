@@ -12,9 +12,9 @@ All arithmetic is exact: the invariant pairing is kept as a matrix of
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 Weight = tuple[int, ...]
 
@@ -28,8 +28,6 @@ class PreconditionError(ValueError):
 
 
 _EXCEPTIONAL_POSROOTS = {"G": 6, "F": 24, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}
-_EXCEPTIONAL_WEYL = {("E", 6): 51_840, ("E", 7): 2_903_040, ("E", 8): 696_729_600,
-                     ("F", 4): 1152, ("G", 2): 12}
 
 
 @dataclass(frozen=True)
@@ -71,17 +69,6 @@ class SimpleType:
     def dim(self) -> int:
         """Dimension of the compact Lie algebra of this type."""
         return self.rank + 2 * self.num_positive_roots
-
-    @property
-    def weyl_order(self) -> int:
-        n = self.rank
-        if self.series == "A":
-            return factorial(n + 1)
-        if self.series in ("B", "C"):
-            return 2**n * factorial(n)
-        if self.series == "D":
-            return 2 ** (n - 1) * factorial(n)
-        return _EXCEPTIONAL_WEYL[(self.series, n)]
 
     def cartan_matrix(self) -> list[list[int]]:
         return _cartan_matrix(self.series, self.rank)
@@ -198,14 +185,11 @@ class RootSystem:
         self._ainv = ainv
         gram = [[lengths[i] * ainv[j][i] for j in range(n)] for i in range(n)]
         self._gram = gram
-        scale = 1
-        for row in gram:
-            for x in row:
-                scale = scale * x.denominator // _gcd(scale, x.denominator)
-        self._gram_scale = scale
+        scale = math.lcm(*(x.denominator for row in gram for x in row))
         self._gram_int = [[int(x * scale) for x in row] for row in gram]
 
         self._positive_roots()
+        self.weyl_order = self._parabolic_order(range(n))
         self._irrep_cache: dict[Weight, dict] = {}
         self._factor_systems: list[RootSystem] | None = None
 
@@ -336,12 +320,17 @@ class RootSystem:
 
     # -- Weyl group ------------------------------------------------------------
 
-    @property
-    def weyl_order(self) -> int:
-        order = 1
-        for f in self.factors:
-            order *= f.weyl_order
-        return order
+    def _parabolic_order(self, nodes) -> int:
+        """Order of the Weyl group generated by the simple reflections of the
+        given nodes, by Macdonald's product prod (ht a + 1) // prod ht a over
+        the positive roots a supported on them."""
+        outside = [i for i in range(self.rank) if i not in nodes]
+        num = den = 1
+        for c in self.pos_root_coords:
+            if not any(c[i] for i in outside):
+                num *= sum(c) + 1
+                den *= sum(c)
+        return num // den
 
     def _orbit(self, w: Weight) -> dict[Weight, int]:
         """Breadth-first Weyl orbit; each point carries (-1)^(its BFS depth).
@@ -379,8 +368,7 @@ class RootSystem:
         """Order of the stabilizer of a dominant weight (a parabolic Weyl group)."""
         if not self.is_dominant(w):
             raise PreconditionError("stabilizer_order requires a dominant weight")
-        nodes = [i for i in range(self.rank) if w[i] == 0]
-        return _subdiagram_weyl_order(self.cartan, nodes)
+        return self._parabolic_order([i for i in range(self.rank) if w[i] == 0])
 
     def orbit_size(self, w: Weight) -> int:
         return self.weyl_order // self.stabilizer_order(w)
@@ -424,77 +412,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return "RootSystem(%s)" % "x".join(map(str, self.factors))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _subdiagram_weyl_order(cartan, nodes) -> int:
-    """Weyl-group order of the sub-diagram spanned by the given node set."""
-    if not nodes:
-        return 1
-    nodeset = set(nodes)
-    adj = {i: [j for j in nodes if j != i and cartan[i][j] != 0] for i in nodes}
-    seen: set[int] = set()
-    order = 1
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        k = 0
-        while k < len(comp):
-            for j in adj[comp[k]]:
-                if j not in seen:
-                    seen.add(j)
-                    comp.append(j)
-            k += 1
-        order *= _component_weyl_order(cartan, comp, adj)
-    return order
-
-
-def _component_weyl_order(cartan, comp, adj) -> int:
-    n = len(comp)
-    if n == 1:
-        return 2
-    mult = [cartan[i][j] * cartan[j][i] for i in comp for j in adj[i] if j > i]
-    if 3 in mult:
-        return 12  # G2
-    if 2 in mult:
-        # A double edge in the interior of a 4-chain is F4, otherwise B/C.
-        for i in comp:
-            for j in adj[i]:
-                if j > i and cartan[i][j] * cartan[j][i] == 2:
-                    if n == 4 and len(adj[i]) == 2 and len(adj[j]) == 2:
-                        return 1152
-        return 2**n * factorial(n)  # B/C
-    degrees = {i: len(adj[i]) for i in comp}
-    maxdeg = max(degrees.values())
-    if maxdeg <= 2:
-        return factorial(n + 1)  # A
-    branch = next(i for i in comp if degrees[i] == 3)
-    arms = []
-    for j in adj[branch]:
-        length = 1
-        prev, cur = branch, j
-        while True:
-            ext = [k for k in adj[cur] if k != prev]
-            if not ext:
-                break
-            prev, cur = cur, ext[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return 2 ** (n - 1) * factorial(n)  # D
-    key = tuple(arms)
-    orders = {(1, 2, 2): 51_840, (1, 2, 3): 2_903_040, (1, 2, 4): 696_729_600}
-    if key not in orders:
-        raise ConfigurationError(f"unrecognized diagram with arms {arms}")
-    return orders[key]
 
 
 def adjoint_weight(st: SimpleType) -> Weight:

@@ -335,6 +335,19 @@ def test_tensor_sort_branch(tensor_reference, monkeypatch):
     assert tensor(chi, chi + chi) == tensor_reference(chi, chi + chi)
 
 
+def test_tensor_dense_branch_above_the_fixed_cap(tensor_reference, monkeypatch):
+    # More weight pairs than box entries, in a box over 2^17: the sums go into
+    # a dense array, which is then smaller than the sort branch's arrays.
+    monkeypatch.setattr(chars, "_sum_by_code", lambda c, v: pytest.fail("sort branch used"))
+    a1 = KERNEL_SYSTEMS[0]
+    rnd = random.Random(6)
+    a, b = (_spread_character(a1, rnd, 500, 40_000, 9) for _ in range(2))
+    xa, xb = ([x for (x,) in c.mult] for c in (a, b))
+    box = max(xa) - min(xa) + max(xb) - min(xb) + 1
+    assert 2 ** 17 < box < len(a.mult) * len(b.mult)
+    assert tensor(a, b) == tensor_reference(a, b)
+
+
 def test_tensor_int64_guards(tensor_reference, a2):
     rnd = random.Random(8)
     # Multiplicities near 2^40: products and sums are far beyond int64.

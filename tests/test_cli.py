@@ -149,6 +149,15 @@ def test_einstein_commands(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("algebra,alphas", [("u3", "0.5"), ("u5", "0.5,3")])
+def test_einstein_center_value_has_no_signed_zero(capsys, algebra, alphas):
+    # Ric(xi, xi) vanishes on the center; its rounding noise must not print as -0.000.
+    code, out, _ = run(capsys, "--format", "json", "einstein", algebra, f"--alphas={alphas}")
+    names = [c["name"] for c in json.loads(out)["checks"] if "center" in c["name"]]
+    assert code == 0 and len(names) == len(alphas.split(","))
+    assert all("Ricci-flat: 0.000 vs" in name for name in names)
+
+
 def test_catalog_dump(capsys):
     code, out, _ = run(capsys, "catalog-dump")
     assert code == 0

@@ -27,7 +27,7 @@ def test_build_algebra_examples(u3, su3):
     assert all(abs(np.trace(b)) < 1e-14 for b in su3.basis)
     so5 = cc.build_algebra("so", 5)
     assert so5.dim == 10
-    assert so5.jacobi_residual < 1e-12
+    assert so5.closure_residual < 1e-12
     with pytest.raises(cc.AlgebraError):
         cc.build_algebra("sp", 2)
     with pytest.raises(cc.AlgebraError):
@@ -275,24 +275,29 @@ def test_covariant_derivative_identities(u3, su3, laquer, matrix_reference):
     assert np.abs(np.transpose(lhs, (1, 2, 0, 3)) - cc.c_tensor(su3, mu)).max() < 1e-9
 
 
-def test_constructor_checks_jacobi(su3):
+def test_constructor_checks_closure(su3):
+    # Without any one of the su(3) elements, some commutator leaves the span.
+    for k in range(8):
+        with pytest.raises(cc.AlgebraError, match="not closed"):
+            cc.MatrixAlgebra("su3-minus-one", 3, np.delete(su3.basis, k, axis=0))
+    # su(2) in the top-left block is closed, and so is any rescaling of su(3).
+    su2 = cc.MatrixAlgebra("su2-block", 3, [su3.basis[0], su3.basis[2], su3.basis[3]])
+    assert su2.closure_residual < 1e-12
+    # Antisymmetry needs no check: comm is antisymmetric and coeffs is linear.
+    assert np.abs(su2.bracket + np.transpose(su2.bracket, (1, 0, 2))).max() == 0.0
     rng = np.random.default_rng(3)
-    raw = rng.standard_normal((8, 8, 8))
-    skew = 0.5 * (raw - np.transpose(raw, (1, 0, 2)))
-    with pytest.raises(cc.AlgebraError, match="Jacobi"):
-        cc.MatrixAlgebra("random", 3, su3.basis, bracket=skew)
-    with pytest.raises(cc.AlgebraError, match="antisymmetric"):
-        cc.MatrixAlgebra("random", 3, su3.basis, bracket=raw)
-    assert cc.rescaled_algebra(su3, rng.uniform(0.5, 2.0, 8)).jacobi_residual < 1e-11
+    assert cc.rescaled_algebra(su3, rng.uniform(0.5, 2.0, 8)).closure_residual < 1e-11
 
 
-def test_jacobi_check_is_relative_to_the_bracket_scale(su3):
-    # The Jacobiator is quadratic in the bracket: at scale 1000 it is about
-    # 1e-9 in rounding alone, which an absolute 1e-11 would reject.
+def test_closure_check_is_relative_to_the_bracket_scale(su3):
+    # Commutators grow with the square of the scale, and so does their
+    # rounding: at scale 1e4 the residual is about 1e-8, which an absolute
+    # 1e-11 would reject.
     for scale in (1e3, 1e4):
         alg = cc.rescaled_algebra(su3, [scale] * 8)
         assert np.abs(alg.bracket - scale * su3.bracket).max() < 1e-9 * scale
-        assert alg.jacobi_residual <= 1e-11 * np.abs(alg.bracket).max() ** 2
+        comm_max = max(np.abs(x @ y - y @ x).max() for x in alg.basis for y in alg.basis)
+        assert alg.closure_residual <= 1e-11 * comm_max
 
 
 def test_rescaled_algebra_coefficients(su3, matrix_reference):
@@ -307,7 +312,15 @@ def test_rescaled_algebra_coefficients(su3, matrix_reference):
     der, _ = matrix_reference(alg, mu)
     assert np.abs(cc.der_tensor(alg, mu) - der).max() < 1e-10
     with pytest.raises(cc.AlgebraError, match="linearly independent"):
-        cc.MatrixAlgebra("dependent", 3, [su3.basis[0]] * 8, bracket=su3.bracket)
+        cc.MatrixAlgebra("dependent", 3, [su3.basis[0]] * 8)
+
+
+def test_coeffs_of_a_stack(u3):
+    rng = np.random.default_rng(6)
+    stack = np.einsum("pqi,iab->pqab", rng.standard_normal((4, 5, 9)), u3.basis)
+    per_element = np.array([[u3.coeffs(m) for m in row] for row in stack])
+    assert u3.coeffs(stack).shape == (4, 5, 9)
+    assert np.abs(u3.coeffs(stack) - per_element).max() < 1e-14
 
 
 def test_skew_map_derivative_identity(su3):

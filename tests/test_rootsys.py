@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -169,10 +170,38 @@ def test_orbit_size_via_stabilizer():
         assert prod.orbit_size(lam) == len(prod.weyl_orbit(lam))
 
 
+def _closed_form_weyl_order(series, n):
+    exceptional = {("E", 6): 51_840, ("E", 7): 2_903_040, ("E", 8): 696_729_600,
+                   ("F", 4): 1152, ("G", 2): 12}
+    if series == "A":
+        return math.factorial(n + 1)
+    if series in ("B", "C"):
+        return 2 ** n * math.factorial(n)
+    if series == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return exceptional[(series, n)]
+
+
+@pytest.mark.parametrize("series,rank", [(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 2))
+                                         for n in range(lo, 9)]
+                         + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+def test_weyl_order_closed_forms(series, rank):
+    rs = RootSystem([SimpleType(series, rank)])
+    assert rs.weyl_order == _closed_form_weyl_order(series, rank)
+    assert rs.stabilizer_order((0,) * rank) == rs.weyl_order
+
+
 def test_weyl_orders():
-    assert RootSystem([SimpleType("E", 8)]).weyl_order == 696_729_600
-    assert RootSystem([SimpleType("D", 8)]).weyl_order == 5_160_960
     assert RootSystem([SimpleType("A", 2), SimpleType("A", 2)]).weyl_order == 36
+    # Stabilisers are the Weyl groups of the sub-diagrams on the zero labels.
+    e8 = RootSystem([SimpleType("E", 8)])
+    assert e8.stabilizer_order((0,) * 7 + (1,)) == _closed_form_weyl_order("E", 7)
+    assert e8.stabilizer_order((1,) + (0,) * 7) == _closed_form_weyl_order("D", 7)
+    c4 = RootSystem([SimpleType("C", 4)])
+    assert c4.stabilizer_order((0, 1, 0, 0)) == 2 * _closed_form_weyl_order("C", 2)
+    f4 = RootSystem([SimpleType("F", 4)])
+    assert f4.stabilizer_order((0, 0, 0, 1)) == _closed_form_weyl_order("B", 3)
+    assert f4.stabilizer_order((1, 1, 1, 1)) == 1
 
 
 def test_product_structure_matches_factors():
