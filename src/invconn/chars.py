@@ -13,34 +13,40 @@ the Adams operations:
     sym3 = (chi^3 + 3 chi*psi2 + 2 psi3)/6
 
 where psi_k rescales every weight by k.  Each formula is written once for
-whole characters and once, in `PlethysmOps`, at single weights without
-materializing the cubes, which keeps trivial-multiplicity and
-highest-weight extraction affordable for large modules.
+whole characters and once, in `PlethysmOps`, as point values at a whole
+stack of weights without materializing the cubes, which keeps
+trivial-multiplicity and highest-weight extraction affordable for large
+modules.
 
 Multiplicities of irreducibles come from two independent algorithms:
 `multiplicity` sums over the Weyl orbit of lam + rho (Weyl's character
 formula), and `decompose` folds every weight into the dominant chamber
 (Racah-Speiser).
 
-`tensor`, behind every materialized square and cube, is a numpy kernel:
-weights become mixed-radix codes over the box of supp a + supp b, so that a
-sum of weights is a sum of codes, and the products m1 * m2 are summed per
-code in blocks of about 16k weight pairs.  Small boxes (at most 2^17
-entries) accumulate with `np.add.at` into a dense int64 array, larger ones
-by sorting each block's codes, `np.add.reduceat`, and one merge.  Nothing
-is accumulated in floating point.  Codes are int64 only while the box has
+Two numpy kernels share one weight coding: each weight becomes a
+mixed-radix code over a box, chosen so that a sum or difference of weights
+is a sum of codes.  `tensor`, behind every materialized square and cube,
+sums the products m1 * m2 per code in blocks of about 16k weight pairs:
+small boxes (at most 2^17 entries, or no more than the pairs) accumulate
+with `np.add.at` into a dense int64 array, larger ones by sorting each
+block's codes, `np.add.reduceat`, and one merge.  `_convolve_at`, behind
+the orbit sums, evaluates sum_j m_j table(nu - w_j) at every point nu of
+a Weyl orbit at once by looking the pair codes up among the table's sorted
+codes with `np.searchsorted`, again in blocks of about 16k pairs.  Nothing
+is computed in floating point.  Codes are int64 only while the box has
 fewer than 2^62 entries and every coordinate is below 2^61 in size, and
-multiplicities only while sum|m_a| * sum|m_b| < 2^62; beyond either guard
-the same code runs on Python ints, so nothing wraps.
+values only while a bound on every product and sum is below 2^62; beyond
+either guard the same code runs on Python ints, so nothing wraps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .rootsys import PreconditionError, RootSystem, Weight
+from .rootsys import PreconditionError, RootSystem, Weight, _weight_array
 
 
 class InternalError(RuntimeError):
@@ -232,12 +238,22 @@ def tensor(a: Character, b: Character) -> Character:
     return Character(a.rs, _convolve(a.mult, b.mult))
 
 
-def _weight_array(weights: list[Weight]) -> np.ndarray:
-    """(n, rank) int64 array of the weights, or of Python ints if one does not fit."""
-    try:
-        return np.array(weights, dtype=np.int64)
-    except OverflowError:
-        return np.array(weights, dtype=object)
+def _value_dtype(bound: int):
+    """int64 when `bound`, which bounds every value, product and partial sum
+    of a computation, is below 2^62; object (Python ints) otherwise."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def _box(lo: list[int], hi: list[int], coords: list[int]) -> tuple[list[int], list[int], int, object]:
+    """Spans and mixed-radix strides of the box lo..hi (the first coordinate
+    is the most significant digit), its number of entries, and the dtype of
+    its codes: int64 only when the box has fewer than 2^62 entries and every
+    coordinate in `coords` is below 2^61 in size, object otherwise."""
+    spans = [h - l + 1 for l, h in zip(lo, hi)]
+    strides = [math.prod(spans[i + 1:]) for i in range(len(spans))]
+    box = math.prod(spans)
+    fits = box < _INT64_SAFE and all(abs(x) < _INT64_SAFE // 2 for x in coords)
+    return spans, strides, box, (np.int64 if fits else object)
 
 
 def _convolve(da: dict[Weight, int], db: dict[Weight, int]) -> dict[Weight, int]:
@@ -252,23 +268,20 @@ def _convolve(da: dict[Weight, int], db: dict[Weight, int]) -> dict[Weight, int]
     `np.add.reduceat` per block and one merge.  The dense array then never
     outgrows the sort branch's arrays, which hold up to one entry per pair.
 
-    Two guards keep int64 from wrapping.  Codes are int64 only when the box
-    has fewer than 2^62 entries and every coordinate is below 2^61 in size;
-    multiplicities only when sum|m_a| * sum|m_b| < 2^62, which bounds every
-    product and every sum.  Otherwise the same code runs on Python ints
-    (dtype object).
+    Two guards keep int64 from wrapping (`_box`, `_value_dtype`).  Codes are
+    int64 only when the box has fewer than 2^62 entries and every coordinate
+    is below 2^61 in size; multiplicities only when sum|m_a| * sum|m_b| <
+    2^62, which bounds every product and every sum.  Otherwise the same code
+    runs on Python ints (dtype object).
     """
-    wa, wb = _weight_array(list(da)), _weight_array(list(db))
+    rank = len(next(iter(da)))
+    wa, wb = _weight_array(list(da), rank), _weight_array(list(db), rank)
     lo_a, lo_b = wa.min(0).tolist(), wb.min(0).tolist()
     hi_a, hi_b = wa.max(0).tolist(), wb.max(0).tolist()
     lo = [x + y for x, y in zip(lo_a, lo_b)]
-    spans = [x + y - l + 1 for x, y, l in zip(hi_a, hi_b, lo)]
-    strides = [math.prod(spans[i + 1:]) for i in range(len(spans))]
-    box = math.prod(spans)
-    codes_fit = box < _INT64_SAFE and all(abs(x) < _INT64_SAFE // 2 for x in lo_a + lo_b + hi_a + hi_b)
-    cdt = np.int64 if codes_fit else object
-    mults_fit = sum(map(abs, da.values())) * sum(map(abs, db.values())) < _INT64_SAFE
-    mdt = np.int64 if mults_fit else object
+    hi = [x + y for x, y in zip(hi_a, hi_b)]
+    spans, strides, box, cdt = _box(lo, hi, lo_a + lo_b + hi_a + hi_b)
+    mdt = _value_dtype(sum(map(abs, da.values())) * sum(map(abs, db.values())))
     stride_arr = np.array(strides, dtype=cdt)
     ca = (wa.astype(cdt) - np.array(lo_a, dtype=cdt)) @ stride_arr
     cb = (wb.astype(cdt) - np.array(lo_b, dtype=cdt)) @ stride_arr
@@ -352,15 +365,80 @@ def plethysm21(chi: Character) -> Character:
 # Multiplicity extraction and decomposition
 # ---------------------------------------------------------------------------
 
-def _alternating_sum(rs: RootSystem, lam: Weight, point_fn) -> int:
-    """Sum of det(w) * point_fn(w(lam+rho) - rho) over the Weyl group."""
-    rho = rs.rho
-    total = 0
-    for p, sign in rs.signed_orbit(_wadd(lam, rho)).items():
-        v = point_fn(_wsub(p, rho))
-        if v:
-            total += sign * v
-    return total
+class _WeightTable:
+    """A weight map as arrays: the weights, (n, rank), in lexicographic order,
+    their values, (n,), and the per-coordinate extremes of the weights.
+
+    Lexicographic order is code order over any mixed-radix box that holds the
+    weights, so their codes never need a sort.  `len()` is the support size.
+    """
+
+    __slots__ = ("weights", "values", "lo", "hi")
+
+    def __init__(self, mult: dict[Weight, int], rank: int, dtype):
+        items = sorted(mult.items())
+        self.weights = _weight_array([w for w, _ in items], rank)
+        self.values = np.array([m for _, m in items], dtype=dtype)
+        self.lo = self.weights.min(0).tolist() if items else None
+        self.hi = self.weights.max(0).tolist() if items else None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def _convolve_at(table: _WeightTable, nus: np.ndarray, kernel: _WeightTable) -> np.ndarray:
+    """sum_j m_j * table(nu - w_j) over the weights w_j and values m_j of
+    `kernel`, for every row nu of the (n, rank) stack `nus`, exactly.
+
+    One mixed-radix box holds every nu - w_j and every table weight, with
+    offsets chosen so that code(nu - w_j) = code(nu) + code(-w_j) and both
+    terms lie in [0, box): no pair needs an in-box test.  Pair codes are
+    formed for blocks of rows of `nus` (about 2^14 pairs at once) and looked
+    up among the table's codes, which come out sorted, with
+    `np.searchsorted`.  Codes follow the guard of `_box`; values are int64
+    only when the table and the kernel are, and the caller chose that dtype
+    so that sum|kernel| * sum|table| < 2^62, which bounds every value and its
+    sum over distinct points nu.
+    """
+    if not len(table) or not len(kernel) or not len(nus):
+        return np.zeros(len(nus), dtype=np.result_type(table.values.dtype, kernel.values.dtype))
+    lo_nu, hi_nu = nus.min(0).tolist(), nus.max(0).tolist()
+    lo = [min(a - w, t) for a, w, t in zip(lo_nu, kernel.hi, table.lo)]
+    hi = [max(b - w, t) for b, w, t in zip(hi_nu, kernel.lo, table.hi)]
+    _, strides, _, cdt = _box(lo, hi, lo_nu + hi_nu + kernel.lo + kernel.hi + table.lo + table.hi)
+    stride_arr = np.array(strides, dtype=cdt)
+    codes_t = (table.weights.astype(cdt) - np.array(lo, dtype=cdt)) @ stride_arr
+    offset = np.array([a - l for a, l in zip(lo_nu, lo)], dtype=cdt)
+    codes_w = (offset - kernel.weights.astype(cdt)) @ stride_arr
+    lo_nu = np.array(lo_nu, dtype=cdt)
+    last = len(codes_t) - 1
+    rows = max(1, _BLOCK_PAIRS // len(codes_w))
+    out = []
+    for i in range(0, len(nus), rows):
+        codes = ((nus[i:i + rows].astype(cdt, copy=False) - lo_nu) @ stride_arr)[:, None] + codes_w
+        idx = np.minimum(np.searchsorted(codes_t, codes), last)
+        out.append(np.where(codes_t[idx] == codes, table.values[idx], 0) @ kernel.values)
+    return np.concatenate(out)
+
+
+def _lookup(table: _WeightTable, nus: np.ndarray) -> np.ndarray:
+    """table(nu) for every row nu of nus: `_convolve_at` with the unit at 0."""
+    rank = nus.shape[1]
+    return _convolve_at(table, nus, _WeightTable({(0,) * rank: 1}, rank, table.values.dtype))
+
+
+def _alternating_sum(rs: RootSystem, lam: Weight, values_at) -> int:
+    """Sum of det(w) * values_at(w(lam+rho) - rho) over the Weyl group.
+
+    `values_at` maps an (n, rank) stack of weights to their n integer values,
+    so the whole orbit is one batched query and one signed dot product.  The
+    orbit's points are distinct, so a bound on the values' sum over distinct
+    weights (the guards of `_convolve_at`) also bounds the dot product.
+    """
+    orbit = rs.signed_orbit(_wadd(lam, rs.rho))
+    nus = orbit.points
+    nus -= np.array(rs.rho, dtype=nus.dtype)  # in place: the orbit is this call's own
+    return int(orbit.signs @ values_at(nus))
 
 
 def multiplicity(chi: Character, lam: Weight) -> int:
@@ -368,8 +446,8 @@ def multiplicity(chi: Character, lam: Weight) -> int:
     lam = tuple(lam)
     if not chi.rs.is_dominant(lam):
         raise PreconditionError(f"weight {lam} is not dominant")
-    get = chi.mult.get
-    return _alternating_sum(chi.rs, lam, lambda w: get(w, 0))
+    table = _WeightTable(chi.mult, chi.rs.rank, _value_dtype(sum(map(abs, chi.mult.values()))))
+    return _alternating_sum(chi.rs, lam, lambda nus: _lookup(table, nus))
 
 
 def decompose(chi: Character) -> list[tuple[Weight, int]]:
@@ -407,12 +485,29 @@ def expand(rs: RootSystem, terms) -> Character:
     return Character(rs, _lincomb(*((m, irrep_character(rs, lam).mult) for lam, m in terms)))
 
 
-class PlethysmOps:
-    """Point queries into squares/cubes of a fixed genuine base character.
+def _pointwise(method):
+    """Let a batched point method also take one weight, and then return an int."""
+    @functools.wraps(method)
+    def point_method(self, nus):
+        if isinstance(nus, np.ndarray):
+            return method(self, nus)
+        return int(method(self, _weight_array([tuple(nus)], self.rs.rank))[0])
+    return point_method
 
-    The square of the base character is materialized once; every cubic
-    query is then a single O(support) convolution pass, and multiplicity
-    extraction runs the alternating Weyl-orbit sum over such point queries.
+
+class PlethysmOps:
+    """Batched point queries into squares/cubes of a fixed genuine base character.
+
+    The square of the base character is materialized once, with psi2, psi3
+    and alt2; every cubic point value is then a convolution of chi with one
+    of them (`_convolve_at`).  Each point method takes an (n, rank) array of
+    weights and returns their n values, or takes one weight and returns an
+    int.  Multiplicity extraction runs the alternating Weyl-orbit sum with
+    one batched query per table for the whole orbit.
+
+    Values are int64 while 6 dim(chi)^3 < 2^62: that bounds every point
+    value of the cube formulas and its sum over distinct weights.  Larger
+    characters run on Python ints.
     """
 
     def __init__(self, chi: Character):
@@ -420,60 +515,63 @@ class PlethysmOps:
             raise UsageError("plethysm point queries require a genuine character")
         self.chi = chi
         self.rs = chi.rs
-        self._items = list(chi.mult.items())
-        self._sq = tensor(chi, chi).mult
-        self._p2 = adams(chi, 2).mult
-        self._p3 = adams(chi, 3).mult
-        self._alt2 = _square_power(chi, -1, self._sq)
+        rank, dtype = chi.rs.rank, _value_dtype(6 * chi.dim() ** 3)
+        sq = tensor(chi, chi).mult
+        self._items = _WeightTable(chi.mult, rank, dtype)
+        self._sq = _WeightTable(sq, rank, dtype)
+        self._p2 = _WeightTable(adams(chi, 2).mult, rank, dtype)
+        self._p3 = _WeightTable(adams(chi, 3).mult, rank, dtype)
+        self._alt2 = _WeightTable(_square_power(chi, -1, sq), rank, dtype)
 
     # -- point values ---------------------------------------------------------
 
-    def _convolve_at(self, table: dict[Weight, int], nu: Weight) -> int:
-        """(chi * table)(nu), one pass over the support of chi."""
-        get = table.get
-        total = 0
-        for w, m in self._items:
-            v = get(_wsub(nu, w))
-            if v:
-                total += m * v
-        return total
+    @_pointwise
+    def cube_at(self, nus: np.ndarray) -> np.ndarray:
+        return _convolve_at(self._sq, nus, self._items)
 
-    def cube_at(self, nu: Weight) -> int:
-        return self._convolve_at(self._sq, nu)
+    @_pointwise
+    def chi_psi2_at(self, nus: np.ndarray) -> np.ndarray:
+        return _convolve_at(self._p2, nus, self._items)
 
-    def chi_psi2_at(self, nu: Weight) -> int:
-        return self._convolve_at(self._p2, nu)
+    @_pointwise
+    def chi_alt2_at(self, nus: np.ndarray) -> np.ndarray:
+        return _convolve_at(self._alt2, nus, self._items)
 
-    def chi_alt2_at(self, nu: Weight) -> int:
-        return self._convolve_at(self._alt2, nu)
+    @_pointwise
+    def alt2_at(self, nus: np.ndarray) -> np.ndarray:
+        return _lookup(self._alt2, nus)
 
-    def alt2_at(self, nu: Weight) -> int:
-        return self._alt2.get(nu, 0)
+    @_pointwise
+    def sym2_at(self, nus: np.ndarray) -> np.ndarray:
+        return _lookup(self._sq, nus) - _lookup(self._alt2, nus)
 
-    def sym2_at(self, nu: Weight) -> int:
-        return self._sq.get(nu, 0) - self._alt2.get(nu, 0)
+    def _cube_power_at(self, nus: np.ndarray, sign: int) -> np.ndarray:
+        """Point values of `_cube_power`: alt3 for sign -1, sym3 for sign +1."""
+        val = self.cube_at(nus) + 3 * sign * self.chi_psi2_at(nus) + 2 * _lookup(self._p3, nus)
+        rem = val % 6
+        if rem.any():
+            raise InternalError(f"plethysm coefficient {val[rem != 0][0]} is not divisible by 6")
+        return val // 6
 
-    def _cube_power_at(self, nu: Weight, sign: int) -> int:
-        """Point value of `_cube_power`: alt3 for sign -1, sym3 for sign +1."""
-        val = self.cube_at(nu) + 3 * sign * self.chi_psi2_at(nu) + 2 * self._p3.get(nu, 0)
-        return _exact_div(val, 6)
+    @_pointwise
+    def alt3_at(self, nus: np.ndarray) -> np.ndarray:
+        return self._cube_power_at(nus, -1)
 
-    def alt3_at(self, nu: Weight) -> int:
-        return self._cube_power_at(nu, -1)
+    @_pointwise
+    def sym3_at(self, nus: np.ndarray) -> np.ndarray:
+        return self._cube_power_at(nus, 1)
 
-    def sym3_at(self, nu: Weight) -> int:
-        return self._cube_power_at(nu, 1)
-
-    def plethysm21_at(self, nu: Weight) -> int:
-        return self.chi_alt2_at(nu) - self.alt3_at(nu)
+    @_pointwise
+    def plethysm21_at(self, nus: np.ndarray) -> np.ndarray:
+        return self.chi_alt2_at(nus) - self.alt3_at(nus)
 
     # -- multiplicities ---------------------------------------------------------
 
-    def _mult(self, lam: Weight, point_fn) -> int:
+    def _mult(self, lam: Weight, values_at) -> int:
         lam = tuple(lam)
         if not self.rs.is_dominant(lam):
             raise PreconditionError(f"weight {lam} is not dominant")
-        return _alternating_sum(self.rs, lam, point_fn)
+        return _alternating_sum(self.rs, lam, values_at)
 
     def mult_in_alt2(self, lam: Weight) -> int:
         return self._mult(lam, self.alt2_at)

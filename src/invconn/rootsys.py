@@ -3,7 +3,9 @@
 Weights are stored as tuples of integers in Dynkin-label coordinates
 (pairings with the simple coroots).  Product systems concatenate the
 labels of their factors; every structural object (Cartan matrix, positive
-roots, invariant pairing) is the block direct sum of the factor data.
+roots, invariant pairing) is the block direct sum of the factor data, which
+is computed once per simple type, and `signed_orbit` is the product of the
+factor orbits.
 
 All arithmetic is exact: the invariant pairing is kept as a matrix of
 `fractions.Fraction`, with a pre-scaled integer copy used in hot loops.
@@ -11,10 +13,13 @@ All arithmetic is exact: the invariant pairing is kept as a matrix of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 Weight = tuple[int, ...]
 
@@ -125,27 +130,102 @@ def _cartan_matrix(series: str, n: int) -> list[list[int]]:
     return a
 
 
-def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
+def _invert_int_matrix(m: list[list[int]]) -> list[list[Fraction]]:
+    """Exact inverse of an invertible integer matrix.
+
+    Gauss-Jordan on Python ints: rows are scaled instead of divided (and
+    reduced by their gcd), so [m | I] becomes [D | L] with D diagonal, and
+    m^-1 = D^-1 L costs one Fraction per entry.
+    """
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        p = aug[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            c = aug[r][col]
+            if r != col and c:
+                row = [p[col] * x - c * y for x, y in zip(aug[r], p)]
+                g = math.gcd(*row)
+                aug[r] = [x // g for x in row]
+    return [[Fraction(x, aug[i][i]) for x in aug[i][n:]] for i in range(n)]
+
+
+_FractionMatrix = tuple[tuple[Fraction, ...], ...]
+
+
+@functools.cache
+def _simple_pairing(st: SimpleType) -> tuple[_FractionMatrix, _FractionMatrix]:
+    """The inverse Cartan matrix A^-1 of one simple type and its pairing of
+    fundamental weights, F[i][j] = d_i * (A^-1)[j][i] with d_i the half
+    squared length of alpha_i; exact, and computed once per type."""
+    ainv = _invert_int_matrix(st.cartan_matrix())
+    lengths = st.root_lengths()
+    gram = [[lengths[i] * ainv[j][i] for j in range(st.rank)] for i in range(st.rank)]
+    return tuple(map(tuple, ainv)), tuple(map(tuple, gram))
+
+
+@functools.cache
+def _simple_positive_roots(st: SimpleType) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
+    """(Dynkin labels, simple-root coordinates) of the positive roots of one
+    simple type, computed once per type.
+
+    Orbit closure of the simple roots under the simple reflections; a root is
+    positive when its root-basis coordinates are all >= 0.
+    """
+    n = st.rank
+    simple = [tuple(row) for row in st.cartan_matrix()]  # row i: labels of alpha_i
+    coords = {simple[i]: tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            cw = coords[w]
+            for i in range(n):
+                c = w[i]
+                if c == 0:
+                    continue
+                w2 = tuple(x - c * a for x, a in zip(w, simple[i]))
+                if w2 not in coords:
+                    c2 = list(cw)
+                    c2[i] -= c
+                    coords[w2] = tuple(c2)
+                    nxt.append(w2)
+        frontier = nxt
+    return tuple((w, c) for w, c in coords.items() if all(x >= 0 for x in c))
+
+
+def _weight_array(weights: list[Weight], rank: int) -> np.ndarray:
+    """(n, rank) int64 array of the weights, or of Python ints if one does not fit."""
+    try:
+        return np.array(weights, dtype=np.int64).reshape(-1, rank)
+    except OverflowError:
+        return np.array(weights, dtype=object).reshape(-1, rank)
+
+
+@dataclass(frozen=True)
+class SignedOrbit:
+    """A Weyl orbit of a strictly dominant weight: the points as an (n, rank)
+    array and det of the Weyl element reaching each point as an (n,) array
+    of +-1, both int64 (points of Python ints beyond int64).  `len()` is the
+    number of points."""
+
+    points: np.ndarray
+    signs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.signs)
 
 
 class RootSystem:
     """Root data for a finite product of simple types.
 
     The instance is immutable after construction and safe to share; all
-    operations are pure functions of their arguments.
+    operations are pure functions of their arguments.  The derived data
+    (positive roots, Weyl order, inverse Cartan matrix and pairing) is built
+    from the per-type caches on first use, so a system whose only use is a
+    reflection or a dual weight costs little more than its Cartan matrix.
     """
 
     def __init__(self, factors):
@@ -158,10 +238,9 @@ class RootSystem:
         self.rank = sum(f.rank for f in factors)
         self.rho: Weight = (1,) * self.rank
 
-        # Block-diagonal Cartan matrix and per-root lengths.
+        # Block-diagonal Cartan matrix.
         n = self.rank
         self.cartan = [[0] * n for _ in range(n)]
-        lengths: list[Fraction] = []
         off = 0
         self._slices = []
         for f in factors:
@@ -170,61 +249,69 @@ class RootSystem:
             for i in range(r):
                 for j in range(r):
                     self.cartan[off + i][off + j] = block[i][j]
-            lengths.extend(f.root_lengths())
             self._slices.append((off, off + r))
             off += r
-        self._lengths = lengths
 
         # Sparse reflection rows: row i lists (j, a_ij) with a_ij != 0.
         self._rows = [tuple((j, self.cartan[i][j]) for j in range(n) if self.cartan[i][j])
                       for i in range(n)]
 
-        # Pairing of fundamental weights: F[i][j] = d_i * (A^-1)[j][i].
-        a_frac = [[Fraction(x) for x in row] for row in self.cartan]
-        ainv = _invert_fraction_matrix(a_frac)
-        self._ainv = ainv
-        gram = [[lengths[i] * ainv[j][i] for j in range(n)] for i in range(n)]
-        self._gram = gram
-        scale = math.lcm(*(x.denominator for row in gram for x in row))
-        self._gram_int = [[int(x * scale) for x in row] for row in gram]
-
-        self._positive_roots()
-        self.weyl_order = self._parabolic_order(range(n))
         self._irrep_cache: dict[Weight, dict] = {}
         self._factor_systems: list[RootSystem] | None = None
 
-    # -- construction helpers ------------------------------------------------
+    # -- derived data, built on first use -----------------------------------------
 
-    def _positive_roots(self) -> None:
+    @functools.cached_property
+    def _ainv(self) -> list[list[Fraction]]:
+        """Inverse Cartan matrix, block diagonal like the Cartan matrix."""
+        return self._block_diagonal(0)
+
+    @functools.cached_property
+    def _gram(self) -> list[list[Fraction]]:
+        """Pairing of fundamental weights: F[i][j] = d_i * (A^-1)[j][i]."""
+        return self._block_diagonal(1)
+
+    @functools.cached_property
+    def _gram_int(self) -> list[list[int]]:
+        """`_gram` scaled to integers by the lcm of its denominators."""
+        scale = math.lcm(*(x.denominator for row in self._gram for x in row))
+        return [[x.numerator * (scale // x.denominator) for x in row] for row in self._gram]
+
+    def _block_diagonal(self, which: int) -> list[list[Fraction]]:
         n = self.rank
-        simple = [tuple(self.cartan[i][j] for j in range(n)) for i in range(n)]
-        # Orbit closure of the simple roots under simple reflections; a root is
-        # positive when its root-basis coordinates are all >= 0.
-        coords = {simple[i]: tuple(int(i == j) for j in range(n)) for i in range(n)}
-        frontier = list(simple)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                cw = coords[w]
-                for i in range(n):
-                    c = w[i]
-                    if c == 0:
-                        continue
-                    w2 = self._reflect(w, i)
-                    if w2 not in coords:
-                        c2 = list(cw)
-                        c2[i] -= c
-                        coords[w2] = tuple(c2)
-                        nxt.append(w2)
-            frontier = nxt
-        pos = [(w, c) for w, c in coords.items() if all(x >= 0 for x in c)]
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for f, (a, b) in zip(self.factors, self._slices):
+            for i, row in enumerate(_simple_pairing(f)[which]):
+                out[a + i][a:b] = row
+        return out
+
+    @functools.cached_property
+    def _positive(self) -> list[tuple[Weight, tuple[int, ...]]]:
+        """Positive roots with their simple-root coordinates, by height: those
+        of the factors, padded with zeros to the other factors' labels."""
+        n = self.rank
+        pos = []
+        for f, (a, b) in zip(self.factors, self._slices):
+            left, right = (0,) * a, (0,) * (n - b)
+            pos.extend((left + w + right, left + c + right) for w, c in _simple_positive_roots(f))
         pos.sort(key=lambda wc: (sum(wc[1]), wc[1]))
-        self.pos_roots: tuple[Weight, ...] = tuple(w for w, _ in pos)
-        self.pos_root_coords: tuple[tuple[int, ...], ...] = tuple(c for _, c in pos)
         expected = sum(f.num_positive_roots for f in self.factors)
-        if len(self.pos_roots) != expected:
+        if len(pos) != expected:
             raise ConfigurationError(
-                f"positive-root generation produced {len(self.pos_roots)}, expected {expected}")
+                f"positive-root generation produced {len(pos)}, expected {expected}")
+        return pos
+
+    @functools.cached_property
+    def pos_roots(self) -> tuple[Weight, ...]:
+        return tuple(w for w, _ in self._positive)
+
+    @functools.cached_property
+    def pos_root_coords(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(c for _, c in self._positive)
+
+    @functools.cached_property
+    def weyl_order(self) -> int:
+        return self._parabolic_order(range(self.rank))
 
     # -- elementary operations -------------------------------------------------
 
@@ -358,11 +445,29 @@ class RootSystem:
     def weyl_orbit(self, w: Weight) -> list[Weight]:
         return list(self._orbit(w))
 
-    def signed_orbit(self, w: Weight) -> dict[Weight, int]:
-        """Orbit of a strictly dominant weight, with det(w) per point."""
+    def signed_orbit(self, w: Weight) -> SignedOrbit:
+        """Orbit of a strictly dominant weight as arrays, with det(w) per point.
+
+        The orbit is the product of the factor orbits, each from the BFS of
+        `_orbit`, so no map with one entry per element of W is built for a
+        product system.  Points of the first factor vary slowest.
+        """
         if any(x <= 0 for x in w):
             raise PreconditionError("signed_orbit requires a strictly dominant weight")
-        return self._orbit(w)
+        systems = self.factor_systems() if len(self.factors) > 1 else [self]
+        points = np.zeros((1, 0), dtype=np.int64)
+        signs = np.ones(1, dtype=np.int64)
+        for sub, part in zip(systems, self.split(w)):
+            orbit = sub._orbit(part)
+            sub_points = _weight_array(list(orbit), sub.rank)
+            sub_signs = np.fromiter(orbit.values(), dtype=np.int64, count=len(orbit))
+            prod = np.empty((len(points), len(sub_points), points.shape[1] + sub.rank),
+                            dtype=np.result_type(points.dtype, sub_points.dtype))
+            prod[:, :, :points.shape[1]] = points[:, None, :]
+            prod[:, :, points.shape[1]:] = sub_points[None, :, :]
+            points = prod.reshape(-1, prod.shape[2])
+            signs = np.outer(signs, sub_signs).ravel()
+        return SignedOrbit(points, signs)
 
     def stabilizer_order(self, w: Weight) -> int:
         """Order of the stabilizer of a dominant weight (a parabolic Weyl group)."""

@@ -170,6 +170,9 @@ def _row_from_json(rec: dict) -> IsotropyDatum:
             expected = Expected(int(e["a"]), int(e["s"]), int(e["N"]), int(e["l"]), e["type"])
         alt = rec.get("alt_constituents")
         altc = _summands(factors, alt) if alt else None
+        rs = RootSystem(factors)
+        for module in (constituents, altc) if altc else (constituents,):
+            duality_type(rs, module)
         fam = rec.get("family") or {}
         return IsotropyDatum(
             id=rec["id"], ambient=ambient, factors=factors, constituents=constituents,

@@ -53,3 +53,54 @@ def _tensor_reference(a, b):
 @pytest.fixture(scope="session")
 def tensor_reference():
     return _tensor_reference
+
+
+def _orbit_sum_reference(chi, lam, expr):
+    """Multiplicity of L(lam) in expr(chi) by the per-point loop.
+
+    The Weyl orbit of lam + rho is the BFS dict of `rs._orbit`, and every
+    point value is a Python loop over supp chi into dict tables built by
+    pure-Python double loops, with Python-int arithmetic throughout.  `expr`
+    is "chi" (chi itself), "alt2", "sym2", "alt3" or "chi_alt2".
+    """
+    rs = chi.rs
+    items = list(chi.mult.items())
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    sq = {}
+    for w1, m1 in items:
+        for w2, m2 in items:
+            key = add(w1, w2)
+            sq[key] = sq.get(key, 0) + m1 * m2
+    p2 = {tuple(2 * x for x in w): m for w, m in items}
+    p3 = {tuple(3 * x for x in w): m for w, m in items}
+    alt2 = {}
+    for w in set(sq) | set(p2):
+        twice = sq.get(w, 0) - p2.get(w, 0)
+        assert twice % 2 == 0
+        alt2[w] = twice // 2
+
+    def convolve_at(table, nu):
+        return sum(m * table.get(sub(nu, w), 0) for w, m in items)
+
+    def alt3_at(nu):
+        six = convolve_at(sq, nu) - 3 * convolve_at(p2, nu) + 2 * p3.get(nu, 0)
+        assert six % 6 == 0
+        return six // 6
+
+    point = {"chi": lambda nu: chi.mult.get(nu, 0),
+             "alt2": lambda nu: alt2.get(nu, 0),
+             "sym2": lambda nu: sq.get(nu, 0) - alt2.get(nu, 0),
+             "alt3": alt3_at,
+             "chi_alt2": lambda nu: convolve_at(alt2, nu)}[expr]
+    return sum(sign * point(sub(p, rs.rho)) for p, sign in rs._orbit(add(lam, rs.rho)).items())
+
+
+@pytest.fixture(scope="session")
+def orbit_sum_reference():
+    return _orbit_sum_reference

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -363,3 +364,68 @@ def test_tensor_int64_guards(tensor_reference, a2):
     assert tensor(huge, a) == tensor_reference(huge, a)
     far = Character(a2, {(2 ** 70, -2 ** 70): 3, (2 ** 70 + 1, -2 ** 70): -1})
     assert tensor(far, far) == tensor_reference(far, far)  # a dense box of huge weights
+
+
+# -- the batched Weyl-orbit sum, against the per-point loop ----------------------
+
+ORBIT_SYSTEMS = [RootSystem([SimpleType(*f) for f in fs])
+                 for fs in ([("A", 1)], [("A", 2)], [("B", 2)], [("G", 2)],
+                            [("A", 1), ("A", 2)], [("A", 1), ("G", 2)])]
+MULT_METHODS = {"alt2": "mult_in_alt2", "sym2": "mult_in_sym2", "alt3": "mult_in_alt3",
+                "chi_alt2": "mult_in_chi_alt2"}
+
+
+@st.composite
+def _orbit_cases(draw):
+    """A random genuine character and dominant weights to extract, 0 first."""
+    rs = draw(st.sampled_from(ORBIT_SYSTEMS))
+    label = st.integers(min_value=0, max_value=2)
+    terms = draw(st.dictionaries(st.tuples(*[label] * rs.rank), st.integers(min_value=1, max_value=3),
+                                 min_size=1, max_size=2))
+    lams = draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=4)] * rs.rank),
+                         min_size=1, max_size=3))
+    return expand(rs, terms.items()), [(0,) * rs.rank] + lams
+
+
+def _assert_orbit_sums(reference, chi, lams):
+    ops = PlethysmOps(chi)
+    for lam in lams:
+        assert multiplicity(chi, lam) == reference(chi, lam, "chi"), lam
+        for expr, method in MULT_METHODS.items():
+            assert getattr(ops, method)(lam) == reference(chi, lam, expr), (expr, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_orbit_cases())
+def test_orbit_sums_match_reference_loop(orbit_sum_reference, case):
+    _assert_orbit_sums(orbit_sum_reference, *case)
+
+
+def test_point_methods_take_a_weight_or_a_stack(a2):
+    ops = PlethysmOps(irrep_character(a2, (1, 1)))
+    stack = np.array([(0, 0), (1, 1), (3, 0), (7, 7)])
+    for name in ("cube_at", "chi_psi2_at", "chi_alt2_at", "alt2_at", "sym2_at", "alt3_at",
+                 "sym3_at", "plethysm21_at"):
+        method = getattr(ops, name)
+        single = [method(tuple(nu)) for nu in stack.tolist()]
+        assert all(type(v) is int for v in single), name
+        assert method(stack).tolist() == single, name
+
+
+def test_orbit_sum_int64_guards(orbit_sum_reference, a2):
+    # Multiplicities near 2^40: 6 dim^3 is far beyond 2^62, so point values
+    # and their orbit sums run on Python ints.
+    big = expand(a2, [((1, 1), 2 ** 40 + 1), ((3, 0), 2 ** 40 - 3), ((0, 0), 5)])
+    assert 6 * big.dim() ** 3 >= 2 ** 62
+    _assert_orbit_sums(orbit_sum_reference, big, [(0, 0), (1, 1), (3, 0), (2, 2)])
+    beyond = Character(a2, {w: 2 ** 70 * m for w, m in big.mult.items()})
+    assert multiplicity(beyond, (1, 1)) == orbit_sum_reference(beyond, (1, 1), "chi")
+
+    # Weights spread so that the coding box has over 2^62 entries: a genuine
+    # character on the orbit of lam + rho, plus the adjoint.
+    ad = irrep_character(a2, (1, 1))
+    for lam in [(2 ** 33, 2 ** 34), (2 ** 70, 2 ** 70 + 1)]:  # the second beyond int64
+        orbit = a2.signed_orbit((lam[0] + 1, lam[1] + 1))
+        assert (orbit.points.dtype == object) == (lam[0] >= 2 ** 63)
+        far = Character(a2, {(x - 1, y - 1): 3 for x, y in orbit.points.tolist()}) + ad
+        _assert_orbit_sums(orbit_sum_reference, far, [(0, 0), (1, 1), lam])

@@ -198,6 +198,8 @@ BAD_INPUTS = {
         "table", "--catalog", _catalog_file(tmp, constituents=[[[1, 0], [1]]])],
     "catalog ambient of an unknown series": lambda tmp: [
         "catalog-dump", "--catalog", _catalog_file(tmp, ambient={"series": "XX", "n": 7})],
+    "catalog module with a repeated constituent": lambda tmp: [
+        "catalog-dump", "--catalog", _catalog_file(tmp, constituents=[[[3, 0]], [[3, 0]]])],
     "einstein su1": lambda tmp: ["einstein", "su1"],
     "einstein non-numeric alphas": lambda tmp: ["einstein", "su3", "--alphas", "a,b"],
     "decompose weight of the wrong length": lambda tmp: ["decompose", "A2", "alt2",

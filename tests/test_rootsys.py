@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from invconn.rootsys import (ConfigurationError, PreconditionError, RootSystem,
                              SimpleType, adjoint_weight)
+from invconn.siiclass import load_catalog
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
              ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G", 2), ("F", 4),
@@ -155,10 +157,30 @@ def test_weyl_orbit_and_signed_orbit():
     rs = RootSystem([SimpleType("B", 2)])
     orbit = rs.signed_orbit((1, 1))
     assert len(orbit) == rs.weyl_order == 8
-    assert sum(orbit.values()) == 0  # equal numbers of even and odd elements
-    assert orbit[(1, 1)] == 1
+    assert orbit.points.shape == (8, 2)
+    assert orbit.signs.sum() == 0  # equal numbers of even and odd elements
+    signs = dict(zip(map(tuple, orbit.points.tolist()), orbit.signs.tolist()))
+    assert signs[(1, 1)] == 1
     with pytest.raises(PreconditionError):
         rs.signed_orbit((1, 0))
+
+
+def test_signed_orbit_matches_the_bfs_on_catalog_systems():
+    # The product of the factor orbits, as arrays, against the BFS over the
+    # whole product system: the same points with the same signs.
+    systems = {row.factors: row for row in load_catalog()}
+    checked = 0
+    for factors, row in systems.items():
+        rs = RootSystem(factors)
+        if rs.weyl_order > 20_000:
+            continue
+        w = tuple(x + 1 for x in rs.join(row.constituents[0]))
+        orbit = rs.signed_orbit(w)
+        assert len(orbit) == rs.weyl_order, factors
+        assert orbit.points.dtype == orbit.signs.dtype == np.int64
+        assert dict(zip(map(tuple, orbit.points.tolist()), orbit.signs.tolist())) == rs._orbit(w)
+        checked += 1
+    assert checked == 29
 
 
 def test_orbit_size_via_stabilizer():

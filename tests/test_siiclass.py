@@ -287,6 +287,42 @@ def test_catalog_rejects_malformed_weights(tmp_path, constituents, message):
         load_catalog(str(path))
 
 
+@pytest.mark.parametrize("modules, message", [
+    ({"constituents": [[[1, 0]]]}, "single constituent .* is not self-dual"),
+    ({"constituents": [[[1, 1]], [[1, 1]]]}, "repeated constituent"),
+    ({"constituents": [[[1, 0]], [[1, 1]]]}, "not dual to each other"),
+    ({"constituents": [[[1, 0]], [[0, 1]], [[1, 1]]]}, "3 constituents"),
+    ({"constituents": [[[3, 0]], [[0, 3]]], "alt_constituents": [[[3, 0]]]}, "not self-dual"),
+])
+def test_catalog_checks_the_module_shape(tmp_path, modules, message):
+    doc = {"version": 1, "rows": [{
+        "id": "SO8/SU3", "ambient": {"series": "SO", "n": 8}, "factors": [["A", 2]],
+        "source": "table5", **modules}]}
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CatalogError, match=f"'SO8/SU3'.*{message}"):
+        load_catalog(str(path))
+
+
+def test_catalog_sweep_under_the_benchmark_cap():
+    # Every bundled row within |W| <= 20000 reproduces its published
+    # (a, s, N, l, type); SO8/Sp2xSp1 gives the derived (0, 0, 0, 0) instead.
+    budget = Budget(max_weyl_order=20_000, max_support=50_000)
+    swept = 0
+    for row in load_catalog():
+        report = classify(row, budget)
+        if row.root_system().weyl_order > budget.max_weyl_order:
+            assert report.status.startswith("skipped: infeasible (Weyl order"), row.id
+            continue
+        exp = row.expected
+        expected = ((0, 0, 0, 0, "r") if row.id in KNOWN_BAD_ROWS
+                    else (exp.a, exp.s, exp.N, exp.l, exp.rep_type))
+        assert (*report.values(), report.rep_type[0]) == expected, row.id
+        assert report.matched_expected is (row.id not in KNOWN_BAD_ROWS), row.id
+        swept += 1
+    assert swept == 44
+
+
 def test_format_constituents():
     assert format_constituents(get_row("G2/SU3")) == "R(pi1) + R(pi2)"
     assert format_constituents(get_row("Sp3/SO3xSp1")) == "R(4pi1)(x)R(2pi1)"
