@@ -93,7 +93,7 @@ def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
     terr = float(np.abs(t - (-maps["nu"] - alg.bracket)).max())
     checks.append(Check("torsion of mu4 - mu5 is -nu - [.,.]", terr < tol, _fmt(terr)))
 
-    mv = conncalc.vectorial_metric_map(alg)
+    mv = conncalc.vectorial_metric_map(alg, maps)
     dec = conncalc.classify_type(conncalc.a_tensor(alg, mv), tol)
     phi_expected = np.array([float(np.real(-1j * np.trace(b))) for b in alg.basis])
     phi_err = float(np.abs(dec.phi - phi_expected).max())
@@ -174,11 +174,10 @@ def einstein_battery(name: str, n: int, alphas, tol: float = 1e-9) -> list[Check
     for alpha in alphas:
         mu = conncalc.bracket_family_map(alg, alpha)
         rep = conncalc.einstein_check(alg, mu, tol)
-        flat = float(np.abs(conncalc.curvature(alg, mu)).max())
-        t = conncalc.torsion(alg, mu)
-        dt = float(np.abs(conncalc.covariant_derivative(alg, mu, t)).max())
+        dt = conncalc.parallel_defect(alg, mu, conncalc.torsion(alg, mu))
         checks.append(Check(f"alpha={alpha:g}: parallel torsion", dt < tol, _fmt(dt)))
         if alpha in (1.0, -1.0):
+            flat = conncalc.flatness_defect(alg, mu)
             checks.append(Check(f"alpha={alpha:g}: flat connection", flat < 1e-10, _fmt(flat)))
         if simple:
             checks.append(Check(f"alpha={alpha:g}: Einstein", rep.is_einstein,

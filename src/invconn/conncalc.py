@@ -20,6 +20,13 @@ invariant tensors through it:
 
     equivariance of mu = D of mu along ad          (equivariance_defect)
     derivation defect  = D of the bracket along mu (der_tensor)
+
+The battery paths hold no d^4 array: `ricci_matrix` contracts mu directly,
+and the defects, `parallel_defect` and `flatness_defect` reduce the
+derivative block by block over its leading Z axis, `_BLOCK_ENTRIES` entries
+at a time.  `build_algebra` refuses a size whose largest array would exceed
+`MAX_ARRAY_BYTES`.  The 4-index `curvature`, `der_tensor` and `c_tensor`
+remain for small algebras and as test oracles.
 """
 
 from __future__ import annotations
@@ -38,6 +45,14 @@ class TensorShapeError(ValueError):
 
 
 DEFAULT_TOL = 1e-9
+
+# Entries of one block of a derivative that a defect reduces without holding
+# the whole d^4 tensor (8 MiB of float64); a block is at least one Z slice.
+_BLOCK_ENTRIES = 1 << 20
+
+# Largest single array `build_algebra` lets the engine allocate (128 MiB):
+# u(14), su(14) and so(18) are the largest algebras it accepts.
+MAX_ARRAY_BYTES = 1 << 27
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +89,19 @@ class MatrixAlgebra:
         # Inverse Gram matrix of -Re tr: the dual basis that `coeffs` reads through.
         self._dual = np.linalg.inv(gram)
 
-        prod = np.einsum("iab,jbc->ijac", self.basis, self.basis)
+        prod = np.matmul(self.basis[:, None], self.basis[None])  # e_i e_j
         comm = prod - np.transpose(prod, (1, 0, 2, 3))
         self.bracket = self.coeffs(comm)
         # A commutator outside the span has no coefficients, only the
         # projection that `coeffs` reads; closure is what the check tests.
-        residual = comm - np.einsum("ijk,kab->ijab", self.bracket, self.basis)
+        residual = comm - np.tensordot(self.bracket, self.basis, axes=1)
         self.closure_residual = float(np.abs(residual).max())
         if self.closure_residual > 1e-11 * max(1.0, float(np.abs(comm).max())):
             raise AlgebraError(f"{name}: basis is not closed under the bracket "
                                f"({self.closure_residual:.2e})")
 
         # B(X, Y) = tr(ad X ad Y) from the structure coefficients.
-        self.killing = np.einsum("iqp,jpq->ij", self.bracket, self.bracket)
+        self.killing = np.tensordot(self.bracket, self.bracket, axes=([1, 2], [2, 1]))
 
     def matrix(self, coeffs: np.ndarray) -> np.ndarray:
         """The algebra element with the given basis coefficients."""
@@ -95,7 +110,7 @@ class MatrixAlgebra:
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Basis coefficients of an algebra element, or of a stack of them
         (the leading axes are kept)."""
-        return -np.real(np.einsum("...ab,iba->...i", m, self.basis)) @ self._dual
+        return -np.real(np.tensordot(m, self.basis, axes=([-2, -1], [2, 1]))) @ self._dual
 
     def bilinear_coeffs(self, f) -> np.ndarray:
         """Structure coefficients c[i,j,k] of a matrix-valued bilinear map."""
@@ -106,9 +121,20 @@ class MatrixAlgebra:
 
 
 def build_algebra(name: str, n: int) -> MatrixAlgebra:
-    """Standard orthonormal bases for u(n), su(n), so(n)."""
+    """Standard orthonormal bases for u(n), su(n), so(n).
+
+    Sizes whose largest array (`_largest_array_bytes`) exceeds
+    `MAX_ARRAY_BYTES` are refused before anything is allocated.
+    """
     if n < 2:
         raise AlgebraError("n >= 2 required")
+    dims = {"u": n * n, "su": n * n - 1, "so": n * (n - 1) // 2}
+    if name not in dims:
+        raise AlgebraError(f"unsupported algebra {name!r}; expected u, su, or so")
+    need = _largest_array_bytes(dims[name], n)
+    if need > MAX_ARRAY_BYTES:
+        raise AlgebraError(f"{name}({n}) needs a {need / 2**20:.0f} MiB array, over "
+                           f"the {MAX_ARRAY_BYTES >> 20} MiB limit")
     s = 1.0 / np.sqrt(2.0)
     basis: list[np.ndarray] = []
     if name == "u":
@@ -133,14 +159,20 @@ def build_algebra(name: str, n: int) -> MatrixAlgebra:
                 e[k, l] = s
                 e[l, k] = -s
                 basis.append(e)
-    else:
-        raise AlgebraError(f"unsupported algebra {name!r}; expected u, su, or so")
     alg = MatrixAlgebra(f"{name}({n})", n, basis)
     # The declared metric is -Re tr, and so bi-invariant, only for a basis
     # orthonormal for -Re tr.
     if np.abs(alg._dual - np.eye(alg.dim)).max() > 1e-12:
         raise AlgebraError(f"{alg.name}: basis is not orthonormal")
     return alg
+
+
+def _largest_array_bytes(d: int, n: int) -> int:
+    """Bytes of the largest array that building a d-dimensional algebra of
+    n x n matrices and running its batteries allocate: the complex products
+    of all basis pairs, (d, d, n, n), or one block of a derivative, which
+    is at least a d^3 slice of float64."""
+    return max(16 * d * d * n * n, 8 * max(_BLOCK_ENTRIES, d ** 3))
 
 
 def _offdiag(basis: list[np.ndarray], n: int, s: float) -> None:
@@ -177,18 +209,29 @@ def laquer_basis(alg: MatrixAlgebra) -> dict[str, np.ndarray]:
     mu3 = i tr(X) Y              mu4 = i tr(Y) X
     mu5 = i tr(XY) Id            mu6 = i tr(X) tr(Y) Id
     nu = mu3 - mu4 (skew)        theta = mu3 + mu4 (symmetric)
+
+    In closed form over the basis: mu1 is the bracket, mu2 the symmetrised
+    coefficients of the stacked products i e_i e_j, and with the real
+    numbers t_i = i tr e_i, g_ij = tr e_i e_j and xi = coeffs(i Id),
+
+        mu3[i,j,k] = t_i delta_jk      mu5[i,j,k] = g_ij xi_k
+        mu4[i,j,k] = t_j delta_ik      mu6[i,j,k] = -t_i t_j xi_k.
     """
     if not alg.name.startswith("u("):
         raise AlgebraError("the Laquer basis lives on u(n)")
-    n = alg.n
-    eye = np.eye(n, dtype=complex)
+    prod = np.matmul(alg.basis[:, None], alg.basis[None])  # e_i e_j
+    half = alg.coeffs(1j * prod)
+    t = np.real(1j * np.einsum("iaa->i", alg.basis))
+    g = np.real(np.einsum("ijaa->ij", prod))
+    xi = alg.coeffs(1j * np.eye(alg.n))
+    eye = np.eye(alg.dim)
     maps = {
-        "mu1": alg.bilinear_coeffs(lambda x, y: x @ y - y @ x),
-        "mu2": alg.bilinear_coeffs(lambda x, y: 1j * (x @ y + y @ x)),
-        "mu3": alg.bilinear_coeffs(lambda x, y: 1j * np.trace(x) * y),
-        "mu4": alg.bilinear_coeffs(lambda x, y: 1j * np.trace(y) * x),
-        "mu5": alg.bilinear_coeffs(lambda x, y: 1j * np.trace(x @ y) * eye),
-        "mu6": alg.bilinear_coeffs(lambda x, y: 1j * np.trace(x) * np.trace(y) * eye),
+        "mu1": alg.bracket.copy(),
+        "mu2": half + np.transpose(half, (1, 0, 2)),
+        "mu3": np.einsum("i,jk->ijk", t, eye),
+        "mu4": np.einsum("j,ik->ijk", t, eye),
+        "mu5": np.einsum("ij,k->ijk", g, xi),
+        "mu6": -np.einsum("i,j,k->ijk", t, t, xi),
     }
     maps["nu"] = maps["mu3"] - maps["mu4"]
     maps["theta"] = maps["mu3"] + maps["mu4"]
@@ -205,15 +248,17 @@ def bracket_family_map(alg: MatrixAlgebra, alpha: float) -> np.ndarray:
     return ((1.0 - alpha) / 2.0) * alg.bracket
 
 
-def vectorial_metric_map(alg: MatrixAlgebra) -> np.ndarray:
+def vectorial_metric_map(alg: MatrixAlgebra, maps: dict | None = None) -> np.ndarray:
     """The u(n) metric map [.,.]/2 + mu4 - mu5.
 
     Its difference tensor relative to the Levi-Civita map is exactly the
     trace-built vectorial tensor <X,Y> phi(Z) - <X,Z> phi(Y) with
     phi(Z) = -i tr Z; this is the member of the bi-invariant metric family
-    with purely vectorial type.
+    with purely vectorial type.  `maps` is the Laquer basis of alg, built
+    here when not given.
     """
-    maps = laquer_basis(alg)
+    if maps is None:
+        maps = laquer_basis(alg)
     return 0.5 * maps["mu1"] + maps["mu4"] - maps["mu5"]
 
 
@@ -224,12 +269,29 @@ def vectorial_metric_map(alg: MatrixAlgebra) -> np.ndarray:
 def equivariance_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
     """Max norm of mu([W,X],Y) + mu(X,[W,Y]) - [W, mu(X,Y)] over basis triples:
     the derivative of mu along ad W."""
-    return _max_slot_norm(covariant_derivative(alg, alg.bracket, mu))
+    return _max_derivative(alg, alg.bracket, mu, _max_slot_norm)
 
 
 def _max_slot_norm(t: np.ndarray) -> float:
     """Largest Euclidean norm of t over its last axis."""
-    return float(np.sqrt((t * t).sum(axis=-1)).max())
+    return float(np.sqrt(np.einsum("...k,...k->...", t, t).max()))
+
+
+def _max_abs(t: np.ndarray) -> float:
+    return float(np.abs(t).max())
+
+
+def _row_blocks(d: int, slice_size: int) -> list[slice]:
+    """Blocks of a leading axis of extent d whose slices hold slice_size
+    entries each: _BLOCK_ENTRIES entries per block, or one slice if more."""
+    step = max(1, _BLOCK_ENTRIES // slice_size)
+    return [slice(i, i + step) for i in range(0, d, step)]
+
+
+def _max_derivative(alg: MatrixAlgebra, lam: np.ndarray, f: np.ndarray, reduce) -> float:
+    """Max of reduce over blocks of the derivative of F along Lambda(Z) = lam[z]."""
+    return max(reduce(covariant_derivative(alg, lam[rows], f))
+               for rows in _row_blocks(alg.dim, f.size))
 
 
 def is_equivariant(alg: MatrixAlgebra, mu: np.ndarray, tol: float = DEFAULT_TOL):
@@ -364,15 +426,39 @@ def torsion_type_conditions(alg: MatrixAlgebra, mu: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def curvature(alg: MatrixAlgebra, mu: np.ndarray) -> np.ndarray:
-    """R[x,y,z,k] with R(X,Y)Z = mu(X,mu(Y,Z)) - mu(Y,mu(X,Z)) - mu([X,Y],Z)."""
+    """R[x,y,z,k] with R(X,Y)Z = mu(X,mu(Y,Z)) - mu(Y,mu(X,Z)) - mu([X,Y],Z).
+
+    A d^4 array: the batteries use `ricci_matrix` and `flatness_defect`,
+    which never form it."""
     return (np.einsum("yzp,xpk->xyzk", mu, mu)
             - np.einsum("xzp,ypk->xyzk", mu, mu)
             - np.einsum("xyp,pzk->xyzk", alg.bracket, mu))
 
 
 def ricci_matrix(alg: MatrixAlgebra, mu: np.ndarray) -> np.ndarray:
-    """Ric(X,Y) = sum_i <R(e_i,X)Y, e_i>."""
-    return np.einsum("exye->xy", curvature(alg, mu))
+    """Ric(X,Y) = sum_i <R(e_i,X)Y, e_i>, contracted from mu directly:
+
+        Ric[x,y] = sum_p mu[x,y,p] tau[p] - sum_{e,p} mu[e,y,p] mu[x,p,e]
+                   - sum_{e,p} c[e,x,p] mu[p,y,e],   tau[p] = sum_e mu[e,p,e]
+
+    in O(d^4) flops and O(d^3) memory, without the curvature tensor.
+    """
+    tau = np.einsum("epe->p", mu)
+    return (mu @ tau
+            - np.tensordot(mu, mu, axes=([1, 2], [2, 0]))
+            - np.tensordot(alg.bracket, mu, axes=([0, 2], [2, 0])))
+
+
+def flatness_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
+    """Max |R[x,y,z,k]|, block by block over X through
+
+        R(X,Y)Z = (D_X mu)(Y,Z) + mu(mu(X,Y) - [X,Y], Z),
+
+    so no d^4 array is formed."""
+    diff = mu - alg.bracket
+    return max(_max_abs(covariant_derivative(alg, mu[rows], mu)
+                        + np.tensordot(diff[rows], mu, axes=([2], [0])))
+               for rows in _row_blocks(alg.dim, mu.size))
 
 
 @dataclasses.dataclass
@@ -458,7 +544,13 @@ def der_tensor(alg: MatrixAlgebra, mu: np.ndarray) -> np.ndarray:
 
 
 def derivation_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
-    return _max_slot_norm(der_tensor(alg, mu))
+    """Max norm of der(X,Y;Z) over basis triples, without the d^4 tensor."""
+    return _max_derivative(alg, mu, alg.bracket, _max_slot_norm)
+
+
+def parallel_defect(alg: MatrixAlgebra, mu: np.ndarray, f: np.ndarray) -> float:
+    """Max |(D_Z F)| over every entry: zero exactly when F is parallel for mu."""
+    return _max_derivative(alg, mu, f, _max_abs)
 
 
 def covariant_derivative(alg: MatrixAlgebra, mu: np.ndarray, f: np.ndarray,
@@ -470,20 +562,24 @@ def covariant_derivative(alg: MatrixAlgebra, mu: np.ndarray, f: np.ndarray,
         (D_Z F)(X_1..X_p) = Lambda(Z) F(X_1..X_p) - sum_i F(.., Lambda(Z) X_i, ..)
 
     and for a scalar-valued form only the slot terms appear.  The result
-    gains a leading Z axis.  Each term is one contraction subtracted in
+    gains a leading Z axis with one entry per row of mu, so rows z0..z1 of
+    mu give that block of the derivative.  Each term is one batched matrix
+    product that comes out in the output's layout and is subtracted in
     place, so at most two arrays of the output's size are alive at once.
     """
     d = alg.dim
     p = f.ndim - (1 if vector_valued else 0)
-    if f.shape != (d,) * f.ndim or p < 1:
+    if f.shape != (d,) * f.ndim or p < 1 or mu.shape[1:] != (d, d):
         raise TensorShapeError("tensor shape does not match the algebra dimension")
-    out = np.zeros((d,) + f.shape)
+    shape = (len(mu),) + f.shape
     if vector_valued:
-        # mu[z,q,k] f[x..,q] comes out as [z,k,x..]
-        out += np.moveaxis(np.tensordot(mu, f, axes=([1], [p])), 1, -1)
+        # f[x..,q] mu[z,q,k] comes out as [z,x..,k]
+        out = np.matmul(f.reshape(1, -1, d), mu).reshape(shape)
+    else:
+        out = np.zeros(shape)
     for slot in range(p):
-        # mu[z,x,q] f[..,q,..] comes out as [z,x,..]; x returns to its slot
-        out -= np.moveaxis(np.tensordot(mu, f, axes=([2], [slot])), 1, slot + 1)
+        # mu[z,x,q] f[a,q,b] comes out as [z,a,x,b]: x is back in its slot
+        out -= np.matmul(mu[:, None], f.reshape(d ** slot, d, -1)[None]).reshape(shape)
     return out
 
 

@@ -202,6 +202,8 @@ BAD_INPUTS = {
         "catalog-dump", "--catalog", _catalog_file(tmp, constituents=[[[3, 0]], [[3, 0]]])],
     "einstein su1": lambda tmp: ["einstein", "su1"],
     "einstein non-numeric alphas": lambda tmp: ["einstein", "su3", "--alphas", "a,b"],
+    "einstein over the size limit": lambda tmp: ["einstein", "su40"],
+    "verify-un over the size limit": lambda tmp: ["verify-un", "30"],
     "decompose weight of the wrong length": lambda tmp: ["decompose", "A2", "alt2",
                                                          "--hw", "1,0,0"],
     "decompose second weight of the wrong length": lambda tmp: [
@@ -226,3 +228,26 @@ def test_key_error_message_is_not_quoted(capsys):
     code, _, err = run(capsys, "classify", "XX/YY")
     assert code == 2
     assert err == "error: no catalog row with id 'XX/YY'\n"
+
+
+@pytest.mark.parametrize("argv", [["einstein", "su40"], ["verify-un", "30"]])
+def test_oversized_algebra_is_refused_before_allocating(capsys, argv):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "MiB limit" in err
+    assert peak < 1 << 20
+
+
+def test_verify_un_builds_the_laquer_maps_once(monkeypatch):
+    from invconn import cli, conncalc
+    calls = []
+    real = conncalc.laquer_basis
+    monkeypatch.setattr(conncalc, "laquer_basis", lambda alg: calls.append(alg) or real(alg))
+    cli.un_battery(3)
+    assert len(calls) == 1

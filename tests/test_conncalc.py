@@ -391,3 +391,76 @@ def test_flat_connections(u3, su3):
         for alpha in (-1.0, 1.0):
             mu = cc.bracket_family_map(alg, alpha)
             assert np.abs(cc.curvature(alg, mu)).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# O(d^3) battery paths against the full-tensor oracles
+# ---------------------------------------------------------------------------
+
+def _o3_algebras():
+    su3 = cc.build_algebra("su", 3)
+    return [cc.build_algebra("u", 3), su3, cc.build_algebra("so", 5),
+            cc.rescaled_algebra(su3, np.linspace(1.0, 2.0, 8))]
+
+
+def _close(a, b, rel=1e-12):
+    return np.abs(np.asarray(a) - b).max() <= rel * max(1.0, float(np.abs(b).max()))
+
+
+def test_ricci_matrix_equals_the_curvature_contraction():
+    rng = np.random.default_rng(21)
+    for alg in _o3_algebras():
+        for mu in (cc.random_bilinear(alg.dim, rng), cc.levi_civita_map(alg)):
+            full = np.einsum("exye->xy", cc.curvature(alg, mu))
+            assert _close(cc.ricci_matrix(alg, mu), full), alg.name
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+def test_blocked_defects_equal_the_full_tensor(monkeypatch, rows_per_block):
+    # Three rows per block leaves a partial last block for d = 8, 10 and
+    # divides d = 9; None keeps the default, one block at these sizes.
+    rng = np.random.default_rng(22)
+    for alg in _o3_algebras():
+        d = alg.dim
+        if rows_per_block is not None:
+            monkeypatch.setattr(cc, "_BLOCK_ENTRIES", rows_per_block * d ** 3)
+        blocks = cc._row_blocks(d, d ** 3)
+        assert len(blocks) == (1 if rows_per_block is None else -(-d // rows_per_block))
+        mu = cc.random_bilinear(d, rng)
+        t = cc.torsion(alg, mu)
+        full = cc.covariant_derivative(alg, mu, t)
+        assert _close(np.concatenate([cc.covariant_derivative(alg, mu[r], t) for r in blocks]),
+                      full)
+        assert _close(cc.equivariance_defect(alg, mu),
+                      cc._max_slot_norm(cc.covariant_derivative(alg, alg.bracket, mu)))
+        assert _close(cc.derivation_defect(alg, mu), cc._max_slot_norm(cc.der_tensor(alg, mu)))
+        assert _close(cc.parallel_defect(alg, mu, t), np.abs(full).max())
+        assert _close(cc.flatness_defect(alg, mu), np.abs(cc.curvature(alg, mu)).max())
+        assert cc.flatness_defect(alg, alg.bracket) < 1e-12
+
+
+def test_laquer_basis_equals_the_matrix_maps():
+    for alg in (cc.build_algebra("u", 3), cc.build_algebra("u", 4),
+                cc.rescaled_algebra(cc.build_algebra("u", 3), np.linspace(1.0, 2.0, 9))):
+        eye = np.eye(alg.n)
+        oracle = {
+            "mu1": lambda x, y: x @ y - y @ x,
+            "mu2": lambda x, y: 1j * (x @ y + y @ x),
+            "mu3": lambda x, y: 1j * np.trace(x) * y,
+            "mu4": lambda x, y: 1j * np.trace(y) * x,
+            "mu5": lambda x, y: 1j * np.trace(x @ y) * eye,
+            "mu6": lambda x, y: 1j * np.trace(x) * np.trace(y) * eye,
+        }
+        maps = cc.laquer_basis(alg)
+        for key, f in oracle.items():
+            assert np.abs(maps[key] - alg.bilinear_coeffs(f)).max() < 1e-12, (alg.name, key)
+        assert np.array_equal(cc.vectorial_metric_map(alg, maps), cc.vectorial_metric_map(alg))
+
+
+def test_build_algebra_refuses_sizes_over_the_limit():
+    for name, n in (("su", 40), ("u", 30), ("u", 15), ("so", 19)):
+        with pytest.raises(cc.AlgebraError, match="MiB limit"):
+            cc.build_algebra(name, n)
+    # The largest accepted sizes stay within the limit.
+    assert cc._largest_array_bytes(14 * 14, 14) <= cc.MAX_ARRAY_BYTES
+    assert cc._largest_array_bytes(18 * 17 // 2, 18) <= cc.MAX_ARRAY_BYTES
