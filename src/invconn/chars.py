@@ -427,18 +427,20 @@ def _lookup(table: _WeightTable, nus: np.ndarray) -> np.ndarray:
     return _convolve_at(table, nus, _WeightTable({(0,) * rank: 1}, rank, table.values.dtype))
 
 
-def _alternating_sum(rs: RootSystem, lam: Weight, values_at) -> int:
-    """Sum of det(w) * values_at(w(lam+rho) - rho) over the Weyl group.
+def _alternating_sum(rs: RootSystem, lam: Weight, *values_at) -> list[int]:
+    """Sums of det(w) * values_at(w(lam+rho) - rho) over the Weyl group, one
+    per function in `values_at`, all over one orbit.
 
-    `values_at` maps an (n, rank) stack of weights to their n integer values,
-    so the whole orbit is one batched query and one signed dot product.  The
-    orbit's points are distinct, so a bound on the values' sum over distinct
-    weights (the guards of `_convolve_at`) also bounds the dot product.
+    Each function maps an (n, rank) stack of weights to their n integer
+    values, so the orbit is built once and each sum is one batched query and
+    one signed dot product.  The orbit's points are distinct, so a bound on
+    the values' sum over distinct weights (the guards of `_convolve_at`)
+    also bounds the dot product.
     """
     orbit = rs.signed_orbit(_wadd(lam, rs.rho))
     nus = orbit.points
     nus -= np.array(rs.rho, dtype=nus.dtype)  # in place: the orbit is this call's own
-    return int(orbit.signs @ values_at(nus))
+    return [int(orbit.signs @ f(nus)) for f in values_at]
 
 
 def multiplicity(chi: Character, lam: Weight) -> int:
@@ -447,7 +449,7 @@ def multiplicity(chi: Character, lam: Weight) -> int:
     if not chi.rs.is_dominant(lam):
         raise PreconditionError(f"weight {lam} is not dominant")
     table = _WeightTable(chi.mult, chi.rs.rank, _value_dtype(sum(map(abs, chi.mult.values()))))
-    return _alternating_sum(chi.rs, lam, lambda nus: _lookup(table, nus))
+    return _alternating_sum(chi.rs, lam, lambda nus: _lookup(table, nus))[0]
 
 
 def decompose(chi: Character) -> list[tuple[Weight, int]]:
@@ -542,8 +544,12 @@ class PlethysmOps:
         return _lookup(self._alt2, nus)
 
     @_pointwise
+    def square_at(self, nus: np.ndarray) -> np.ndarray:
+        return _lookup(self._sq, nus)
+
+    @_pointwise
     def sym2_at(self, nus: np.ndarray) -> np.ndarray:
-        return _lookup(self._sq, nus) - _lookup(self._alt2, nus)
+        return self.square_at(nus) - self.alt2_at(nus)
 
     def _cube_power_at(self, nus: np.ndarray, sign: int) -> np.ndarray:
         """Point values of `_cube_power`: alt3 for sign -1, sym3 for sign +1."""
@@ -567,23 +573,33 @@ class PlethysmOps:
 
     # -- multiplicities ---------------------------------------------------------
 
-    def _mult(self, lam: Weight, values_at) -> int:
+    def _mults(self, lam: Weight, *values_at) -> list[int]:
         lam = tuple(lam)
         if not self.rs.is_dominant(lam):
             raise PreconditionError(f"weight {lam} is not dominant")
-        return _alternating_sum(self.rs, lam, values_at)
+        return _alternating_sum(self.rs, lam, *values_at)
 
     def mult_in_alt2(self, lam: Weight) -> int:
-        return self._mult(lam, self.alt2_at)
+        return self._mults(lam, self.alt2_at)[0]
 
     def mult_in_sym2(self, lam: Weight) -> int:
-        return self._mult(lam, self.sym2_at)
+        return self._mults(lam, self.sym2_at)[0]
 
     def mult_in_alt3(self, lam: Weight) -> int:
-        return self._mult(lam, self.alt3_at)
+        return self._mults(lam, self.alt3_at)[0]
 
     def mult_in_chi_alt2(self, lam: Weight) -> int:
-        return self._mult(lam, self.chi_alt2_at)
+        return self._mults(lam, self.chi_alt2_at)[0]
+
+    def mult_in_alt2_sym2(self, lam: Weight) -> tuple[int, int]:
+        """(`mult_in_alt2`, `mult_in_sym2`) over one Weyl orbit, with
+        sym2 = square - alt2 so that each point takes two table lookups."""
+        alt, square = self._mults(lam, self.alt2_at, self.square_at)
+        return alt, square - alt
+
+    def mult_in_alt3_chi_alt2(self, lam: Weight) -> tuple[int, int]:
+        """(`mult_in_alt3`, `mult_in_chi_alt2`) over one Weyl orbit."""
+        return tuple(self._mults(lam, self.alt3_at, self.chi_alt2_at))
 
 
 EXPRESSIONS = ("tensor", "alt2", "sym2", "alt3", "sym3", "plethysm21")

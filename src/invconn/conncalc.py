@@ -21,10 +21,18 @@ invariant tensors through it:
     equivariance of mu = D of mu along ad          (equivariance_defect)
     derivation defect  = D of the bracket along mu (der_tensor)
 
-The battery paths hold no d^4 array: `ricci_matrix` contracts mu directly,
-and the defects, `parallel_defect` and `flatness_defect` reduce the
-derivative block by block over its leading Z axis, `_BLOCK_ENTRIES` entries
-at a time.  `build_algebra` refuses a size whose largest array would exceed
+The battery paths hold no d^4 array: `ricci_matrix` and `ricci_skew_path`
+contract mu directly, and `flatness_defect` reduces the derivative block by
+block over its leading Z axis, `_BLOCK_ENTRIES` entries at a time.  The
+equivariance, derivation and parallel defects share one reduction,
+`_max_derivative`, with two paths.  The dense path reduces the same blocks
+of `covariant_derivative`.  The sparse path joins the exact nonzeros of
+Lambda and F on the contracted index into (entry code, product) pairs and
+sums the pairs per entry, so structure constants and the Laquer maps, which
+are over 99 % zeros, never meet the zeros.  The sparse path runs when its
+exact product count is below the derivative's entry count and no Z row
+needs more than `_BLOCK_PRODUCTS` products; a dense map keeps the dense
+path.  `build_algebra` refuses a size whose largest array would exceed
 `MAX_ARRAY_BYTES`.  The 4-index `curvature`, `der_tensor` and `c_tensor`
 remain for small algebras and as test oracles.
 """
@@ -170,8 +178,9 @@ def build_algebra(name: str, n: int) -> MatrixAlgebra:
 def _largest_array_bytes(d: int, n: int) -> int:
     """Bytes of the largest array that building a d-dimensional algebra of
     n x n matrices and running its batteries allocate: the complex products
-    of all basis pairs, (d, d, n, n), or one block of a derivative, which
-    is at least a d^3 slice of float64."""
+    of all basis pairs, (d, d, n, n), or one block of a derivative: at
+    least a d^3 slice of float64 on the dense path, and arrays of
+    _BLOCK_PRODUCTS 8-byte entries on the sparse path."""
     return max(16 * d * d * n * n, 8 * max(_BLOCK_ENTRIES, d ** 3))
 
 
@@ -289,9 +298,156 @@ def _row_blocks(d: int, slice_size: int) -> list[slice]:
 
 
 def _max_derivative(alg: MatrixAlgebra, lam: np.ndarray, f: np.ndarray, reduce) -> float:
-    """Max of reduce over blocks of the derivative of F along Lambda(Z) = lam[z]."""
+    """Max of reduce (`_max_abs` or `_max_slot_norm`) over the derivative of
+    F along Lambda(Z) = lam[z], by one of two paths with the same result.
+
+    The dense path reduces blocks of `covariant_derivative`, _BLOCK_ENTRIES
+    entries at a time.  The sparse path (`_sparse_derivative`) forms one
+    product per pair of exact nonzeros of lam and F that meet on a
+    contracted index, sums the products that land on one entry, and reduces
+    the entries they reach; an empty derivative gives 0.0.  The sparse path
+    runs when it forms fewer products than the derivative has entries and no
+    Z row alone needs more than _BLOCK_PRODUCTS of them.  Both counts are
+    exact (`_products_per_row`) and taken before any product is formed; the
+    entry codes are int64, and d^(F.ndim + 1) < 2^62 is checked.  Structure
+    constants and the Laquer maps take the sparse path, and a dense map
+    keeps the dense one.
+    """
+    d = alg.dim
+    if f.ndim < 2 or f.shape != (d,) * f.ndim or lam.shape != (d, d, d):
+        raise TensorShapeError("tensor shape does not match the algebra dimension")
+    _code_strides(d, f.ndim)
+    rows = _products_per_row(lam, f)
+    if rows.sum() < lam.shape[0] * f.size and rows.max() <= _BLOCK_PRODUCTS:
+        return max((_reduce_sparse(*block, d, reduce) for block in _sparse_derivative(lam, f, rows)),
+                   default=0.0)
+    return _max_dense_derivative(alg, lam, f, reduce)
+
+
+def _max_dense_derivative(alg: MatrixAlgebra, lam: np.ndarray, f: np.ndarray, reduce) -> float:
+    """The dense path of `_max_derivative`: reduce blocks of rows of Z."""
     return max(reduce(covariant_derivative(alg, lam[rows], f))
                for rows in _row_blocks(alg.dim, f.size))
+
+
+# Products of one block of the sparse path.  Summing its duplicates holds
+# four 8-byte arrays of products (codes, values, their sort order and one
+# sorted copy), so a block takes the bytes of _BLOCK_ENTRIES float64 entries.
+_BLOCK_PRODUCTS = _BLOCK_ENTRIES // 4
+
+
+def _code_strides(d: int, ndim: int) -> list[int]:
+    """Strides of F's axes in flat codes of its derivative, whose leading Z
+    axis has stride d^ndim.  The codes are int64, so d^(ndim + 1) < 2^62 is
+    checked here."""
+    if d ** (ndim + 1) >= 1 << 62:
+        raise TensorShapeError(f"a derivative with {d}^{ndim + 1} entries overflows int64 codes")
+    return [d ** (ndim - 1 - axis) for axis in range(ndim)]
+
+
+def _products_per_row(lam: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Exact count of the products the sparse path forms for each Z row.
+
+    The term Lambda(Z) F joins lam[z,q,:] with the nonzeros of F whose last
+    index is q, and each slot term joins lam[z,:,q] with those whose index
+    in that slot is q; so counts of nonzeros per q give every count."""
+    nz = f != 0
+    per_q = [np.count_nonzero(nz, axis=tuple(a for a in range(f.ndim) if a != axis))
+             for axis in range(f.ndim)]
+    del nz
+    nz = lam != 0
+    return np.count_nonzero(nz, axis=2) @ per_q[-1] + np.count_nonzero(nz, axis=1) @ sum(per_q[:-1])
+
+
+def _sparse_derivative(lam: np.ndarray, f: np.ndarray, rows: np.ndarray):
+    """The derivative of F along lam as (codes, values) blocks over runs of
+    Z rows: the flat codes of its reachable entries, sorted and distinct, and
+    their values; entries no code names are zero.  `rows` is
+    `_products_per_row`, and a block holds at most _BLOCK_PRODUCTS products,
+    or one row.  Blocks without products are left out.
+
+    Each term of `covariant_derivative` is a join of nonzeros on the
+    contracted index q.  For F's axis with code stride s, the nonzeros of F
+    are grouped by their index q on that axis; an entry lam[z,a,b] meets
+    every nonzero in group q = a of the last axis (s = 1), giving
+    +lam * F at code z d^m + (F's code - q) + b, and every nonzero in group
+    q = b of a slot axis, giving -lam * F at code z d^m + (F's code - q s)
+    + a s.  Products that share a code are summed.
+    """
+    d, m = lam.shape[1], f.ndim
+    strides = _code_strides(d, m)
+    flat = f.reshape(-1)
+    f_codes = np.flatnonzero(flat)
+    f_vals = flat[f_codes]
+    groups = []  # per F axis: group starts, codes less q s, values; sorted by q
+    for s in strides:
+        q = f_codes // s % d
+        order = np.argsort(q, kind="stable")
+        starts = np.zeros(d + 1, dtype=np.int64)
+        np.cumsum(np.bincount(q, minlength=d), out=starts[1:])
+        groups.append((starts, (f_codes - q * s)[order], f_vals[order]))
+    del f_codes, f_vals
+    z, a, b = np.nonzero(lam)
+    lam_vals = lam[z, a, b]
+    z_codes = z * d ** m
+    row_starts = np.searchsorted(z, np.arange(len(lam) + 1))
+    bounds = np.concatenate(([0], np.cumsum(rows)))  # products before each row
+    z0 = 0
+    while z0 < len(lam):
+        z1 = max(z0 + 1, int(np.searchsorted(bounds, bounds[z0] + _BLOCK_PRODUCTS, "right")) - 1)
+        size = int(bounds[z1] - bounds[z0])
+        if size:
+            e = slice(row_starts[z0], row_starts[z1])
+            codes, vals = np.empty(size, dtype=np.int64), np.empty(size)
+            # The term Lambda(Z) F: F's last axis (s = 1) with q = a.
+            at = _join(groups[-1], a[e], z_codes[e] + b[e], lam_vals[e], codes, vals, 0)
+            for g, s in zip(groups[:-1], strides[:-1]):
+                at = _join(g, b[e], z_codes[e] + a[e] * s, -lam_vals[e], codes, vals, at)
+            yield _sum_duplicates(codes, vals)
+        z0 = z1
+
+
+def _join(group, q: np.ndarray, codes: np.ndarray, vals: np.ndarray,
+          out_codes: np.ndarray, out_vals: np.ndarray, at: int) -> int:
+    """Every product of entry i (group q[i], code codes[i], value vals[i])
+    with the nonzeros of F in its group, written from index `at` of the
+    outputs as summed codes and products; returns the index after them."""
+    starts, f_codes, f_vals = group
+    sizes = starts[q + 1] - starts[q]
+    firsts = np.cumsum(sizes) - sizes  # where each entry's products begin
+    pick = np.repeat(starts[q] - firsts, sizes)
+    pick += np.arange(len(pick))
+    end = at + len(pick)
+    np.take(f_codes, pick, out=out_codes[at:end])
+    out_codes[at:end] += np.repeat(codes, sizes)
+    np.take(f_vals, pick, out=out_vals[at:end])
+    out_vals[at:end] *= np.repeat(vals, sizes)
+    return end
+
+
+def _sum_duplicates(codes: np.ndarray, vals: np.ndarray):
+    """Sorted distinct codes and the sum of the values at each."""
+    order = np.argsort(codes)
+    codes.sort()
+    vals = vals[order]
+    del order
+    firsts = _run_starts(codes)
+    return codes[firsts], np.add.reduceat(vals, firsts)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal entries of a sorted, nonempty array begins."""
+    return np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+
+
+def _reduce_sparse(codes: np.ndarray, vals: np.ndarray, d: int, reduce) -> float:
+    """reduce over one block of `_sparse_derivative`: max |value|, or the
+    largest norm of the values whose codes share code // d (one last-axis
+    slot)."""
+    if reduce is _max_abs:
+        return _max_abs(vals)
+    slots = _run_starts(codes // d)
+    return float(np.sqrt(np.add.reduceat(vals * vals, slots).max()))
 
 
 def is_equivariant(alg: MatrixAlgebra, mu: np.ndarray, tol: float = DEFAULT_TOL):
@@ -498,8 +654,13 @@ def ricci_skew_path(alg: MatrixAlgebra, t_form: np.ndarray, tol: float = DEFAULT
 
         Ric = Ric_g - (1/4) sum_i <T(e_i,X), T(e_i,Y)> - (1/2) (delta T)(X,Y)
 
-    with the co-differential computed algebraically from the Levi-Civita
-    derivative of the invariant 3-form.
+    with the co-differential (delta T)(X,Y) = -sum_i (D_{e_i} T)(e_i,X,Y) of
+    the Levi-Civita derivative, contracted from mu = [.,.]/2 directly:
+
+        (delta T)[x,y] = sum_{i,q} mu[i,i,q] T[q,x,y] + mu[i,x,q] T[i,q,y]
+                         + mu[i,y,q] T[i,x,q]
+
+    in O(d^4) flops, without the d^4 derivative.
     """
     skew_defect = max(
         float(np.abs(t_form + np.transpose(t_form, (1, 0, 2))).max()),
@@ -509,8 +670,10 @@ def ricci_skew_path(alg: MatrixAlgebra, t_form: np.ndarray, tol: float = DEFAULT
         raise TensorShapeError("T must be a totally skew 3-tensor")
     ric_g = ricci_matrix(alg, levi_civita_map(alg))
     s = np.einsum("ixk,iyk->xy", t_form, t_form)
-    dt = covariant_derivative(alg, levi_civita_map(alg), t_form, vector_valued=False)
-    delta = -np.einsum("iixy->xy", dt)
+    mu = levi_civita_map(alg)
+    delta = (np.tensordot(np.einsum("iiq->q", mu), t_form, axes=1)
+             + np.tensordot(mu, t_form, axes=([0, 2], [0, 1]))
+             + np.tensordot(t_form, mu, axes=([0, 2], [0, 2])))
     return ric_g - 0.25 * s - 0.5 * delta
 
 

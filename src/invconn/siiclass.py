@@ -406,10 +406,9 @@ def _counts(chi: Character, hws) -> tuple[int, int, int, int]:
     """(a, s, l, epsilon) of a multiplicity-free module with highest weights hws."""
     ops = PlethysmOps(chi)
     zero = (0,) * chi.rs.rank
-    a = sum(ops.mult_in_alt2(lam) for lam in hws)
-    s = sum(ops.mult_in_sym2(lam) for lam in hws)
-    l = ops.mult_in_alt3(zero)
-    return a, s, l, ops.mult_in_chi_alt2(zero) - l
+    pairs = [ops.mult_in_alt2_sym2(lam) for lam in hws]
+    l, chi_alt2 = ops.mult_in_alt3_chi_alt2(zero)
+    return sum(a for a, _ in pairs), sum(s for _, s in pairs), l, chi_alt2 - l
 
 
 def _classify_values(rs: RootSystem, constituents) -> tuple[int, int, int, int]:

@@ -145,10 +145,10 @@ def test_decompose_round_trip_examples(a1, a2):
 def test_mult_point_matches_materialized(a2):
     ad = irrep_character(a2, (1, 1))
     ops = PlethysmOps(ad)
-    mats = {"alt2": alt2(ad), "sym2": sym2(ad), "alt3": alt3(ad), "sym3": sym3(ad),
-            "p21": plethysm21(ad)}
-    fns = {"alt2": ops.alt2_at, "sym2": ops.sym2_at, "alt3": ops.alt3_at,
-           "sym3": ops.sym3_at, "p21": ops.plethysm21_at}
+    mats = {"alt2": alt2(ad), "square": tensor(ad, ad), "sym2": sym2(ad), "alt3": alt3(ad),
+            "sym3": sym3(ad), "p21": plethysm21(ad)}
+    fns = {"alt2": ops.alt2_at, "square": ops.square_at, "sym2": ops.sym2_at,
+           "alt3": ops.alt3_at, "sym3": ops.sym3_at, "p21": ops.plethysm21_at}
     probe = set()
     for chi in mats.values():
         probe.update(chi.mult)
@@ -393,6 +393,11 @@ def _assert_orbit_sums(reference, chi, lams):
         assert multiplicity(chi, lam) == reference(chi, lam, "chi"), lam
         for expr, method in MULT_METHODS.items():
             assert getattr(ops, method)(lam) == reference(chi, lam, expr), (expr, lam)
+        # The pairs that share one orbit.
+        assert ops.mult_in_alt2_sym2(lam) == (reference(chi, lam, "alt2"),
+                                              reference(chi, lam, "sym2")), lam
+        assert ops.mult_in_alt3_chi_alt2(lam) == (reference(chi, lam, "alt3"),
+                                                  reference(chi, lam, "chi_alt2")), lam
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,8 +409,8 @@ def test_orbit_sums_match_reference_loop(orbit_sum_reference, case):
 def test_point_methods_take_a_weight_or_a_stack(a2):
     ops = PlethysmOps(irrep_character(a2, (1, 1)))
     stack = np.array([(0, 0), (1, 1), (3, 0), (7, 7)])
-    for name in ("cube_at", "chi_psi2_at", "chi_alt2_at", "alt2_at", "sym2_at", "alt3_at",
-                 "sym3_at", "plethysm21_at"):
+    for name in ("cube_at", "chi_psi2_at", "chi_alt2_at", "alt2_at", "square_at", "sym2_at",
+                 "alt3_at", "sym3_at", "plethysm21_at"):
         method = getattr(ops, name)
         single = [method(tuple(nu)) for nu in stack.tolist()]
         assert all(type(v) is int for v in single), name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -415,6 +417,20 @@ def test_ricci_matrix_equals_the_curvature_contraction():
             assert _close(cc.ricci_matrix(alg, mu), full), alg.name
 
 
+def test_ricci_skew_path_equals_the_derivative_trace():
+    rng = np.random.default_rng(23)
+    for alg in _o3_algebras():
+        raw = rng.standard_normal((alg.dim,) * 3)
+        t = sum(sign * np.transpose(raw, perm) for perm, sign in (
+            ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+            ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)))
+        dt = cc.covariant_derivative(alg, cc.levi_civita_map(alg), t, vector_valued=False)
+        delta = -np.einsum("iixy->xy", dt)
+        ric_g = cc.ricci_matrix(alg, cc.levi_civita_map(alg))
+        full = ric_g - 0.25 * np.einsum("ixk,iyk->xy", t, t) - 0.5 * delta
+        assert _close(cc.ricci_skew_path(alg, t), full), alg.name
+
+
 @pytest.mark.parametrize("rows_per_block", [1, 3, None])
 def test_blocked_defects_equal_the_full_tensor(monkeypatch, rows_per_block):
     # Three rows per block leaves a partial last block for d = 8, 10 and
@@ -464,3 +480,131 @@ def test_build_algebra_refuses_sizes_over_the_limit():
     # The largest accepted sizes stay within the limit.
     assert cc._largest_array_bytes(14 * 14, 14) <= cc.MAX_ARRAY_BYTES
     assert cc._largest_array_bytes(18 * 17 // 2, 18) <= cc.MAX_ARRAY_BYTES
+
+
+# ---------------------------------------------------------------------------
+# The sparse derivative path against the dense blocks
+# ---------------------------------------------------------------------------
+
+def _sparse_algebras():
+    su3 = cc.build_algebra("su", 3)
+    return [cc.build_algebra("u", n) for n in (3, 4, 5, 6)] + [
+        cc.build_algebra("su", 4), cc.build_algebra("so", 5),
+        cc.rescaled_algebra(su3, np.linspace(1.0, 2.0, 8))]
+
+
+def _masked(rng, d, density):
+    """A random 3-tensor restricted to a random sparsity mask."""
+    return cc.random_bilinear(d, rng) * (rng.random((d, d, d)) < density)
+
+
+def _sparse_full(lam, f):
+    """The full derivative rebuilt from the sparse path's (code, value) pairs."""
+    full = np.zeros(len(lam) * f.size)
+    for codes, vals in cc._sparse_derivative(lam, f, cc._products_per_row(lam, f)):
+        assert np.all(np.diff(codes) > 0)  # sorted and distinct
+        full[codes] = vals
+    return full.reshape((len(lam),) + f.shape)
+
+
+def _no_dense_path(*args):
+    raise AssertionError("the dense path ran")
+
+
+def test_sparse_path_equals_the_dense_blocks(monkeypatch):
+    dense, default = cc._max_dense_derivative, cc._BLOCK_PRODUCTS
+    monkeypatch.setattr(cc, "_max_dense_derivative", _no_dense_path)
+    rng = np.random.default_rng(31)
+    for alg in _sparse_algebras():
+        d = alg.dim
+        maps = dict(cc.laquer_basis(alg)) if alg.name.startswith("u(") else {}
+        maps["bracket"] = alg.bracket
+        for density in (0.02, 0.05):
+            maps[f"masked {density}"] = _masked(rng, d, density)
+        for key, mu in maps.items():
+            t = cc.torsion(alg, mu)
+            for lam, f, reduce, defect in (
+                    (alg.bracket, mu, cc._max_slot_norm, cc.equivariance_defect),
+                    (mu, alg.bracket, cc._max_slot_norm, cc.derivation_defect),
+                    (mu, t, cc._max_abs, lambda alg, mu: cc.parallel_defect(alg, mu, t))):
+                where = (alg.name, key, reduce.__name__)
+                expect, full = dense(alg, lam, f, reduce), cc.covariant_derivative(alg, lam, f)
+                # The default keeps one block at these sizes; blocks of the
+                # largest row's products end inside every derivative.
+                rows = cc._products_per_row(lam, f)
+                for block in (default, int(rows.max())):
+                    monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", block)
+                    if block < rows.sum():
+                        assert len(list(cc._sparse_derivative(lam, f, rows))) > 1, where
+                    assert _close(defect(alg, mu), expect), where
+                    assert _close(_sparse_full(lam, f), full), where
+
+
+def test_sparse_path_gives_zero_for_a_zero_derivative(monkeypatch):
+    monkeypatch.setattr(cc, "_max_dense_derivative", _no_dense_path)
+    rng = np.random.default_rng(32)
+    for alg in _sparse_algebras():
+        d = alg.dim
+        zero = np.zeros((d, d, d))
+        # No products at all: a zero map, or the flat member alpha = 1.
+        assert cc.equivariance_defect(alg, zero) == 0.0
+        assert cc.derivation_defect(alg, zero) == 0.0
+        flat = cc.bracket_family_map(alg, 1.0)
+        assert cc.parallel_defect(alg, flat, cc.torsion(alg, flat)) == 0.0
+        # Products that cancel exactly: Lambda(Z) = Id leaves a vector-valued
+        # 1-form F unchanged, so D_Z F = F - F.
+        ident = np.broadcast_to(np.eye(d), (d, d, d))
+        f = rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.2)
+        assert cc._products_per_row(ident, f).sum() > 0
+        assert cc.parallel_defect(alg, ident, f) == 0.0
+        assert cc._max_derivative(alg, ident, f, cc._max_slot_norm) == 0.0
+
+
+def test_dense_maps_keep_the_dense_path(monkeypatch):
+    def no_sparse_path(*args):
+        raise AssertionError("the sparse path ran")
+
+    rng = np.random.default_rng(33)
+    cases = []
+    for alg in _sparse_algebras():
+        mu = cc.random_bilinear(alg.dim, rng)
+        cases.append((alg, mu, cc.equivariance_defect(alg, mu), cc.derivation_defect(alg, mu),
+                      cc.parallel_defect(alg, mu, cc.torsion(alg, mu))))
+    monkeypatch.setattr(cc, "_sparse_derivative", no_sparse_path)
+    for alg, mu, eq, der, par in cases:
+        assert cc.equivariance_defect(alg, mu) == eq
+        assert cc.derivation_defect(alg, mu) == der
+        assert cc.parallel_defect(alg, mu, cc.torsion(alg, mu)) == par
+        assert _close(eq, cc._max_slot_norm(cc.covariant_derivative(alg, alg.bracket, mu)))
+
+
+def test_sparse_codes_fit_int64():
+    assert cc._code_strides(8, 19) == [8 ** k for k in range(18, -1, -1)]  # 8^20 = 2^60
+    for d, ndim in ((8, 20), (2, 61), (2 ** 31, 1)):
+        with pytest.raises(cc.TensorShapeError, match="int64"):
+            cc._code_strides(d, ndim)
+    # The guard runs before anything the size of F is allocated: this F is
+    # a zero-strided view of 2^60 entries.
+    su3 = cc.build_algebra("su", 3)
+    huge = np.broadcast_to(np.int8(0), (8,) * 20)
+    with pytest.raises(cc.TensorShapeError, match="int64"):
+        cc.parallel_defect(su3, su3.bracket, huge)
+
+
+def test_sparse_path_peak_memory_is_at_most_the_dense_one():
+    alg = cc.build_algebra("u", 10)
+    mu1 = cc.laquer_basis(alg)["mu1"]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sparse = cc.equivariance_defect(alg, mu1)
+        sparse_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dense = cc._max_dense_derivative(alg, alg.bracket, mu1, cc._max_slot_norm)
+        dense_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sparse < 1e-12 and dense < 1e-12
+    assert sparse_peak <= dense_peak
