@@ -14,27 +14,34 @@ bi-invariant metric <X,Y> = -Re tr(XY), whose Ricci tensor is -B/4 for
 the Killing form B (the sign calibration used throughout).
 
 `MatrixAlgebra` reads the bracket from the matrices and checks that their
-span is closed under the commutator.  `covariant_derivative` is the one
-contraction of Lambda(Z) into a tensor, and two checks are derivatives of
-invariant tensors through it:
+span is closed under the commutator.  Every derivative check is one join,
+`_derivative`: a 3-tensor Lambda_t is contracted into axis t of F,
 
-    equivariance of mu = D of mu along ad          (equivariance_defect)
-    derivation defect  = D of the bracket along mu (der_tensor)
+    D[z, ..a at t..] = -sum_t sum_q Lambda_t[z,a,q] F[..q at t..],
+
+and the checks differ only in the list of Lambda, one per axis of F (None
+where an axis has no term; c is the bracket, mu^T is mu with its last two
+axes swapped):
+
+    D_Z F of a vector-valued F along mu     mu, .., mu, -mu^T  (covariant_derivative)
+    D_Z g of the metric, scalar-valued      mu, mu             (parallel_metric_defect)
+    equivariance of mu = D_W mu along ad    c, c, -c^T         (equivariance_defect)
+    derivation defect = D_Z c along mu      mu, mu, -mu^T      (derivation_defect)
+    curvature R[x,y,z,k] of mu, F = mu      c, mu, -mu^T       (flatness_defect)
 
 The battery paths hold no d^4 array: `ricci_matrix` and `ricci_skew_path`
-contract mu directly, and `flatness_defect` reduces the derivative block by
-block over its leading Z axis, `_BLOCK_ENTRIES` entries at a time.  The
-equivariance, derivation and parallel defects share one reduction,
-`_max_derivative`, with two paths.  The dense path reduces the same blocks
-of `covariant_derivative`.  The sparse path joins the exact nonzeros of
-Lambda and F on the contracted index into (entry code, product) pairs and
-sums the pairs per entry, so structure constants and the Laquer maps, which
-are over 99 % zeros, never meet the zeros.  The sparse path runs when its
-exact product count is below the derivative's entry count and no Z row
-needs more than `_BLOCK_PRODUCTS` products; a dense map keeps the dense
-path.  `build_algebra` refuses a size whose largest array would exceed
-`MAX_ARRAY_BYTES`.  The 4-index `curvature`, `der_tensor` and `c_tensor`
-remain for small algebras and as test oracles.
+contract mu directly, and the defects share one reduction,
+`_max_derivative`, with two paths.  The dense path reduces blocks of the
+derivative over its leading Z axis, `_BLOCK_ENTRIES` entries at a time.
+The sparse path joins the exact nonzeros of each Lambda and F on the
+contracted index into (entry code, product) pairs and sums the pairs per
+entry, so structure constants and the Laquer maps, which are over 99 %
+zeros, never meet the zeros.  The sparse path runs when its exact product
+count is below the derivative's entry count and no Z row needs more than
+`_BLOCK_PRODUCTS` products; a dense map keeps the dense path.
+`build_algebra` refuses a size whose largest array would exceed
+`MAX_ARRAY_BYTES`.  The 4-index `curvature` remains for small algebras and
+as a test oracle.
 """
 
 from __future__ import annotations
@@ -179,8 +186,8 @@ def _largest_array_bytes(d: int, n: int) -> int:
     """Bytes of the largest array that building a d-dimensional algebra of
     n x n matrices and running its batteries allocate: the complex products
     of all basis pairs, (d, d, n, n), or one block of a derivative: at
-    least a d^3 slice of float64 on the dense path, and arrays of
-    _BLOCK_PRODUCTS 8-byte entries on the sparse path."""
+    least a d^3 slice of float64 on the dense path, and on the sparse path
+    _BLOCK_PRODUCTS products or the d^3 nonzeros of a Lambda, 8 bytes each."""
     return max(16 * d * d * n * n, 8 * max(_BLOCK_ENTRIES, d ** 3))
 
 
@@ -278,7 +285,7 @@ def vectorial_metric_map(alg: MatrixAlgebra, maps: dict | None = None) -> np.nda
 def equivariance_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
     """Max norm of mu([W,X],Y) + mu(X,[W,Y]) - [W, mu(X,Y)] over basis triples:
     the derivative of mu along ad W."""
-    return _max_derivative(alg, alg.bracket, mu, _max_slot_norm)
+    return _max_derivative(alg, _along(alg.bracket, 3), mu, _max_slot_norm)
 
 
 def _max_slot_norm(t: np.ndarray) -> float:
@@ -290,44 +297,57 @@ def _max_abs(t: np.ndarray) -> float:
     return float(np.abs(t).max())
 
 
-def _row_blocks(d: int, slice_size: int) -> list[slice]:
-    """Blocks of a leading axis of extent d whose slices hold slice_size
-    entries each: _BLOCK_ENTRIES entries per block, or one slice if more."""
-    step = max(1, _BLOCK_ENTRIES // slice_size)
-    return [slice(i, i + step) for i in range(0, d, step)]
+def _max_derivative(alg: MatrixAlgebra, lams: list, f: np.ndarray, reduce) -> float:
+    """Max of reduce (`_max_abs` or `_max_slot_norm`) over the derivative
+    `_derivative(lams, F)`, by one of two paths with the same result.
 
-
-def _max_derivative(alg: MatrixAlgebra, lam: np.ndarray, f: np.ndarray, reduce) -> float:
-    """Max of reduce (`_max_abs` or `_max_slot_norm`) over the derivative of
-    F along Lambda(Z) = lam[z], by one of two paths with the same result.
-
-    The dense path reduces blocks of `covariant_derivative`, _BLOCK_ENTRIES
-    entries at a time.  The sparse path (`_sparse_derivative`) forms one
-    product per pair of exact nonzeros of lam and F that meet on a
-    contracted index, sums the products that land on one entry, and reduces
-    the entries they reach; an empty derivative gives 0.0.  The sparse path
-    runs when it forms fewer products than the derivative has entries and no
-    Z row alone needs more than _BLOCK_PRODUCTS of them.  Both counts are
-    exact (`_products_per_row`) and taken before any product is formed; the
-    entry codes are int64, and d^(F.ndim + 1) < 2^62 is checked.  Structure
-    constants and the Laquer maps take the sparse path, and a dense map
-    keeps the dense one.
+    The dense path reduces blocks of rows of Z, _BLOCK_ENTRIES entries at a
+    time.  The sparse path (`_sparse_derivative`) sums the products of the
+    exact nonzeros of a Lambda and F that meet on a contracted index per
+    entry, and reduces the entries they reach; an empty derivative gives
+    0.0.  It runs when it forms fewer products than the derivative has
+    entries and no Z row alone needs more than _BLOCK_PRODUCTS of them.
+    Both counts are exact (`_products_per_row`) and taken before any product
+    is formed; the entry codes are int64, and d^(F.ndim + 1) < 2^62 is
+    checked.  Structure constants and the Laquer maps take the sparse path,
+    and a dense map keeps the dense one.
     """
     d = alg.dim
-    if f.ndim < 2 or f.shape != (d,) * f.ndim or lam.shape != (d, d, d):
+    if f.shape != (d,) * f.ndim or len(lams) != f.ndim or any(
+            lam is not None and lam.shape != (d, d, d) for lam in lams):
         raise TensorShapeError("tensor shape does not match the algebra dimension")
     _code_strides(d, f.ndim)
-    rows = _products_per_row(lam, f)
-    if rows.sum() < lam.shape[0] * f.size and rows.max() <= _BLOCK_PRODUCTS:
-        return max((_reduce_sparse(*block, d, reduce) for block in _sparse_derivative(lam, f, rows)),
+    rows = _products_per_row(lams, f)
+    if rows.sum() < d * f.size and rows.max() <= _BLOCK_PRODUCTS:
+        return max((_reduce_sparse(*block, d, reduce) for block in _sparse_derivative(lams, f, rows)),
                    default=0.0)
-    return _max_dense_derivative(alg, lam, f, reduce)
+    return _max_dense_derivative(alg, lams, f, reduce)
 
 
-def _max_dense_derivative(alg: MatrixAlgebra, lam: np.ndarray, f: np.ndarray, reduce) -> float:
-    """The dense path of `_max_derivative`: reduce blocks of rows of Z."""
-    return max(reduce(covariant_derivative(alg, lam[rows], f))
-               for rows in _row_blocks(alg.dim, f.size))
+def _max_dense_derivative(alg: MatrixAlgebra, lams: list, f: np.ndarray, reduce) -> float:
+    """The dense path of `_max_derivative`: reduce blocks of rows of Z,
+    _BLOCK_ENTRIES entries per block, or one row if more."""
+    step = max(1, _BLOCK_ENTRIES // f.size)
+    return max(reduce(_derivative([None if lam is None else lam[z:z + step] for lam in lams], f))
+               for z in range(0, alg.dim, step))
+
+
+def _along(mu: np.ndarray, ndim: int) -> list:
+    """The Lambda of each axis for the derivative of a vector-valued F
+    with ndim axes along mu: mu on every slot, -mu^T on the output axis,
+    laid out in C order, which the nonzero scans and tensordots read fastest."""
+    return [mu] * (ndim - 1) + [np.negative(np.swapaxes(mu, 1, 2), order="C")]
+
+
+def _derivative(lams: list, f: np.ndarray) -> np.ndarray:
+    """D[z, ..a at t..] = -sum_t sum_q lams[t][z,a,q] F[..q at t..], dense: one
+    tensordot per axis whose Lambda is not None, moved into the output's
+    layout and subtracted in place, so at most two such arrays are alive."""
+    out = np.zeros((len(next(lam for lam in lams if lam is not None)),) + f.shape)
+    for t, lam in enumerate(lams):
+        if lam is not None:
+            out -= np.moveaxis(np.tensordot(lam, f, axes=([2], [t])), 1, t + 1)
+    return out
 
 
 # Products of one block of the sparse path.  Summing its duplicates holds
@@ -345,64 +365,58 @@ def _code_strides(d: int, ndim: int) -> list[int]:
     return [d ** (ndim - 1 - axis) for axis in range(ndim)]
 
 
-def _products_per_row(lam: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _products_per_row(lams: list, f: np.ndarray) -> np.ndarray:
     """Exact count of the products the sparse path forms for each Z row.
 
-    The term Lambda(Z) F joins lam[z,q,:] with the nonzeros of F whose last
-    index is q, and each slot term joins lam[z,:,q] with those whose index
-    in that slot is q; so counts of nonzeros per q give every count."""
+    The term of axis t joins lams[t][z,:,q] with the nonzeros of F whose
+    index on axis t is q, so counts of nonzeros per q give every count."""
     nz = f != 0
-    per_q = [np.count_nonzero(nz, axis=tuple(a for a in range(f.ndim) if a != axis))
-             for axis in range(f.ndim)]
-    del nz
-    nz = lam != 0
-    return np.count_nonzero(nz, axis=2) @ per_q[-1] + np.count_nonzero(nz, axis=1) @ sum(per_q[:-1])
+    return sum(np.count_nonzero(lam != 0, axis=1)
+               @ np.count_nonzero(nz, axis=tuple(a for a in range(f.ndim) if a != t))
+               for t, lam in enumerate(lams) if lam is not None)
 
 
-def _sparse_derivative(lam: np.ndarray, f: np.ndarray, rows: np.ndarray):
-    """The derivative of F along lam as (codes, values) blocks over runs of
-    Z rows: the flat codes of its reachable entries, sorted and distinct, and
-    their values; entries no code names are zero.  `rows` is
-    `_products_per_row`, and a block holds at most _BLOCK_PRODUCTS products,
-    or one row.  Blocks without products are left out.
+def _sparse_derivative(lams: list, f: np.ndarray, rows: np.ndarray):
+    """`_derivative(lams, F)` as (codes, values) blocks over runs of Z rows:
+    the flat codes of its reachable entries, sorted and distinct, and their
+    values; entries no code names are zero.  `rows` is `_products_per_row`,
+    and a block holds at most _BLOCK_PRODUCTS products, or one row.  Blocks
+    without products are left out.
 
-    Each term of `covariant_derivative` is a join of nonzeros on the
-    contracted index q.  For F's axis with code stride s, the nonzeros of F
-    are grouped by their index q on that axis; an entry lam[z,a,b] meets
-    every nonzero in group q = a of the last axis (s = 1), giving
-    +lam * F at code z d^m + (F's code - q) + b, and every nonzero in group
-    q = b of a slot axis, giving -lam * F at code z d^m + (F's code - q s)
-    + a s.  Products that share a code are summed.
+    The term of F's axis t, with code stride s, groups the nonzeros of F by
+    their index q on that axis; an entry lam[z,a,q] meets every nonzero in
+    group q, giving -lam * F at code z d^m + (F's code - q s) + a s.
+    Products that share a code are summed.
     """
-    d, m = lam.shape[1], f.ndim
-    strides = _code_strides(d, m)
+    d, m = f.shape[0], f.ndim
     flat = f.reshape(-1)
-    f_codes = np.flatnonzero(flat)
+    f_codes = np.flatnonzero(flat != 0)
     f_vals = flat[f_codes]
-    groups = []  # per F axis: group starts, codes less q s, values; sorted by q
-    for s in strides:
+    terms = []  # per axis with a Lambda: F's groups, and Lambda's q, codes, values, row starts
+    for lam, s in zip(lams, _code_strides(d, m)):
+        if lam is None:
+            continue
         q = f_codes // s % d
         order = np.argsort(q, kind="stable")
         starts = np.zeros(d + 1, dtype=np.int64)
         np.cumsum(np.bincount(q, minlength=d), out=starts[1:])
-        groups.append((starts, (f_codes - q * s)[order], f_vals[order]))
+        group = (starts, (f_codes - q * s)[order], f_vals[order])
+        k = np.flatnonzero(lam != 0)  # far faster than np.nonzero(lam)
+        z, a, q = k // (d * d), k // d % d, k % d
+        terms.append((group, q, z * d ** m + a * s, -lam.reshape(-1)[k],
+                      np.searchsorted(z, np.arange(len(rows) + 1))))
     del f_codes, f_vals
-    z, a, b = np.nonzero(lam)
-    lam_vals = lam[z, a, b]
-    z_codes = z * d ** m
-    row_starts = np.searchsorted(z, np.arange(len(lam) + 1))
     bounds = np.concatenate(([0], np.cumsum(rows)))  # products before each row
     z0 = 0
-    while z0 < len(lam):
+    while z0 < len(rows):
         z1 = max(z0 + 1, int(np.searchsorted(bounds, bounds[z0] + _BLOCK_PRODUCTS, "right")) - 1)
         size = int(bounds[z1] - bounds[z0])
         if size:
-            e = slice(row_starts[z0], row_starts[z1])
             codes, vals = np.empty(size, dtype=np.int64), np.empty(size)
-            # The term Lambda(Z) F: F's last axis (s = 1) with q = a.
-            at = _join(groups[-1], a[e], z_codes[e] + b[e], lam_vals[e], codes, vals, 0)
-            for g, s in zip(groups[:-1], strides[:-1]):
-                at = _join(g, b[e], z_codes[e] + a[e] * s, -lam_vals[e], codes, vals, at)
+            at = 0
+            for group, q, lam_codes, lam_vals, row_starts in terms:
+                e = slice(row_starts[z0], row_starts[z1])
+                at = _join(group, q[e], lam_codes[e], lam_vals[e], codes, vals, at)
             yield _sum_duplicates(codes, vals)
         z0 = z1
 
@@ -458,6 +472,12 @@ def is_equivariant(alg: MatrixAlgebra, mu: np.ndarray, tol: float = DEFAULT_TOL)
 def metric_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
     """Max of |<mu(X,Y),Z> + <mu(X,Z),Y>|: skewness of every Lambda(X)."""
     return float(np.abs(mu + np.transpose(mu, (0, 2, 1))).max())
+
+
+def parallel_metric_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
+    """Max |(D_Z g)(X,Y)| = |<Lambda(Z)X,Y> + <X,Lambda(Z)Y>| of the metric g = Id:
+    the scalar-valued derivative, slot terms only."""
+    return _max_derivative(alg, [mu, mu], np.eye(alg.dim), _max_abs)
 
 
 def is_metric(alg: MatrixAlgebra, mu: np.ndarray, tol: float = DEFAULT_TOL):
@@ -606,15 +626,9 @@ def ricci_matrix(alg: MatrixAlgebra, mu: np.ndarray) -> np.ndarray:
 
 
 def flatness_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
-    """Max |R[x,y,z,k]|, block by block over X through
-
-        R(X,Y)Z = (D_X mu)(Y,Z) + mu(mu(X,Y) - [X,Y], Z),
-
-    so no d^4 array is formed."""
-    diff = mu - alg.bracket
-    return max(_max_abs(covariant_derivative(alg, mu[rows], mu)
-                        + np.tensordot(diff[rows], mu, axes=([2], [0])))
-               for rows in _row_blocks(alg.dim, mu.size))
+    """Max |R[x,y,z,k]| without the d^4 array: R is the join on F = mu with
+    the bracket on its first axis and mu, -mu^T on the other two."""
+    return _max_derivative(alg, [alg.bracket, *_along(mu, 2)], mu, _max_abs)
 
 
 @dataclasses.dataclass
@@ -700,20 +714,14 @@ def vectorial_ricci(alg: MatrixAlgebra, xi: np.ndarray) -> np.ndarray:
 # Derivations and covariant derivatives
 # ---------------------------------------------------------------------------
 
-def der_tensor(alg: MatrixAlgebra, mu: np.ndarray) -> np.ndarray:
-    """der(X,Y;Z) = mu(Z,[X,Y]) - [mu(Z,X),Y] - [X,mu(Z,Y)], as der[x,y,z,k]:
-    the derivative of the bracket along Lambda(Z)."""
-    return np.moveaxis(covariant_derivative(alg, mu, alg.bracket), 0, 2)
-
-
 def derivation_defect(alg: MatrixAlgebra, mu: np.ndarray) -> float:
-    """Max norm of der(X,Y;Z) over basis triples, without the d^4 tensor."""
-    return _max_derivative(alg, mu, alg.bracket, _max_slot_norm)
+    """Max norm of mu(Z,[X,Y]) - [mu(Z,X),Y] - [X,mu(Z,Y)] over basis triples."""
+    return _max_derivative(alg, _along(mu, 3), alg.bracket, _max_slot_norm)
 
 
 def parallel_defect(alg: MatrixAlgebra, mu: np.ndarray, f: np.ndarray) -> float:
     """Max |(D_Z F)| over every entry: zero exactly when F is parallel for mu."""
-    return _max_derivative(alg, mu, f, _max_abs)
+    return _max_derivative(alg, _along(mu, f.ndim), f, _max_abs)
 
 
 def covariant_derivative(alg: MatrixAlgebra, mu: np.ndarray, f: np.ndarray,
@@ -725,56 +733,10 @@ def covariant_derivative(alg: MatrixAlgebra, mu: np.ndarray, f: np.ndarray,
         (D_Z F)(X_1..X_p) = Lambda(Z) F(X_1..X_p) - sum_i F(.., Lambda(Z) X_i, ..)
 
     and for a scalar-valued form only the slot terms appear.  The result
-    gains a leading Z axis with one entry per row of mu, so rows z0..z1 of
-    mu give that block of the derivative.  Each term is one batched matrix
-    product that comes out in the output's layout and is subtracted in
-    place, so at most two arrays of the output's size are alive at once.
+    gains a leading Z axis with one entry per row of mu: `_derivative` with
+    mu on every slot and, for a vector-valued F, -mu^T on its last axis.
     """
     d = alg.dim
-    p = f.ndim - (1 if vector_valued else 0)
-    if f.shape != (d,) * f.ndim or p < 1 or mu.shape[1:] != (d, d):
+    if f.shape != (d,) * f.ndim or f.ndim < 1 + vector_valued or mu.shape[1:] != (d, d):
         raise TensorShapeError("tensor shape does not match the algebra dimension")
-    shape = (len(mu),) + f.shape
-    if vector_valued:
-        # f[x..,q] mu[z,q,k] comes out as [z,x..,k]
-        out = np.matmul(f.reshape(1, -1, d), mu).reshape(shape)
-    else:
-        out = np.zeros(shape)
-    for slot in range(p):
-        # mu[z,x,q] f[a,q,b] comes out as [z,a,x,b]: x is back in its slot
-        out -= np.matmul(mu[:, None], f.reshape(d ** slot, d, -1)[None]).reshape(shape)
-    return out
-
-
-def c_tensor(alg: MatrixAlgebra, mu: np.ndarray) -> np.ndarray:
-    """C(X,Y;Z) = (D_Z mu)(X,Y) - (D_Z mu)(Y,X), as C[x,y,z,k]."""
-    dmu = covariant_derivative(alg, mu, mu)  # dmu[z,x,y,k]
-    return np.transpose(dmu, (1, 2, 0, 3)) - np.transpose(dmu, (2, 1, 0, 3))
-
-
-def u_tensor(alg: MatrixAlgebra) -> np.ndarray:
-    """Symmetric map with 2<U(X,Y),Z> = <[Z,X],Y> + <X,[Z,Y]>; zero exactly
-    when the declared inner product is naturally reductive for the bracket."""
-    br = alg.bracket
-    return 0.5 * (np.transpose(br, (1, 2, 0)) + np.transpose(br, (2, 1, 0)))
-
-
-# ---------------------------------------------------------------------------
-# Seeded random tensors for property suites
-# ---------------------------------------------------------------------------
-
-def random_a_tensor(d: int, rng: np.random.Generator) -> np.ndarray:
-    raw = rng.standard_normal((d, d, d))
-    return 0.5 * (raw - np.transpose(raw, (0, 2, 1)))
-
-
-def random_torsion_tensor(d: int, rng: np.random.Generator) -> np.ndarray:
-    raw = rng.standard_normal((d, d, d))
-    return 0.5 * (raw - np.transpose(raw, (1, 0, 2)))
-
-
-def random_bilinear(d: int, rng: np.random.Generator, skew: bool = False) -> np.ndarray:
-    raw = rng.standard_normal((d, d, d))
-    if skew:
-        return 0.5 * (raw - np.transpose(raw, (1, 0, 2)))
-    return raw
+    return _derivative(_along(mu, f.ndim) if vector_valued else [mu] * f.ndim, f)

@@ -168,19 +168,23 @@ def _row_from_json(rec: dict) -> IsotropyDatum:
         if rec.get("expected"):
             e = rec["expected"]
             expected = Expected(int(e["a"]), int(e["s"]), int(e["N"]), int(e["l"]), e["type"])
+            if expected.rep_type not in ("r", "c"):
+                raise CatalogError(f"expected type {expected.rep_type!r} is neither 'r' nor 'c'")
         alt = rec.get("alt_constituents")
         altc = _summands(factors, alt) if alt else None
         rs = RootSystem(factors)
         for module in (constituents, altc) if altc else (constituents,):
             duality_type(rs, module)
         fam = rec.get("family") or {}
+        if not isinstance(fam, dict) or not isinstance(fam.get("params") or {}, dict):
+            raise CatalogError("'family' must be an object whose 'params' is an object")
         return IsotropyDatum(
             id=rec["id"], ambient=ambient, factors=factors, constituents=constituents,
             expected=expected, source=rec.get("source", ""),
             family=fam.get("key"), params=tuple(sorted((fam.get("params") or {}).items())),
             alt_constituents=altc, note=rec.get("note", ""))
     except (KeyError, TypeError, ValueError) as exc:
-        raise CatalogError(f"bad catalog record {rec.get('id', '?')!r}: {exc}") from exc
+        raise CatalogError(f"bad catalog record {rec['id']!r}: {exc}") from exc
 
 
 def load_catalog(path: str | None = None) -> list[IsotropyDatum]:
@@ -202,8 +206,11 @@ def _bundled_catalog() -> tuple[IsotropyDatum, ...]:
 
 def _parse_catalog(text: str) -> list[IsotropyDatum]:
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "rows" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
         raise CatalogError("catalog file must be an object with a 'rows' list")
+    for i, rec in enumerate(doc["rows"]):
+        if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
+            raise CatalogError(f"bad catalog record rows[{i}]: not an object with a string 'id'")
     rows = [_row_from_json(rec) for rec in doc["rows"]]
     ids = [r.id for r in rows]
     if len(set(ids)) != len(ids):

@@ -1,7 +1,48 @@
 import numpy as np
 import pytest
 
+from invconn import conncalc as cc
 from invconn.chars import Character
+
+
+# ---------------------------------------------------------------------------
+# d^4 oracles and seeded random tensors for the connection calculus
+# ---------------------------------------------------------------------------
+
+def der_tensor(alg, mu):
+    """der(X,Y;Z) = mu(Z,[X,Y]) - [mu(Z,X),Y] - [X,mu(Z,Y)], as der[x,y,z,k]:
+    the derivative of the bracket along Lambda(Z)."""
+    return np.moveaxis(cc.covariant_derivative(alg, mu, alg.bracket), 0, 2)
+
+
+def c_tensor(alg, mu):
+    """C(X,Y;Z) = (D_Z mu)(X,Y) - (D_Z mu)(Y,X), as C[x,y,z,k]."""
+    dmu = cc.covariant_derivative(alg, mu, mu)  # dmu[z,x,y,k]
+    return np.transpose(dmu, (1, 2, 0, 3)) - np.transpose(dmu, (2, 1, 0, 3))
+
+
+def u_tensor(alg):
+    """Symmetric map with 2<U(X,Y),Z> = <[Z,X],Y> + <X,[Z,Y]>; zero exactly
+    when the declared inner product is naturally reductive for the bracket."""
+    br = alg.bracket
+    return 0.5 * (np.transpose(br, (1, 2, 0)) + np.transpose(br, (2, 1, 0)))
+
+
+def random_a_tensor(d, rng):
+    raw = rng.standard_normal((d, d, d))
+    return 0.5 * (raw - np.transpose(raw, (0, 2, 1)))
+
+
+def random_torsion_tensor(d, rng):
+    raw = rng.standard_normal((d, d, d))
+    return 0.5 * (raw - np.transpose(raw, (1, 0, 2)))
+
+
+def random_bilinear(d, rng, skew=False):
+    raw = rng.standard_normal((d, d, d))
+    if skew:
+        return 0.5 * (raw - np.transpose(raw, (1, 0, 2)))
+    return raw
 
 
 def _matrix_reference(alg, mu):

@@ -32,6 +32,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import c_tensor, der_tensor, random_a_tensor, random_bilinear, random_torsion_tensor
 
 from invconn import conncalc as cc
 from invconn.chars import (PlethysmOps, alt2, alt3, decompose, expand,
@@ -367,7 +368,7 @@ def test_c8_projector_suite():
     rng = np.random.default_rng(SEED)
     for d in (4, 5):
         for _ in range(100):
-            a = cc.random_a_tensor(d, rng)
+            a = random_a_tensor(d, rng)
             dec = cc.classify_type(a)
             assert np.abs(dec.reassembled() - a).max() < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a2, axes=3)) < 1e-9
@@ -405,7 +406,7 @@ def test_c8_torsion_round_trip():
     worst = 0.0
     for d in (4, 5):
         for _ in range(100):
-            t = cc.random_torsion_tensor(d, rng)
+            t = random_torsion_tensor(d, rng)
             worst = max(worst, float(np.abs(cc.torsion_from_a(cc.a_from_torsion(t)) - t).max()))
     gate("criterion 8: torsion <-> difference tensor round trip", worst < 1e-10,
          f"worst={worst:.2e}")
@@ -422,7 +423,7 @@ def test_c9_derivation_suite():
     ok = (cc.derivation_defect(su3, su3.bracket) < 1e-12
           and cc.derivation_defect(u3, np.zeros((9, 9, 9))) < 1e-14
           and cc.derivation_defect(u3, maps["mu4"] - maps["mu5"]) > TOL
-          and np.abs(cc.c_tensor(u3, maps["theta"])).max() < 1e-12)
+          and np.abs(c_tensor(u3, maps["theta"])).max() < 1e-12)
     gate("criterion 9: derivation defects (ad, zero, mu4-mu5) and symmetric C", ok)
 
 
@@ -431,12 +432,12 @@ def test_c9_derivative_identities_random(matrix_reference):
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(10):
-        mu = cc.random_bilinear(8, rng)
+        mu = random_bilinear(8, rng)
         der, _ = matrix_reference(su3, mu)
-        worst = max(worst, float(np.abs(cc.der_tensor(su3, mu) - der).max()))
+        worst = max(worst, float(np.abs(der_tensor(su3, mu) - der).max()))
         t = cc.torsion(su3, mu)
         lhs = cc.covariant_derivative(su3, mu, t) - cc.covariant_derivative(su3, mu, -su3.bracket)
         worst = max(worst, float(np.abs(np.transpose(lhs, (1, 2, 0, 3))
-                                        - cc.c_tensor(su3, mu)).max()))
+                                        - c_tensor(su3, mu)).max()))
     gate("criterion 9: derivative identities on random maps", worst < TOL,
          f"worst={worst:.2e}")

@@ -158,6 +158,68 @@ def test_einstein_center_value_has_no_signed_zero(capsys, algebra, alphas):
     assert all("Ricci-flat: 0.000 vs" in name for name in names)
 
 
+def _battery_shape(capsys, *argv):
+    """Each check of a battery run as 'PASS name', 'FAIL name' or 'ERRATUM
+    name' (a failure flagged as a known upstream data error)."""
+    _, out, _ = run(capsys, "--format", "json", *argv)
+    return [f"{'PASS' if c['passed'] else 'ERRATUM' if c['known_upstream_issue'] else 'FAIL'} {c['name']}"
+            for c in json.loads(out)["checks"]]
+
+
+UN_SHAPE = [
+    "PASS mu1..mu6 equivariant",
+    "PASS mu4 - mu5 metric",
+    "PASS nu = mu3 - mu4 not metric",
+    "PASS theta = mu3 + mu4 not metric",
+    "PASS metricity == Lambda-skewness == parallel metric",
+    "PASS torsion of mu4 - mu5 is -nu - [.,.]",
+    "PASS vectorial member: difference tensor pure trace type",
+    "PASS vectorial member: phi(Z) = -i tr Z",
+    "PASS vectorial member: trace-type condition holds, trace vector nonzero",
+    "PASS vectorial member: sum_i mu(e_i, e_i) = i (n^2 - 1) Id",
+    "PASS bracket family: skew and traceless",
+    "PASS calibration Ric(LC) = -B/4",
+    "PASS two-path Ricci agreement (direct curvature vs trace-type formula)",
+    "ERRATUM Ricci equals the published u(n) closed form",
+]
+UN_ERRATA = {3: ["ERRATUM n=3: Ricci positive on 1000 random directions"],
+             4: ["ERRATUM n=4: Ricci equals -(3/2) trX trY"]}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_un_battery_shape(capsys, n):
+    expect = UN_SHAPE + UN_ERRATA.get(n, []) + ["PASS mu4 - mu5 is not a derivation"]
+    assert _battery_shape(capsys, "verify-un", str(n)) == expect
+
+
+SIMPLE_EINSTEIN_SHAPE = [
+    "PASS alpha=-1: parallel torsion", "PASS alpha=-1: flat connection", "PASS alpha=-1: Einstein",
+    "PASS alpha=0.5: parallel torsion", "PASS alpha=0.5: Einstein",
+    "PASS alpha=1: parallel torsion", "PASS alpha=1: flat connection", "PASS alpha=1: Einstein",
+    "PASS alpha=2: parallel torsion", "PASS alpha=2: Einstein",
+]
+EINSTEIN_SHAPE = {
+    "su3": SIMPLE_EINSTEIN_SHAPE,
+    "so5": SIMPLE_EINSTEIN_SHAPE,
+    "u3": [
+        "PASS alpha=-1: parallel torsion", "PASS alpha=-1: flat connection",
+        "PASS alpha=-1: Einstein (flat)",
+        "PASS alpha=0.5: parallel torsion",
+        "PASS alpha=0.5: not Einstein (center direction is Ricci-flat: 0.000 vs Einstein constant 1.000)",
+        "PASS alpha=1: parallel torsion", "PASS alpha=1: flat connection",
+        "PASS alpha=1: Einstein (flat)",
+        "PASS alpha=2: parallel torsion",
+        "PASS alpha=2: not Einstein (center direction is Ricci-flat: 0.000 vs Einstein constant -4.000)",
+    ],
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(EINSTEIN_SHAPE))
+def test_einstein_battery_shape(capsys, algebra):
+    shape = _battery_shape(capsys, "einstein", algebra, "--alphas=-1,0.5,1,2")
+    assert shape == EINSTEIN_SHAPE[algebra]
+
+
 def test_catalog_dump(capsys):
     code, out, _ = run(capsys, "catalog-dump")
     assert code == 0
@@ -181,8 +243,12 @@ SO7_G2 = {"id": "SO7/G2", "ambient": {"series": "SO", "n": 7}, "factors": [["G",
 
 
 def _catalog_file(tmp_path, **changes):
+    return _catalog_doc(tmp_path, {"version": 1, "rows": [dict(SO7_G2, **changes)]})
+
+
+def _catalog_doc(tmp_path, doc):
     path = tmp_path / "catalog.json"
-    path.write_text(json.dumps({"version": 1, "rows": [dict(SO7_G2, **changes)]}))
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -200,6 +266,16 @@ BAD_INPUTS = {
         "catalog-dump", "--catalog", _catalog_file(tmp, ambient={"series": "XX", "n": 7})],
     "catalog module with a repeated constituent": lambda tmp: [
         "catalog-dump", "--catalog", _catalog_file(tmp, constituents=[[[3, 0]], [[3, 0]]])],
+    "catalog row that is not an object": lambda tmp: [
+        "table", "--catalog", _catalog_doc(tmp, {"rows": [1]})],
+    "catalog rows that are not a list": lambda tmp: [
+        "table", "--catalog", _catalog_doc(tmp, {"rows": 5})],
+    "catalog family that is not an object": lambda tmp: [
+        "table", "--catalog", _catalog_file(tmp, family=3)],
+    "catalog row with a list id": lambda tmp: [
+        "table", "--catalog", _catalog_file(tmp, id=["SO7/G2"])],
+    "catalog expected type other than r or c": lambda tmp: [
+        "catalog-dump", "--catalog", _catalog_file(tmp, expected=dict(SO7_G2["expected"], type="q"))],
     "einstein su1": lambda tmp: ["einstein", "su1"],
     "einstein non-numeric alphas": lambda tmp: ["einstein", "su3", "--alphas", "a,b"],
     "einstein over the size limit": lambda tmp: ["einstein", "su40"],

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import (c_tensor, der_tensor, random_a_tensor, random_bilinear, random_torsion_tensor,
+                      u_tensor)
 
 from invconn import conncalc as cc
 
@@ -75,7 +77,7 @@ def test_equivariance(u3, laquer):
     ok, _ = cc.is_equivariant(u3, np.zeros((9, 9, 9)))
     assert ok
     rng = np.random.default_rng(2)
-    ok, defect = cc.is_equivariant(u3, cc.random_bilinear(9, rng))
+    ok, defect = cc.is_equivariant(u3, random_bilinear(9, rng))
     assert not ok and defect > 0.1
 
 
@@ -90,6 +92,7 @@ def test_metricity(u3, laquer):
         by_defect = cc.metric_defect(u3, mu) < TOL
         dg = cc.covariant_derivative(u3, mu, eye, vector_valued=False)
         assert by_defect == (np.abs(dg).max() < TOL), key
+        assert _close(cc.parallel_metric_defect(u3, mu), np.abs(dg).max()), key
 
 
 def test_symmetric_map_on_sun_is_not_metric(su3):
@@ -145,7 +148,7 @@ def test_projector_suite_random():
     rng = np.random.default_rng(42)
     for d in (4, 5):
         for _ in range(100):
-            a = cc.random_a_tensor(d, rng)
+            a = random_a_tensor(d, rng)
             dec = cc.classify_type(a)
             assert np.abs(dec.reassembled() - a).max() < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a2, axes=3)) < 1e-9
@@ -183,9 +186,9 @@ def test_torsion_a_round_trip_random():
     rng = np.random.default_rng(7)
     for d in (4, 5):
         for _ in range(50):
-            t = cc.random_torsion_tensor(d, rng)
+            t = random_torsion_tensor(d, rng)
             assert np.abs(cc.torsion_from_a(cc.a_from_torsion(t)) - t).max() < 1e-10
-            a = cc.random_a_tensor(d, rng)
+            a = random_a_tensor(d, rng)
             assert np.abs(cc.a_from_torsion(cc.torsion_from_a(a)) - a).max() < 1e-10
 
 
@@ -261,20 +264,20 @@ def test_derivation_examples(u3, su3, laquer):
 
 def test_covariant_derivative_identities(u3, su3, laquer, matrix_reference):
     rng = np.random.default_rng(42)
-    mu = cc.random_bilinear(8, rng)
+    mu = random_bilinear(8, rng)
     # der and the equivariance defect against commutators of matrices, for
     # random maps and the Laquer maps.
-    cases = [(su3, mu), (u3, cc.random_bilinear(9, rng))]
+    cases = [(su3, mu), (u3, random_bilinear(9, rng))]
     cases += [(u3, laquer[key]) for key in sorted(laquer)]
     for alg, m in cases:
         der, eq = matrix_reference(alg, m)
-        assert np.abs(cc.der_tensor(alg, m) - der).max() < 1e-12
+        assert np.abs(der_tensor(alg, m) - der).max() < 1e-12
         eq_max = float(np.sqrt((eq * eq).sum(axis=3)).max())
         assert abs(cc.equivariance_defect(alg, m) - eq_max) < 1e-12
     # (D_Z T) - (D_Z T^c) = C for arbitrary maps
     t = cc.torsion(su3, mu)
     lhs = cc.covariant_derivative(su3, mu, t) - cc.covariant_derivative(su3, mu, -su3.bracket)
-    assert np.abs(np.transpose(lhs, (1, 2, 0, 3)) - cc.c_tensor(su3, mu)).max() < 1e-9
+    assert np.abs(np.transpose(lhs, (1, 2, 0, 3)) - c_tensor(su3, mu)).max() < 1e-9
 
 
 def test_constructor_checks_closure(su3):
@@ -310,9 +313,9 @@ def test_rescaled_algebra_coefficients(su3, matrix_reference):
     comm = alg.bilinear_coeffs(lambda x, y: x @ y - y @ x)
     assert np.abs(comm - alg.bracket).max() < 1e-12
     # With matrix/coeffs consistent, the matrix-level reference applies too.
-    mu = cc.random_bilinear(8, rng)
+    mu = random_bilinear(8, rng)
     der, _ = matrix_reference(alg, mu)
-    assert np.abs(cc.der_tensor(alg, mu) - der).max() < 1e-10
+    assert np.abs(der_tensor(alg, mu) - der).max() < 1e-10
     with pytest.raises(cc.AlgebraError, match="linearly independent"):
         cc.MatrixAlgebra("dependent", 3, [su3.basis[0]] * 8)
 
@@ -329,25 +332,25 @@ def test_skew_map_derivative_identity(su3):
     # For skew maps: D_Z T = 2 R(Z,X)Y + 2 Lambda(Y)(Lambda(Z)X - [Z,X]) - der.
     rng = np.random.default_rng(11)
     for _ in range(5):
-        mu = cc.random_bilinear(8, rng, skew=True)
+        mu = random_bilinear(8, rng, skew=True)
         t = cc.torsion(su3, mu)
         dt = cc.covariant_derivative(su3, mu, t)  # [z,x,y,k]
         r = cc.curvature(su3, mu)
         lam_term = (np.einsum("ypq,zxp->zxyq", mu, mu)
                     - np.einsum("ypq,zxp->zxyq", mu, su3.bracket))
-        rhs = 2 * r + 2 * lam_term - np.transpose(cc.der_tensor(su3, mu), (2, 0, 1, 3))
+        rhs = 2 * r + 2 * lam_term - np.transpose(der_tensor(su3, mu), (2, 0, 1, 3))
         assert np.abs(dt - rhs).max() < 1e-9
 
 
 def test_c_tensor_examples(u3, su3, laquer):
-    assert np.abs(cc.c_tensor(u3, laquer["theta"])).max() < 1e-12  # symmetric map
-    assert np.abs(cc.c_tensor(su3, su3.bracket)).max() < 1e-11  # twice the Jacobiator
+    assert np.abs(c_tensor(u3, laquer["theta"])).max() < 1e-12  # symmetric map
+    assert np.abs(c_tensor(su3, su3.bracket)).max() < 1e-11  # twice the Jacobiator
     rng = np.random.default_rng(5)
-    mu = cc.random_bilinear(8, rng, skew=True)
+    mu = random_bilinear(8, rng, skew=True)
     cyc = (np.einsum("yzp,xpk->xyzk", mu, mu)
            + np.einsum("zxp,ypk->xyzk", mu, mu)
            + np.einsum("xyp,zpk->xyzk", mu, mu))
-    assert np.abs(cc.c_tensor(su3, mu) - 2 * cyc).max() < 1e-10
+    assert np.abs(c_tensor(su3, mu) - 2 * cyc).max() < 1e-10
 
 
 def test_parallel_torsion_of_bracket_family(su3):
@@ -359,17 +362,17 @@ def test_parallel_torsion_of_bracket_family(su3):
 
 
 def test_u_tensor(u3):
-    assert np.abs(cc.u_tensor(u3)).max() < 1e-14
+    assert np.abs(u_tensor(u3)).max() < 1e-14
     su2 = cc.build_algebra("su", 2)
-    assert np.abs(cc.u_tensor(su2)).max() < 1e-14
+    assert np.abs(u_tensor(su2)).max() < 1e-14
     skewed = cc.rescaled_algebra(su2, [2.0, 1.0, 1.0])
-    assert np.abs(cc.u_tensor(skewed)).max() > 0.1
-    u = cc.u_tensor(skewed)
+    assert np.abs(u_tensor(skewed)).max() > 0.1
+    u = u_tensor(skewed)
     assert np.abs(u - np.transpose(u, (1, 0, 2))).max() < 1e-14  # symmetric
     # abelian algebra: every bracket vanishes, hence U = 0
     diag = [np.diag([1j, 0.0]), np.diag([0.0, 1j])]
     abelian = cc.MatrixAlgebra("t2", 2, diag)
-    assert np.abs(cc.u_tensor(abelian)).max() == 0.0
+    assert np.abs(u_tensor(abelian)).max() == 0.0
 
 
 def test_einstein_check(u3, su3):
@@ -412,7 +415,7 @@ def _close(a, b, rel=1e-12):
 def test_ricci_matrix_equals_the_curvature_contraction():
     rng = np.random.default_rng(21)
     for alg in _o3_algebras():
-        for mu in (cc.random_bilinear(alg.dim, rng), cc.levi_civita_map(alg)):
+        for mu in (random_bilinear(alg.dim, rng), cc.levi_civita_map(alg)):
             full = np.einsum("exye->xy", cc.curvature(alg, mu))
             assert _close(cc.ricci_matrix(alg, mu), full), alg.name
 
@@ -431,27 +434,56 @@ def test_ricci_skew_path_equals_the_derivative_trace():
         assert _close(cc.ricci_skew_path(alg, t), full), alg.name
 
 
+def _slot_only(mu, f):
+    """The scalar-valued derivative of F along mu by its slot terms alone,
+    one batched matrix product per slot: mu[z,x,q] f[a,q,b] comes out as
+    [z,a,x,b]."""
+    d = mu.shape[1]
+    out = np.zeros((len(mu),) + f.shape)
+    for slot in range(f.ndim):
+        out -= np.matmul(mu[:, None], f.reshape(d ** slot, d, -1)[None]).reshape(out.shape)
+    return out
+
+
+def _kernel_cases(alg, mu):
+    """(Lambda list, F, reduce, defect, full-tensor oracle) for every check
+    that reduces through `_max_derivative`.  The curvature and the metric
+    derivative have oracles of their own, `curvature` and `_slot_only`."""
+    t, eye = cc.torsion(alg, mu), np.eye(alg.dim)
+    cases = [(lam, f, reduce, defect, cc.covariant_derivative(alg, lam, f)) for lam, f, reduce, defect in (
+        (alg.bracket, mu, cc._max_slot_norm, cc.equivariance_defect),
+        (mu, alg.bracket, cc._max_slot_norm, cc.derivation_defect),
+        (mu, t, cc._max_abs, lambda alg, mu: cc.parallel_defect(alg, mu, t)))]
+    return [(cc._along(lam, 3), f, reduce, defect, full) for lam, f, reduce, defect, full in cases] + [
+        ([alg.bracket, mu, -np.swapaxes(mu, 1, 2)], mu, cc._max_abs, cc.flatness_defect,
+         cc.curvature(alg, mu)),
+        ([mu, mu], eye, cc._max_abs, cc.parallel_metric_defect, _slot_only(mu, eye))]
+
+
 @pytest.mark.parametrize("rows_per_block", [1, 3, None])
 def test_blocked_defects_equal_the_full_tensor(monkeypatch, rows_per_block):
     # Three rows per block leaves a partial last block for d = 8, 10 and
     # divides d = 9; None keeps the default, one block at these sizes.
     rng = np.random.default_rng(22)
+    blocks, kernel = [], cc._derivative
+    monkeypatch.setattr(cc, "_derivative", lambda lams, f: blocks.append(len(lams[0])) or kernel(lams, f))
     for alg in _o3_algebras():
         d = alg.dim
-        if rows_per_block is not None:
-            monkeypatch.setattr(cc, "_BLOCK_ENTRIES", rows_per_block * d ** 3)
-        blocks = cc._row_blocks(d, d ** 3)
-        assert len(blocks) == (1 if rows_per_block is None else -(-d // rows_per_block))
-        mu = cc.random_bilinear(d, rng)
+        rows = rows_per_block or d
+        mu = random_bilinear(d, rng)
         t = cc.torsion(alg, mu)
-        full = cc.covariant_derivative(alg, mu, t)
-        assert _close(np.concatenate([cc.covariant_derivative(alg, mu[r], t) for r in blocks]),
-                      full)
-        assert _close(cc.equivariance_defect(alg, mu),
-                      cc._max_slot_norm(cc.covariant_derivative(alg, alg.bracket, mu)))
-        assert _close(cc.derivation_defect(alg, mu), cc._max_slot_norm(cc.der_tensor(alg, mu)))
-        assert _close(cc.parallel_defect(alg, mu, t), np.abs(full).max())
-        assert _close(cc.flatness_defect(alg, mu), np.abs(cc.curvature(alg, mu)).max())
+        assert _close(np.concatenate([cc.covariant_derivative(alg, mu[z:z + rows], t)
+                                      for z in range(0, d, rows)]),
+                      cc.covariant_derivative(alg, mu, t))
+        for lams, f, reduce, defect, full in _kernel_cases(alg, mu):
+            where = (alg.name, defect.__name__)
+            if rows_per_block is not None:
+                monkeypatch.setattr(cc, "_BLOCK_ENTRIES", rows_per_block * f.size)
+            blocks.clear()
+            assert _close(cc._max_dense_derivative(alg, lams, f, reduce), reduce(full)), where
+            assert blocks == [rows] * (d // rows) + [d % rows] * (d % rows > 0), where
+            assert _close(defect(alg, mu), reduce(full)), where
+        assert _close(cc.derivation_defect(alg, mu), cc._max_slot_norm(der_tensor(alg, mu)))
         assert cc.flatness_defect(alg, alg.bracket) < 1e-12
 
 
@@ -495,16 +527,17 @@ def _sparse_algebras():
 
 def _masked(rng, d, density):
     """A random 3-tensor restricted to a random sparsity mask."""
-    return cc.random_bilinear(d, rng) * (rng.random((d, d, d)) < density)
+    return random_bilinear(d, rng) * (rng.random((d, d, d)) < density)
 
 
-def _sparse_full(lam, f):
+def _sparse_full(lams, f):
     """The full derivative rebuilt from the sparse path's (code, value) pairs."""
-    full = np.zeros(len(lam) * f.size)
-    for codes, vals in cc._sparse_derivative(lam, f, cc._products_per_row(lam, f)):
+    d = f.shape[0]
+    full = np.zeros(d * f.size)
+    for codes, vals in cc._sparse_derivative(lams, f, cc._products_per_row(lams, f)):
         assert np.all(np.diff(codes) > 0)  # sorted and distinct
         full[codes] = vals
-    return full.reshape((len(lam),) + f.shape)
+    return full.reshape((d,) + f.shape)
 
 
 def _no_dense_path(*args):
@@ -522,22 +555,30 @@ def test_sparse_path_equals_the_dense_blocks(monkeypatch):
         for density in (0.02, 0.05):
             maps[f"masked {density}"] = _masked(rng, d, density)
         for key, mu in maps.items():
-            t = cc.torsion(alg, mu)
-            for lam, f, reduce, defect in (
-                    (alg.bracket, mu, cc._max_slot_norm, cc.equivariance_defect),
-                    (mu, alg.bracket, cc._max_slot_norm, cc.derivation_defect),
-                    (mu, t, cc._max_abs, lambda alg, mu: cc.parallel_defect(alg, mu, t))):
-                where = (alg.name, key, reduce.__name__)
-                expect, full = dense(alg, lam, f, reduce), cc.covariant_derivative(alg, lam, f)
+            for lams, f, reduce, defect, full in _kernel_cases(alg, mu):
+                where = (alg.name, key, defect.__name__)
+                expect = dense(alg, lams, f, reduce)
+                assert _close(expect, reduce(full)), where
                 # The default keeps one block at these sizes; blocks of the
                 # largest row's products end inside every derivative.
-                rows = cc._products_per_row(lam, f)
+                rows = cc._products_per_row(lams, f)
                 for block in (default, int(rows.max())):
                     monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", block)
                     if block < rows.sum():
-                        assert len(list(cc._sparse_derivative(lam, f, rows))) > 1, where
+                        assert len(list(cc._sparse_derivative(lams, f, rows))) > 1, where
                     assert _close(defect(alg, mu), expect), where
-                    assert _close(_sparse_full(lam, f), full), where
+                    assert _close(_sparse_full(lams, f), full), where
+
+
+def test_flatness_of_the_bracket_takes_the_sparse_path(monkeypatch):
+    monkeypatch.setattr(cc, "_max_dense_derivative", _no_dense_path)
+    for name, n in (("su", 4), ("so", 5), ("u", 3)):
+        alg = cc.build_algebra(name, n)
+        # alpha = -1 (the bracket) and alpha = 1 (zero): flat by Jacobi, and
+        # without a single product.
+        assert cc.flatness_defect(alg, cc.bracket_family_map(alg, -1.0)) < 1e-12
+        assert cc.flatness_defect(alg, cc.bracket_family_map(alg, 1.0)) == 0.0
+        assert cc.flatness_defect(alg, cc.levi_civita_map(alg)) > 0.1
 
 
 def test_sparse_path_gives_zero_for_a_zero_derivative(monkeypatch):
@@ -549,15 +590,16 @@ def test_sparse_path_gives_zero_for_a_zero_derivative(monkeypatch):
         # No products at all: a zero map, or the flat member alpha = 1.
         assert cc.equivariance_defect(alg, zero) == 0.0
         assert cc.derivation_defect(alg, zero) == 0.0
+        assert cc.parallel_metric_defect(alg, zero) == 0.0
         flat = cc.bracket_family_map(alg, 1.0)
         assert cc.parallel_defect(alg, flat, cc.torsion(alg, flat)) == 0.0
         # Products that cancel exactly: Lambda(Z) = Id leaves a vector-valued
         # 1-form F unchanged, so D_Z F = F - F.
         ident = np.broadcast_to(np.eye(d), (d, d, d))
         f = rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.2)
-        assert cc._products_per_row(ident, f).sum() > 0
+        assert cc._products_per_row(cc._along(ident, 2), f).sum() > 0
         assert cc.parallel_defect(alg, ident, f) == 0.0
-        assert cc._max_derivative(alg, ident, f, cc._max_slot_norm) == 0.0
+        assert cc._max_derivative(alg, cc._along(ident, 2), f, cc._max_slot_norm) == 0.0
 
 
 def test_dense_maps_keep_the_dense_path(monkeypatch):
@@ -567,14 +609,17 @@ def test_dense_maps_keep_the_dense_path(monkeypatch):
     rng = np.random.default_rng(33)
     cases = []
     for alg in _sparse_algebras():
-        mu = cc.random_bilinear(alg.dim, rng)
+        mu = random_bilinear(alg.dim, rng)
         cases.append((alg, mu, cc.equivariance_defect(alg, mu), cc.derivation_defect(alg, mu),
-                      cc.parallel_defect(alg, mu, cc.torsion(alg, mu))))
+                      cc.parallel_defect(alg, mu, cc.torsion(alg, mu)), cc.flatness_defect(alg, mu),
+                      cc.parallel_metric_defect(alg, mu)))
     monkeypatch.setattr(cc, "_sparse_derivative", no_sparse_path)
-    for alg, mu, eq, der, par in cases:
+    for alg, mu, eq, der, par, flat, metric in cases:
         assert cc.equivariance_defect(alg, mu) == eq
         assert cc.derivation_defect(alg, mu) == der
         assert cc.parallel_defect(alg, mu, cc.torsion(alg, mu)) == par
+        assert cc.flatness_defect(alg, mu) == flat
+        assert cc.parallel_metric_defect(alg, mu) == metric
         assert _close(eq, cc._max_slot_norm(cc.covariant_derivative(alg, alg.bracket, mu)))
 
 
@@ -602,7 +647,7 @@ def test_sparse_path_peak_memory_is_at_most_the_dense_one():
         sparse_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        dense = cc._max_dense_derivative(alg, alg.bracket, mu1, cc._max_slot_norm)
+        dense = cc._max_dense_derivative(alg, cc._along(alg.bracket, 3), mu1, cc._max_slot_norm)
         dense_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -1,6 +1,9 @@
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invconn import siiclass
 from invconn.chars import UsageError, irrep_character, multiplicity, tensor
@@ -302,6 +305,45 @@ def test_catalog_checks_the_module_shape(tmp_path, modules, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(CatalogError, match=f"'SO8/SU3'.*{message}"):
         load_catalog(str(path))
+
+
+BUNDLED_ROWS = json.loads(resources.files("invconn.data").joinpath("catalog.json").read_text())["rows"]
+
+# Small JSON values: labels and ranks stay below 13, so no mutated row asks
+# for a large root system.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.sampled_from(["", "r", "c", "A", "G", "SU", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(
+        ["id", "series", "n", "type", "key", "params", "a"]), inner, max_size=3),
+    max_leaves=6)
+
+
+def _mutate(data, node, depth=0):
+    """A copy of node with one value at a random path below it replaced by
+    a small JSON value, or deleted."""
+    if isinstance(node, (dict, list)) and node and depth < 6 and data.draw(st.booleans()):
+        out = dict(node) if isinstance(node, dict) else list(node)
+        key = data.draw(st.sampled_from(sorted(out) if isinstance(out, dict) else range(len(out))))
+        if data.draw(st.integers(0, 5)) == 0:
+            del out[key]
+        else:
+            out[key] = _mutate(data, out[key], depth + 1)
+        return out
+    return data.draw(JSON_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_catalog_fuzz_fails_only_with_catalog_errors(data):
+    rows = data.draw(st.lists(st.sampled_from(BUNDLED_ROWS), min_size=1, max_size=2))
+    doc = _mutate(data, {"version": 1, "rows": rows})
+    try:
+        parsed = siiclass._parse_catalog(json.dumps(doc))
+    except CatalogError as exc:
+        assert str(exc)
+    else:
+        assert all(isinstance(r.id, str) and (r.expected is None or r.expected.rep_type in ("r", "c"))
+                   for r in parsed)
 
 
 def test_catalog_sweep_under_the_benchmark_cap():
