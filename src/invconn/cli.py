@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 
@@ -86,7 +87,7 @@ def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
     checks.append(Check("metricity == Lambda-skewness == parallel metric", agree))
 
     t = conncalc.torsion(alg, w)
-    terr = float(np.abs(t - (-maps["nu"] - alg.bracket)).max())
+    terr = (t - (-maps["nu"] - alg.bracket)).max_abs()
     checks.append(Check("torsion of mu4 - mu5 is -nu - [.,.]", terr < tol, _fmt(terr)))
 
     mv = conncalc.vectorial_metric_map(alg, maps)
@@ -102,7 +103,7 @@ def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
     checks.append(Check("vectorial member: trace-type condition holds, trace vector nonzero",
                         cond.vectorial and not cond.traceless,
                         f"|trace vec|={_fmt(cond.trace_vector_norm)}"))
-    trace_vec = np.einsum("iik->k", mv)
+    trace_vec = conncalc.trace_vector(mv)
     expect_trace = (n * n - 1) * alg.coeffs(1j * np.eye(n))
     terr2 = float(np.abs(trace_vec - expect_trace).max())
     checks.append(Check("vectorial member: sum_i mu(e_i, e_i) = i (n^2 - 1) Id",
@@ -220,6 +221,16 @@ def _parse_system(text: str) -> RootSystem:
             raise UsageError(f"bad root-system factor {part!r}; expected e.g. A2 or G2")
         factors.append(SimpleType(m.group(1).upper(), int(m.group(2))))
     return RootSystem(factors)
+
+
+def _parse_alphas(text: str) -> list[float]:
+    try:
+        alphas = [float(a) for a in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--alphas must be a comma-separated list of numbers, got {text!r}") from exc
+    if not all(math.isfinite(a) for a in alphas):
+        raise UsageError(f"--alphas must be finite numbers, got {text!r}")
+    return alphas
 
 
 def _parse_algebra(text: str) -> tuple[str, int]:
@@ -377,7 +388,7 @@ def cmd_verify_un(args) -> int:
 
 def cmd_einstein(args) -> int:
     name, n = _parse_algebra(args.algebra)
-    alphas = [float(a) for a in args.alphas.split(",")]
+    alphas = _parse_alphas(args.alphas)
     checks = einstein_battery(name, n, alphas, tol=args.tolerance)
     _emit(_render_checks(f"{name}({n}) bracket-family Einstein battery", checks, args.format),
           args.output)
@@ -406,8 +417,8 @@ def cmd_catalog_dump(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tolerance <= 0:
-        print("error: --tolerance must be positive", file=sys.stderr)
+    if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
+        print("error: --tolerance must be a positive finite number", file=sys.stderr)
         return USAGE_ERROR
     if args.budget.max_weyl_order <= 0 or args.budget.max_support <= 0:
         print("error: --budget values must be positive", file=sys.stderr)

@@ -142,11 +142,19 @@ class Budget:
 # Catalog data
 # ---------------------------------------------------------------------------
 
+def _integer(x) -> int:
+    """A JSON integer of the catalog: floats and booleans are refused, not
+    truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise CatalogError(f"{x!r} is not an integer")
+    return x
+
+
 def _summands(factors: tuple[SimpleType, ...], seq) -> tuple[Summand, ...]:
     """Parse summands, each one dominant weight per factor of the matching rank."""
     out = []
     for summand in seq:
-        weights = tuple(tuple(int(x) for x in w) for w in summand)
+        weights = tuple(tuple(_integer(x) for x in w) for w in summand)
         if len(weights) != len(factors):
             raise CatalogError(f"summand {summand} has {len(weights)} weights "
                                f"for {len(factors)} factors")
@@ -161,13 +169,13 @@ def _summands(factors: tuple[SimpleType, ...], seq) -> tuple[Summand, ...]:
 
 def _row_from_json(rec: dict) -> IsotropyDatum:
     try:
-        ambient = Ambient(rec["ambient"]["series"], int(rec["ambient"]["n"]))
-        factors = tuple(SimpleType(s, int(r)) for s, r in rec["factors"])
+        ambient = Ambient(rec["ambient"]["series"], _integer(rec["ambient"]["n"]))
+        factors = tuple(SimpleType(s, _integer(r)) for s, r in rec["factors"])
         constituents = _summands(factors, rec["constituents"])
         expected = None
         if rec.get("expected"):
             e = rec["expected"]
-            expected = Expected(int(e["a"]), int(e["s"]), int(e["N"]), int(e["l"]), e["type"])
+            expected = Expected(*(_integer(e[k]) for k in "asNl"), e["type"])
             if expected.rep_type not in ("r", "c"):
                 raise CatalogError(f"expected type {expected.rep_type!r} is neither 'r' nor 'c'")
         alt = rec.get("alt_constituents")

@@ -24,7 +24,7 @@ def c_tensor(alg, mu):
 def u_tensor(alg):
     """Symmetric map with 2<U(X,Y),Z> = <[Z,X],Y> + <X,[Z,Y]>; zero exactly
     when the declared inner product is naturally reductive for the bracket."""
-    br = alg.bracket
+    br = np.asarray(alg.bracket)
     return 0.5 * (np.transpose(br, (1, 2, 0)) + np.transpose(br, (2, 1, 0)))
 
 
@@ -43,6 +43,88 @@ def random_bilinear(d, rng, skew=False):
     if skew:
         return 0.5 * (raw - np.transpose(raw, (1, 0, 2)))
     return raw
+
+
+# ---------------------------------------------------------------------------
+# Dense oracles: the engine's formulas over full arrays, for the tests to
+# compare with the nonzero engine.  Maps are dense (d, d, d) arrays.
+# ---------------------------------------------------------------------------
+
+def dense_bracket(basis):
+    """Structure constants, closure residual and max |[e_i, e_j]| of a basis,
+    from the (d, d, n, n) products e_i e_j and the dual basis of -Re tr."""
+    dual = np.linalg.inv(-np.real(np.einsum("iab,jba->ij", basis, basis)))
+    prod = np.matmul(basis[:, None], basis[None])
+    comm = prod - np.transpose(prod, (1, 0, 2, 3))
+    bracket = -np.real(np.tensordot(comm, basis, axes=([-2, -1], [2, 1]))) @ dual
+    residual = comm - np.tensordot(bracket, basis, axes=1)
+    return bracket, float(np.abs(residual).max()), float(np.abs(comm).max())
+
+
+def dense_killing(bracket):
+    return np.tensordot(bracket, bracket, axes=([1, 2], [2, 1]))
+
+
+def dense_laquer_basis(alg):
+    """mu1..mu6, nu and theta in closed form from the (d, d, n, n) products."""
+    bracket, _, _ = dense_bracket(alg.basis)
+    prod = np.matmul(alg.basis[:, None], alg.basis[None])
+    half = alg.coeffs(1j * prod)
+    t = np.real(1j * np.einsum("iaa->i", alg.basis))
+    g = np.real(np.einsum("ijaa->ij", prod))
+    xi = alg.coeffs(1j * np.eye(alg.n))
+    eye = np.eye(alg.dim)
+    maps = {
+        "mu1": bracket,
+        "mu2": half + np.transpose(half, (1, 0, 2)),
+        "mu3": np.einsum("i,jk->ijk", t, eye),
+        "mu4": np.einsum("j,ik->ijk", t, eye),
+        "mu5": np.einsum("ij,k->ijk", g, xi),
+        "mu6": -np.einsum("i,j,k->ijk", t, t, xi),
+    }
+    maps["nu"] = maps["mu3"] - maps["mu4"]
+    maps["theta"] = maps["mu3"] + maps["mu4"]
+    return maps
+
+
+def dense_metric_defect(mu):
+    return float(np.abs(mu + np.transpose(mu, (0, 2, 1))).max())
+
+
+def dense_torsion(bracket, mu):
+    return mu - np.transpose(mu, (1, 0, 2)) - bracket
+
+
+def dense_classify_type(a):
+    """(phi, a1, a2, a3) of a difference tensor."""
+    d = a.shape[0]
+    eye = np.eye(d)
+    phi = np.einsum("iiz->z", a) / (d - 1)
+    a1 = np.einsum("xy,z->xyz", eye, phi) - np.einsum("xz,y->xyz", eye, phi)
+    a3 = (a + np.transpose(a, (1, 2, 0)) + np.transpose(a, (2, 0, 1))) / 3.0
+    return phi, a1, a - a1 - a3, a3
+
+
+def dense_torsion_type_conditions(bracket, mu, tol):
+    """The report of `torsion_type_conditions` for a metric map."""
+    cyc = mu + np.transpose(mu, (1, 2, 0)) + np.transpose(mu, (2, 0, 1))
+    cyclic_defect = float(np.abs(cyc - 1.5 * bracket).max())
+    trace_norm = float(np.linalg.norm(np.einsum("iik->k", mu)))
+    _, a1, a2, a3 = dense_classify_type(mu - 0.5 * bracket)
+    a1_norm, a2_norm, a3_norm = (float(np.linalg.norm(x)) for x in (a1, a2, a3))
+    skew_defect = float(np.abs(mu + np.transpose(mu, (1, 0, 2))).max())
+    return cc.TypeConditionReport(
+        vectorial=a2_norm < tol and a3_norm < tol, traceless_cyclic=a1_norm < tol and a3_norm < tol,
+        cyclic=cyclic_defect < tol, traceless=trace_norm < tol, skew=skew_defect < tol,
+        trace_vector_norm=trace_norm, cyclic_defect=cyclic_defect, skew_defect=skew_defect)
+
+
+def dense_ricci(bracket, mu):
+    """Ric[x,y] = sum_p mu[x,y,p] tau[p] - sum mu[e,y,p] mu[x,p,e] - sum c[e,x,p] mu[p,y,e]."""
+    tau = np.einsum("epe->p", mu)
+    return (mu @ tau
+            - np.tensordot(mu, mu, axes=([1, 2], [2, 0]))
+            - np.tensordot(bracket, mu, axes=([0, 2], [2, 0])))
 
 
 def _matrix_reference(alg, mu):

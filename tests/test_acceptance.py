@@ -370,7 +370,7 @@ def test_c8_projector_suite():
         for _ in range(100):
             a = random_a_tensor(d, rng)
             dec = cc.classify_type(a)
-            assert np.abs(dec.reassembled() - a).max() < 1e-9
+            assert np.abs(np.asarray(dec.reassembled()) - a).max() < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a2, axes=3)) < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a3, axes=3)) < 1e-9
             assert abs(np.tensordot(dec.a2, dec.a3, axes=3)) < 1e-9
@@ -378,7 +378,7 @@ def test_c8_projector_suite():
                 again = cc.classify_type(part)
                 total = again.a1 if part is dec.a1 else (
                     again.a2 if part is dec.a2 else again.a3)
-                assert np.abs(total - part).max() < 1e-9
+                assert (total - part).max_abs() < 1e-9
     gate("criterion 8: idempotent, orthogonal, reassembling projectors "
          "(200 seeded tensors, d=4,5)", True)
 
@@ -392,9 +392,9 @@ def test_c8_projector_ranks():
                 e = np.zeros((d, d, d))
                 e[x, y, z], e[x, z, y] = 1.0, -1.0
                 dec = cc.classify_type(e)
-                images[1].append(dec.a1.ravel())
-                images[2].append(dec.a2.ravel())
-                images[3].append(dec.a3.ravel())
+                images[1].append(np.asarray(dec.a1).ravel())
+                images[2].append(np.asarray(dec.a2).ravel())
+                images[3].append(np.asarray(dec.a3).ravel())
     ranks = tuple(int(np.linalg.matrix_rank(np.array(images[k]), tol=1e-9))
                   for k in (1, 2, 3))
     gate("criterion 8: projector ranks (4, 16, 4) at d=4", ranks == (4, 16, 4),
@@ -407,7 +407,8 @@ def test_c8_torsion_round_trip():
     for d in (4, 5):
         for _ in range(100):
             t = random_torsion_tensor(d, rng)
-            worst = max(worst, float(np.abs(cc.torsion_from_a(cc.a_from_torsion(t)) - t).max()))
+            round_trip = np.asarray(cc.torsion_from_a(cc.a_from_torsion(t)))
+            worst = max(worst, float(np.abs(round_trip - t).max()))
     gate("criterion 8: torsion <-> difference tensor round trip", worst < 1e-10,
          f"worst={worst:.2e}")
 

@@ -276,6 +276,19 @@ BAD_INPUTS = {
         "table", "--catalog", _catalog_file(tmp, id=["SO7/G2"])],
     "catalog expected type other than r or c": lambda tmp: [
         "catalog-dump", "--catalog", _catalog_file(tmp, expected=dict(SO7_G2["expected"], type="q"))],
+    "catalog ambient rank that is a float": lambda tmp: [
+        "table", "--catalog", _catalog_file(tmp, ambient={"series": "SO", "n": 7.9})],
+    "catalog factor rank that is a float": lambda tmp: [
+        "table", "--catalog", _catalog_file(tmp, factors=[["G", 2.5]])],
+    "catalog weight label that is a float": lambda tmp: [
+        "table", "--catalog", _catalog_file(tmp, constituents=[[[1.7, 0]]])],
+    "catalog expected count that is a boolean": lambda tmp: [
+        "table", "--catalog", _catalog_file(tmp, expected=dict(SO7_G2["expected"], a=True))],
+    "verify-un infinite tolerance": lambda tmp: ["verify-un", "4", "--tolerance", "inf"],
+    "verify-un nan tolerance": lambda tmp: ["verify-un", "4", "--tolerance", "nan"],
+    "einstein nan alpha": lambda tmp: ["einstein", "u3", "--alphas=nan"],
+    "einstein infinite alpha": lambda tmp: ["einstein", "u3", "--alphas=0.5,inf"],
+    "einstein alpha that overflows": lambda tmp: ["einstein", "u3", "--alphas=1e400"],
     "einstein su1": lambda tmp: ["einstein", "su1"],
     "einstein non-numeric alphas": lambda tmp: ["einstein", "su3", "--alphas", "a,b"],
     "einstein over the size limit": lambda tmp: ["einstein", "su40"],
@@ -318,6 +331,38 @@ def test_oversized_algebra_is_refused_before_allocating(capsys, argv):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "MiB limit" in err
     assert peak < 1 << 20
+
+
+def test_batteries_never_densify(monkeypatch):
+    # Every map of the batteries stays a Coo: no dense d^3 array, and the
+    # derivative checks never take the dense path, which densifies.
+    from invconn import cli, conncalc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a battery densified a Coo")
+
+    monkeypatch.setattr(conncalc.Coo, "__array__", refuse)
+    runs = [cli.un_battery(n) for n in range(3, 7)]
+    runs += [cli.einstein_battery(name, n, [-1.0, 0.5, 1.0, 2.0])
+             for name, n in (("su", 4), ("so", 5), ("u", 4))]
+    for checks in runs:
+        assert checks and all(c.passed != c.expected_to_fail for c in checks)
+
+
+def test_un_battery_10_peak_memory():
+    # The maps and the derivative blocks hold nonzeros only; the eight
+    # Laquer maps alone take 64 MiB as dense arrays.
+    import tracemalloc
+
+    from invconn import cli
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli.un_battery(10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
 
 
 def test_verify_un_builds_the_laquer_maps_once(monkeypatch):

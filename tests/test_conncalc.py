@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (c_tensor, der_tensor, random_a_tensor, random_bilinear, random_torsion_tensor,
-                      u_tensor)
+from conftest import (c_tensor, dense_bracket, dense_classify_type, dense_killing, dense_laquer_basis,
+                      dense_metric_defect, dense_ricci, dense_torsion, dense_torsion_type_conditions,
+                      der_tensor, random_a_tensor, random_bilinear, random_torsion_tensor, u_tensor)
 
 from invconn import conncalc as cc
 
@@ -49,15 +53,15 @@ def test_killing_form_un(u3):
 
 
 def test_laquer_basis(u3, laquer):
-    assert np.abs(laquer["mu1"] - u3.bracket).max() < 1e-14
+    assert (laquer["mu1"] - u3.bracket).max_abs() < 1e-14
     # mu5 is rank one in the central direction
-    flat = laquer["mu5"].reshape(81, 9)
+    flat = np.asarray(laquer["mu5"]).reshape(81, 9)
     assert np.linalg.matrix_rank(flat, tol=1e-10) == 1
     xi = u3.coeffs(1j * np.eye(3))
     residual = flat - np.outer(flat @ xi, xi) / (xi @ xi)
     assert np.abs(residual).max() < 1e-12
     # nu vanishes whenever both arguments are traceless
-    nu = laquer["nu"]
+    nu = np.asarray(laquer["nu"])
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.standard_normal(9)
@@ -110,21 +114,21 @@ def test_symmetric_map_on_sun_is_not_metric(su3):
 
 def test_torsion_examples(u3, laquer):
     zero = np.zeros((9, 9, 9))
-    assert np.abs(cc.torsion(u3, zero) + u3.bracket).max() < 1e-14
-    assert np.abs(cc.torsion(u3, cc.levi_civita_map(u3))).max() < 1e-14
+    assert (cc.torsion(u3, zero) + u3.bracket).max_abs() < 1e-14
+    assert cc.torsion(u3, cc.levi_civita_map(u3)).max_abs() < 1e-14
     w = laquer["mu4"] - laquer["mu5"]
-    assert np.abs(cc.torsion(u3, w) - (-laquer["nu"] - u3.bracket)).max() < 1e-12
+    assert (cc.torsion(u3, w) - (-laquer["nu"] - u3.bracket)).max_abs() < 1e-12
 
 
 def test_a_tensor_and_round_trips(u3, laquer):
     zero = np.zeros((9, 9, 9))
     a_c = cc.a_tensor(u3, zero)
-    assert np.abs(a_c + 0.5 * u3.bracket).max() < 1e-14
+    assert (a_c + 0.5 * u3.bracket).max_abs() < 1e-14
     dec = cc.classify_type(a_c)
     assert dec.a1_norm < TOL and dec.a2_norm < TOL and dec.a3_norm > 0.1
-    assert np.abs(cc.a_tensor(u3, cc.levi_civita_map(u3))).max() < 1e-14
+    assert cc.a_tensor(u3, cc.levi_civita_map(u3)).max_abs() < 1e-14
     w = laquer["mu4"] - laquer["mu5"]
-    assert np.abs(cc.a_tensor(u3, w) - cc.a_from_torsion(cc.torsion(u3, w))).max() < 1e-12
+    assert (cc.a_tensor(u3, w) - cc.a_from_torsion(cc.torsion(u3, w))).max_abs() < 1e-12
 
 
 def test_classify_type_of_vectorial_member(u3):
@@ -133,7 +137,7 @@ def test_classify_type_of_vectorial_member(u3):
     assert dec.a2_norm < TOL and dec.a3_norm < TOL
     phi_expected = np.array([float(np.real(-1j * np.trace(b))) for b in u3.basis])
     assert np.abs(dec.phi - phi_expected).max() < 1e-12
-    assert np.abs(cc.classify_type(np.zeros((9, 9, 9))).reassembled()).max() == 0.0
+    assert cc.classify_type(np.zeros((9, 9, 9))).reassembled().max_abs() == 0.0
 
 
 def test_classify_type_preconditions():
@@ -150,14 +154,14 @@ def test_projector_suite_random():
         for _ in range(100):
             a = random_a_tensor(d, rng)
             dec = cc.classify_type(a)
-            assert np.abs(dec.reassembled() - a).max() < 1e-9
+            assert np.abs(np.asarray(dec.reassembled()) - a).max() < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a2, axes=3)) < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a3, axes=3)) < 1e-9
             assert abs(np.tensordot(dec.a2, dec.a3, axes=3)) < 1e-9
             norm2 = dec.a1_norm**2 + dec.a2_norm**2 + dec.a3_norm**2
             assert abs(norm2 - np.linalg.norm(a)**2) < 1e-9
             again = cc.classify_type(dec.a1)
-            assert np.abs(again.a1 - dec.a1).max() < 1e-9
+            assert (again.a1 - dec.a1).max_abs() < 1e-9
             assert again.a2_norm < 1e-9 and again.a3_norm < 1e-9
 
 
@@ -175,9 +179,9 @@ def test_projector_ranks_dimension_4():
     images = {1: [], 2: [], 3: []}
     for e in basis:
         dec = cc.classify_type(e)
-        images[1].append(dec.a1.ravel())
-        images[2].append(dec.a2.ravel())
-        images[3].append(dec.a3.ravel())
+        images[1].append(np.asarray(dec.a1).ravel())
+        images[2].append(np.asarray(dec.a2).ravel())
+        images[3].append(np.asarray(dec.a3).ravel())
     ranks = [int(np.linalg.matrix_rank(np.array(images[k]), tol=1e-9)) for k in (1, 2, 3)]
     assert ranks == [4, 16, 4]
 
@@ -187,16 +191,17 @@ def test_torsion_a_round_trip_random():
     for d in (4, 5):
         for _ in range(50):
             t = random_torsion_tensor(d, rng)
-            assert np.abs(cc.torsion_from_a(cc.a_from_torsion(t)) - t).max() < 1e-10
+            assert np.abs(np.asarray(cc.torsion_from_a(cc.a_from_torsion(t))) - t).max() < 1e-10
             a = random_a_tensor(d, rng)
-            assert np.abs(cc.a_from_torsion(cc.torsion_from_a(a)) - a).max() < 1e-10
+            assert np.abs(np.asarray(cc.a_from_torsion(cc.torsion_from_a(a))) - a).max() < 1e-10
 
 
 def test_torsion_type_conditions(u3, laquer):
     mv = cc.vectorial_metric_map(u3)
     rep = cc.torsion_type_conditions(u3, mv)
     assert rep.vectorial and not rep.traceless and not rep.skew
-    trace_vec = np.einsum("iik->k", mv)
+    trace_vec = cc.trace_vector(mv)
+    assert np.array_equal(trace_vec, np.einsum("iik->k", np.asarray(mv)))
     assert np.abs(trace_vec - 8.0 * u3.coeffs(1j * np.eye(3))).max() < 1e-12
     rep_a = cc.torsion_type_conditions(u3, cc.bracket_family_map(u3, 2.0))
     assert rep_a.skew and rep_a.traceless and not rep_a.vectorial
@@ -282,14 +287,17 @@ def test_covariant_derivative_identities(u3, su3, laquer, matrix_reference):
 
 def test_constructor_checks_closure(su3):
     # Without any one of the su(3) elements, some commutator leaves the span.
+    # The residual in the message is the dense oracle's.
     for k in range(8):
-        with pytest.raises(cc.AlgebraError, match="not closed"):
-            cc.MatrixAlgebra("su3-minus-one", 3, np.delete(su3.basis, k, axis=0))
+        basis = np.delete(su3.basis, k, axis=0)
+        _, residual, _ = dense_bracket(basis)
+        with pytest.raises(cc.AlgebraError, match=re.escape(f"not closed under the bracket ({residual:.2e})")):
+            cc.MatrixAlgebra("su3-minus-one", 3, basis)
     # su(2) in the top-left block is closed, and so is any rescaling of su(3).
     su2 = cc.MatrixAlgebra("su2-block", 3, [su3.basis[0], su3.basis[2], su3.basis[3]])
     assert su2.closure_residual < 1e-12
     # Antisymmetry needs no check: comm is antisymmetric and coeffs is linear.
-    assert np.abs(su2.bracket + np.transpose(su2.bracket, (1, 0, 2))).max() == 0.0
+    assert (su2.bracket + su2.bracket.transpose((1, 0, 2))).max_abs() == 0.0
     rng = np.random.default_rng(3)
     assert cc.rescaled_algebra(su3, rng.uniform(0.5, 2.0, 8)).closure_residual < 1e-11
 
@@ -300,7 +308,7 @@ def test_closure_check_is_relative_to_the_bracket_scale(su3):
     # 1e-11 would reject.
     for scale in (1e3, 1e4):
         alg = cc.rescaled_algebra(su3, [scale] * 8)
-        assert np.abs(alg.bracket - scale * su3.bracket).max() < 1e-9 * scale
+        assert (alg.bracket - scale * su3.bracket).max_abs() < 1e-9 * scale
         comm_max = max(np.abs(x @ y - y @ x).max() for x in alg.basis for y in alg.basis)
         assert alg.closure_residual <= 1e-11 * comm_max
 
@@ -311,7 +319,7 @@ def test_rescaled_algebra_coefficients(su3, matrix_reference):
     for v in (np.arange(8.0), rng.standard_normal(8)):
         assert np.abs(alg.coeffs(alg.matrix(v)) - v).max() < 1e-12
     comm = alg.bilinear_coeffs(lambda x, y: x @ y - y @ x)
-    assert np.abs(comm - alg.bracket).max() < 1e-12
+    assert np.abs(comm - np.asarray(alg.bracket)).max() < 1e-12
     # With matrix/coeffs consistent, the matrix-level reference applies too.
     mu = random_bilinear(8, rng)
     der, _ = matrix_reference(alg, mu)
@@ -357,7 +365,7 @@ def test_parallel_torsion_of_bracket_family(su3):
     for alpha in (-1.0, 0.5, 1.0, 2.0):
         mu = cc.bracket_family_map(su3, alpha)
         t = cc.torsion(su3, mu)
-        assert np.abs(t - (-alpha) * su3.bracket).max() < 1e-12
+        assert (t - (-alpha) * su3.bracket).max_abs() < 1e-12
         assert np.abs(cc.covariant_derivative(su3, mu, t)).max() < 1e-12
 
 
@@ -418,6 +426,7 @@ def test_ricci_matrix_equals_the_curvature_contraction():
         for mu in (random_bilinear(alg.dim, rng), cc.levi_civita_map(alg)):
             full = np.einsum("exye->xy", cc.curvature(alg, mu))
             assert _close(cc.ricci_matrix(alg, mu), full), alg.name
+            assert _close(dense_ricci(np.asarray(alg.bracket), np.asarray(mu)), full), alg.name
 
 
 def test_ricci_skew_path_equals_the_derivative_trace():
@@ -447,17 +456,20 @@ def _slot_only(mu, f):
 
 def _kernel_cases(alg, mu):
     """(Lambda list, F, reduce, defect, full-tensor oracle) for every check
-    that reduces through `_max_derivative`.  The curvature and the metric
-    derivative have oracles of their own, `curvature` and `_slot_only`."""
+    that reduces through `_max_derivative`, with mu, F and every Lambda as
+    Coo.  The curvature and the metric derivative have oracles of their own,
+    `curvature` and `_slot_only`."""
+    mu = cc._coo(mu)
     t, eye = cc.torsion(alg, mu), np.eye(alg.dim)
     cases = [(lam, f, reduce, defect, cc.covariant_derivative(alg, lam, f)) for lam, f, reduce, defect in (
         (alg.bracket, mu, cc._max_slot_norm, cc.equivariance_defect),
         (mu, alg.bracket, cc._max_slot_norm, cc.derivation_defect),
         (mu, t, cc._max_abs, lambda alg, mu: cc.parallel_defect(alg, mu, t)))]
     return [(cc._along(lam, 3), f, reduce, defect, full) for lam, f, reduce, defect, full in cases] + [
-        ([alg.bracket, mu, -np.swapaxes(mu, 1, 2)], mu, cc._max_abs, cc.flatness_defect,
+        ([alg.bracket, mu, -mu.transpose((0, 2, 1))], mu, cc._max_abs, cc.flatness_defect,
          cc.curvature(alg, mu)),
-        ([mu, mu], eye, cc._max_abs, cc.parallel_metric_defect, _slot_only(mu, eye))]
+        ([mu, mu], cc._coo(eye), cc._max_abs, cc.parallel_metric_defect,
+         _slot_only(np.asarray(mu), eye))]
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, None])
@@ -478,7 +490,7 @@ def test_blocked_defects_equal_the_full_tensor(monkeypatch, rows_per_block):
         for lams, f, reduce, defect, full in _kernel_cases(alg, mu):
             where = (alg.name, defect.__name__)
             if rows_per_block is not None:
-                monkeypatch.setattr(cc, "_BLOCK_ENTRIES", rows_per_block * f.size)
+                monkeypatch.setattr(cc, "_BLOCK_ENTRIES", rows_per_block * d ** f.ndim)
             blocks.clear()
             assert _close(cc._max_dense_derivative(alg, lams, f, reduce), reduce(full)), where
             assert blocks == [rows] * (d // rows) + [d % rows] * (d % rows > 0), where
@@ -499,10 +511,103 @@ def test_laquer_basis_equals_the_matrix_maps():
             "mu5": lambda x, y: 1j * np.trace(x @ y) * eye,
             "mu6": lambda x, y: 1j * np.trace(x) * np.trace(y) * eye,
         }
-        maps = cc.laquer_basis(alg)
+        maps, closed_form = cc.laquer_basis(alg), dense_laquer_basis(alg)
         for key, f in oracle.items():
-            assert np.abs(maps[key] - alg.bilinear_coeffs(f)).max() < 1e-12, (alg.name, key)
+            assert np.abs(np.asarray(maps[key]) - alg.bilinear_coeffs(f)).max() < 1e-12, (alg.name, key)
+        for key, mu in closed_form.items():
+            assert _close(np.asarray(maps[key]), mu), (alg.name, key)
         assert np.array_equal(cc.vectorial_metric_map(alg, maps), cc.vectorial_metric_map(alg))
+
+
+# ---------------------------------------------------------------------------
+# The nonzero engine against the dense oracles
+# ---------------------------------------------------------------------------
+
+ORACLE_ALGEBRAS = [(name, n) for name in ("u", "su", "so") for n in range(3, 7)] + [("su-rescaled", 3)]
+
+
+def _oracle_algebra(name, n):
+    if name == "su-rescaled":
+        return cc.rescaled_algebra(cc.build_algebra("su", n), np.linspace(1.0, 2.0, n * n - 1))
+    return cc.build_algebra(name, n)
+
+
+def _oracle_maps(alg, rng):
+    """Bracket-family members, the Laquer maps on u(n), and random maps:
+    masked to about 5 % of the entries and fully dense, general and metric
+    (skew in the last two slots)."""
+    d = alg.dim
+    maps = {f"alpha={alpha:g}": cc.bracket_family_map(alg, alpha) for alpha in (-1.0, 0.5, 2.0)}
+    if alg.name.startswith("u("):
+        maps.update(cc.laquer_basis(alg))
+        maps["vectorial"] = cc.vectorial_metric_map(alg)
+    mask = rng.random((d, d, d)) < 0.05
+    maps["masked"] = random_bilinear(d, rng) * mask
+    maps["masked metric"] = random_a_tensor(d, rng) * (mask | np.transpose(mask, (0, 2, 1)))
+    maps["dense"] = random_bilinear(d, rng)
+    maps["dense metric"] = random_a_tensor(d, rng)
+    return maps
+
+
+@pytest.mark.parametrize("name, n", ORACLE_ALGEBRAS)
+def test_algebra_build_equals_the_dense_products(name, n):
+    alg = _oracle_algebra(name, n)
+    bracket, residual, comm_max = dense_bracket(alg.basis)
+    assert isinstance(alg.bracket, cc.Coo)
+    assert _close(np.asarray(alg.bracket), bracket)
+    assert _close(alg.killing, dense_killing(bracket))
+    # Both residuals are rounding noise on a closed span.
+    assert max(alg.closure_residual, residual) <= 1e-14 * max(1.0, comm_max)
+
+
+@pytest.mark.parametrize("name, n", ORACLE_ALGEBRAS)
+def test_functionals_equal_the_dense_oracles(name, n):
+    alg = _oracle_algebra(name, n)
+    bracket = np.asarray(alg.bracket)
+    # The type split needs a skew difference tensor, so a bi-invariant metric.
+    bi_invariant = dense_metric_defect(bracket) < TOL
+    rng = np.random.default_rng(41 + n)
+    for key, mu in _oracle_maps(alg, rng).items():
+        where = (alg.name, key)
+        coo, full = cc._coo(mu), np.asarray(mu)
+        defect = cc.metric_defect(alg, coo)
+        assert _close(defect, dense_metric_defect(full)), where
+        assert _close(np.asarray(cc.torsion(alg, coo)), dense_torsion(bracket, full)), where
+        ricci = cc.ricci_matrix(alg, coo)
+        assert _close(ricci, dense_ricci(bracket, full)), where
+        # A dense map is the same tensor with more nonzeros.
+        assert np.array_equal(cc.ricci_matrix(alg, full), ricci), where
+        if defect >= TOL or not bi_invariant:
+            continue
+        dec = cc.classify_type(cc.a_tensor(alg, coo))
+        for got, want in zip((dec.phi, dec.a1, dec.a2, dec.a3), dense_classify_type(full - 0.5 * bracket)):
+            assert _close(np.asarray(got), want), where
+        got, want = cc.torsion_type_conditions(alg, coo), dense_torsion_type_conditions(bracket, full, TOL)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a == b if isinstance(b, bool) else _close(a, b), (where, field.name)
+
+
+def test_coo_arithmetic_equals_the_dense_arithmetic():
+    rng = np.random.default_rng(43)
+    d = 5
+    a, b = (random_bilinear(d, rng) * (rng.random((d, d, d)) < 0.3) for _ in range(2))
+    ca, cb = cc._coo(a), cc._coo(b)
+    assert np.array_equal(np.asarray(ca), a)
+    for got, want in ((-ca, -a), (ca + cb, a + b), (ca - cb, a - b), (ca - ca, 0 * a),
+                      (2.5 * ca, 2.5 * a), (ca * np.float64(-3), -3 * a), (ca / 3.0, a / 3.0)):
+        assert isinstance(got, cc.Coo) and np.array_equal(np.asarray(got), want)
+        assert np.all(np.diff(got.codes) > 0) and np.all(got.vals != 0)
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(np.asarray(ca.transpose(perm)), np.transpose(a, perm)), perm
+    assert ca.max_abs() == np.abs(a).max() and _close(ca.norm(), np.linalg.norm(a))
+    # Entries in any order: duplicates are summed in the order given, zeros dropped.
+    t = cc.Coo((2, 3), [4, 1, 4, 0, 1], [1.0, 2.0, 0.5, 0.0, -2.0])
+    assert t.codes.tolist() == [4] and t.vals.tolist() == [1.5]
+    with pytest.raises(TypeError):
+        np.abs(ca)
+    with pytest.raises(TypeError):
+        ca + a
 
 
 def test_build_algebra_refuses_sizes_over_the_limit():
@@ -533,7 +638,7 @@ def _masked(rng, d, density):
 def _sparse_full(lams, f):
     """The full derivative rebuilt from the sparse path's (code, value) pairs."""
     d = f.shape[0]
-    full = np.zeros(d * f.size)
+    full = np.zeros(d ** (f.ndim + 1))
     for codes, vals in cc._sparse_derivative(lams, f, cc._products_per_row(lams, f)):
         assert np.all(np.diff(codes) > 0)  # sorted and distinct
         full[codes] = vals
@@ -595,8 +700,8 @@ def test_sparse_path_gives_zero_for_a_zero_derivative(monkeypatch):
         assert cc.parallel_defect(alg, flat, cc.torsion(alg, flat)) == 0.0
         # Products that cancel exactly: Lambda(Z) = Id leaves a vector-valued
         # 1-form F unchanged, so D_Z F = F - F.
-        ident = np.broadcast_to(np.eye(d), (d, d, d))
-        f = rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.2)
+        ident = cc._coo(np.broadcast_to(np.eye(d), (d, d, d)))
+        f = cc._coo(rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.2))
         assert cc._products_per_row(cc._along(ident, 2), f).sum() > 0
         assert cc.parallel_defect(alg, ident, f) == 0.0
         assert cc._max_derivative(alg, cc._along(ident, 2), f, cc._max_slot_norm) == 0.0
