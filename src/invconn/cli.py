@@ -197,13 +197,43 @@ def einstein_battery(name: str, n: int, alphas, tol: float = 1e-9) -> list[Check
 # Argument handling
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `UsageError`, which `main`
+    prints as one `error:` line, without the usage block."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _parse_budget(text: str) -> Budget:
     if text == "unlimited":
         return Budget.unlimited()
     m = re.fullmatch(r"(\d+),(\d+)", text)
     if not m:
         raise argparse.ArgumentTypeError("budget must be 'W,S' or 'unlimited'")
+    if int(m.group(1)) <= 0 or int(m.group(2)) <= 0:
+        raise argparse.ArgumentTypeError("budget values must be positive")
     return Budget(max_weyl_order=int(m.group(1)), max_support=int(m.group(2)))
+
+
+def _parse_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return jobs
 
 
 def _parse_weight(text: str) -> tuple[int, ...]:
@@ -254,21 +284,20 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # given at the top level.
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--format", choices=["json", "md", "csv"], default=d("md"))
-    parser.add_argument("--tolerance", type=float, default=d(1e-9))
+    parser.add_argument("--tolerance", type=_parse_tolerance, default=d(1e-9))
     parser.add_argument("--seed", type=int, default=d(42))
     parser.add_argument("--budget", type=_parse_budget, default=d(Budget()))
     parser.add_argument("--strict", action="store_true",
                         default=d(False), help="treat skipped rows as failures")
     parser.add_argument("--catalog", default=d(None), help="external catalog file")
     parser.add_argument("--output", default=d(None), help="write the report to a file")
-    parser.add_argument("--jobs", type=int, default=d(1),
+    parser.add_argument("--jobs", type=_parse_jobs, default=d(1),
                         help="worker processes for catalog sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="invconn",
-                                description="Invariant-connection multiplicities and "
-                                            "numerical connection checks")
+    p = _Parser(prog="invconn",
+                description="Invariant-connection multiplicities and numerical connection checks")
     _common_flags(p, suppress=False)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -285,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = add("table", help="recompute the catalog and diff against the "
                           "published multiplicities")
-    t.add_argument("--all", action="store_true")
     t.add_argument("--only", choices=["table4", "table5", "classical", "exceptions"])
 
     d = add("decompose", help="decompose a plethysm of an irreducible")
@@ -416,13 +444,6 @@ def cmd_catalog_dump(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
-        print("error: --tolerance must be a positive finite number", file=sys.stderr)
-        return USAGE_ERROR
-    if args.budget.max_weyl_order <= 0 or args.budget.max_support <= 0:
-        print("error: --budget values must be positive", file=sys.stderr)
-        return USAGE_ERROR
     handlers = {
         "classify": cmd_classify,
         "table": cmd_table,
@@ -431,10 +452,12 @@ def main(argv=None) -> int:
         "einstein": cmd_einstein,
         "catalog-dump": cmd_catalog_dump,
     }
-    # Every library input error is a ValueError; KeyError is an unknown row or
-    # family and OSError an unreadable catalog or unwritable output.  Engine
-    # bugs (InternalError, AssertionError) keep their traceback.
+    # Every library input error and every argument error is a ValueError;
+    # KeyError is an unknown row or family and OSError an unreadable catalog
+    # or unwritable output.  Engine bugs (InternalError, AssertionError) keep
+    # their traceback.  `--help` still prints its usage and exits 0.
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -14,24 +14,26 @@ bi-invariant metric <X,Y> = -Re tr(XY), whose Ricci tensor is -B/4 for
 the Killing form B (the sign calibration used throughout).
 
 Every 3-tensor of the engine is a `Coo`, its nonzeros as sorted int64 flat
-codes and float64 values: the structure constants and the Laquer maps of
-the standard bases are over 99 % zeros (1680 of the 262,144 entries of the
+codes and their values: the structure constants and the Laquer maps of the
+standard bases are over 99 % zeros (1680 of the 262,144 entries of the
 bracket of u(8)).  A dense array passed to a public function is converted
-once, on entry, and `np.asarray` densifies a Coo.  Products of nonzeros
-are formed by one join, `_join_blocks`: entries of a left and a right list
-that share a key multiply, their codes add, and products that reach the
-same code are summed, a block of rows at a time.
+once, on entry.  Every contraction is one sparse einsum, `_einsum(spec, a,
+b)` with the spec `np.einsum` takes: entries of a and b that agree on the
+letters of both multiply, and products that reach the same output code are
+summed, a block of rows of the first output letter at a time.  A signed sum
+of specs is one join (`_einsum_sum`).  Only `Coo` and the einsum turn
+indices into flat codes.
 
-`MatrixAlgebra` forms the products e_i e_j from the nonzeros of the basis
-matrices, reads the bracket from them and checks that the span is closed
-under the commutator.  Every derivative check is the join `_derivative`:
-a 3-tensor Lambda_t is contracted into axis t of F,
+`MatrixAlgebra` forms e_i e_j (`iab,jbc->ijac`) from the nonzeros of the
+basis matrices, reads the bracket from the commutators and checks that the
+span is closed under the commutator.  Every derivative check is a sum of
+einsum terms: a 3-tensor Lambda_t is contracted into axis t of F,
 
     D[z, ..a at t..] = -sum_t sum_q Lambda_t[z,a,q] F[..q at t..],
 
-and the checks differ only in the list of Lambda, one per axis of F (None
-where an axis has no term; c is the bracket, mu^T is mu with its last two
-axes swapped):
+one spec per axis (`zaq,xqy->zxay` for t = 1 of a 3-axis F), and the checks
+differ only in the list of Lambda, one per axis of F (None where an axis has
+no term; c is the bracket, mu^T is mu with its last two axes swapped):
 
     D_Z F of a vector-valued F along mu     mu, .., mu, -mu^T  (covariant_derivative)
     D_Z g of the metric, scalar-valued      mu, mu             (parallel_metric_defect)
@@ -39,16 +41,11 @@ axes swapped):
     derivation defect = D_Z c along mu      mu, mu, -mu^T      (derivation_defect)
     curvature R[x,y,z,k] of mu, F = mu      c, mu, -mu^T       (flatness_defect)
 
-The battery paths hold no dense d^3 array: the Laquer maps are built from
-their nonzeros, `ricci_matrix` and `ricci_skew_path` join mu with itself
-on the contracted pair of indices, and the defects share one reduction,
-`_max_derivative`, with two paths.  The sparse path joins the nonzeros of
-each Lambda and F on the contracted index and sums the products per entry;
-it runs when its exact product count is below the derivative's entry count
-and no Z row needs more than `_BLOCK_PRODUCTS` products.  A dense map
-keeps the dense path, which densifies Lambda and F and reduces blocks of
-the derivative over its leading Z axis, `_BLOCK_ENTRIES` entries at a
-time.  `build_algebra` refuses a size whose largest array would exceed
+The battery paths hold no dense d^3 array, and the defects share one
+reduction, `_max_derivative`: its sparse path reduces the blocks of the
+einsum terms, and a dense map keeps a dense path that reduces blocks of the
+derivative over its leading Z axis, `_BLOCK_ENTRIES` entries at a time.
+`build_algebra` refuses a size whose largest array would exceed
 `MAX_ARRAY_BYTES`.  The 4-index `curvature` remains for small algebras and
 as a test oracle.
 """
@@ -56,6 +53,7 @@ as a test oracle.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 
@@ -86,26 +84,25 @@ MAX_ARRAY_BYTES = 1 << 27
 # ---------------------------------------------------------------------------
 
 class Coo:
-    """A real tensor held as its nonzeros.
+    """A tensor held as its nonzeros.
 
     `codes` are the C-order flat indices of the nonzero entries, int64,
-    sorted and distinct, and `vals` their float64 values; both are
-    read-only.  The constructor takes entries in any order, sums the values
-    that share a code in the order given and drops zeros.  A Coo supports
-    negation, sums and differences of tensors of one shape, multiples by a
-    real scalar, `transpose`, `max_abs` and `norm`.  `np.asarray` gives
-    the dense array; numpy ufuncs and mixed arithmetic with arrays are
-    refused rather than densifying silently.
+    sorted and distinct, and `vals` their values, of the dtype given
+    (complex for the basis matrices and their products, float64 for every
+    tensor a public function returns); both are read-only.  The constructor
+    takes entries in any order, sums the values that share a code and drops
+    zeros.  `np.asarray` gives the dense array, and `toarray` the vector and
+    matrix results of the public functions; numpy ufuncs and mixed
+    arithmetic with arrays are refused rather than densifying silently.
     """
 
     __array_ufunc__ = None
 
     def __init__(self, shape, codes, vals):
         self.shape = tuple(int(s) for s in shape)
-        if math.prod(self.shape) >= 1 << 62:
-            raise TensorShapeError(f"a tensor of shape {self.shape} overflows int64 codes")
+        _check_codes(self.shape)
         codes = np.asarray(codes, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
+        vals = np.asarray(vals)
         if len(codes) > 1 and not np.all(codes[1:] > codes[:-1]):
             order = np.argsort(codes, kind="stable")
             codes, vals = _sum_runs(codes[order], vals[order])
@@ -117,9 +114,8 @@ class Coo:
 
     @classmethod
     def from_dense(cls, a) -> Coo:
-        a = np.asarray(a, dtype=np.float64)
-        if a.size >= 1 << 62:
-            raise TensorShapeError(f"a tensor of shape {a.shape} overflows int64 codes")
+        a = np.asarray(a)
+        _check_codes(a.shape)
         flat = a.reshape(-1)
         codes = np.flatnonzero(flat)
         return cls(a.shape, codes, flat[codes])
@@ -128,10 +124,22 @@ class Coo:
     def ndim(self) -> int:
         return len(self.shape)
 
-    def __array__(self, dtype=None, copy=None):
-        out = np.zeros(math.prod(self.shape), dtype=dtype or np.float64)
+    @functools.cached_property
+    def index(self) -> tuple:
+        """The indices of the nonzeros, one read-only array per axis."""
+        index = np.unravel_index(self.codes, self.shape)
+        for axis in index:
+            axis.flags.writeable = False
+        return index
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(math.prod(self.shape), dtype=self.vals.dtype)
         out[self.codes] = self.vals
         return out.reshape(self.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        out = self.toarray()
+        return out if dtype is None else out.astype(dtype, copy=False)
 
     def __repr__(self) -> str:
         return f"Coo(shape={self.shape}, nonzeros={len(self.codes)})"
@@ -166,9 +174,11 @@ class Coo:
 
     def transpose(self, axes) -> Coo:
         """The axes permuted as by `np.transpose(t, axes)`."""
-        index = np.unravel_index(self.codes, self.shape)
         shape = tuple(self.shape[a] for a in axes)
-        return Coo(shape, np.ravel_multi_index(tuple(index[a] for a in axes), shape), self.vals)
+        return Coo(shape, np.ravel_multi_index(tuple(self.index[a] for a in axes), shape), self.vals)
+
+    def real(self) -> Coo:
+        return Coo(self.shape, self.codes, self.vals.real)
 
     def max_abs(self) -> float:
         return float(np.abs(self.vals).max()) if len(self.vals) else 0.0
@@ -176,6 +186,12 @@ class Coo:
     def norm(self) -> float:
         """The Euclidean (Frobenius) norm."""
         return float(np.linalg.norm(self.vals))
+
+
+def _check_codes(shape) -> None:
+    """Refuse a shape whose flat codes would overflow int64."""
+    if math.prod(shape) >= 1 << 62:
+        raise TensorShapeError(f"a tensor of shape {tuple(shape)} overflows int64 codes")
 
 
 def _coo(t, shape=None) -> Coo:
@@ -188,10 +204,15 @@ def _coo(t, shape=None) -> Coo:
     return t if isinstance(t, Coo) else Coo.from_dense(t)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(d: int) -> Coo:
+    return Coo.from_dense(np.eye(d))
+
+
 def _sum_duplicates(codes: np.ndarray, vals: np.ndarray):
     """Sorted distinct codes and the sum of the values at each; codes is
     sorted in place."""
-    if not len(codes):
+    if np.all(codes[1:] > codes[:-1]):
         return codes, vals
     order = np.argsort(codes)
     codes.sort()
@@ -212,7 +233,7 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Joins of nonzeros
+# The sparse einsum
 # ---------------------------------------------------------------------------
 
 # Products of one block of a join.  Summing its duplicates holds four 8-byte
@@ -221,39 +242,128 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 _BLOCK_PRODUCTS = _BLOCK_ENTRIES // 4
 
 
-def _term(left, right, nkeys: int, nrows: int):
-    """One join for `_join_blocks`.
+def _einsum(spec: str, a: Coo, b: Coo) -> Coo:
+    """`np.einsum(spec, a, b)` over the nonzeros, as a Coo."""
+    return _einsum_sum([(spec, a, b, 1)])
 
-    left is (rows, keys, codes, values) sorted by row, right is (keys, codes,
-    values); keys lie in range(nkeys) and rows in range(nrows).  Every left
-    entry meets the right entries of its key, giving code left + right code
-    and value left * right value.  The right side is grouped by key."""
+
+def _einsum_sum(terms) -> Coo:
+    """The sum of signed einsum terms [(spec, a, b, sign), ...], one join."""
+    shape, _, blocks = _einsum_blocks(terms)
+    parts = list(blocks) or [(np.zeros(0, dtype=np.int64), np.zeros(0))]
+    return Coo(shape, np.concatenate([c for c, _ in parts]), np.concatenate([v for _, v in parts]))
+
+
+def _einsum_blocks(terms):
+    """The sum of signed einsum terms [(spec, a, b, sign), ...] of one output
+    shape: that shape, the exact count of the products of each row of the
+    first output letter, and a generator of (codes, values) blocks over runs
+    of those rows (`_join_blocks`).  No product is formed before the
+    generator runs."""
+    joins, shapes = [], set()
+    for spec, a, b, sign in terms:
+        shape, row_axis, nkeys, (a_key, a_code), (b_key, b_code) = _einsum_plan(spec, a.shape, b.shape)
+        ia, ib = a.index, b.index
+        left = (ia[row_axis], _weighted(ia, a_key), _weighted(ia, a_code),
+                a.vals if sign == 1 else a.vals * sign)
+        if row_axis:  # a's codes are sorted by its first axis only
+            order = _stable_order(left[0], shape[0])
+            left = tuple(x[order] for x in left)
+        joins.append(_term(left, (_weighted(ib, b_key), _weighted(ib, b_code), b.vals), nkeys, shape[0]))
+        shapes.add(shape)
+    if len(shapes) != 1:
+        raise TensorShapeError("einsum terms must share one output shape")
+    (shape,) = shapes
+    rows = _row_products(joins, shape[0])
+    return shape, rows, _join_blocks(joins, rows, math.prod(shape[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def _einsum_plan(spec: str, a_shape: tuple, b_shape: tuple):
+    """The letter analysis of an einsum term: the output shape, the axis of
+    a that holds the first output letter (the rows of the join), the number
+    of join keys, and for each operand the weight of each axis in the key
+    and in the output code, 0 where the axis has no part in it.  The key is
+    the C-order code of the contracted letters, in a's order."""
+    inputs, out = spec.split("->")
+    letters = inputs.split(",")
+    sizes: dict[str, int] = {}
+    for names, shape in zip(letters, (a_shape, b_shape)):
+        if len(names) != len(shape) or len(set(names)) != len(names):
+            raise TensorShapeError(f"{spec}: each operand needs one distinct letter per axis")
+        for c, size in zip(names, shape):
+            if sizes.setdefault(c, size) != size:
+                raise TensorShapeError(f"{spec}: letter {c!r} has sizes {sizes[c]} and {size}")
+    la, lb = letters
+    keys = [c for c in la if c in lb]
+    if set(keys) & set(out) or len(set(out)) != len(out) or not set(out) <= sizes.keys():
+        raise TensorShapeError(f"{spec}: an output letter must occur in exactly one operand, once")
+    if not out or out[0] not in la:
+        raise TensorShapeError(f"{spec}: the first output letter must be one of the first operand's")
+    shape = tuple(sizes[c] for c in out)
+    _check_codes(shape)
+    key_weight = dict(zip(keys, _strides([sizes[c] for c in keys])))
+    code_weight = dict(zip(out, _strides(shape)))
+    weights = [(tuple(key_weight.get(c, 0) for c in names), tuple(code_weight.get(c, 0) for c in names))
+               for names in letters]
+    return shape, la.index(out[0]), math.prod(sizes[c] for c in keys), *weights
+
+
+def _strides(shape) -> list[int]:
+    return [math.prod(shape[k + 1:]) for k in range(len(shape))]
+
+
+def _weighted(index, weights) -> np.ndarray:
+    """sum over axes of index[axis] * weights[axis], as int64."""
+    parts = [i if w == 1 else i * w for i, w in zip(index, weights) if w]
+    return sum(parts[1:], parts[0]) if parts else np.zeros(len(index[0]), dtype=np.int64)
+
+
+def _stable_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
+    """`np.argsort(keys, kind="stable")` of keys in range(nkeys), several
+    times faster: the distinct keys key * n + i, sorted, modulo n."""
+    n = len(keys)
+    if nkeys * n >= 1 << 62:
+        return np.argsort(keys, kind="stable")
+    return np.sort(keys * n + np.arange(n)) % n
+
+
+def _term(left, right, nkeys: int, nrows: int):
+    """One join for `_join_blocks`: left is (rows, keys, codes, values) sorted
+    by row, right is (keys, codes, values), keys in range(nkeys) and rows in
+    range(nrows).  Every left entry meets the right entries of its key,
+    giving code left + right code and value left * right value."""
     rows, keys, codes, vals = left
     r_keys, r_codes, r_vals = right
-    order = np.argsort(r_keys, kind="stable")
+    if np.any(r_keys[1:] < r_keys[:-1]):
+        order = _stable_order(r_keys, nkeys)
+        r_codes, r_vals = r_codes[order], r_vals[order]
     starts = np.zeros(nkeys + 1, dtype=np.int64)
     np.cumsum(np.bincount(r_keys, minlength=nkeys), out=starts[1:])
-    row_starts = np.searchsorted(rows, np.arange(nrows + 1))
-    return (starts, r_codes[order], r_vals[order]), keys, codes, vals, row_starts
+    first = starts[keys]
+    before = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(starts[keys + 1] - first, out=before[1:])
+    return r_codes, r_vals, codes, vals, first, before, np.searchsorted(rows, np.arange(nrows + 1))
 
 
 def _row_products(terms, nrows: int) -> np.ndarray:
     """Exact count of the products of each row over all terms."""
     total = np.zeros(nrows, dtype=np.int64)
-    for (starts, _, _), keys, _, _, row_starts in terms:
-        before = np.concatenate(([0], np.cumsum(starts[keys + 1] - starts[keys])))
-        total += before[row_starts[1:]] - before[row_starts[:-1]]
+    for *_, before, row_starts in terms:
+        at_rows = before[row_starts]
+        total += at_rows[1:] - at_rows[:-1]
     return total
 
 
-def _join_blocks(terms, rows: np.ndarray):
+def _join_blocks(terms, rows: np.ndarray, stride: int):
     """The products of several joins (`_term`) as (codes, values) blocks over
     runs of rows: sorted distinct codes and the summed products at each.
-    `rows` counts the products of each row; a block holds at most
-    _BLOCK_PRODUCTS of them, or one row.  Blocks without products are left
-    out.  When a row's codes are apart from every other row's, as when the
-    row is the leading index of the result, blocks share no code."""
-    dtype = np.result_type(*(t[3] for t in terms), *(t[0][2] for t in terms))
+    `rows` counts the products of each row, and row z holds the codes from
+    z * stride up to (z + 1) * stride; a block holds at most _BLOCK_PRODUCTS
+    products, or one row.  Blocks without products are left out.  A block
+    whose codes span no more entries than it has products is summed over
+    that span (`_sum_span`), any other one by sorting (`_sum_duplicates`)."""
+    dtype = np.result_type(*(t[1] for t in terms), *(t[3] for t in terms))
     bounds = np.concatenate(([0], np.cumsum(rows)))  # products before each row
     z0 = 0
     while z0 < len(rows):
@@ -262,80 +372,41 @@ def _join_blocks(terms, rows: np.ndarray):
         if size:
             codes, vals = np.empty(size, dtype=np.int64), np.empty(size, dtype=dtype)
             at = 0
-            for group, keys, l_codes, l_vals, row_starts in terms:
-                e = slice(row_starts[z0], row_starts[z1])
-                at = _join(group, keys[e], l_codes[e], l_vals[e], codes, vals, at)
-            yield _sum_duplicates(codes, vals)
+            for term in terms:
+                row_starts = term[-1]
+                at = _join(term, row_starts[z0], row_starts[z1], codes, vals, at)
+            span = (z1 - z0) * stride
+            yield _sum_span(codes, vals, z0 * stride, span) if span <= size else _sum_duplicates(codes, vals)
         z0 = z1
 
 
-def _join(group, q: np.ndarray, codes: np.ndarray, vals: np.ndarray,
-          out_codes: np.ndarray, out_vals: np.ndarray, at: int) -> int:
-    """Every product of entry i (group q[i], code codes[i], value vals[i])
-    with the right entries in its group, written from index `at` of the
+def _join(term, e0: int, e1: int, out_codes: np.ndarray, out_vals: np.ndarray, at: int) -> int:
+    """Every product of the left entries e0..e1 - 1 of a join (`_term`) with
+    the right entries of their groups, written from index `at` of the
     outputs as summed codes and products; returns the index after them."""
-    starts, r_codes, r_vals = group
-    sizes = starts[q + 1] - starts[q]
-    firsts = np.cumsum(sizes) - sizes  # where each entry's products begin
-    pick = np.repeat(starts[q] - firsts, sizes)
-    pick += np.arange(len(pick))
+    r_codes, r_vals, codes, vals, first, before, _ = term
+    sizes = before[e0 + 1:e1 + 1] - before[e0:e1]
+    # The product at position p of the join, of left entry i, takes the
+    # right entry first[i] + p - before[i].
+    pick = np.repeat(first[e0:e1] - before[e0:e1], sizes)
+    pick += np.arange(before[e0], before[e1])
     end = at + len(pick)
     np.take(r_codes, pick, out=out_codes[at:end])
-    out_codes[at:end] += np.repeat(codes, sizes)
+    out_codes[at:end] += np.repeat(codes[e0:e1], sizes)
     np.take(r_vals, pick, out=out_vals[at:end])
-    out_vals[at:end] *= np.repeat(vals, sizes)
+    out_vals[at:end] *= np.repeat(vals[e0:e1], sizes)
     return end
 
 
-def _collect(blocks):
-    """The blocks of `_join_blocks`, whose codes are apart, as one sorted
-    list of codes and values without zeros."""
-    parts = list(blocks)
-    if not parts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    codes = np.concatenate([c for c, _ in parts])
-    vals = np.concatenate([v for _, v in parts])
-    keep = vals != 0
-    return codes[keep], vals[keep]
-
-
-def _contract(left, right, nkeys: int, nrows: int):
-    """The summed products of one join (`_term`) as sorted codes and values."""
-    terms = [_term(left, right, nkeys, nrows)]
-    return _collect(_join_blocks(terms, _row_products(terms, nrows)))
-
-
-def _contract_pairs(a: Coo, a_axes, b: Coo, b_axes) -> np.ndarray:
-    """M[x, y] = sum of a[..] b[..] over the entries whose indices on a_axes
-    equal b's on b_axes, pair by pair as in `np.tensordot`; x is a's
-    remaining axis and y b's.  Both are cubic 3-tensors."""
-    d = a.shape[0]
-    ia, ib = np.unravel_index(a.codes, a.shape), np.unravel_index(b.codes, b.shape)
-    (fa,), (fb,) = {0, 1, 2} - set(a_axes), {0, 1, 2} - set(b_axes)
-    order = np.argsort(ia[fa], kind="stable")
-    x = ia[fa][order]
-    left = (x, (ia[a_axes[0]] * d + ia[a_axes[1]])[order], x * d, a.vals[order])
-    codes, vals = _contract(left, (ib[b_axes[0]] * d + ib[b_axes[1]], ib[fb], b.vals), d * d, d)
-    out = np.zeros(d * d)
-    out[codes] = vals
-    return out.reshape(d, d)
-
-
-def _contract_axis(t: Coo, axis: int, v: np.ndarray) -> np.ndarray:
-    """sum_q t[..q at axis..] v[q] over a cubic 3-tensor, as a d x d array."""
-    d = t.shape[0]
-    index = np.unravel_index(t.codes, t.shape)
-    rest = [index[a] for a in range(3) if a != axis]
-    return np.bincount(rest[0] * d + rest[1], t.vals * v[index[axis]], minlength=d * d).reshape(d, d)
-
-
-def _diagonal(t: Coo, a: int, b: int) -> np.ndarray:
-    """sum_i t[..i at a.., ..i at b..] over a cubic 3-tensor, a vector over
-    the remaining axis."""
-    index = np.unravel_index(t.codes, t.shape)
-    (rest,) = {0, 1, 2} - {a, b}
-    on = index[a] == index[b]
-    return np.bincount(index[rest][on], t.vals[on], minlength=t.shape[0])
+def _sum_span(codes: np.ndarray, vals: np.ndarray, start: int, span: int):
+    """The nonzero sums, in the order given, of the values at each code of
+    range(start, start + span), and their codes; codes is shifted in place."""
+    codes -= start
+    sums = np.bincount(codes, vals.real, span)
+    if vals.dtype.kind == "c":
+        sums = sums + 1j * np.bincount(codes, vals.imag, span)
+    nonzero = np.flatnonzero(sums)
+    return nonzero + start, sums[nonzero]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +424,7 @@ class MatrixAlgebra:
     holds the structure coefficients c[i,j,k] of [e_i, e_j] = sum_k c[i,j,k] e_k
     as a Coo and `killing` the Killing form over the basis.
 
-    The products e_i e_j are formed from the nonzeros of the basis matrices.
+    The products e_i e_j are einsums of the nonzeros of the basis matrices.
     The constructor checks closure: every commutator must equal its
     expansion up to 1e-11 * max(1, max|[e_i, e_j]|), and the largest entry
     of the difference is kept as `closure_residual`.  For a closed span the
@@ -365,61 +436,32 @@ class MatrixAlgebra:
         self.name = name
         self.n = n
         self.basis = np.array(basis)
-        self.dim = d = len(basis)
+        self.dim = len(basis)
 
         gram = -np.real(np.einsum("iab,jba->ij", self.basis, self.basis))
         if np.linalg.matrix_rank(gram) < self.dim:
             raise AlgebraError(f"{name}: basis is not linearly independent")
         # Inverse Gram matrix of -Re tr: the dual basis that `coeffs` reads through.
         self._dual = np.linalg.inv(gram)
-        flat = self.basis.reshape(-1)
-        nz = np.flatnonzero(flat)
-        # The nonzeros of the basis: matrix, row, column and value.
-        self._entries = (*np.unravel_index(nz, self.basis.shape), flat[nz])
+        self._basis = e = Coo.from_dense(self.basis)
 
-        comm_codes, comm = self._products(commutators=True)
-        self.bracket = self._coefficients(comm_codes, comm)
+        comm = _einsum_sum([("iab,jbc->ijac", e, e, 1), ("ibc,jab->ijac", e, e, -1)])
+        self.bracket = self._sparse_coeffs(comm)
         # A commutator outside the span has no coefficients, only the
         # projection that `coeffs` reads; closure is what the check tests.
-        m, a, b, v = self._entries
-        pair, k = np.divmod(self.bracket.codes, d)
-        exp_codes, expansion = _contract((pair // d, k, pair * n * n, self.bracket.vals),
-                                         (m, a * n + b, v), d, d)
-        _, residual = _sum_duplicates(np.concatenate((comm_codes, exp_codes)),
-                                      np.concatenate((comm, -expansion)))
-        self.closure_residual = float(np.abs(residual).max(initial=0.0))
-        if self.closure_residual > 1e-11 * max(1.0, float(np.abs(comm).max(initial=0.0))):
+        self.closure_residual = (comm - _einsum("ijk,kac->ijac", self.bracket, e)).max_abs()
+        if self.closure_residual > 1e-11 * max(1.0, comm.max_abs()):
             raise AlgebraError(f"{name}: basis is not closed under the bracket "
                                f"({self.closure_residual:.2e})")
 
         # B(X, Y) = tr(ad X ad Y) from the structure coefficients.
-        self.killing = _contract_pairs(self.bracket, (1, 2), self.bracket, (2, 1))
+        self.killing = _einsum("ipq,jqp->ij", self.bracket, self.bracket).toarray()
 
-    def _products(self, commutators: bool = False):
-        """The products e_i e_j of every basis pair, or with `commutators` the
-        commutators e_i e_j - e_j e_i, at the codes of (i, j, a, c) in a
-        (d, d, n, n) array: sorted codes and complex values without zeros.
-        Only nonzeros of the basis meet, a block of rows i at a time."""
-        d, n = self.dim, self.n
-        m, a, b, v = self._entries
-        # e_i[a,b] e_j[b,c]: the left entry is e_i's, keyed by its column.
-        terms = [_term((m, b, m * (d * n * n) + a * n, v), (a, m * (n * n) + b, v), n, d)]
-        if commutators:  # -e_j[a,b] e_i[b,c]: the left entry is e_i's, keyed by its row.
-            terms.append(_term((m, a, m * (d * n * n) + b, -v), (b, m * (n * n) + a * n, v), n, d))
-        return _collect(_join_blocks(terms, _row_products(terms, d)))
-
-    def _coefficients(self, codes: np.ndarray, vals: np.ndarray) -> Coo:
-        """`coeffs` of the matrices M[i, j] held at the codes of (i, j, a, c)
-        in a (d, d, n, n) array, as a (d, d, d) Coo: -Re tr(M e_k) joined on
-        the cell (a, c), then the dual basis joined on k."""
-        d, n = self.dim, self.n
-        m, a, b, v = self._entries
-        pair, cell = np.divmod(codes, n * n)
-        raw_codes, raw = _contract((pair // d, cell, pair * d, vals), (b * n + a, m, -v), n * n, d)
-        raw_pair, k = np.divmod(raw_codes, d)
-        rows, cols = np.nonzero(self._dual)
-        return Coo((d, d, d), *_contract((raw_pair // d, k, raw_pair * d, np.real(raw)),
-                                         (rows, cols, self._dual[rows, cols]), d, d))
+    def _sparse_coeffs(self, m: Coo) -> Coo:
+        """`coeffs` of the matrices m[i, j], a (d, d, n, n) Coo, as a (d, d, d)
+        Coo: -Re tr(m[i, j] e_k), then the dual basis."""
+        raw = -_einsum("ijac,kca->ijk", m, self._basis).real()
+        return _einsum("ijk,kl->ijl", raw, Coo.from_dense(self._dual))
 
     def matrix(self, coeffs: np.ndarray) -> np.ndarray:
         """The algebra element with the given basis coefficients."""
@@ -540,29 +582,24 @@ def laquer_basis(alg: MatrixAlgebra) -> dict[str, Coo]:
         mu3[i,j,k] = t_i delta_jk      mu5[i,j,k] = g_ij xi_k
         mu4[i,j,k] = t_j delta_ik      mu6[i,j,k] = -t_i t_j xi_k,
 
-    each built from the nonzeros of t, g and xi.
+    each an outer product of the nonzeros of t, g, xi and the identity.
     """
     if not alg.name.startswith("u("):
         raise AlgebraError("the Laquer basis lives on u(n)")
-    d, n = alg.dim, alg.n
-    codes, prod = alg._products()
-    half = alg._coefficients(codes, 1j * prod)
-    pair, cell = np.divmod(codes, n * n)
-    on_diag = cell // n == cell % n
-    g = np.bincount(pair[on_diag], np.real(prod[on_diag]), minlength=d * d)
-    t = np.real(1j * np.einsum("iaa->i", alg.basis))
-    xi = alg.coeffs(1j * np.eye(n))
-    ij, i, k = np.flatnonzero(g), np.flatnonzero(t), np.flatnonzero(xi)
-    every = np.arange(d)
-    shape = (d, d, d)
+    e = alg._basis
+    prod = _einsum("iab,jbc->ijac", e, e)
+    half = alg._sparse_coeffs(Coo(prod.shape, prod.codes, 1j * prod.vals))
+    g = _einsum("iab,jba->ij", e, e).real()
+    t = Coo.from_dense(np.real(1j * np.einsum("iaa->i", alg.basis)))
+    xi = Coo.from_dense(alg.coeffs(1j * np.eye(alg.n)))
+    eye = _identity(alg.dim)
     maps = {
         "mu1": alg.bracket,
         "mu2": half + half.transpose((1, 0, 2)),
-        "mu3": Coo(shape, (i[:, None] * d * d + every * (d + 1)).ravel(), np.repeat(t[i], d)),
-        "mu4": Coo(shape, (every[:, None] * (d * d + 1) + i * d).ravel(), np.tile(t[i], d)),
-        "mu5": Coo(shape, (ij[:, None] * d + k).ravel(), np.outer(g[ij], xi[k]).ravel()),
-        "mu6": Coo(shape, ((i[:, None] * d + i)[:, :, None] * d + k).ravel(),
-                   -np.einsum("i,j,k->ijk", t[i], t[i], xi[k]).ravel()),
+        "mu3": _einsum("i,jk->ijk", t, eye),
+        "mu4": _einsum("ik,j->ijk", eye, t),
+        "mu5": _einsum("ij,k->ijk", g, xi),
+        "mu6": -_einsum("ij,k->ijk", _einsum("i,j->ij", t, t), xi),
     }
     maps["nu"] = maps["mu3"] - maps["mu4"]
     maps["theta"] = maps["mu3"] + maps["mu4"]
@@ -617,26 +654,22 @@ def _max_derivative(alg: MatrixAlgebra, lams: list, f, reduce) -> float:
     `_derivative(lams, F)`, by one of two paths with the same result.
 
     lams are Coo or None, and F a Coo or an array, converted after the int64
-    guard.  The sparse path (`_sparse_derivative`) sums the products of the
-    nonzeros of a Lambda and F that meet on a contracted index per entry,
-    and reduces the entries they reach; an empty derivative gives 0.0.  It
-    runs when it forms fewer products than the derivative has entries and
-    no Z row alone needs more than _BLOCK_PRODUCTS of them.  Both counts are
-    exact (`_products_per_row`) and taken before any product is formed; the
-    entry codes are int64, and d^(F.ndim + 1) < 2^62 is checked.  Structure
-    constants and the Laquer maps take the sparse path, and a dense map
-    keeps the dense one (`_max_dense_derivative`), which densifies.
+    guard on the derivative's d^(F.ndim + 1) entries.  The sparse path
+    reduces the blocks of the einsum terms (`_derivative_terms`); an empty
+    derivative gives 0.0.  It runs when the terms form fewer products than
+    the derivative has entries and no Z row needs more than _BLOCK_PRODUCTS
+    of them, both counted exactly before any product is formed.  A dense
+    map keeps the dense path (`_max_dense_derivative`), which densifies.
     """
     d = alg.dim
     if tuple(f.shape) != (d,) * f.ndim or len(lams) != f.ndim or any(
             lam is not None and lam.shape != (d, d, d) for lam in lams):
         raise TensorShapeError("tensor shape does not match the algebra dimension")
-    _code_strides(d, f.ndim)
+    _check_codes((d,) * (f.ndim + 1))
     f = _coo(f)
-    rows = _products_per_row(lams, f)
+    _, rows, blocks = _einsum_blocks(_derivative_terms(lams, f))
     if rows.sum() < d ** (f.ndim + 1) and rows.max() <= _BLOCK_PRODUCTS:
-        return max((_reduce_sparse(*block, d, reduce) for block in _sparse_derivative(lams, f, rows)),
-                   default=0.0)
+        return max((_reduce_sparse(*block, d, reduce) for block in blocks), default=0.0)
     return _max_dense_derivative(alg, lams, f, reduce)
 
 
@@ -669,55 +702,20 @@ def _derivative(lams: list, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _code_strides(d: int, ndim: int) -> list[int]:
-    """Strides of F's axes in flat codes of its derivative, whose leading Z
-    axis has stride d^ndim.  The codes are int64, so d^(ndim + 1) < 2^62 is
-    checked here."""
-    if d ** (ndim + 1) >= 1 << 62:
-        raise TensorShapeError(f"a derivative with {d}^{ndim + 1} entries overflows int64 codes")
-    return [d ** (ndim - 1 - axis) for axis in range(ndim)]
+# Letters of F's axes in the derivative's einsum terms: all but z, a and q.
+_AXIS_LETTERS = "bcdefghijklmnoprstuvwxyABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _products_per_row(lams: list, f: Coo) -> np.ndarray:
-    """Exact count of the products the sparse path forms for each Z row.
-
-    The term of axis t joins lams[t][z,:,q] with the nonzeros of F whose
-    index on axis t is q, so counts of nonzeros per (z, q) and per q give
-    every count."""
-    d = f.shape[0]
-    rows = np.zeros(d, dtype=np.int64)
-    for lam, s in zip(lams, _code_strides(d, f.ndim)):
-        if lam is not None:
-            per_zq = np.bincount(lam.codes // (d * d) * d + lam.codes % d, minlength=d * d)
-            rows += per_zq.reshape(d, d) @ np.bincount(f.codes // s % d, minlength=d)
-    return rows
-
-
-def _sparse_derivative(lams: list, f: Coo, rows: np.ndarray):
-    """`_derivative(lams, F)` as (codes, values) blocks over runs of Z rows:
-    the flat codes of its reachable entries, sorted and distinct, and their
-    values; entries no code names are zero.  `rows` is `_products_per_row`,
-    and a block holds at most _BLOCK_PRODUCTS products, or one row.  Blocks
-    without products are left out.
-
-    The term of F's axis t, with code stride s, groups the nonzeros of F by
-    their index q on that axis; an entry lam[z,a,q] meets every nonzero in
-    group q, giving -lam * F at code z d^m + (F's code - q s) + a s.
-    Products that share a code are summed.
-    """
-    d, m = f.shape[0], f.ndim
-    terms = []
-    for lam, s in zip(lams, _code_strides(d, m)):
-        if lam is not None:
-            q = f.codes // s % d
-            z, a, k = np.unravel_index(lam.codes, lam.shape)
-            terms.append(_term((z, k, z * d ** m + a * s, -lam.vals), (q, f.codes - q * s, f.vals),
-                               d, d))
-    return _join_blocks(terms, rows)
+def _derivative_terms(lams: list, f: Coo) -> list:
+    """`_derivative(lams, F)` as signed einsum terms: for each axis t whose
+    Lambda is not None, -Lambda_t[z,a,q] F[..q at t..] -> D[z, ..a at t..]."""
+    axes = _AXIS_LETTERS[:f.ndim]
+    return [(f"zaq,{axes[:t]}q{axes[t + 1:]}->z{axes[:t]}a{axes[t + 1:]}", lam, f, -1)
+            for t, lam in enumerate(lams) if lam is not None]
 
 
 def _reduce_sparse(codes: np.ndarray, vals: np.ndarray, d: int, reduce) -> float:
-    """reduce over one block of `_sparse_derivative`: max |value|, or the
+    """reduce over one block of the derivative: max |value|, or the
     largest norm of the values whose codes share code // d (one last-axis
     slot)."""
     if reduce is _max_abs:
@@ -740,9 +738,8 @@ def metric_defect(alg: MatrixAlgebra, mu) -> float:
 def parallel_metric_defect(alg: MatrixAlgebra, mu) -> float:
     """Max |(D_Z g)(X,Y)| = |<Lambda(Z)X,Y> + <X,Lambda(Z)Y>| of the metric g = Id:
     the scalar-valued derivative, slot terms only."""
-    mu, d = _coo(mu, (alg.dim,) * 3), alg.dim
-    eye = Coo((d, d), np.arange(d) * (d + 1), np.ones(d))
-    return _max_derivative(alg, [mu, mu], eye, _max_abs)
+    mu = _coo(mu, (alg.dim,) * 3)
+    return _max_derivative(alg, [mu, mu], _identity(alg.dim), _max_abs)
 
 
 def is_metric(alg: MatrixAlgebra, mu, tol: float = DEFAULT_TOL):
@@ -787,7 +784,8 @@ def torsion_from_a(a) -> Coo:
 
 def trace_vector(mu) -> np.ndarray:
     """sum_i mu(e_i, e_i), as coefficients."""
-    return _diagonal(_cubic(mu), 0, 1)
+    mu = _cubic(mu)
+    return _einsum("ijk,ij->k", mu, _identity(mu.shape[0])).toarray()
 
 
 @dataclasses.dataclass
@@ -825,14 +823,13 @@ def classify_type(a, tol: float = DEFAULT_TOL) -> TypeDecomposition:
     if (a + a.transpose((0, 2, 1))).max_abs() > tol:
         raise TensorShapeError("tensor is not antisymmetric in its last two slots")
     d = a.shape[0]
-    phi = _diagonal(a, 0, 1) / (d - 1)
-    # a1[x,y,z] = delta_xy phi_z - delta_xz phi_y, at the nonzeros k of phi
-    k, x = np.flatnonzero(phi), np.arange(d)[:, None]
-    a1 = Coo(a.shape, np.concatenate(((x * (d * d + d) + k).ravel(), (x * (d * d + 1) + k * d).ravel())),
-             np.concatenate((np.tile(phi[k], d), np.tile(-phi[k], d))))
+    eye = _identity(d)
+    phi = _einsum("xyz,xy->z", a, eye) / (d - 1)
+    # a1[x,y,z] = delta_xy phi_z - delta_xz phi_y
+    a1 = _einsum_sum([("xy,z->xyz", eye, phi, 1), ("xz,y->xyz", eye, phi, -1)])
     a3 = (a + a.transpose((1, 2, 0)) + a.transpose((2, 0, 1))) / 3.0
     a2 = a - a1 - a3
-    return TypeDecomposition(phi=phi, a1=a1, a2=a2, a3=a3)
+    return TypeDecomposition(phi=phi.toarray(), a1=a1, a2=a2, a3=a3)
 
 
 @dataclasses.dataclass
@@ -899,13 +896,13 @@ def ricci_matrix(alg: MatrixAlgebra, mu) -> np.ndarray:
         Ric[x,y] = sum_p mu[x,y,p] tau[p] - sum_{e,p} mu[e,y,p] mu[x,p,e]
                    - sum_{e,p} c[e,x,p] mu[p,y,e],   tau[p] = sum_e mu[e,p,e]
 
-    where each double sum joins the nonzeros of its two factors on the
-    pair (e, p), without the curvature tensor.
+    as three einsums of the nonzeros, without the curvature tensor.
     """
     mu = _coo(mu, (alg.dim,) * 3)
-    return (_contract_axis(mu, 2, _diagonal(mu, 0, 2))
-            - _contract_pairs(mu, (1, 2), mu, (2, 0))
-            - _contract_pairs(alg.bracket, (0, 2), mu, (2, 0)))
+    tau = _einsum("epq,eq->p", mu, _identity(alg.dim))
+    return (_einsum("xyp,p->xy", mu, tau).toarray()
+            - _einsum("xpe,eyp->xy", mu, mu).toarray()
+            - _einsum("exp,pye->xy", alg.bracket, mu).toarray())
 
 
 def flatness_defect(alg: MatrixAlgebra, mu) -> float:
@@ -959,8 +956,7 @@ def ricci_skew_path(alg: MatrixAlgebra, t_form, tol: float = DEFAULT_TOL) -> np.
         (delta T)[x,y] = sum_{i,q} mu[i,i,q] T[q,x,y] + mu[i,x,q] T[i,q,y]
                          + mu[i,y,q] T[i,x,q]
 
-    where each double sum joins the nonzeros of mu and T on the pair (i, q),
-    without the d^4 derivative.
+    as einsums of the nonzeros of mu and T, without the d^4 derivative.
     """
     t_form = _coo(t_form, (alg.dim,) * 3)
     skew_defect = max((t_form + t_form.transpose((1, 0, 2))).max_abs(),
@@ -969,10 +965,10 @@ def ricci_skew_path(alg: MatrixAlgebra, t_form, tol: float = DEFAULT_TOL) -> np.
         raise TensorShapeError("T must be a totally skew 3-tensor")
     mu = levi_civita_map(alg)
     ric_g = ricci_matrix(alg, mu)
-    s = _contract_pairs(t_form, (0, 2), t_form, (0, 2))
-    delta = (_contract_axis(t_form, 0, _diagonal(mu, 0, 1))
-             + _contract_pairs(mu, (0, 2), t_form, (0, 1))
-             + _contract_pairs(t_form, (0, 2), mu, (0, 2)))
+    s = _einsum("ixq,iyq->xy", t_form, t_form).toarray()
+    delta = (_einsum("qxy,q->xy", t_form, _einsum("ijq,ij->q", mu, _identity(alg.dim))).toarray()
+             + _einsum("ixq,iqy->xy", mu, t_form).toarray()
+             + _einsum("ixq,iyq->xy", t_form, mu).toarray())
     return ric_g - 0.25 * s - 0.5 * delta
 
 
@@ -990,7 +986,7 @@ def vectorial_ricci(alg: MatrixAlgebra, xi: np.ndarray) -> np.ndarray:
         raise TensorShapeError("degenerate vectorial type: xi = 0")
     d = alg.dim
     ric_g = ricci_matrix(alg, levi_civita_map(alg))
-    bracket_term = _contract_axis(alg.bracket, 2, xi)
+    bracket_term = _einsum("xyp,p->xy", alg.bracket, Coo.from_dense(xi)).toarray()
     return (ric_g + (d - 2) * np.outer(xi, xi)
             + (2 - d) * norm_sq * np.eye(d) + 0.5 * (2 - d) * bracket_term)
 

@@ -689,7 +689,8 @@ def classify_catalog(entries=None, budget: Budget | None = None, path: str | Non
     if jobs <= 1 or len(entries) <= 1:
         return [(entry, classify(entry, budget=budget)) for entry in entries]
     import concurrent.futures
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork-started pool starts all of its workers at the first submit.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
         reports = list(pool.map(_classify_job, [(e, budget) for e in entries]))
     return list(zip(entries, reports))
 

@@ -298,6 +298,12 @@ BAD_INPUTS = {
     "decompose second weight of the wrong length": lambda tmp: [
         "decompose", "A2", "tensor", "--hw", "1,0", "--hw2", "1"],
     "unknown catalog row": lambda tmp: ["classify", "XX/YY"],
+    "verify-un non-numeric tolerance": lambda tmp: ["verify-un", "4", "--tolerance", "abc"],
+    "verify-un non-numeric n": lambda tmp: ["verify-un", "x"],
+    "unknown command": lambda tmp: ["frobnicate"],
+    "decompose without --hw": lambda tmp: ["decompose", "A2", "alt2"],
+    "table with zero jobs": lambda tmp: ["table", "--jobs", "0"],
+    "table with a zero budget": lambda tmp: ["table", "--budget", "0,50000"],
 }
 
 
@@ -311,6 +317,14 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify-un", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: invconn") and "--jobs" in out
 
 
 def test_key_error_message_is_not_quoted(capsys):

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import itertools
+import pathlib
 import re
 import tracemalloc
 
@@ -635,11 +637,17 @@ def _masked(rng, d, density):
     return random_bilinear(d, rng) * (rng.random((d, d, d)) < density)
 
 
+def _derivative_blocks(lams, f):
+    """The exact product count of each Z row and the sparse path's blocks."""
+    _, rows, blocks = cc._einsum_blocks(cc._derivative_terms(lams, f))
+    return rows, blocks
+
+
 def _sparse_full(lams, f):
     """The full derivative rebuilt from the sparse path's (code, value) pairs."""
     d = f.shape[0]
     full = np.zeros(d ** (f.ndim + 1))
-    for codes, vals in cc._sparse_derivative(lams, f, cc._products_per_row(lams, f)):
+    for codes, vals in _derivative_blocks(lams, f)[1]:
         assert np.all(np.diff(codes) > 0)  # sorted and distinct
         full[codes] = vals
     return full.reshape((d,) + f.shape)
@@ -666,11 +674,11 @@ def test_sparse_path_equals_the_dense_blocks(monkeypatch):
                 assert _close(expect, reduce(full)), where
                 # The default keeps one block at these sizes; blocks of the
                 # largest row's products end inside every derivative.
-                rows = cc._products_per_row(lams, f)
+                rows = _derivative_blocks(lams, f)[0]
                 for block in (default, int(rows.max())):
                     monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", block)
                     if block < rows.sum():
-                        assert len(list(cc._sparse_derivative(lams, f, rows))) > 1, where
+                        assert len(list(_derivative_blocks(lams, f)[1])) > 1, where
                     assert _close(defect(alg, mu), expect), where
                     assert _close(_sparse_full(lams, f), full), where
 
@@ -702,7 +710,7 @@ def test_sparse_path_gives_zero_for_a_zero_derivative(monkeypatch):
         # 1-form F unchanged, so D_Z F = F - F.
         ident = cc._coo(np.broadcast_to(np.eye(d), (d, d, d)))
         f = cc._coo(rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.2))
-        assert cc._products_per_row(cc._along(ident, 2), f).sum() > 0
+        assert _derivative_blocks(cc._along(ident, 2), f)[0].sum() > 0
         assert cc.parallel_defect(alg, ident, f) == 0.0
         assert cc._max_derivative(alg, cc._along(ident, 2), f, cc._max_slot_norm) == 0.0
 
@@ -710,6 +718,7 @@ def test_sparse_path_gives_zero_for_a_zero_derivative(monkeypatch):
 def test_dense_maps_keep_the_dense_path(monkeypatch):
     def no_sparse_path(*args):
         raise AssertionError("the sparse path ran")
+        yield
 
     rng = np.random.default_rng(33)
     cases = []
@@ -718,7 +727,7 @@ def test_dense_maps_keep_the_dense_path(monkeypatch):
         cases.append((alg, mu, cc.equivariance_defect(alg, mu), cc.derivation_defect(alg, mu),
                       cc.parallel_defect(alg, mu, cc.torsion(alg, mu)), cc.flatness_defect(alg, mu),
                       cc.parallel_metric_defect(alg, mu)))
-    monkeypatch.setattr(cc, "_sparse_derivative", no_sparse_path)
+    monkeypatch.setattr(cc, "_join_blocks", no_sparse_path)
     for alg, mu, eq, der, par, flat, metric in cases:
         assert cc.equivariance_defect(alg, mu) == eq
         assert cc.derivation_defect(alg, mu) == der
@@ -729,10 +738,20 @@ def test_dense_maps_keep_the_dense_path(monkeypatch):
 
 
 def test_sparse_codes_fit_int64():
-    assert cc._code_strides(8, 19) == [8 ** k for k in range(18, -1, -1)]  # 8^20 = 2^60
+    # The derivative of a 19-axis F has 8^20 = 2^60 entries: the term of
+    # axis t puts Lambda's a at F's stride on t, and every other axis of F
+    # keeps its stride.
+    strides = [8 ** k for k in range(18, -1, -1)]
+    f, lam = cc.Coo((8,) * 19, [], []), cc.Coo((8,) * 3, [], [])
+    for t, (spec, _, _, sign) in enumerate(cc._derivative_terms([lam] * 19, f)):
+        _, _, _, (_, lam_code), (_, f_code) = cc._einsum_plan(spec, lam.shape, f.shape)
+        assert sign == -1 and lam_code == (8 ** 19, strides[t], 0)
+        assert f_code == tuple(0 if axis == t else s for axis, s in enumerate(strides))
     for d, ndim in ((8, 20), (2, 61), (2 ** 31, 1)):
         with pytest.raises(cc.TensorShapeError, match="int64"):
-            cc._code_strides(d, ndim)
+            cc._check_codes((d,) * (ndim + 1))
+    with pytest.raises(cc.TensorShapeError, match="int64"):
+        cc._einsum_plan("zaq,q->za", (2 ** 31,) * 3, (2 ** 31,))
     # The guard runs before anything the size of F is allocated: this F is
     # a zero-strided view of 2^60 entries.
     su3 = cc.build_algebra("su", 3)
@@ -758,3 +777,134 @@ def test_sparse_path_peak_memory_is_at_most_the_dense_one():
         tracemalloc.stop()
     assert sparse < 1e-12 and dense < 1e-12
     assert sparse_peak <= dense_peak
+
+
+# ---------------------------------------------------------------------------
+# The sparse einsum against np.einsum
+# ---------------------------------------------------------------------------
+
+SPEC = re.compile(r"[A-Za-z]+,[A-Za-z]+->[A-Za-z]+")
+
+
+def _module_specs():
+    """Every sparse einsum spec of the module: the spec literals of its
+    `_einsum` and `_einsum_sum` calls, and the derivative terms of a 1-, 2-
+    and 3-axis F."""
+    tree = ast.parse(pathlib.Path(cc.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("_einsum", "_einsum_sum")]
+    specs = {node.value for call in calls for node in ast.walk(call)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and SPEC.fullmatch(node.value)}
+    lam = cc.Coo((2,) * 3, [], [])
+    for m in (1, 2, 3):
+        specs.update(spec for spec, *_ in cc._derivative_terms([lam] * m, cc.Coo((2,) * m, [], [])))
+    return sorted(specs)
+
+
+def _operands(spec, rng, density=0.4, complex_values=False):
+    """Random sparse operands of a spec, each letter of its own size so that
+    a mixed-up axis shows."""
+    size = {c: 2 + "bcdefghijklmnoprstuvwxyzaq".index(c) % 3 for c in set(spec) - set(",->")}
+    ops = []
+    for letters in spec.split("->")[0].split(","):
+        shape = tuple(size[c] for c in letters)
+        x = rng.standard_normal(shape)
+        if complex_values:
+            x = x + 1j * rng.standard_normal(shape)
+        ops.append(x * (rng.random(shape) < density))
+    return ops
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_einsum_equals_numpy_on_every_module_spec(monkeypatch, block):
+    # block = 1 puts each row of the first output letter in its own block.
+    if block is not None:
+        monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", block)
+    specs = _module_specs()
+    assert {"iab,jbc->ijac", "ipq,jqp->ij", "xpe,eyp->xy", "i,jk->ijk", "zaq,bqd->zbad"} <= set(specs)
+    rng = np.random.default_rng(51)
+    for spec in specs:
+        for complex_values in (False, True):
+            a, b = _operands(spec, rng, complex_values=complex_values)
+            got = cc._einsum(spec, cc.Coo.from_dense(a), cc.Coo.from_dense(b))
+            want = np.einsum(spec, a, b)
+            assert isinstance(got, cc.Coo) and got.shape == want.shape, spec
+            assert np.all(np.diff(got.codes) > 0) and np.all(got.vals != 0), spec
+            assert _close(np.asarray(got), want), (spec, complex_values)
+
+
+def test_einsum_signed_sums_and_small_blocks(monkeypatch):
+    rng = np.random.default_rng(52)
+    # A family of four complex 3 x 3 matrices: products, minus the reversed
+    # products (the commutators), plus 2.5 times the products.
+    x = (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))) * (rng.random((4, 3, 3)) < 0.5)
+    terms = [("iab,jbc->ijac", x, x, 1), ("ibc,jab->ijac", x, x, -1), ("iab,jbc->ijac", x, x, 2.5)]
+    want = sum(sign * np.einsum(spec, x, y) for spec, x, y, sign in terms)
+    coo_terms = [(spec, cc.Coo.from_dense(x), cc.Coo.from_dense(y), sign) for spec, x, y, sign in terms]
+    expect = cc._einsum_sum(coo_terms)
+    assert _close(np.asarray(expect), want)
+    # A term minus itself leaves rounding noise at most.
+    e = cc.Coo.from_dense(x)
+    assert cc._einsum_sum([("iab,jbc->ijac", e, e, 1), ("iab,jbc->ijac", e, e, -1)]).max_abs() < 1e-14
+    # Blocks of one product, and of a few: many blocks, the same sum.
+    _, rows, _ = cc._einsum_blocks(coo_terms)
+    for block in (1, 7):
+        monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", block)
+        _, _, blocks = cc._einsum_blocks(coo_terms)
+        assert len(list(blocks)) > 1
+        got = cc._einsum_sum(coo_terms)
+        assert np.array_equal(got.codes, expect.codes) and _close(got.vals, expect.vals), block
+    # Each product is one nonzero of the product with the contracted b kept.
+    assert rows.sum() == sum(np.count_nonzero(np.einsum(spec + "b", x != 0, y != 0))
+                             for spec, x, y, _ in terms)
+
+
+def test_einsum_empty_operands_and_outer_products():
+    rng = np.random.default_rng(53)
+    t, m = rng.standard_normal(4), rng.standard_normal((3, 5)) * (rng.random((3, 5)) < 0.5)
+    empty = cc.Coo((4,), [], [])
+    for spec, a, b in (("i,jk->ijk", t, m), ("jk,i->jki", m, t), ("i,j->ij", t, t)):
+        got = cc._einsum(spec, cc.Coo.from_dense(a), cc.Coo.from_dense(b))
+        assert np.array_equal(np.asarray(got), np.einsum(spec, a, b)), spec
+    for got in (cc._einsum("i,jk->ijk", empty, cc.Coo.from_dense(m)),
+                cc._einsum("jk,i->jki", cc.Coo.from_dense(m), empty),
+                cc._einsum("ij,j->i", cc.Coo((2, 4), [], []), empty)):
+        assert len(got.codes) == 0 and np.asarray(got).shape in ((4, 3, 5), (3, 5, 4), (2,))
+
+
+def test_einsum_refuses_ill_formed_specs():
+    a, b = cc.Coo((2, 2), [0], [1.0]), cc.Coo((2, 2), [3], [1.0])
+    for spec in ("ii,ij->j",      # a repeated letter inside one operand
+                 "ij,jk->ijk",    # a contracted letter in the output
+                 "ij,kl->ki",     # the first output letter is not one of a's
+                 "ij,kl->iik",    # a repeated output letter
+                 "ij,kl->ix",     # an output letter of neither operand
+                 "i,jk->ijk"):    # a letter per axis
+        with pytest.raises(cc.TensorShapeError):
+            cc._einsum(spec, a, b)
+    with pytest.raises(cc.TensorShapeError, match="sizes"):
+        cc._einsum("ij,jk->ik", a, cc.Coo((3, 2), [0], [1.0]))
+    with pytest.raises(cc.TensorShapeError, match="one output shape"):
+        cc._einsum_sum([("ij,jk->ik", a, b, 1), ("ij,kl->ijkl", a, b, 1)])
+
+
+def test_only_coo_and_the_einsum_compute_flat_codes():
+    # Index <-> flat-code conversions stay inside `Coo` and the einsum.
+    banned = {"unravel_index", "ravel_multi_index", "divmod"}
+    allowed = {"_einsum_blocks"}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if where is None else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in banned and not (where or "").startswith("Coo.") and where not in allowed:
+                    found.append((where, name, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(pathlib.Path(cc.__file__).read_text()), None)
+    assert found == []

@@ -381,6 +381,33 @@ def test_parallel_sweep_matches_sequential():
     assert a == b
 
 
+def test_parallel_sweep_starts_at_most_one_worker_per_row(monkeypatch):
+    # A fork-started pool starts every worker at the first submit, so a large
+    # --jobs must not reach the pool.  The fake pool only records its size.
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    rows = [get_row(r) for r in ["G2/SU3", "SO7/G2", "SO10/Sp2"]]
+    pairs = classify_catalog(rows, jobs=10_000)
+    assert sizes == [3]
+    assert [entry.id for entry, _ in pairs] == [row.id for row in rows]
+    assert classify_catalog(rows[:2], jobs=2) and sizes == [3, 2]
+
+
 def test_sp16_spin12_candidates_agree():
     row = get_row("Sp16/Spin12")
     assert row.alt_constituents is not None
