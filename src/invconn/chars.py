@@ -21,9 +21,13 @@ modules.
 Multiplicities of irreducibles come from two independent algorithms:
 `multiplicity` sums over the Weyl orbit of lam + rho (Weyl's character
 formula), and `decompose` folds every weight into the dominant chamber
-(Racah-Speiser).
+(Racah-Speiser).  The fold is batched: each numpy step reflects every row
+of the stack supp chi + rho that still has a negative label, at its first
+negative label.  Its labels are int64 only while every label that a
+reflection can reach is below 2^59 in size (a bound from the invariant
+norm, `RootSystem._orbit_label_factor`); otherwise it runs on Python ints.
 
-Two numpy kernels share one weight coding: each weight becomes a
+The numpy kernels share one weight coding: each weight becomes a
 mixed-radix code over a box, chosen so that a sum or difference of weights
 is a sum of codes.  `tensor`, behind every materialized square and cube,
 sums the products m1 * m2 per code in blocks of about 16k weight pairs:
@@ -32,8 +36,10 @@ with `np.add.at` into a dense int64 array, larger ones by sorting each
 block's codes, `np.add.reduceat`, and one merge.  `_convolve_at`, behind
 the orbit sums, evaluates sum_j m_j table(nu - w_j) at every point nu of
 a Weyl orbit at once by looking the pair codes up among the table's sorted
-codes with `np.searchsorted`, again in blocks of about 16k pairs.  Nothing
-is computed in floating point.  Codes are int64 only while the box has
+codes with `np.searchsorted`, again in blocks of about 16k pairs.
+`decompose` looks every simple reflection of the support up the same way
+and sums the folded terms per dominant weight by code.  Nothing is computed
+in floating point.  Codes are int64 only while the box has
 fewer than 2^62 entries and every coordinate is below 2^61 in size, and
 values only while a bound on every product and sum is below 2^62; beyond
 either guard the same code runs on Python ints, so nothing wraps.
@@ -154,7 +160,8 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
                 seen.add(nud)
                 queue.append(nud)
     out = list(seen)
-    out.sort(key=lambda w: (rs.height(_wsub(lam, w)), w))
+    height = rs._height_key  # height(lam - w) increases as height(w) decreases
+    out.sort(key=lambda w: (-height(w), w))
     return out
 
 
@@ -452,34 +459,136 @@ def multiplicity(chi: Character, lam: Weight) -> int:
     return _alternating_sum(chi.rs, lam, lambda nus: _lookup(table, nus))[0]
 
 
+def _fold_to_dominant(rs: RootSystem, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`to_dominant` for every row of an (n, rank) stack at once: the signs,
+    0 on a chamber wall, and the stack with every row off the walls folded
+    in place to its dominant representative.
+
+    Each step reflects every row that still has a negative label at its
+    first negative label, so a row that is done after k steps has sign
+    (-1)^k.  A row with a zero label is on a wall at every step, so it
+    leaves the fold at once with sign 0.  The dtype of the stack must hold
+    every label of every step (`_fold_dtype`).
+    """
+    cartan = np.array(rs.cartan, dtype=weights.dtype)
+    signs = (weights != 0).all(1).astype(np.int64)
+    idx = np.flatnonzero(signs & (weights < 0).any(1))
+    rows, step = weights[idx], 0
+    while len(rows):
+        step += 1
+        first = (rows < 0).argmax(1)
+        rows -= rows[np.arange(len(rows)), first][:, None] * cartan[first]
+        neg = (rows < 0).any(1)
+        wall = (rows == 0).any(1)
+        done = ~neg & ~wall
+        weights[idx[done]] = rows[done]
+        signs[idx[done]] = -1 if step % 2 else 1
+        signs[idx[wall]] = 0
+        live = neg & ~wall
+        idx, rows = idx[live], rows[live]
+    return weights, signs
+
+
+def _fold_dtype(rs: RootSystem, weights: np.ndarray):
+    """int64 when every label of every Weyl-orbit point of the rows and of the
+    rows plus rho, and so every label that a reflection or a fold step
+    reaches, is below 2^59 in size (`RootSystem._orbit_label_factor`); a
+    reflection's product and difference then stay below 2^61.  object
+    (Python ints) otherwise."""
+    if weights.dtype == object:
+        return object
+    top = int(np.abs(weights).max()) + 1
+    return np.int64 if top * rs._orbit_label_factor < _INT64_SAFE // 8 else object
+
+
+def _invariance_failure(rs: RootSystem, weights: np.ndarray,
+                        values: np.ndarray) -> tuple[int, int] | None:
+    """(k, i) for the first row k, then the first simple reflection s_i, with
+    values[k] != the value at s_i(weights[k]), or None for a Weyl-invariant
+    weight map.  The rows are distinct weights with nonzero values.
+
+    One box holds the rows and all their reflections: s_i changes label j by
+    -w_i a_ij, so interval arithmetic on the rows' extremes bounds it.  Codes
+    over the box are linear, code(s_i w) = code(w) - w_i (code(alpha_i) -
+    code(0)), so each reflection is one vector of codes and one
+    `np.searchsorted` among the sorted codes of the rows.
+    """
+    lo, hi = weights.min(0).tolist(), weights.max(0).tolist()
+    box_lo, box_hi = list(lo), list(hi)
+    for i, row in enumerate(rs.cartan):
+        for j, a in enumerate(row):
+            shifts = (0,) if a == 0 else (-a * lo[i], -a * hi[i])
+            box_lo[j] = min(box_lo[j], lo[j] + min(shifts) if j != i else -hi[i])
+            box_hi[j] = max(box_hi[j], hi[j] + max(shifts) if j != i else -lo[i])
+    _, strides, _, cdt = _box(box_lo, box_hi, box_lo + box_hi)
+    stride_arr = np.array(strides, dtype=cdt)
+    codes = (weights.astype(cdt) - np.array(box_lo, dtype=cdt)) @ stride_arr
+    steps = np.array(rs.cartan, dtype=cdt) @ stride_arr  # code(alpha_i) - code(0)
+    # Each product w_i * step_i is code(w) - code(s_i w), below the box in size.
+    reflected = codes - weights.T.astype(cdt) * steps[:, None]  # (rank, n)
+    order = np.argsort(codes)
+    known = codes[order]
+    at = np.minimum(np.searchsorted(known, reflected), len(known) - 1)
+    bad = (known[at] != reflected) | (values[order][at] != values)
+    if not bad.any():
+        return None
+    k = int(bad.any(0).argmax())
+    return k, int(bad[:, k].argmax())
+
+
 def decompose(chi: Character) -> list[tuple[Weight, int]]:
     """Exact decomposition of a Weyl-invariant character into irreducibles.
 
     Racah-Speiser (Humphreys, section 24): each weight nu contributes
     sgn * chi(nu) to L(dom(nu + rho) - rho), where dom(nu + rho) and its
-    sign come from `to_dominant` and weights on a chamber wall (sign 0)
-    contribute nothing.  Terms are sorted by decreasing height.  Raises
-    `UsageError` for a character that is not Weyl-invariant or not genuine.
+    sign are those of `to_dominant` and weights on a chamber wall (sign 0)
+    contribute nothing.  The support runs as one batch:
+
+    - Weyl invariance is one code lookup of the whole support per simple
+      reflection (`_invariance_failure`);
+    - `_fold_to_dominant` folds the stack supp chi + rho into the dominant
+      chamber;
+    - the terms sgn * chi(nu) are summed per dominant weight by integer codes
+      and sorted by decreasing height, then lexicographically, with the
+      integer height keys of `RootSystem._height_key`.
+
+    Labels are int64 only while every label that a reflection or a fold step
+    can reach stays below 2^59 in size (`_fold_dtype`), and multiplicities
+    and their sums only while sum |chi| < 2^62; beyond either guard the same
+    code runs on Python ints, so nothing wraps.  Raises `UsageError` for a
+    character that is not Weyl-invariant, naming the first such weight in
+    the character's order and its first reflection, or not genuine.
     """
-    rs = chi.rs
-    mult = chi.mult
-    for w, m in mult.items():
-        for i in range(rs.rank):
-            if w[i] and mult.get(rs.reflect(i, w)) != m:
-                raise UsageError(f"character is not Weyl-invariant: weight {w} and its "
-                                 f"reflection s_{i + 1} have different multiplicities")
-    rho = rs.rho
-    coeff: dict[Weight, int] = {}
-    for w, m in mult.items():
-        top, sign = rs.to_dominant(_wadd(w, rho))
-        if sign:
-            lam = _wsub(top, rho)
-            coeff[lam] = coeff.get(lam, 0) + sign * m
-    terms = [(lam, m) for lam, m in coeff.items() if m]
-    if any(m < 0 for _, m in terms):
+    rs, mult = chi.rs, chi.mult
+    if not mult:
+        return []
+    weights = _weight_array(list(mult), rs.rank)
+    weights = weights.astype(_fold_dtype(rs, weights), copy=False)
+    values = np.array(list(mult.values()), dtype=_value_dtype(sum(map(abs, mult.values()))))
+    failure = _invariance_failure(rs, weights, values)
+    if failure is not None:
+        k, i = failure
+        raise UsageError(f"character is not Weyl-invariant: weight {list(mult)[k]} and its "
+                         f"reflection s_{i + 1} have different multiplicities")
+
+    tops, signs = _fold_to_dominant(rs, weights + 1)  # supp chi + rho
+    keep = signs != 0
+    lams, values = tops[keep] - 1, signs[keep] * values[keep]
+    if not len(lams):
+        return []
+    lo, hi = lams.min(0).tolist(), lams.max(0).tolist()
+    spans, strides, _, cdt = _box(lo, hi, lo + hi)
+    stride_arr, lo_arr = np.array(strides, dtype=cdt), np.array(lo, dtype=cdt)
+    codes, values = _sum_by_code((lams.astype(cdt) - lo_arr) @ stride_arr, values)
+    nonzero = np.flatnonzero(values != 0)
+    codes, values = codes[nonzero], values[nonzero]
+    if (values < 0).any():
         raise UsageError("not a genuine character: negative multiplicity of an irreducible")
-    terms.sort(key=lambda t: (-rs.height(t[0]), t[0]))
-    return terms
+    lams = ((codes[:, None] // stride_arr) % np.array(spans, dtype=cdt) + lo_arr).tolist()
+    # Codes, and so lams, are in lexicographic order: a stable sort by
+    # decreasing height keeps that order among equal heights.
+    height = rs._height_key
+    return sorted(zip(map(tuple, lams), values.tolist()), key=lambda t: -height(t[0]))
 
 
 def expand(rs: RootSystem, terms) -> Character:

@@ -7,8 +7,12 @@ roots, invariant pairing) is the block direct sum of the factor data, which
 is computed once per simple type, and `signed_orbit` is the product of the
 factor orbits.
 
-All arithmetic is exact: the invariant pairing is kept as a matrix of
-`fractions.Fraction`, with a pre-scaled integer copy used in hot loops.
+All arithmetic is exact.  Root coordinates, heights and dominance use the
+integer matrix det(A) A^-1 of the Cartan matrix A: det(A) times the root
+coordinates of a weight are integers, so a height key or a dominance test
+builds no `Fraction` (`root_coords` and `height` still return the exact
+rationals).  The invariant pairing is a matrix of `fractions.Fraction`, with
+a pre-scaled integer copy used in hot loops.
 """
 
 from __future__ import annotations
@@ -130,40 +134,55 @@ def _cartan_matrix(series: str, n: int) -> list[list[int]]:
     return a
 
 
-def _invert_int_matrix(m: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of an invertible integer matrix.
+def _invert_int_matrix(m: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d m^-1) with d = |det m| for an invertible integer matrix m: both
+    are integer, and m^-1 is the second divided by the first.
 
-    Gauss-Jordan on Python ints: rows are scaled instead of divided (and
-    reduced by their gcd), so [m | I] becomes [D | L] with D diagonal, and
-    m^-1 = D^-1 L costs one Fraction per entry.
+    Fraction-free Gauss-Jordan (Bareiss) on [m | I] in Python ints: every
+    step divides exactly by the previous pivot, and [m | I] ends as
+    [p I | p m^-1] with p = det m up to the sign of the row swaps.
     """
     n = len(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col]
         for r in range(n):
-            c = aug[r][col]
-            if r != col and c:
-                row = [p[col] * x - c * y for x, y in zip(aug[r], p)]
-                g = math.gcd(*row)
-                aug[r] = [x // g for x in row]
-    return [[Fraction(x, aug[i][i]) for x in aug[i][n:]] for i in range(n)]
+            if r != col:
+                c = aug[r][col]
+                aug[r] = [(p[col] * x - c * y) // prev for x, y in zip(aug[r], p)]
+        prev = p[col]
+    sign = 1 if prev > 0 else -1
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
+
+
+@functools.cache
+def _simple_inverse(st: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det A and the integer matrix det(A) A^-1 of one simple type's Cartan
+    matrix A; computed once per type."""
+    return _invert_int_matrix(st.cartan_matrix())
 
 
 _FractionMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 @functools.cache
-def _simple_pairing(st: SimpleType) -> tuple[_FractionMatrix, _FractionMatrix]:
-    """The inverse Cartan matrix A^-1 of one simple type and its pairing of
-    fundamental weights, F[i][j] = d_i * (A^-1)[j][i] with d_i the half
-    squared length of alpha_i; exact, and computed once per type."""
-    ainv = _invert_int_matrix(st.cartan_matrix())
+def _simple_pairing(st: SimpleType) -> _FractionMatrix:
+    """The pairing of the fundamental weights of one simple type,
+    F[i][j] = d_i * (A^-1)[j][i] with d_i the half squared length of
+    alpha_i; exact, and computed once per type."""
+    det, adj = _simple_inverse(st)
     lengths = st.root_lengths()
-    gram = [[lengths[i] * ainv[j][i] for j in range(st.rank)] for i in range(st.rank)]
-    return tuple(map(tuple, ainv)), tuple(map(tuple, gram))
+    return tuple(tuple(lengths[i] * Fraction(adj[j][i], det) for j in range(st.rank))
+                 for i in range(st.rank))
+
+
+@functools.cache
+def _pairing_size(st: SimpleType) -> Fraction:
+    """sum |F_ij| over the pairing of fundamental weights of one simple type."""
+    return sum(abs(x) for row in _simple_pairing(st) for x in row)
 
 
 @functools.cache
@@ -262,14 +281,14 @@ class RootSystem:
     # -- derived data, built on first use -----------------------------------------
 
     @functools.cached_property
-    def _ainv(self) -> list[list[Fraction]]:
-        """Inverse Cartan matrix, block diagonal like the Cartan matrix."""
-        return self._block_diagonal(0)
-
-    @functools.cached_property
     def _gram(self) -> list[list[Fraction]]:
         """Pairing of fundamental weights: F[i][j] = d_i * (A^-1)[j][i]."""
-        return self._block_diagonal(1)
+        n = self.rank
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for f, (a, b) in zip(self.factors, self._slices):
+            for i, row in enumerate(_simple_pairing(f)):
+                out[a + i][a:b] = row
+        return out
 
     @functools.cached_property
     def _gram_int(self) -> list[list[int]]:
@@ -277,13 +296,45 @@ class RootSystem:
         scale = math.lcm(*(x.denominator for row in self._gram for x in row))
         return [[x.numerator * (scale // x.denominator) for x in row] for row in self._gram]
 
-    def _block_diagonal(self, which: int) -> list[list[Fraction]]:
+    @functools.cached_property
+    def _orbit_label_factor(self) -> int:
+        """An integer K such that every point of the Weyl orbit of a weight
+        whose labels are at most m in size has labels at most K m in size.
+
+        The orbit keeps the invariant norm, |u|^2 = |v|^2 <= m^2 sum |F_ij|,
+        and a label is u_i = (u, alpha_i^vee) with |alpha_i^vee|^2 =
+        4 / |alpha_i|^2 <= 6 (the short root of G2 has |alpha|^2 = 2/3), so
+        u_i^2 <= 6 m^2 sum |F_ij|.
+        """
+        return math.isqrt(math.ceil(6 * sum(map(_pairing_size, self.factors)))) + 1
+
+    @functools.cached_property
+    def _scaled_inverse(self) -> tuple[int, list[list[int]]]:
+        """(det A, det(A) A^-1) for the Cartan matrix A: the determinant and an
+        integer matrix, block diagonal, the block of factor f being
+        (det A / det A_f) det(A_f) A_f^-1."""
+        det = math.prod(_simple_inverse(f)[0] for f in self.factors)
         n = self.rank
-        out = [[Fraction(0)] * n for _ in range(n)]
+        out = [[0] * n for _ in range(n)]
         for f, (a, b) in zip(self.factors, self._slices):
-            for i, row in enumerate(_simple_pairing(f)[which]):
-                out[a + i][a:b] = row
-        return out
+            det_f, adj = _simple_inverse(f)
+            for i, row in enumerate(adj):
+                out[a + i][a:b] = [det // det_f * x for x in row]
+        return det, out
+
+    @functools.cached_property
+    def _coord_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Column i of det(A) A^-1 as its nonzero (j, entry) pairs: det(A) times
+        the i-th root coordinate of w is sum(entry * w[j])."""
+        scaled = self._scaled_inverse[1]
+        return tuple(tuple((j, row[i]) for j, row in enumerate(scaled) if row[i])
+                     for i in range(self.rank))
+
+    @functools.cached_property
+    def _height_vector(self) -> tuple[int, ...]:
+        """Row sums of det(A) A^-1: the integer height key
+        sum(h[j] * w[j]) of a weight w is det(A) times its height."""
+        return tuple(sum(row) for row in self._scaled_inverse[1])
 
     @functools.cached_property
     def _positive(self) -> list[tuple[Weight, tuple[int, ...]]]:
@@ -388,22 +439,27 @@ class RootSystem:
         """Coordinates of a weight in the simple-root basis (exact rationals).
 
         Dynkin labels are related to root coordinates c by labels = c A, so
-        c = A^-T labels.
+        c = A^-T labels; each coordinate is an integer of det(A) A^-1 over
+        det A.
         """
-        ainv = self._ainv
-        n = self.rank
-        return tuple(sum(ainv[j][i] * w[j] for j in range(n)) for i in range(n))
+        det = self._scaled_inverse[0]
+        return tuple(Fraction(sum(t * w[j] for j, t in col), det) for col in self._coord_columns)
 
     def dominates(self, lam: Weight, mu: Weight) -> bool:
         """True when lam - mu is a non-negative integer combination of simple roots."""
-        diff = tuple(a - b for a, b in zip(lam, mu))
-        for c in self.root_coords(diff):
-            if c.denominator != 1 or c < 0:
+        det = self._scaled_inverse[0]
+        for col in self._coord_columns:
+            c = sum(t * (lam[j] - mu[j]) for j, t in col)
+            if c < 0 or c % det:
                 return False
         return True
 
+    def _height_key(self, w: Weight) -> int:
+        """det(A) times the height of w: an integer that orders weights by height."""
+        return sum(h * x for h, x in zip(self._height_vector, w))
+
     def height(self, w: Weight) -> Fraction:
-        return sum(self.root_coords(w))
+        return Fraction(self._height_key(w), self._scaled_inverse[0])
 
     # -- Weyl group ------------------------------------------------------------
 
@@ -490,10 +546,10 @@ class RootSystem:
         for beta in self.pos_roots:
             num *= self._ip_int(lam_rho, beta)
             den *= self._ip_int(self.rho, beta)
-        dim = Fraction(num, den)
-        if dim.denominator != 1:
+        dim, rem = divmod(num, den)
+        if rem:
             raise AssertionError("Weyl dimension did not reduce to an integer")
-        return int(dim)
+        return dim
 
     def dual_weight(self, lam: Weight) -> Weight:
         """Highest weight of the dual representation, -w0(lam)."""

@@ -21,6 +21,7 @@ reports matches, mismatches, and rows skipped under the cost budget.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import time
 from dataclasses import dataclass
@@ -270,6 +271,10 @@ def family(key: str, **params: int) -> IsotropyDatum:
     }
     if key not in builders:
         raise KeyError(f"unknown family {key!r}; known: {sorted(builders)}")
+    names = tuple(inspect.signature(builders[key]).parameters)
+    if sorted(params) != sorted(names):
+        raise UsageError(f"family {key} takes the parameters {', '.join(names)}; "
+                         f"got {', '.join(sorted(params)) or 'none'}")
     return builders[key](**params)
 
 

@@ -227,3 +227,33 @@ def _orbit_sum_reference(chi, lam, expr):
 @pytest.fixture(scope="session")
 def orbit_sum_reference():
     return _orbit_sum_reference
+
+
+def _decompose_reference(chi):
+    """Racah-Speiser by the per-weight loop: the invariance check looks up
+    every simple reflection of every weight in the dict, and every weight
+    plus rho is folded by `to_dominant`, with Python-int arithmetic and
+    `Fraction` heights throughout."""
+    from invconn.chars import UsageError
+    rs, mult = chi.rs, chi.mult
+    for w, m in mult.items():
+        for i in range(rs.rank):
+            if w[i] and mult.get(rs.reflect(i, w)) != m:
+                raise UsageError(f"character is not Weyl-invariant: weight {w} and its "
+                                 f"reflection s_{i + 1} have different multiplicities")
+    coeff = {}
+    for w, m in mult.items():
+        top, sign = rs.to_dominant(tuple(x + r for x, r in zip(w, rs.rho)))
+        if sign:
+            lam = tuple(x - r for x, r in zip(top, rs.rho))
+            coeff[lam] = coeff.get(lam, 0) + sign * m
+    terms = [(lam, m) for lam, m in coeff.items() if m]
+    if any(m < 0 for _, m in terms):
+        raise UsageError("not a genuine character: negative multiplicity of an irreducible")
+    terms.sort(key=lambda t: (-sum(rs.root_coords(t[0])), t[0]))
+    return terms
+
+
+@pytest.fixture(scope="session")
+def decompose_reference():
+    return _decompose_reference

@@ -434,3 +434,145 @@ def test_orbit_sum_int64_guards(orbit_sum_reference, a2):
         assert (orbit.points.dtype == object) == (lam[0] >= 2 ** 63)
         far = Character(a2, {(x - 1, y - 1): 3 for x, y in orbit.points.tolist()}) + ad
         _assert_orbit_sums(orbit_sum_reference, far, [(0, 0), (1, 1), lam])
+
+
+# -- the batched Racah-Speiser fold, against the orbit sum and the per-weight loop --
+
+DECOMPOSE_SYSTEMS = KERNEL_SYSTEMS  # A1, A2, B2, G2 and A1xA2
+
+
+@st.composite
+def _genuine_characters(draw):
+    """A sum of irreducibles, or its product with an irreducible, or its
+    exterior or symmetric square."""
+    rs = draw(st.sampled_from(DECOMPOSE_SYSTEMS))
+    lam = st.tuples(*[st.integers(min_value=0, max_value=2)] * rs.rank)
+    terms = draw(st.dictionaries(lam, st.integers(min_value=1, max_value=3),
+                                 min_size=1, max_size=2))
+    chi = expand(rs, terms.items())
+    how = draw(st.sampled_from(["sum", "tensor", "alt2", "sym2"]))
+    if how == "tensor":
+        return tensor(chi, irrep_character(rs, draw(lam)))
+    return {"sum": chi, "alt2": alt2(chi), "sym2": sym2(chi)}[how]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_genuine_characters())
+def test_decompose_matches_orbit_sum_and_reference_loop(decompose_reference, chi):
+    terms = decompose(chi)
+    assert terms == decompose_reference(chi)
+    found = dict(terms)
+    # The orbit sum is a different algorithm: it agrees on every term and
+    # finds nothing at the other dominant weights of the support.
+    for lam in set(found) | {w for w in chi.mult if chi.rs.is_dominant(w)}:
+        assert multiplicity(chi, lam) == found.get(lam, 0), lam
+
+
+def _outcome(fn, chi):
+    try:
+        return fn(chi)
+    except UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+@st.composite
+def _weight_maps(draw):
+    """Weyl-invariant maps with coefficients of both signs, genuine
+    characters with a few entries changed, and arbitrary weight maps."""
+    rs = draw(st.sampled_from(DECOMPOSE_SYSTEMS))
+    weight = st.tuples(*[st.integers(min_value=-3, max_value=3)] * rs.rank)
+    coeff = st.integers(min_value=-3, max_value=3)
+    kind = draw(st.sampled_from(["orbits", "perturbed", "any"]))
+    if kind == "orbits":
+        mult = {}
+        for w, c in draw(st.dictionaries(weight, coeff, max_size=3)).items():
+            for v in rs.weyl_orbit(rs.to_dominant(w)[0]):
+                mult[v] = mult.get(v, 0) + c
+        return Character(rs, mult)
+    noise = Character(rs, draw(st.dictionaries(weight, coeff, max_size=4)))
+    if kind == "perturbed":
+        return irrep_character(rs, (1,) * rs.rank) + noise
+    return noise
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weight_maps())
+def test_decompose_results_and_errors_match_reference_loop(decompose_reference, chi):
+    assert _outcome(decompose, chi) == _outcome(decompose_reference, chi)
+
+
+def test_decompose_error_messages(a2):
+    # (-1, 1) is the first weight, in the character's order, whose
+    # reflection s_2 = (0, -1) carries another multiplicity.
+    chi = Character(a2, {(0, 0): 1, (1, 0): 2, (-1, 1): 2, (0, -1): 1})
+    with pytest.raises(UsageError) as exc:
+        decompose(chi)
+    assert str(exc.value) == ("character is not Weyl-invariant: weight (-1, 1) and its "
+                              "reflection s_2 have different multiplicities")
+    virtual = irrep_character(a2, (1, 1)) - Character(a2, {(0, 0): 3})
+    with pytest.raises(UsageError) as exc:
+        decompose(virtual)
+    assert str(exc.value) == "not a genuine character: negative multiplicity of an irreducible"
+    assert decompose(Character(a2, {})) == []
+    assert decompose(irrep_character(a2, (1, 0)) - irrep_character(a2, (1, 0))) == []
+
+
+def test_decompose_sorts_equal_heights_lexicographically(a2):
+    # In A2 the height of (a, b) is a + b.
+    chi = expand(a2, [((2, 0), 1), ((1, 1), 2), ((0, 2), 3), ((0, 0), 1), ((3, 0), 1)])
+    assert decompose(chi) == [((3, 0), 1), ((0, 2), 3), ((1, 1), 2), ((2, 0), 1), ((0, 0), 1)]
+    a1a2 = KERNEL_SYSTEMS[-1]
+    chi = expand(a1a2, [((0, 1, 1), 1), ((2, 0, 0), 1), ((1, 1, 0), 1), ((0, 0, 0), 1)])
+    # Heights 2, 1, 1.5 and 0: the A1 label counts 1/2.
+    assert [lam for lam, _ in decompose(chi)] == [(0, 1, 1), (1, 1, 0), (2, 0, 0), (0, 0, 0)]
+
+
+def test_fold_matches_to_dominant_on_either_dtype():
+    rnd = random.Random(12)
+    for rs in DECOMPOSE_SYSTEMS + [RootSystem([SimpleType("F", 4)])]:
+        for scale in (5, 2 ** 59, 2 ** 70):
+            rows = [tuple(rnd.randint(-scale, scale) for _ in range(rs.rank)) for _ in range(60)]
+            rows += [(0,) * rs.rank, (-1,) * rs.rank, (-scale,) + (1,) * (rs.rank - 1)]
+            weights = chars._weight_array(rows, rs.rank)
+            dtype = chars._fold_dtype(rs, weights)
+            assert (dtype == object) == (scale > 5)
+            tops, signs = chars._fold_to_dominant(rs, weights.astype(dtype))
+            for row, top, sign in zip(rows, tops.tolist(), signs.tolist()):
+                expected_top, expected_sign = rs.to_dominant(row)
+                assert sign == expected_sign, (rs, row)
+                if sign:
+                    assert tuple(top) == expected_top, (rs, row)
+
+
+def test_orbit_label_factor_bounds_every_orbit():
+    rnd = random.Random(13)
+    for rs in DECOMPOSE_SYSTEMS + [RootSystem([SimpleType(*f)]) for f in
+                                   (("B", 3), ("C", 3), ("F", 4), ("D", 4))]:
+        for _ in range(10):
+            w = tuple(rnd.randint(-4, 4) for _ in range(rs.rank))
+            top = max(map(abs, w))
+            assert all(abs(x) <= rs._orbit_label_factor * top
+                       for v in rs.weyl_orbit(w) for x in v), (rs, w)
+
+
+def test_decompose_int64_guards(decompose_reference, a2, monkeypatch):
+    # Multiplicities whose sum is beyond 2^62 are summed as Python ints.
+    big = expand(a2, [((1, 1), 2 ** 70 + 1), ((3, 0), 2 ** 63), ((0, 0), 5)])
+    assert decompose(big) == decompose_reference(big) == [
+        ((3, 0), 2 ** 63), ((1, 1), 2 ** 70 + 1), ((0, 0), 5)]
+    # Labels beyond 2^61, and beyond int64: Weyl-invariant maps whose orbits
+    # of huge weights leave negative terms, plus a broken copy of one.
+    ad = irrep_character(a2, (1, 1))
+    for lam in [(2 ** 61, 3), (2 ** 70, 2 ** 65)]:
+        orbit = Character(a2, {w: 2 for w in a2.weyl_orbit(lam)})
+        for chi in (orbit + ad, orbit + orbit + ad,
+                    orbit + Character(a2, {(lam[0], lam[1]): 1})):
+            assert _outcome(decompose, chi) == _outcome(decompose_reference, chi)
+    # The Python-int path on ordinary characters: the same terms.
+    monkeypatch.setattr(chars, "_fold_dtype", lambda rs, weights: object)
+    monkeypatch.setattr(chars, "_value_dtype", lambda bound: object)
+    for rs in DECOMPOSE_SYSTEMS:
+        chi = sym2(irrep_character(rs, (1,) * rs.rank))
+        assert decompose(chi) == decompose_reference(chi)
+        assert _outcome(decompose, chi + Character(rs, {(1,) * rs.rank: 1})) == _outcome(
+            decompose_reference, chi + Character(rs, {(1,) * rs.rank: 1}))

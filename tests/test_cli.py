@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invconn
-from invconn.cli import main
+from invconn import siiclass
+from invconn.cli import build_parser, main
 
 SRC = str(Path(invconn.__file__).resolve().parents[1])
 
@@ -304,6 +309,8 @@ BAD_INPUTS = {
     "decompose without --hw": lambda tmp: ["decompose", "A2", "alt2"],
     "table with zero jobs": lambda tmp: ["table", "--jobs", "0"],
     "table with a zero budget": lambda tmp: ["table", "--budget", "0,50000"],
+    "family with a missing parameter": lambda tmp: ["classify", "SU_pq", "--p", "3"],
+    "family with a foreign parameter": lambda tmp: ["classify", "SU_2q", "--n", "3"],
 }
 
 
@@ -386,3 +393,114 @@ def test_verify_un_builds_the_laquer_maps_once(monkeypatch):
     monkeypatch.setattr(conncalc, "laquer_basis", lambda alg: calls.append(alg) or real(alg))
     cli.un_battery(3)
     assert len(calls) == 1
+
+
+# -- one parser per process ------------------------------------------------------
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_main_calls_share_no_state(capsys, monkeypatch):
+    budgets = []
+    monkeypatch.setattr(siiclass, "classify_catalog",
+                        lambda entries, budget, jobs: budgets.append((budget, jobs)) or [])
+    assert run(capsys, "table", "--budget", "1,1", "--jobs", "2")[0] == 0
+    assert run(capsys, "table")[0] == 0
+    assert budgets == [(siiclass.Budget(1, 1), 2), (siiclass.Budget(), 1)]
+
+    # Shared flags before and after the subcommand, then neither.
+    before = run(capsys, "--format", "json", "verify-un", "3", "--seed", "5")
+    after = run(capsys, "verify-un", "3", "--format", "json", "--seed", "5")
+    plain = run(capsys, "verify-un", "3", "--seed", "5")
+    assert before == after and json.loads(before[1])["battery"] == "u(3) bi-invariant battery"
+    assert plain[1].startswith("u(3) bi-invariant battery\n")
+    assert plain[1] != before[1] and plain[0] == before[0]
+
+    # --help, an argument error, then a normal call.
+    with pytest.raises(SystemExit):
+        main(["decompose", "--help"])
+    assert run(capsys, "decompose", "A2", "alt2")[0] == 2
+    code, out, err = run(capsys, "decompose", "A2", "alt2", "--hw", "1,0")
+    assert (code, err) == (0, "") and out == "1 x R(0, 1)  (dim 3)\ntotal dimension 3\n"
+
+
+# -- CLI fuzz: random argv in one process -----------------------------------------
+
+_FLAG_VALUES = {
+    "--format": ["json", "md", "csv", "xml", ""],
+    "--tolerance": ["1e-9", "1e-3", "0", "-1", "abc", "inf", "nan"],
+    "--seed": ["0", "7", "x", "-3", "1.5"],
+    # Only tiny or malformed budgets, so that no sweep runs for long.
+    "--budget": ["1,1", "5,5", "0,1", "1", "a,b", "1,-1", ""],
+    "--jobs": ["1", "0", "-2", "two"],
+    "--catalog": ["absent.json", "bad.json"],
+}
+_COMMANDS = {
+    "classify": [st.sampled_from(["G2/SU3", "SO7/G2", "Sp2/SU2", "XX/YY", "SU_pq", "SO_4n",
+                                  "SU_2q", ""])],
+    "table": [],
+    "decompose": [st.sampled_from(["A1", "A2", "G2", "A1xA2", "B1", "Z3", "A2xq1", ""]),
+                  st.sampled_from(["tensor", "alt2", "sym2", "alt3", "sym3", "plethysm21",
+                                   "cube"])],
+    "verify-un": [st.sampled_from(["3", "2", "x", "-1", "30", "3.5"])],
+    "einstein": [st.sampled_from(["su2", "su3", "so5", "u3", "su1", "xx", "su40", "so3"])],
+    "catalog-dump": [],
+}
+_WEIGHTS = st.sampled_from(["1", "2", "0,1", "1,0", "1,1", "1,0,0", "1,0,1", "a", "1,,0",
+                            "-1,0", "", "0,1,1,0"])
+_OPTIONS = {
+    "classify": [("--p", st.sampled_from(["3", "2", "x", "-1"])),
+                 ("--q", st.sampled_from(["3", "x", "0"])),
+                 ("--n", st.sampled_from(["3", "2", "1", "x"]))],
+    "table": [("--only", st.sampled_from(["table4", "exceptions", "classical", "bogus"]))],
+    "decompose": [("--hw", _WEIGHTS), ("--hw", _WEIGHTS), ("--hw2", _WEIGHTS)],
+    "einstein": [("--alphas", st.sampled_from(["0.5,1", "-1,2", "nan", "a,b", "1e400", ""]))],
+}
+_JUNK = st.sampled_from(["--frobnicate", "-q", "extra", "--hw", "--n", "--strict", "--help",
+                         "--format=json", "--budget=1,1"])
+
+
+@st.composite
+def _argv(draw):
+    """A random command line: a command, its positionals, tiny budgets for the
+    sweeps, shared flags and command options with good and bad values, and
+    sometimes one stray token anywhere.  `@name` stands for a file in the
+    test's directory."""
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["frobnicate"]))
+    argv = [command] + [draw(p) for p in _COMMANDS.get(command, [])]
+    if command in ("table", "classify"):
+        argv += ["--budget", "1,1"]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=3)):
+        value = draw(st.sampled_from(_FLAG_VALUES[flag]))
+        argv += [flag, "@" + value if flag == "--catalog" else value]
+    options = _OPTIONS.get(command, [("--frobnicate", st.just("1"))])
+    for flag, value in draw(st.lists(st.sampled_from(options), max_size=3)):
+        argv += [flag, draw(value)]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "bad.json").write_text('{"rows": [')
+    return path
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_argv())
+def test_cli_fuzz_exits_cleanly(fuzz_dir, argv):
+    argv = [str(fuzz_dir / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help prints its usage and exits 0
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from invconn.rootsys import (ConfigurationError, PreconditionError, RootSystem,
-                             SimpleType, adjoint_weight)
+                             SimpleType, _invert_int_matrix, adjoint_weight)
 from invconn.siiclass import load_catalog
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
@@ -235,3 +236,92 @@ def test_product_structure_matches_factors():
     assert roots == expected
     assert prod.split((2, 1, 0)) == [(2,), (1, 0)]
     assert prod.join([(2,), (1, 0)]) == (2, 1, 0)
+
+
+def _ambient_type(amb) -> SimpleType:
+    if amb.series == "SU":
+        return SimpleType("A", amb.n - 1)
+    if amb.series == "SO":
+        return SimpleType("B" if amb.n % 2 else "D", amb.n // 2)
+    if amb.series == "Sp":
+        return SimpleType("C", amb.n)
+    return SimpleType(amb.series, amb.n)
+
+
+def _catalog_systems():
+    """Every subgroup system of the catalog and every ambient simple type."""
+    rows = load_catalog()
+    systems = {row.factors for row in rows} | {(_ambient_type(row.ambient),) for row in rows}
+    return [RootSystem(f) for f in sorted(systems, key=str)]
+
+
+def _fraction_inverse(m):
+    """m^-1 by Gauss-Jordan over Fractions, dividing every pivot row."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def test_invert_int_matrix_gives_det_and_adjugate():
+    rnd = random.Random(21)
+    mats = [rs.cartan for rs in _catalog_systems()]
+    for _ in range(30):  # random invertible matrices, some needing row swaps
+        n = rnd.randint(1, 6)
+        m = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if round(np.linalg.det(np.array(m, dtype=float))) != 0:
+            mats.append(m)
+    for m in mats:
+        det, scaled = _invert_int_matrix(m)
+        assert det > 0
+        prod = np.array(m, dtype=object) @ np.array(scaled, dtype=object)
+        assert (prod == det * np.eye(len(m), dtype=int)).all()
+        assert abs(round(np.linalg.det(np.array(m, dtype=float)))) % det == 0
+
+
+def test_integer_root_coordinates_match_fractions():
+    # root_coords, height, the integer height key and dominates against an
+    # inverse Cartan matrix computed over Fractions, on every catalog system
+    # of rank at most 40: all but the ambient D64, B66 and D124, whose
+    # integer inverses the test above checks.
+    rnd = random.Random(22)
+    systems = [rs for rs in _catalog_systems() if rs.rank <= 40]
+    assert len(systems) == len(_catalog_systems()) - 3
+    for rs in systems:
+        n = rs.rank
+        ainv = _fraction_inverse(rs.cartan)
+        det = rs._scaled_inverse[0]
+
+        def coords(w):
+            return tuple(sum(ainv[j][i] * w[j] for j in range(n)) for i in range(n))
+
+        for _ in range(12):
+            w = tuple(rnd.randint(-6, 6) for _ in range(n))
+            assert rs.root_coords(w) == coords(w)
+            assert rs.height(w) == sum(coords(w)) and type(rs.height(w)) is Fraction
+            assert rs._height_key(w) == det * sum(coords(w))
+            # lam - mu: a random weight (rarely in the root cone), or a
+            # non-negative combination of positive roots (always).
+            lam = tuple(rnd.randint(0, 4) for _ in range(n))
+            below = lam
+            for alpha in rnd.sample(rs.pos_roots, min(3, len(rs.pos_roots))):
+                below = tuple(x - a for x, a in zip(below, alpha))
+            for mu in (w, below):
+                diff = coords(tuple(a - b for a, b in zip(lam, mu)))
+                expected = all(c.denominator == 1 and c >= 0 for c in diff)
+                assert rs.dominates(lam, mu) == expected, (rs, lam, mu)
+            assert rs.dominates(lam, below)
+
+
+def test_weyl_dimension_is_exact_for_huge_weights():
+    a2 = RootSystem([SimpleType("A", 2)])
+    big = 2 ** 80
+    assert a2.weyl_dimension((big, big)) == (big + 1) ** 2 * (2 * big + 2) // 2
