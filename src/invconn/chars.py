@@ -501,39 +501,23 @@ def _fold_dtype(rs: RootSystem, weights: np.ndarray):
     return np.int64 if top * rs._orbit_label_factor < _INT64_SAFE // 8 else object
 
 
-def _invariance_failure(rs: RootSystem, weights: np.ndarray,
-                        values: np.ndarray) -> tuple[int, int] | None:
-    """(k, i) for the first row k, then the first simple reflection s_i, with
-    values[k] != the value at s_i(weights[k]), or None for a Weyl-invariant
-    weight map.  The rows are distinct weights with nonzero values.
+def _invariance_failures(rs: RootSystem, table: _WeightTable,
+                         weights: np.ndarray) -> dict[Weight, int]:
+    """{w: i} for every weight w of `table` whose value differs from the
+    value at s_i(w), with s_i its first such simple reflection; empty for a
+    Weyl-invariant weight map.  `weights` are the table's weights, in its
+    order and in a dtype that holds their reflections; the values are
+    nonzero, so a reflection that leaves the support reads 0 and fails.
 
-    One box holds the rows and all their reflections: s_i changes label j by
-    -w_i a_ij, so interval arithmetic on the rows' extremes bounds it.  Codes
-    over the box are linear, code(s_i w) = code(w) - w_i (code(alpha_i) -
-    code(0)), so each reflection is one vector of codes and one
-    `np.searchsorted` among the sorted codes of the rows.
+    The reflections s_i(w) = w - w_i alpha_i of every weight under every
+    s_i are one stack and one `_lookup`.
     """
-    lo, hi = weights.min(0).tolist(), weights.max(0).tolist()
-    box_lo, box_hi = list(lo), list(hi)
-    for i, row in enumerate(rs.cartan):
-        for j, a in enumerate(row):
-            shifts = (0,) if a == 0 else (-a * lo[i], -a * hi[i])
-            box_lo[j] = min(box_lo[j], lo[j] + min(shifts) if j != i else -hi[i])
-            box_hi[j] = max(box_hi[j], hi[j] + max(shifts) if j != i else -lo[i])
-    _, strides, _, cdt = _box(box_lo, box_hi, box_lo + box_hi)
-    stride_arr = np.array(strides, dtype=cdt)
-    codes = (weights.astype(cdt) - np.array(box_lo, dtype=cdt)) @ stride_arr
-    steps = np.array(rs.cartan, dtype=cdt) @ stride_arr  # code(alpha_i) - code(0)
-    # Each product w_i * step_i is code(w) - code(s_i w), below the box in size.
-    reflected = codes - weights.T.astype(cdt) * steps[:, None]  # (rank, n)
-    order = np.argsort(codes)
-    known = codes[order]
-    at = np.minimum(np.searchsorted(known, reflected), len(known) - 1)
-    bad = (known[at] != reflected) | (values[order][at] != values)
-    if not bad.any():
-        return None
-    k = int(bad.any(0).argmax())
-    return k, int(bad[:, k].argmax())
+    n, rank = weights.shape
+    cartan = np.array(rs.cartan, dtype=weights.dtype)
+    reflected = weights[None] - weights.T[:, :, None] * cartan[:, None, :]  # (rank, n, rank)
+    bad = _lookup(table, reflected.reshape(-1, rank)).reshape(rank, n) != table.values
+    rows = np.flatnonzero(bad.any(0))
+    return dict(zip(map(tuple, weights[rows].tolist()), bad[:, rows].argmax(0).tolist()))
 
 
 def decompose(chi: Character) -> list[tuple[Weight, int]]:
@@ -544,8 +528,8 @@ def decompose(chi: Character) -> list[tuple[Weight, int]]:
     sign are those of `to_dominant` and weights on a chamber wall (sign 0)
     contribute nothing.  The support runs as one batch:
 
-    - Weyl invariance is one code lookup of the whole support per simple
-      reflection (`_invariance_failure`);
+    - Weyl invariance is one lookup of every simple reflection of the whole
+      support in the character's own table (`_invariance_failures`);
     - `_fold_to_dominant` folds the stack supp chi + rho into the dominant
       chamber;
     - the terms sgn * chi(nu) are summed per dominant weight by integer codes
@@ -562,18 +546,17 @@ def decompose(chi: Character) -> list[tuple[Weight, int]]:
     rs, mult = chi.rs, chi.mult
     if not mult:
         return []
-    weights = _weight_array(list(mult), rs.rank)
-    weights = weights.astype(_fold_dtype(rs, weights), copy=False)
-    values = np.array(list(mult.values()), dtype=_value_dtype(sum(map(abs, mult.values()))))
-    failure = _invariance_failure(rs, weights, values)
-    if failure is not None:
-        k, i = failure
-        raise UsageError(f"character is not Weyl-invariant: weight {list(mult)[k]} and its "
-                         f"reflection s_{i + 1} have different multiplicities")
+    table = _WeightTable(mult, rs.rank, _value_dtype(sum(map(abs, mult.values()))))
+    weights = table.weights.astype(_fold_dtype(rs, table.weights), copy=False)
+    failures = _invariance_failures(rs, table, weights)
+    if failures:
+        w = next(w for w in mult if w in failures)
+        raise UsageError(f"character is not Weyl-invariant: weight {w} and its "
+                         f"reflection s_{failures[w] + 1} have different multiplicities")
 
     tops, signs = _fold_to_dominant(rs, weights + 1)  # supp chi + rho
     keep = signs != 0
-    lams, values = tops[keep] - 1, signs[keep] * values[keep]
+    lams, values = tops[keep] - 1, signs[keep] * table.values[keep]
     if not len(lams):
         return []
     lo, hi = lams.min(0).tolist(), lams.max(0).tolist()

@@ -972,24 +972,21 @@ def ricci_skew_path(alg: MatrixAlgebra, t_form, tol: float = DEFAULT_TOL) -> np.
     return ric_g - 0.25 * s - 0.5 * delta
 
 
-def vectorial_ricci(alg: MatrixAlgebra, xi: np.ndarray,
-                    ric_g: np.ndarray | None = None) -> np.ndarray:
+def vectorial_ricci(alg: MatrixAlgebra, xi: np.ndarray, ric_g: np.ndarray) -> np.ndarray:
     """Ricci of the metric connection whose difference tensor is the trace
     tensor of the covector dual to xi:
 
         Ric_g + (d-2) <X,xi><Y,xi> + (2-d) |xi|^2 <X,Y> + ((2-d)/2) <[X,Y],xi>
 
     over the full algebra dimension d, with |xi|^2 computed, not assumed.
-    `ric_g` is the Levi-Civita Ricci `ricci_matrix(alg, levi_civita_map(alg))`
-    when the caller already has it.
+    `ric_g` is the Levi-Civita Ricci `ricci_matrix(alg, levi_civita_map(alg))`,
+    which the caller has already computed.
     """
     xi = np.asarray(xi, dtype=float)
     norm_sq = float(xi @ xi)
     if norm_sq == 0.0:
         raise TensorShapeError("degenerate vectorial type: xi = 0")
     d = alg.dim
-    if ric_g is None:
-        ric_g = ricci_matrix(alg, levi_civita_map(alg))
     bracket_term = _einsum("xyp,p->xy", alg.bracket, Coo.from_dense(xi)).toarray()
     return (ric_g + (d - 2) * np.outer(xi, xi)
             + (2 - d) * norm_sq * np.eye(d) + 0.5 * (2 - d) * bracket_term)

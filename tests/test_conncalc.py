@@ -238,13 +238,14 @@ def test_two_path_vectorial_ricci(u3):
     mv = cc.vectorial_metric_map(u3)
     xi = u3.coeffs(1j * np.eye(3))
     direct = cc.ricci_matrix(u3, mv)
-    formula = cc.vectorial_ricci(u3, xi)
+    ric_g = cc.ricci_matrix(u3, cc.levi_civita_map(u3))
+    formula = cc.vectorial_ricci(u3, xi, ric_g)
     assert np.abs(direct - formula).max() < TOL
     # commutators are traceless, so the bracket term vanishes for this xi
     assert np.abs(np.einsum("xyk,k->xy", u3.bracket, xi)).max() < 1e-14
     assert np.abs(formula - formula.T).max() < 1e-12
     with pytest.raises(cc.TensorShapeError):
-        cc.vectorial_ricci(u3, np.zeros(9))
+        cc.vectorial_ricci(u3, np.zeros(9), ric_g)
 
 
 def test_ricci_skew_path(su3):
