@@ -6,17 +6,19 @@ characters (negative entries) are legal intermediates but are rejected by
 `decompose`.
 
 The degree-2 and degree-3 exterior/symmetric powers are computed through
-the Adams operations:
+the Adams operations, where psi_k rescales every weight by k:
 
-    alt2 = (chi^2 - psi2)/2            sym2 = (chi^2 + psi2)/2
+    alt2 = (chi^2 - psi2)/2            sym2 = (chi^2 + psi2)/2 = chi^2 - alt2
     alt3 = (chi^3 - 3 chi*psi2 + 2 psi3)/6
     sym3 = (chi^3 + 3 chi*psi2 + 2 psi3)/6
+    chi*alt2 = (chi^3 - chi*psi2)/2
 
-where psi_k rescales every weight by k.  Each formula is written once for
-whole characters and once, in `PlethysmOps`, as point values at a whole
-stack of weights without materializing the cubes, which keeps
-trivial-multiplicity and highest-weight extraction affordable for large
-modules.
+`alt2`, `alt3` and the others materialize whole characters.  `PlethysmOps`
+never materializes a cube: it evaluates the alt2, sym2, alt3 and chi*alt2
+formulas point by point on a whole Weyl orbit from five base characters,
+the tables chi^2, psi2 and psi3 and the convolutions chi^3 and chi*psi2.
+That keeps trivial-multiplicity and highest-weight extraction affordable
+for large modules.
 
 Multiplicities of irreducibles come from two independent algorithms:
 `multiplicity` sums over the Weyl orbit of lam + rho (Weyl's character
@@ -47,7 +49,6 @@ either guard the same code runs on Python ints, so nothing wraps.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -330,13 +331,9 @@ def adams(chi: Character, k: int) -> Character:
     return Character(chi.rs, {_wscale(w, k): m for w, m in chi.mult.items()})
 
 
-def _square_power(chi: Character, sign: int,
-                  sq: dict[Weight, int] | None = None) -> dict[Weight, int]:
-    """(chi^2 + sign psi2)/2: alt2 for sign -1, sym2 for sign +1.  `sq` is
-    chi^2 when the caller already has it."""
-    if sq is None:
-        sq = tensor(chi, chi).mult
-    return _divided(_lincomb((1, sq), (sign, adams(chi, 2).mult)), 2)
+def _square_power(chi: Character, sign: int) -> dict[Weight, int]:
+    """(chi^2 + sign psi2)/2: alt2 for sign -1, sym2 for sign +1."""
+    return _divided(_lincomb((1, tensor(chi, chi).mult), (sign, adams(chi, 2).mult)), 2)
 
 
 def alt2(chi: Character) -> Character:
@@ -434,29 +431,29 @@ def _lookup(table: _WeightTable, nus: np.ndarray) -> np.ndarray:
     return _convolve_at(table, nus, _WeightTable({(0,) * rank: 1}, rank, table.values.dtype))
 
 
-def _alternating_sum(rs: RootSystem, lam: Weight, *values_at) -> list[int]:
-    """Sums of det(w) * values_at(w(lam+rho) - rho) over the Weyl group, one
-    per function in `values_at`, all over one orbit.
+def _alternating_sum(rs: RootSystem, lam: Weight, values_at) -> tuple[int, ...]:
+    """Sums of det(w) * v(w(lam+rho) - rho) over the Weyl group, one for each
+    value array v that `values_at` returns, all over one orbit.
 
-    Each function maps an (n, rank) stack of weights to their n integer
-    values, so the orbit is built once and each sum is one batched query and
-    one signed dot product.  The orbit's points are distinct, so a bound on
-    the values' sum over distinct weights (the guards of `_convolve_at`)
-    also bounds the dot product.
+    `values_at` maps an (n, rank) stack of weights to a sequence of arrays
+    of their n integer values, so the orbit is built and queried once and
+    each sum is one signed dot product.  The orbit's points are distinct, so
+    a bound on the values' sum over distinct weights (the guards of
+    `_convolve_at`) also bounds the dot product.
     """
+    lam = tuple(lam)
+    if not rs.is_dominant(lam):
+        raise PreconditionError(f"weight {lam} is not dominant")
     orbit = rs.signed_orbit(_wadd(lam, rs.rho))
     nus = orbit.points
     nus -= np.array(rs.rho, dtype=nus.dtype)  # in place: the orbit is this call's own
-    return [int(orbit.signs @ f(nus)) for f in values_at]
+    return tuple(int(orbit.signs @ values) for values in values_at(nus))
 
 
 def multiplicity(chi: Character, lam: Weight) -> int:
     """Multiplicity of the irreducible L(lam) inside a Weyl-invariant character."""
-    lam = tuple(lam)
-    if not chi.rs.is_dominant(lam):
-        raise PreconditionError(f"weight {lam} is not dominant")
     table = _WeightTable(chi.mult, chi.rs.rank, _value_dtype(sum(map(abs, chi.mult.values()))))
-    return _alternating_sum(chi.rs, lam, lambda nus: _lookup(table, nus))[0]
+    return _alternating_sum(chi.rs, lam, lambda nus: [_lookup(table, nus)])[0]
 
 
 def _fold_to_dominant(rs: RootSystem, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -579,25 +576,31 @@ def expand(rs: RootSystem, terms) -> Character:
     return Character(rs, _lincomb(*((m, irrep_character(rs, lam).mult) for lam, m in terms)))
 
 
-def _pointwise(method):
-    """Let a batched point method also take one weight, and then return an int."""
-    @functools.wraps(method)
-    def point_method(self, nus):
-        if isinstance(nus, np.ndarray):
-            return method(self, nus)
-        return int(method(self, _weight_array([tuple(nus)], self.rs.rank))[0])
-    return point_method
+def _divided_at(values: np.ndarray, k: int) -> np.ndarray:
+    """values / k for an array of point values, each of which k must divide."""
+    rem = values % k
+    if rem.any():
+        raise InternalError(f"plethysm coefficient {values[rem != 0][0]} is not divisible by {k}")
+    return values // k
 
 
 class PlethysmOps:
-    """Batched point queries into squares/cubes of a fixed genuine base character.
+    """Multiplicities in the squares and cubes of a fixed genuine character chi.
 
-    The square of the base character is materialized once, with psi2, psi3
-    and alt2; every cubic point value is then a convolution of chi with one
-    of them (`_convolve_at`).  Each point method takes an (n, rank) array of
-    weights and returns their n values, or takes one weight and returns an
-    int.  Multiplicity extraction runs the alternating Weyl-orbit sum with
-    one batched query per table for the whole orbit.
+    Every multiplicity is an exact combination of the values of five base
+    characters on one Weyl orbit.  Three are tables built once: chi^2
+    (`_sq`), psi2 (`_p2`) and psi3 (`_p3`).  Two are batched point queries
+    that convolve chi with a table, so the cube is never materialized:
+    `cube_at` (chi^2 * chi) and `chi_psi2_at` (psi2 * chi).  At each orbit
+    point
+
+        alt2 = (chi^2 - psi2)/2            sym2 = chi^2 - alt2
+        alt3 = (chi^3 - 3 chi*psi2 + 2 psi3)/6
+        chi*alt2 = (chi^3 - chi*psi2)/2
+
+    and every division is checked to be exact (`InternalError` otherwise).
+    Each multiplicity method runs one alternating Weyl-orbit sum for the
+    two numbers it returns.
 
     Values are int64 while 6 dim(chi)^3 < 2^62: that bounds every point
     value of the cube formulas and its sum over distinct weights.  Larger
@@ -607,91 +610,37 @@ class PlethysmOps:
     def __init__(self, chi: Character):
         if not chi.is_genuine():
             raise UsageError("plethysm point queries require a genuine character")
-        self.chi = chi
         self.rs = chi.rs
         rank, dtype = chi.rs.rank, _value_dtype(6 * chi.dim() ** 3)
-        sq = tensor(chi, chi).mult
         self._items = _WeightTable(chi.mult, rank, dtype)
-        self._sq = _WeightTable(sq, rank, dtype)
+        self._sq = _WeightTable(tensor(chi, chi).mult, rank, dtype)
         self._p2 = _WeightTable(adams(chi, 2).mult, rank, dtype)
         self._p3 = _WeightTable(adams(chi, 3).mult, rank, dtype)
-        self._alt2 = _WeightTable(_square_power(chi, -1, sq), rank, dtype)
 
-    # -- point values ---------------------------------------------------------
-
-    @_pointwise
     def cube_at(self, nus: np.ndarray) -> np.ndarray:
+        """chi^3 at every row of the (n, rank) stack `nus`."""
         return _convolve_at(self._sq, nus, self._items)
 
-    @_pointwise
     def chi_psi2_at(self, nus: np.ndarray) -> np.ndarray:
+        """chi * psi2 at every row of the (n, rank) stack `nus`."""
         return _convolve_at(self._p2, nus, self._items)
 
-    @_pointwise
-    def chi_alt2_at(self, nus: np.ndarray) -> np.ndarray:
-        return _convolve_at(self._alt2, nus, self._items)
-
-    @_pointwise
-    def alt2_at(self, nus: np.ndarray) -> np.ndarray:
-        return _lookup(self._alt2, nus)
-
-    @_pointwise
-    def square_at(self, nus: np.ndarray) -> np.ndarray:
-        return _lookup(self._sq, nus)
-
-    @_pointwise
-    def sym2_at(self, nus: np.ndarray) -> np.ndarray:
-        return self.square_at(nus) - self.alt2_at(nus)
-
-    def _cube_power_at(self, nus: np.ndarray, sign: int) -> np.ndarray:
-        """Point values of `_cube_power`: alt3 for sign -1, sym3 for sign +1."""
-        val = self.cube_at(nus) + 3 * sign * self.chi_psi2_at(nus) + 2 * _lookup(self._p3, nus)
-        rem = val % 6
-        if rem.any():
-            raise InternalError(f"plethysm coefficient {val[rem != 0][0]} is not divisible by 6")
-        return val // 6
-
-    @_pointwise
-    def alt3_at(self, nus: np.ndarray) -> np.ndarray:
-        return self._cube_power_at(nus, -1)
-
-    @_pointwise
-    def sym3_at(self, nus: np.ndarray) -> np.ndarray:
-        return self._cube_power_at(nus, 1)
-
-    @_pointwise
-    def plethysm21_at(self, nus: np.ndarray) -> np.ndarray:
-        return self.chi_alt2_at(nus) - self.alt3_at(nus)
-
-    # -- multiplicities ---------------------------------------------------------
-
-    def _mults(self, lam: Weight, *values_at) -> list[int]:
-        lam = tuple(lam)
-        if not self.rs.is_dominant(lam):
-            raise PreconditionError(f"weight {lam} is not dominant")
-        return _alternating_sum(self.rs, lam, *values_at)
-
-    def mult_in_alt2(self, lam: Weight) -> int:
-        return self._mults(lam, self.alt2_at)[0]
-
-    def mult_in_sym2(self, lam: Weight) -> int:
-        return self._mults(lam, self.sym2_at)[0]
-
-    def mult_in_alt3(self, lam: Weight) -> int:
-        return self._mults(lam, self.alt3_at)[0]
-
-    def mult_in_chi_alt2(self, lam: Weight) -> int:
-        return self._mults(lam, self.chi_alt2_at)[0]
-
     def mult_in_alt2_sym2(self, lam: Weight) -> tuple[int, int]:
-        """(`mult_in_alt2`, `mult_in_sym2`) over one Weyl orbit, with
-        sym2 = square - alt2 so that each point takes two table lookups."""
-        alt, square = self._mults(lam, self.alt2_at, self.square_at)
-        return alt, square - alt
+        """The multiplicities of L(lam) in alt2 and in sym2, over one Weyl orbit."""
+        def values_at(nus):
+            square = _lookup(self._sq, nus)
+            alt = _divided_at(square - _lookup(self._p2, nus), 2)
+            return alt, square - alt
+        return _alternating_sum(self.rs, lam, values_at)
 
     def mult_in_alt3_chi_alt2(self, lam: Weight) -> tuple[int, int]:
-        """(`mult_in_alt3`, `mult_in_chi_alt2`) over one Weyl orbit."""
-        return tuple(self._mults(lam, self.alt3_at, self.chi_alt2_at))
+        """The multiplicities of L(lam) in alt3 and in chi * alt2, over one
+        Weyl orbit with one `cube_at` and one `chi_psi2_at` query."""
+        def values_at(nus):
+            cube, mixed = self.cube_at(nus), self.chi_psi2_at(nus)
+            return (_divided_at(cube - 3 * mixed + 2 * _lookup(self._p3, nus), 6),
+                    _divided_at(cube - mixed, 2))
+        return _alternating_sum(self.rs, lam, values_at)
 
 
 EXPRESSIONS = ("tensor", "alt2", "sym2", "alt3", "sym3", "plethysm21")

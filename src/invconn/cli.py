@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import conncalc, siiclass
-from .chars import EXPRESSIONS, UsageError, decompose, expression_character, irrep_character, multiplicity
+from .chars import EXPRESSIONS, UsageError, decompose, expression_character, irrep_character
 from .rootsys import RootSystem, SimpleType
 from .siiclass import Budget, RangeError
 
@@ -383,8 +383,7 @@ def cmd_decompose(args) -> int:
         lines.append(f"{m} x R{lam}  (dim {dim})")
     lines.append(f"total dimension {total}")
     if args.expression == "plethysm21":
-        triv = multiplicity(result, (0,) * rs.rank)
-        lines.append(f"trivial multiplicity {triv}")
+        lines.append(f"trivial multiplicity {dict(terms).get((0,) * rs.rank, 0)}")
     _emit("\n".join(lines), args.output)
     if total != result.dim():
         print("error: dimension bookkeeping failed", file=sys.stderr)

@@ -37,6 +37,8 @@ class PreconditionError(ValueError):
 
 
 _EXCEPTIONAL_POSROOTS = {"G": 6, "F": 24, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}
+_EXCEPTIONAL_WEYL_ORDERS = {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51_840,
+                            ("E", 7): 2_903_040, ("E", 8): 696_729_600}
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,18 @@ class SimpleType:
         if self.series == "F":
             return 24
         return _EXCEPTIONAL_POSROOTS[("E", n)]
+
+    @property
+    def weyl_order(self) -> int:
+        """Order of the Weyl group, in closed form: no root is built."""
+        n = self.rank
+        if self.series == "A":
+            return math.factorial(n + 1)
+        if self.series in ("B", "C"):
+            return 2 ** n * math.factorial(n)
+        if self.series == "D":
+            return 2 ** (n - 1) * math.factorial(n)
+        return _EXCEPTIONAL_WEYL_ORDERS[(self.series, n)]
 
     @property
     def dim(self) -> int:
@@ -362,7 +376,7 @@ class RootSystem:
 
     @functools.cached_property
     def weyl_order(self) -> int:
-        return self._parabolic_order(range(self.rank))
+        return math.prod(f.weyl_order for f in self.factors)
 
     # -- elementary operations -------------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import math
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -439,6 +440,15 @@ def _classify_values(rs: RootSystem, constituents) -> tuple[int, int, int, int]:
     return a, s, l, eps
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or as a power of ten when it has more digits than
+    Python converts to a string."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"~10^{math.log10(n):.1f}"
+
+
 def classify(entry: IsotropyDatum, budget: Budget | None = None) -> SIIReport:
     """Compute (a, s, N, l, epsilon) for one catalog row.
 
@@ -447,6 +457,13 @@ def classify(entry: IsotropyDatum, budget: Budget | None = None) -> SIIReport:
     """
     budget = budget or Budget()
     t0 = time.perf_counter()
+    # The closed-form order gates before any work per root or per label.
+    order = math.prod(f.weyl_order for f in entry.factors)
+    if order > budget.max_weyl_order:
+        return SIIReport(entry.id, entry.expected_dim_m(), expected=entry.expected,
+                         status=f"skipped: infeasible (Weyl order {_decimal(order)} "
+                                f"> {budget.max_weyl_order})",
+                         elapsed=time.perf_counter() - t0)
     rs = entry.root_system()
 
     dim_m = sum(constituent_dim(rs, sm) for sm in entry.constituents)
@@ -455,11 +472,6 @@ def classify(entry: IsotropyDatum, budget: Budget | None = None) -> SIIReport:
             f"{entry.id}: module dimension {dim_m} != "
             f"dim {entry.ambient} - dim K = {entry.expected_dim_m()}")
 
-    order = rs.weyl_order
-    if order > budget.max_weyl_order:
-        return SIIReport(entry.id, dim_m, expected=entry.expected,
-                         status=f"skipped: infeasible (Weyl order {order} > {budget.max_weyl_order})",
-                         elapsed=time.perf_counter() - t0)
     support = support_estimate(rs, entry.constituents)
     if support > budget.max_support:
         return SIIReport(entry.id, dim_m, expected=entry.expected,

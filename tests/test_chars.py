@@ -145,26 +145,66 @@ def test_decompose_round_trip_examples(a1, a2):
 def test_mult_point_matches_materialized(a2):
     ad = irrep_character(a2, (1, 1))
     ops = PlethysmOps(ad)
-    mats = {"alt2": alt2(ad), "square": tensor(ad, ad), "sym2": sym2(ad), "alt3": alt3(ad),
-            "sym3": sym3(ad), "p21": plethysm21(ad)}
-    fns = {"alt2": ops.alt2_at, "square": ops.square_at, "sym2": ops.sym2_at,
-           "alt3": ops.alt3_at, "sym3": ops.sym3_at, "p21": ops.plethysm21_at}
-    probe = set()
-    for chi in mats.values():
-        probe.update(chi.mult)
+    a2_ad, s2_ad, a3_ad = alt2(ad), sym2(ad), alt3(ad)
+    chi_a2 = tensor(ad, a2_ad)
+    probe = {lam for chi in (a2_ad, s2_ad, a3_ad, chi_a2) for lam in chi.mult
+             if a2.is_dominant(lam)}
     probe.add((7, 7))  # off-support
-    for name in mats:
-        for nu in probe:
-            assert fns[name](nu) == mats[name][nu], (name, nu)
+    for lam in probe:
+        assert ops.mult_in_alt2_sym2(lam) == (multiplicity(a2_ad, lam),
+                                              multiplicity(s2_ad, lam)), lam
+        assert ops.mult_in_alt3_chi_alt2(lam) == (multiplicity(a3_ad, lam),
+                                                  multiplicity(chi_a2, lam)), lam
 
 
 def test_mult_point_examples(a1, a2):
     v = irrep_character(a1, (1,))
-    assert PlethysmOps(v).alt2_at((0,)) == 1
+    assert PlethysmOps(v).mult_in_alt2_sym2((0,)) == (1, 0)
     ad = irrep_character(a2, (1, 1))
     ops = PlethysmOps(ad)
-    assert ops.sym2_at((2, 2)) == 1
-    assert ops.mult_in_alt2((1, 1)) == multiplicity(alt2(ad), (1, 1)) == 1
+    assert ops.mult_in_alt2_sym2((2, 2)) == (0, 1)
+    assert ops.mult_in_alt2_sym2((1, 1)) == (multiplicity(alt2(ad), (1, 1)), 1) == (1, 1)
+    assert ops.mult_in_alt3_chi_alt2((0, 0)) == (1, 1)
+    for extract in (lambda lam: multiplicity(ad, lam), ops.mult_in_alt2_sym2,
+                    ops.mult_in_alt3_chi_alt2):
+        with pytest.raises(PreconditionError, match=r"weight \(-1, 2\) is not dominant"):
+            extract((-1, 2))
+
+
+def test_cube_queries_equal_the_materialized_products(a2):
+    ad = irrep_character(a2, (1, 1)) + irrep_character(a2, (1, 0))
+    ops = PlethysmOps(ad)
+    cube, mixed = tensor(tensor(ad, ad), ad), tensor(ad, adams(ad, 2))
+    probe = sorted(set(cube.mult) | set(mixed.mult) | {(7, 7), (-9, 2)})  # two off-support
+    stack = np.array(probe)
+    assert ops.cube_at(stack).tolist() == [cube[nu] for nu in probe]
+    assert ops.chi_psi2_at(stack).tolist() == [mixed[nu] for nu in probe]
+
+
+@pytest.mark.parametrize("table,method,divisor", [("_p2", "mult_in_alt2_sym2", 2),
+                                                  ("_p3", "mult_in_alt3_chi_alt2", 6)])
+def test_corrupted_tables_fail_the_integrality_checks(a2, table, method, divisor):
+    ops = PlethysmOps(irrep_character(a2, (1, 1)))
+    corrupted = getattr(ops, table)
+    zero = np.flatnonzero((corrupted.weights == 0).all(1))[0]  # on every orbit of rho
+    corrupted.values[zero] += 1
+    with pytest.raises(chars.InternalError, match=f"not divisible by {divisor}"):
+        getattr(ops, method)((0, 0))
+
+
+def test_each_cube_multiplicity_makes_two_point_queries(a2, monkeypatch):
+    calls = []
+    for name in ("cube_at", "chi_psi2_at"):
+        def counted(self, nus, _name=name, _method=getattr(PlethysmOps, name)):
+            calls.append(_name)
+            return _method(self, nus)
+        monkeypatch.setattr(PlethysmOps, name, counted)
+    ops = PlethysmOps(irrep_character(a2, (1, 1)))
+    for lam in [(0, 0), (1, 1), (3, 0)]:
+        ops.mult_in_alt2_sym2(lam)
+    assert calls == []
+    ops.mult_in_alt3_chi_alt2((0, 0))
+    assert sorted(calls) == ["chi_psi2_at", "cube_at"]
 
 
 def test_virtual_characters_allowed_in_arithmetic(a2):
@@ -371,8 +411,6 @@ def test_tensor_int64_guards(tensor_reference, a2):
 ORBIT_SYSTEMS = [RootSystem([SimpleType(*f) for f in fs])
                  for fs in ([("A", 1)], [("A", 2)], [("B", 2)], [("G", 2)],
                             [("A", 1), ("A", 2)], [("A", 1), ("G", 2)])]
-MULT_METHODS = {"alt2": "mult_in_alt2", "sym2": "mult_in_sym2", "alt3": "mult_in_alt3",
-                "chi_alt2": "mult_in_chi_alt2"}
 
 
 @st.composite
@@ -391,9 +429,6 @@ def _assert_orbit_sums(reference, chi, lams):
     ops = PlethysmOps(chi)
     for lam in lams:
         assert multiplicity(chi, lam) == reference(chi, lam, "chi"), lam
-        for expr, method in MULT_METHODS.items():
-            assert getattr(ops, method)(lam) == reference(chi, lam, expr), (expr, lam)
-        # The pairs that share one orbit.
         assert ops.mult_in_alt2_sym2(lam) == (reference(chi, lam, "alt2"),
                                               reference(chi, lam, "sym2")), lam
         assert ops.mult_in_alt3_chi_alt2(lam) == (reference(chi, lam, "alt3"),
@@ -404,17 +439,6 @@ def _assert_orbit_sums(reference, chi, lams):
 @given(_orbit_cases())
 def test_orbit_sums_match_reference_loop(orbit_sum_reference, case):
     _assert_orbit_sums(orbit_sum_reference, *case)
-
-
-def test_point_methods_take_a_weight_or_a_stack(a2):
-    ops = PlethysmOps(irrep_character(a2, (1, 1)))
-    stack = np.array([(0, 0), (1, 1), (3, 0), (7, 7)])
-    for name in ("cube_at", "chi_psi2_at", "chi_alt2_at", "alt2_at", "square_at", "sym2_at",
-                 "alt3_at", "sym3_at", "plethysm21_at"):
-        method = getattr(ops, name)
-        single = [method(tuple(nu)) for nu in stack.tolist()]
-        assert all(type(v) is int for v in single), name
-        assert method(stack).tolist() == single, name
 
 
 def test_orbit_sum_int64_guards(orbit_sum_reference, a2):

@@ -54,6 +54,13 @@ def test_classify_skipped_row_exit_codes(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("budget", [[], ["--budget", "unlimited"]])
+def test_classify_skips_a_huge_family_member_at_once(capsys, budget):
+    code, out, _ = run(capsys, *budget, "classify", "Sp_n", "--n", "99999")
+    assert code == 0
+    assert "| Sp99999/SO99999xSp1 |" in out and "skipped: infeasible (Weyl order ~10^" in out
+
+
 def test_classify_known_mismatch_row(capsys):
     # The n=2 member of the SO_4n family is a symmetric pair; the published
     # counts cannot be reproduced and the row reports a mismatch.

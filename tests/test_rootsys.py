@@ -209,9 +209,12 @@ def _closed_form_weyl_order(series, n):
                                          for n in range(lo, 9)]
                          + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 def test_weyl_order_closed_forms(series, rank):
+    # The closed form of `SimpleType` against Macdonald's product over the
+    # positive roots, which `stabilizer_order` keeps.
     rs = RootSystem([SimpleType(series, rank)])
+    assert SimpleType(series, rank).weyl_order == _closed_form_weyl_order(series, rank)
     assert rs.weyl_order == _closed_form_weyl_order(series, rank)
-    assert rs.stabilizer_order((0,) * rank) == rs.weyl_order
+    assert rs.stabilizer_order((0,) * rank) == rs._parabolic_order(range(rank)) == rs.weyl_order
 
 
 def test_weyl_orders():

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -92,7 +93,7 @@ def test_complex_rows_split_evenly():
         from invconn.chars import PlethysmOps
         from invconn.siiclass import module_character
         ops = PlethysmOps(module_character(rs, row.constituents))
-        per = [ops.mult_in_alt2(rs.join(sm)) for sm in row.constituents]
+        per = [ops.mult_in_alt2_sym2(rs.join(sm)) for sm in row.constituents]
         assert per[0] == per[1]
 
 
@@ -112,6 +113,32 @@ def test_budget_skips():
     # A tiny support budget forces a skip on an otherwise feasible row.
     rep = classify(get_row("SO14/G2"), budget=Budget(max_weyl_order=10**6, max_support=10))
     assert rep.status.startswith("skipped: infeasible (support")
+
+
+def test_weyl_gate_runs_before_any_per_root_work(monkeypatch):
+    # The gate multiplies the closed-form orders of the factors, so no root
+    # system is built for a skipped row, whatever its rank.
+    def refuse(self):
+        raise AssertionError("root system built before the Weyl-order gate")
+    monkeypatch.setattr(siiclass.IsotropyDatum, "root_system", refuse)
+    small = family("Sp_n", n=301)
+    rep = classify(small, budget=Budget(max_weyl_order=1, max_support=1))
+    order = 2 ** 150 * math.factorial(150) * 2  # B150 x A1
+    assert rep.status == f"skipped: infeasible (Weyl order {order} > 1)"
+    assert rep.dim_m == small.expected_dim_m()
+    huge = family("Sp_n", n=99999)  # an order too long for str()
+    for budget in (None, Budget.unlimited()):
+        rep = classify(huge, budget=budget)
+        assert rep.status.startswith("skipped: infeasible (Weyl order ~10^228283.3 > ")
+        assert rep.dim_m == huge.expected_dim_m()
+
+
+def test_gate_reports_the_computed_module_dimension():
+    for row in load_catalog():
+        rs = row.root_system()
+        rep = classify(row, budget=Budget(max_weyl_order=0, max_support=0))
+        assert rep.status.startswith("skipped: infeasible (Weyl order"), row.id
+        assert rep.dim_m == sum(constituent_dim(rs, sm) for sm in row.constituents), row.id
 
 
 def test_support_estimate_is_exact():
