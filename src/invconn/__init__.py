@@ -6,9 +6,9 @@ catalog classification of invariant affine/metric connection counts
 algebras (`conncalc`), and a command-line front end (`cli`).
 """
 
-from .chars import (Character, PlethysmOps, adams, alt2, alt3, decompose, expand,
-                    irrep_character, multiplicity, plethysm21, sym2, sym3, tensor,
-                    trivial_character)
+from .chars import (Character, PlethysmOps, adams, alt2, alt3, decompose,
+                    decompose_expression, expand, irrep_character, multiplicity, sym2,
+                    sym3, tensor, trivial_character)
 from .conncalc import (MatrixAlgebra, build_algebra, laquer_basis, classify_type,
                        torsion, curvature, ricci, einstein_check)
 from .rootsys import RootSystem, SimpleType, adjoint_weight
@@ -22,9 +22,9 @@ __all__ = [
     "Budget", "Character", "IsotropyDatum", "MatrixAlgebra", "PlethysmOps",
     "RootSystem", "SIIReport", "SimpleType", "adams", "adjoint_weight", "alt2",
     "alt3", "build_algebra", "classify", "classify_reducible", "classify_type",
-    "curvature", "decompose", "duality_type", "einstein_check", "emit_tables",
-    "expand", "external_cross_check", "family", "get_row", "irrep_character",
-    "isotropy_from_embedding", "laquer_basis", "load_catalog", "multiplicity",
-    "plethysm21", "ricci", "sym2", "sym3", "tensor", "torsion",
+    "curvature", "decompose", "decompose_expression", "duality_type", "einstein_check",
+    "emit_tables", "expand", "external_cross_check", "family", "get_row",
+    "irrep_character", "isotropy_from_embedding", "laquer_basis", "load_catalog",
+    "multiplicity", "ricci", "sym2", "sym3", "tensor", "torsion",
     "trivial_character", "unitary_group_module",
 ]

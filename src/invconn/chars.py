@@ -11,23 +11,30 @@ the Adams operations, where psi_k rescales every weight by k:
     alt2 = (chi^2 - psi2)/2            sym2 = (chi^2 + psi2)/2 = chi^2 - alt2
     alt3 = (chi^3 - 3 chi*psi2 + 2 psi3)/6
     sym3 = (chi^3 + 3 chi*psi2 + 2 psi3)/6
-    chi*alt2 = (chi^3 - chi*psi2)/2
+    chi*alt2 = (chi^3 - chi*psi2)/2    plethysm21 = (chi^3 - psi3)/3
 
-`alt2`, `alt3` and the others materialize whole characters.  `PlethysmOps`
-never materializes a cube: it evaluates the alt2, sym2, alt3 and chi*alt2
-formulas point by point on a whole Weyl orbit from five base characters,
-the tables chi^2, psi2 and psi3 and the convolutions chi^3 and chi*psi2.
-That keeps trivial-multiplicity and highest-weight extraction affordable
-for large modules.
+`alt2`, `alt3` and the others materialize whole characters.  Two paths
+never materialize a cube.  `PlethysmOps` evaluates the alt2, sym2, alt3 and
+chi*alt2 formulas point by point on a whole Weyl orbit from five base
+characters, the tables chi^2, psi2 and psi3 and the convolutions chi^3 and
+chi*psi2; that keeps trivial-multiplicity and highest-weight extraction
+affordable for large modules.  `decompose_expression` returns every
+constituent of one expression of an irreducible chi = L(lam) by
+Brauer-Klimyk folds over |supp chi| weights each (below).
 
 Multiplicities of irreducibles come from two independent algorithms:
 `multiplicity` sums over the Weyl orbit of lam + rho (Weyl's character
 formula), and `decompose` folds every weight into the dominant chamber
-(Racah-Speiser).  The fold is batched: each numpy step reflects every row
-of the stack supp chi + rho that still has a negative label, at its first
-negative label.  Its labels are int64 only while every label that a
-reflection can reach is below 2^59 in size (a bound from the invariant
-norm, `RootSystem._orbit_label_factor`); otherwise it runs on Python ints.
+(Racah-Speiser).  `decompose(chi, lam)` decomposes chi * L(lam) the same
+way by Brauer-Klimyk, folding supp chi + lam + rho instead of supp chi +
+rho.  The fold is batched: each numpy step reflects every row of the stack
+that still has a negative label, at its first negative label.  Its labels
+are int64 only while every label that a reflection can reach is below 2^59
+in size (a bound from the invariant norm, `RootSystem._orbit_label_factor`);
+otherwise it runs on Python ints.  `decompose_expression` makes one
+`decompose(chi, lam)` call for chi^2 and folds every other Adams term,
+psi2 chi = 2 supp chi, psi3 chi = 3 supp chi and chi^3 = sum over the
+constituents kappa of chi^2 of supp chi + kappa, with the same signed fold.
 
 The numpy kernels share one weight coding: each weight becomes a
 mixed-radix code over a box, chosen so that a sum or difference of weights
@@ -46,7 +53,6 @@ fewer than 2^62 entries and every coordinate is below 2^61 in size, and
 values only while a bound on every product and sum is below 2^62; beyond
 either guard the same code runs on Python ints, so nothing wraps.
 """
-
 from __future__ import annotations
 
 import math
@@ -196,17 +202,21 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int]
     return mult
 
 
+def _check_highest_weight(rs: RootSystem, lam: Weight) -> None:
+    if len(lam) != rs.rank:
+        raise PreconditionError(f"highest weight {lam} has {len(lam)} labels, "
+                                f"but {rs} has rank {rs.rank}")
+    if not rs.is_dominant(lam):
+        raise PreconditionError(f"highest weight {lam} is not dominant")
+
+
 def irrep_character(rs: RootSystem, lam: Weight) -> Character:
     """Full weight system of the irreducible with highest weight lam (cached)."""
     lam = tuple(lam)
     cached = rs._irrep_cache.get(lam)
     if cached is not None:
         return Character(rs, cached)
-    if len(lam) != rs.rank:
-        raise PreconditionError(f"highest weight {lam} has {len(lam)} labels, "
-                                f"but {rs} has rank {rs.rank}")
-    if not rs.is_dominant(lam):
-        raise PreconditionError(f"highest weight {lam} is not dominant")
+    _check_highest_weight(rs, lam)
 
     if len(rs.factors) > 1:
         parts = rs.split(lam)
@@ -360,11 +370,6 @@ def sym3(chi: Character) -> Character:
     return Character(chi.rs, _cube_power(chi, 1))
 
 
-def plethysm21(chi: Character) -> Character:
-    """Mixed-symmetry cube component: chi * alt2(chi) - alt3(chi)."""
-    return tensor(chi, alt2(chi)) - alt3(chi)
-
-
 # ---------------------------------------------------------------------------
 # Multiplicity extraction and decomposition
 # ---------------------------------------------------------------------------
@@ -494,7 +499,7 @@ def _fold_dtype(rs: RootSystem, weights: np.ndarray):
     (Python ints) otherwise."""
     if weights.dtype == object:
         return object
-    top = int(np.abs(weights).max()) + 1
+    top = max(int(weights.max()), -int(weights.min())) + 1  # np.abs wraps at -2^63
     return np.int64 if top * rs._orbit_label_factor < _INT64_SAFE // 8 else object
 
 
@@ -517,30 +522,83 @@ def _invariance_failures(rs: RootSystem, table: _WeightTable,
     return dict(zip(map(tuple, weights[rows].tolist()), bad[:, rows].argmax(0).tolist()))
 
 
-def decompose(chi: Character) -> list[tuple[Weight, int]]:
-    """Exact decomposition of a Weyl-invariant character into irreducibles.
+def _shifted_stack(weights: np.ndarray, blocks) -> np.ndarray:
+    """The rows k * w + s for every (k, s) in `blocks` and every row w of
+    `weights`, block after block.  int64 only when `weights` is and every
+    label is below 2^61 in size, Python ints otherwise; the fold takes its
+    own dtype from the result (`_fold_dtype`)."""
+    top = max(int(weights.max()), -int(weights.min()))
+    bound = max(k * top + max(map(abs, s)) for k, s in blocks)
+    dtype = np.int64 if weights.dtype != object and bound < _INT64_SAFE // 2 else object
+    weights = weights.astype(dtype, copy=False)
+    return np.concatenate([k * weights + np.array(s, dtype=dtype) for k, s in blocks])
+
+
+def _fold(rs: RootSystem, stack: np.ndarray, values: np.ndarray) -> list[tuple[Weight, int]]:
+    """The signed Racah-Speiser sum of a virtual character given as rows:
+    row i, a weight plus rho, adds sgn_i * values[i] to L(dom_i - rho), where
+    dom_i and sgn_i are its dominant representative and sign (`to_dominant`;
+    rows on a chamber wall add nothing).  Returns the nonzero totals in
+    lexicographic order of the weights, summed by integer codes.
+
+    `stack` is folded in place and must be in a dtype that holds every label
+    of the fold (`_fold_dtype`); `values` in one that holds sum |values|.
+    """
+    tops, signs = _fold_to_dominant(rs, stack)
+    keep = signs != 0
+    lams, values = tops[keep] - 1, signs[keep] * values[keep]
+    if not len(lams):
+        return []
+    lo, hi = lams.min(0).tolist(), lams.max(0).tolist()
+    spans, strides, _, cdt = _box(lo, hi, lo + hi)
+    stride_arr, lo_arr = np.array(strides, dtype=cdt), np.array(lo, dtype=cdt)
+    codes, values = _sum_by_code((lams.astype(cdt) - lo_arr) @ stride_arr, values)
+    nonzero = np.flatnonzero(values != 0)
+    codes, values = codes[nonzero], values[nonzero]
+    lams = ((codes[:, None] // stride_arr) % np.array(spans, dtype=cdt) + lo_arr).tolist()
+    return list(zip(map(tuple, lams), values.tolist()))
+
+
+def _by_height(rs: RootSystem, terms) -> list[tuple[Weight, int]]:
+    """Terms by decreasing height, then lexicographically, with the integer
+    height keys of `RootSystem._height_key`."""
+    height = rs._height_key
+    return sorted(terms, key=lambda t: (-height(t[0]), t[0]))
+
+
+def decompose(chi: Character, lam: Weight | None = None) -> list[tuple[Weight, int]]:
+    """Exact decomposition of chi, or of chi * L(lam), into irreducibles.
 
     Racah-Speiser (Humphreys, section 24): each weight nu contributes
     sgn * chi(nu) to L(dom(nu + rho) - rho), where dom(nu + rho) and its
     sign are those of `to_dominant` and weights on a chamber wall (sign 0)
-    contribute nothing.  The support runs as one batch:
+    contribute nothing.  With `lam`, Brauer-Klimyk (Klimyk 1968): nu
+    contributes sgn * chi(nu) to L(dom(nu + lam + rho) - rho), which
+    decomposes chi * L(lam) without building it.  The support runs as one
+    batch:
 
     - Weyl invariance is one lookup of every simple reflection of the whole
       support in the character's own table (`_invariance_failures`);
-    - `_fold_to_dominant` folds the stack supp chi + rho into the dominant
-      chamber;
-    - the terms sgn * chi(nu) are summed per dominant weight by integer codes
-      and sorted by decreasing height, then lexicographically, with the
-      integer height keys of `RootSystem._height_key`.
+    - `_fold` folds the stack supp chi + lam + rho into the dominant chamber
+      and sums the terms sgn * chi(nu) per dominant weight by integer codes;
+    - the terms are sorted by decreasing height, then lexicographically
+      (`_by_height`).
 
     Labels are int64 only while every label that a reflection or a fold step
-    can reach stays below 2^59 in size (`_fold_dtype`), and multiplicities
-    and their sums only while sum |chi| < 2^62; beyond either guard the same
-    code runs on Python ints, so nothing wraps.  Raises `UsageError` for a
-    character that is not Weyl-invariant, naming the first such weight in
-    the character's order and its first reflection, or not genuine.
+    can reach stays below 2^59 in size (`_fold_dtype`, on the support and on
+    the shifted stack), and multiplicities and their sums only while
+    sum |chi| < 2^62; beyond either guard the same code runs on Python ints,
+    so nothing wraps.  Raises `UsageError` for a character that is not
+    Weyl-invariant, naming the first such weight in the character's order
+    and its first reflection, or not genuine, and `PreconditionError` for a
+    `lam` that is not a dominant weight of the right length.
     """
     rs, mult = chi.rs, chi.mult
+    shift = rs.rho
+    if lam is not None:
+        lam = tuple(lam)
+        _check_highest_weight(rs, lam)
+        shift = _wadd(lam, rs.rho)
     if not mult:
         return []
     table = _WeightTable(mult, rs.rank, _value_dtype(sum(map(abs, mult.values()))))
@@ -551,24 +609,11 @@ def decompose(chi: Character) -> list[tuple[Weight, int]]:
         raise UsageError(f"character is not Weyl-invariant: weight {w} and its "
                          f"reflection s_{failures[w] + 1} have different multiplicities")
 
-    tops, signs = _fold_to_dominant(rs, weights + 1)  # supp chi + rho
-    keep = signs != 0
-    lams, values = tops[keep] - 1, signs[keep] * table.values[keep]
-    if not len(lams):
-        return []
-    lo, hi = lams.min(0).tolist(), lams.max(0).tolist()
-    spans, strides, _, cdt = _box(lo, hi, lo + hi)
-    stride_arr, lo_arr = np.array(strides, dtype=cdt), np.array(lo, dtype=cdt)
-    codes, values = _sum_by_code((lams.astype(cdt) - lo_arr) @ stride_arr, values)
-    nonzero = np.flatnonzero(values != 0)
-    codes, values = codes[nonzero], values[nonzero]
-    if (values < 0).any():
+    stack = _shifted_stack(weights, [(1, shift)])
+    terms = _fold(rs, stack.astype(_fold_dtype(rs, stack), copy=False), table.values)
+    if any(m < 0 for _, m in terms):
         raise UsageError("not a genuine character: negative multiplicity of an irreducible")
-    lams = ((codes[:, None] // stride_arr) % np.array(spans, dtype=cdt) + lo_arr).tolist()
-    # Codes, and so lams, are in lexicographic order: a stable sort by
-    # decreasing height keeps that order among equal heights.
-    height = rs._height_key
-    return sorted(zip(map(tuple, lams), values.tolist()), key=lambda t: -height(t[0]))
+    return _by_height(rs, terms)
 
 
 def expand(rs: RootSystem, terms) -> Character:
@@ -646,20 +691,66 @@ class PlethysmOps:
 EXPRESSIONS = ("tensor", "alt2", "sym2", "alt3", "sym3", "plethysm21")
 
 
-def expression_character(name: str, chi: Character, other: Character | None = None) -> Character:
-    """Materialize one of the supported plethysm expressions (small characters)."""
+def decompose_expression(rs: RootSystem, name: str, lam: Weight,
+                         mu: Weight | None = None) -> list[tuple[Weight, int]]:
+    """The constituents of one of `EXPRESSIONS` of chi = L(lam), as `decompose`
+    would return them for the materialized character, without building it.
+
+    The first stage is one `decompose(chi, lam)`, which is chi^2 (for
+    `tensor` with `mu`, `decompose(chi, mu)`, which is chi * L(mu) and the
+    whole answer).  Every other Adams term is one signed fold (`_fold`) of
+    shifted copies of supp chi, with q_kappa = [chi^2 : kappa] and
+    p_kappa = [psi2 chi : kappa]:
+
+        alt2, sym2 = (q -+ RS(2 supp chi)) / 2
+        alt3, sym3 = RS(sum_kappa (q_kappa -+ 3 p_kappa) (supp chi + kappa)
+                        + 2 (3 supp chi)) / 6
+        plethysm21 = (chi^3 - psi3 chi) / 3
+                   = RS(sum_kappa q_kappa (supp chi + kappa) - (3 supp chi)) / 3
+
+    where RS is the Racah-Speiser fold and supp chi + kappa carries the
+    multiplicities of chi times the coefficient, so that it stands for
+    chi * L(kappa) by Brauer-Klimyk.  Every division is checked to be exact
+    and every result to be genuine (`InternalError` otherwise).  Values are
+    int64 while sum |c| * dim chi < 2^62 over the fold's coefficients c.
+
+    Raises `UsageError` for an unknown name, or for `mu` with any expression
+    but `tensor`.
+    """
+    if name not in EXPRESSIONS:
+        raise UsageError(f"unknown expression {name!r}; expected one of {EXPRESSIONS}")
+    lam = tuple(lam)
+    chi = irrep_character(rs, lam)
+    if mu is not None and name != "tensor":
+        raise UsageError(f"only the tensor expression takes a second highest weight, "
+                         f"not {name}")
+    square = decompose(chi, lam if mu is None else mu)
     if name == "tensor":
-        if other is None:
-            other = chi
-        return tensor(chi, other)
-    if name == "alt2":
-        return alt2(chi)
-    if name == "sym2":
-        return sym2(chi)
-    if name == "alt3":
-        return alt3(chi)
-    if name == "sym3":
-        return sym3(chi)
+        return square
+
+    weights = _weight_array(list(chi.mult), rs.rank)
+    mults = list(chi.mult.values())
+
+    def fold(blocks, coeffs):
+        """RS(sum_j coeffs[j] chi_j), where chi_j moves every weight nu of chi
+        to k_j nu + s_j for the j-th block (k_j, s_j)."""
+        stack = _shifted_stack(weights, [(k, _wadd(s, rs.rho)) for k, s in blocks])
+        dtype = _value_dtype(sum(map(abs, coeffs)) * sum(mults))
+        values = np.outer(np.array(coeffs, dtype=dtype), np.array(mults, dtype=dtype)).ravel()
+        return dict(_fold(rs, stack.astype(_fold_dtype(rs, stack), copy=False), values))
+
+    zero = (0,) * rs.rank
+    q = dict(square)
     if name == "plethysm21":
-        return plethysm21(chi)
-    raise UsageError(f"unknown expression {name!r}; expected one of {EXPRESSIONS}")
+        out = _divided(fold([(1, kappa) for kappa in q] + [(3, zero)], [*q.values(), -1]), 3)
+    else:
+        sign = 1 if name.startswith("sym") else -1
+        p = fold([(2, zero)], [1])
+        if name in ("alt2", "sym2"):
+            out = _divided(_lincomb((1, q), (sign, p)), 2)
+        else:
+            c = {kappa: m for kappa, m in _lincomb((1, q), (3 * sign, p)).items() if m}
+            out = _divided(fold([(1, kappa) for kappa in c] + [(3, zero)], [*c.values(), 2]), 6)
+    if any(m < 0 for m in out.values()):
+        raise InternalError(f"{name} of {lam} has a negative multiplicity of an irreducible")
+    return _by_height(rs, out.items())

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import conncalc, siiclass
-from .chars import EXPRESSIONS, UsageError, decompose, expression_character, irrep_character
+from .chars import EXPRESSIONS, UsageError, decompose_expression
 from .rootsys import RootSystem, SimpleType
 from .siiclass import Budget, RangeError
 
@@ -369,12 +369,17 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _expression_dim(name: str, d: int, d2: int) -> int:
+    """Dimension of an expression of a module of dimension d (`tensor`: with
+    one of dimension d2)."""
+    return {"tensor": d * d2, "alt2": math.comb(d, 2), "sym2": math.comb(d + 1, 2),
+            "alt3": math.comb(d, 3), "sym3": math.comb(d + 2, 3),
+            "plethysm21": d * (d * d - 1) // 3}[name]
+
+
 def cmd_decompose(args) -> int:
     rs = _parse_system(args.system)
-    chi = irrep_character(rs, args.hw)
-    other = irrep_character(rs, args.hw2) if args.hw2 else None
-    result = expression_character(args.expression, chi, other)
-    terms = decompose(result)
+    terms = decompose_expression(rs, args.expression, args.hw, args.hw2)
     lines = []
     total = 0
     for lam, m in terms:
@@ -385,7 +390,8 @@ def cmd_decompose(args) -> int:
     if args.expression == "plethysm21":
         lines.append(f"trivial multiplicity {dict(terms).get((0,) * rs.rank, 0)}")
     _emit("\n".join(lines), args.output)
-    if total != result.dim():
+    d = rs.weyl_dimension(args.hw)
+    if total != _expression_dim(args.expression, d, rs.weyl_dimension(args.hw2 or args.hw)):
         print("error: dimension bookkeeping failed", file=sys.stderr)
         return VERIFY_ERROR
     return 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -550,17 +551,35 @@ class RootSystem:
 
     # -- representation-theoretic helpers ---------------------------------------
 
+    @functools.cached_property
+    def _dimension_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """For every positive root beta, the integer vector c with
+        sum(c * w) = <w, beta> in the scale of `_gram_int`, and <rho, beta>."""
+        g = self._gram_int
+        rows = []
+        for beta in self.pos_roots:
+            c = tuple(sum(g_ij * b for g_ij, b in zip(row, beta)) for row in g)
+            rows.append((c, sum(c)))
+        return tuple(rows)
+
+    @functools.cached_property
+    def _rho_denominator(self) -> int:
+        """The product of <rho, beta> over the positive roots beta."""
+        return math.prod(r for _, r in self._dimension_rows)
+
     def weyl_dimension(self, lam: Weight):
-        """Dimension of the irreducible with highest weight lam (exact integer)."""
+        """Dimension of the irreducible with highest weight lam (exact integer):
+        the product of <lam + rho, beta> / <rho, beta> over the positive roots,
+        one integer dot product per root (`_dimension_rows`)."""
+        if len(lam) != self.rank:
+            raise PreconditionError(f"weight {lam} has {len(lam)} labels, "
+                                    f"but {self} has rank {self.rank}")
         if not self.is_dominant(lam):
             raise PreconditionError(f"weight {lam} is not dominant")
-        lam_rho = tuple(x + 1 for x in lam)
         num = 1
-        den = 1
-        for beta in self.pos_roots:
-            num *= self._ip_int(lam_rho, beta)
-            den *= self._ip_int(self.rho, beta)
-        dim, rem = divmod(num, den)
+        for c, r in self._dimension_rows:
+            num *= sum(map(operator.mul, c, lam)) + r
+        dim, rem = divmod(num, self._rho_denominator)
         if rem:
             raise AssertionError("Weyl dimension did not reduce to an integer")
         return dim

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from invconn import conncalc as cc
+from invconn import chars
 from invconn.chars import Character
 
 
@@ -257,3 +258,17 @@ def _decompose_reference(chi):
 @pytest.fixture(scope="session")
 def decompose_reference():
     return _decompose_reference
+
+
+def plethysm21(chi):
+    """Mixed-symmetry cube component, materialized: chi * alt2(chi) - alt3(chi)."""
+    return chars.tensor(chi, chars.alt2(chi)) - chars.alt3(chi)
+
+
+def materialize(name, chi, other=None):
+    """The character of one of `chars.EXPRESSIONS` of chi, built weight by
+    weight (`tensor`: chi times `other`, or chi squared)."""
+    if name == "tensor":
+        return chars.tensor(chi, chi if other is None else other)
+    return {"alt2": chars.alt2, "sym2": chars.sym2, "alt3": chars.alt3, "sym3": chars.sym3,
+            "plethysm21": plethysm21}[name](chi)

@@ -32,11 +32,12 @@ import random
 
 import numpy as np
 import pytest
-from conftest import c_tensor, der_tensor, random_a_tensor, random_bilinear, random_torsion_tensor
+from conftest import (c_tensor, der_tensor, plethysm21, random_a_tensor, random_bilinear,
+                      random_torsion_tensor)
 
 from invconn import conncalc as cc
 from invconn.chars import (PlethysmOps, alt2, alt3, decompose, expand,
-                           irrep_character, multiplicity, plethysm21, sym2, sym3,
+                           irrep_character, multiplicity, sym2, sym3,
                            tensor)
 from invconn.cli import einstein_battery, un_battery
 from invconn.rootsys import RootSystem, SimpleType

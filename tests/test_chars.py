@@ -1,14 +1,18 @@
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import materialize, plethysm21
+
 from invconn import chars
-from invconn.chars import (Character, PlethysmOps, UsageError, adams, alt2, alt3,
-                           decompose, expand, expression_character, irrep_character,
-                           multiplicity, plethysm21, sym2, sym3, tensor,
+from invconn.chars import (EXPRESSIONS, Character, InternalError, PlethysmOps, UsageError,
+                           adams, alt2, alt3, decompose, decompose_expression, expand,
+                           irrep_character, multiplicity, sym2, sym3, tensor,
                            trivial_character)
 from invconn.rootsys import PreconditionError, RootSystem, SimpleType
 
@@ -259,12 +263,18 @@ def test_binomial_identity_on_sums():
         assert sym2(s) == sym2(x) + tensor(x, y) + sym2(y)
 
 
-def test_expression_character_dispatch(a1):
+def test_decompose_expression_dispatch(a1):
     v = irrep_character(a1, (1,))
-    assert expression_character("tensor", v).mult == tensor(v, v).mult
-    assert expression_character("plethysm21", v).mult == plethysm21(v).mult
-    with pytest.raises(UsageError):
-        expression_character("nope", v)
+    assert decompose_expression(a1, "tensor", (1,)) == decompose(tensor(v, v))
+    assert decompose_expression(a1, "tensor", (1,), (2,)) == decompose(
+        tensor(v, irrep_character(a1, (2,))))
+    assert decompose_expression(a1, "plethysm21", (1,)) == decompose(plethysm21(v))
+    with pytest.raises(UsageError, match="unknown expression 'nope'"):
+        decompose_expression(a1, "nope", (1,))
+    with pytest.raises(UsageError, match="only the tensor expression"):
+        decompose_expression(a1, "alt2", (1,), (1,))
+    with pytest.raises(PreconditionError, match="not dominant"):
+        decompose_expression(a1, "tensor", (1,), (-1,))
 
 
 def test_trivial_character(a2):
@@ -592,6 +602,11 @@ def test_decompose_int64_guards(decompose_reference, a2, monkeypatch):
         for chi in (orbit + ad, orbit + orbit + ad,
                     orbit + Character(a2, {(lam[0], lam[1]): 1})):
             assert _outcome(decompose, chi) == _outcome(decompose_reference, chi)
+    # A label of -2^63 fits int64, but its reflection and its size do not.
+    a1 = DECOMPOSE_SYSTEMS[0]
+    for m in (1, -1):
+        chi = Character(a1, {(-2 ** 63,): m})
+        assert _outcome(decompose, chi) == _outcome(decompose_reference, chi)
     # The Python-int path on ordinary characters: the same terms.
     monkeypatch.setattr(chars, "_fold_dtype", lambda rs, weights: object)
     monkeypatch.setattr(chars, "_value_dtype", lambda bound: object)
@@ -600,3 +615,83 @@ def test_decompose_int64_guards(decompose_reference, a2, monkeypatch):
         assert decompose(chi) == decompose_reference(chi)
         assert _outcome(decompose, chi + Character(rs, {(1,) * rs.rank: 1})) == _outcome(
             decompose_reference, chi + Character(rs, {(1,) * rs.rank: 1}))
+
+
+# -- decompose_expression: Brauer-Klimyk folds against materialized expressions --
+
+POOL = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "plethysm_pool.json"
+
+
+def _system(text):
+    return RootSystem([SimpleType(part[0], int(part[1:])) for part in text.split("x")])
+
+
+def test_decompose_expression_equals_the_materialized_pool():
+    cells = json.loads(POOL.read_text())["decompose"]
+    assert len(cells) == 939
+    systems = {}
+    for cell in cells:
+        rs = systems.setdefault(cell["system"], _system(cell["system"]))
+        lam = tuple(cell["hw"])
+        expected = decompose(materialize(cell["expr"], irrep_character(rs, lam)))
+        assert decompose_expression(rs, cell["expr"], lam) == expected, cell
+
+
+def test_decompose_expression_terms_equal_the_orbit_sum():
+    # The orbit-sum `multiplicity` of the materialized expression is an
+    # independent algorithm: it agrees on every term and finds nothing at a
+    # dominant weight that is not a term.
+    rnd = random.Random(16)
+    for case in range(12):
+        rs = KERNEL_SYSTEMS[case % len(KERNEL_SYSTEMS)]
+        lam = tuple(rnd.randint(0, 1 if rs.rank > 2 else 2) for _ in range(rs.rank))
+        mu = tuple(rnd.randint(0, 2) for _ in range(rs.rank))
+        chi = irrep_character(rs, lam)
+        for name in EXPRESSIONS:
+            other = (mu,) if name == "tensor" else ()
+            full = materialize(name, chi, *(irrep_character(rs, w) for w in other))
+            terms = dict(decompose_expression(rs, name, lam, *other))
+            for kappa, m in terms.items():
+                assert multiplicity(full, kappa) == m, (rs, lam, name, kappa)
+            # 3 lam + mu + rho lies above every weight of every expression.
+            off = next((w for w in sorted(full.mult) if rs.is_dominant(w) and w not in terms),
+                       tuple(3 * x + y + 1 for x, y in zip(lam, mu)))
+            assert multiplicity(full, off) == 0, (rs, lam, name, off)
+
+
+def _deep_chamber(rs, chi, lam):
+    """chi * L(lam) when lam is so deep in the dominant chamber that no
+    weight of chi moves lam + nu out of it: {lam + nu: chi(nu)}."""
+    terms = [(tuple(x + y for x, y in zip(lam, nu)), m) for nu, m in chi.mult.items()]
+    return sorted(terms, key=lambda t: (-rs.height(t[0]), t[0]))
+
+
+def test_brauer_klimyk_int64_guards(monkeypatch):
+    # Labels of lam beyond 2^61 and beyond int64: the fold runs on Python ints.
+    for rs in KERNEL_SYSTEMS:
+        chi = irrep_character(rs, (1,) * rs.rank)
+        for top in (2 ** 61, 2 ** 63, 2 ** 70):
+            lam = tuple(top + 3 * i for i in range(rs.rank))
+            assert decompose(chi, lam) == _deep_chamber(rs, chi, lam), (rs, top)
+    with pytest.raises(PreconditionError, match="not dominant"):
+        decompose(chi, (1, -1, 0))
+    with pytest.raises(PreconditionError, match="has 2 labels"):
+        decompose(chi, (1, 1))
+    # The Python-int path on ordinary expressions: the same terms.
+    cases = [(rs, (1,) * rs.rank, name) for rs in KERNEL_SYSTEMS for name in EXPRESSIONS]
+    expected = [decompose_expression(rs, name, lam) for rs, lam, name in cases]
+    monkeypatch.setattr(chars, "_fold_dtype", lambda rs, weights: object)
+    monkeypatch.setattr(chars, "_value_dtype", lambda bound: object)
+    assert [decompose_expression(rs, name, lam) for rs, lam, name in cases] == expected
+
+
+def test_decompose_expression_checks_every_division(a2, monkeypatch):
+    real = chars._fold
+
+    def off_by_one(rs, stack, values):
+        return [(lam, m + 1) for lam, m in real(rs, stack, values)]
+
+    monkeypatch.setattr(chars, "_fold", off_by_one)
+    for name, k in (("alt2", 2), ("alt3", 6), ("plethysm21", 3)):
+        with pytest.raises(InternalError, match=f"not divisible by {k}"):
+            decompose_expression(a2, name, (1, 1))

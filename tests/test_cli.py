@@ -127,6 +127,37 @@ def test_decompose_product_system(capsys):
     assert "total dimension 36" in out
 
 
+@pytest.mark.parametrize("argv", [["tensor", "--hw2", "0,1"], ["tensor"], ["alt2"], ["sym2"],
+                                  ["alt3"], ["sym3"], ["plethysm21"]])
+def test_decompose_never_materializes(capsys, monkeypatch, argv):
+    from invconn import chars
+
+    def refuse(*args):
+        raise AssertionError("a product was materialized")
+
+    monkeypatch.setattr(chars, "tensor", refuse)
+    monkeypatch.setattr(chars, "_convolve", refuse)
+    code, out, err = run(capsys, "decompose", "B2", argv[0], "--hw", "1,1", *argv[1:])
+    assert (code, err) == (0, "") and "total dimension" in out
+
+
+def test_decompose_checks_the_dimension_bookkeeping(capsys, monkeypatch):
+    from invconn import cli
+
+    real = cli.decompose_expression
+
+    def corrupted(*args):
+        (lam, m), *rest = real(*args)
+        return [(lam, m + 1), *rest]
+
+    monkeypatch.setattr(cli, "decompose_expression", corrupted)
+    for argv in (["A2", "alt2", "--hw", "1,1"], ["A2", "tensor", "--hw", "1,0", "--hw2", "1,1"],
+                 ["A1", "plethysm21", "--hw", "3"]):
+        code, out, err = run(capsys, "decompose", *argv)
+        assert code == 1 and err == "error: dimension bookkeeping failed\n", argv
+        assert "total dimension" in out
+
+
 def test_verify_un_exit_codes(capsys):
     code, out, _ = run(capsys, "verify-un", "3")
     # Two upstream reference values are inconsistent with the computation;
@@ -309,6 +340,8 @@ BAD_INPUTS = {
                                                          "--hw", "1,0,0"],
     "decompose second weight of the wrong length": lambda tmp: [
         "decompose", "A2", "tensor", "--hw", "1,0", "--hw2", "1"],
+    "decompose second weight for a square": lambda tmp: [
+        "decompose", "A2", "alt2", "--hw", "1,0", "--hw2", "0,1"],
     "unknown catalog row": lambda tmp: ["classify", "XX/YY"],
     "verify-un non-numeric tolerance": lambda tmp: ["verify-un", "4", "--tolerance", "abc"],
     "verify-un non-numeric n": lambda tmp: ["verify-un", "x"],

@@ -125,6 +125,9 @@ def test_weyl_dimension_examples():
     assert a4.weyl_dimension((0, 1, 1, 0)) == 75  # = dim su(10) - dim su(5)
     with pytest.raises(PreconditionError):
         a2.weyl_dimension((-1, 0))
+    for wrong_length in ((1,), (1, 1, 1)):
+        with pytest.raises(PreconditionError, match="labels"):
+            a2.weyl_dimension(wrong_length)
 
 
 def test_dual_weight_examples():
