@@ -13,14 +13,17 @@ the Adams operations, where psi_k rescales every weight by k:
     sym3 = (chi^3 + 3 chi*psi2 + 2 psi3)/6
     chi*alt2 = (chi^3 - chi*psi2)/2    plethysm21 = (chi^3 - psi3)/3
 
-`alt2`, `alt3` and the others materialize whole characters.  Two paths
-never materialize a cube.  `PlethysmOps` evaluates the alt2, sym2, alt3 and
-chi*alt2 formulas point by point on a whole Weyl orbit from five base
-characters, the tables chi^2, psi2 and psi3 and the convolutions chi^3 and
-chi*psi2; that keeps trivial-multiplicity and highest-weight extraction
-affordable for large modules.  `decompose_expression` returns every
-constituent of one expression of an irreducible chi = L(lam) by
-Brauer-Klimyk folds over |supp chi| weights each (below).
+`alt2`, `alt3` and the others materialize whole characters, and
+`squares_and_cubes` all five from four tensor products.  Three paths never
+materialize a cube.  `plethysm_counts`, the engine of the classification,
+reads the multiplicities of the constituents of chi in alt2 and sym2 and
+the trivial ones in alt3 and chi*alt2 off three Brauer-Klimyk folds (below):
+chi^2, psi2 chi and psi3 chi, with no Weyl group.  `decompose_expression`
+returns every constituent of one expression of an irreducible chi = L(lam)
+by the same folds.  `PlethysmOps`, the classification's independent check on
+small Weyl groups, evaluates the alt2, sym2, alt3 and chi*alt2 formulas
+point by point on a whole Weyl orbit from five base characters, the tables
+chi^2, psi2 and psi3 and the convolutions chi^3 and chi*psi2.
 
 Multiplicities of irreducibles come from two independent algorithms:
 `multiplicity` sums over the Weyl orbit of lam + rho (Weyl's character
@@ -34,7 +37,9 @@ in size (a bound from the invariant norm, `RootSystem._orbit_label_factor`);
 otherwise it runs on Python ints.  `decompose_expression` makes one
 `decompose(chi, lam)` call for chi^2 and folds every other Adams term,
 psi2 chi = 2 supp chi, psi3 chi = 3 supp chi and chi^3 = sum over the
-constituents kappa of chi^2 of supp chi + kappa, with the same signed fold.
+constituents kappa of chi^2 of supp chi + kappa, with the same signed fold
+(`_fold_shifted`).  `plethysm_counts` folds chi^2 of chi = sum_j L(lam_j)
+as the union of the stacks supp chi + lam_j.
 
 The numpy kernels share one weight coding: each weight becomes a
 mixed-radix code over a box, chosen so that a sum or difference of weights
@@ -55,6 +60,7 @@ either guard the same code runs on Python ints, so nothing wraps.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -370,6 +376,17 @@ def sym3(chi: Character) -> Character:
     return Character(chi.rs, _cube_power(chi, 1))
 
 
+def squares_and_cubes(chi: Character) -> tuple[Character, ...]:
+    """alt2, sym2, alt3, sym3 and chi * alt2 of chi, materialized from four
+    tensor products: chi^2, chi^3 = chi^2 * chi, chi * psi2 and chi * alt2."""
+    rs, square, p2, p3 = chi.rs, tensor(chi, chi), adams(chi, 2), adams(chi, 3).mult
+    a2 = Character(rs, _divided(_lincomb((1, square.mult), (-1, p2.mult)), 2))
+    cube, mixed = tensor(square, chi).mult, tensor(chi, p2).mult
+    a3, s3 = (Character(rs, _divided(_lincomb((1, cube), (3 * sign, mixed), (2, p3)), 6))
+              for sign in (-1, 1))
+    return a2, square - a2, a3, s3, tensor(chi, a2)
+
+
 # ---------------------------------------------------------------------------
 # Multiplicity extraction and decomposition
 # ---------------------------------------------------------------------------
@@ -559,6 +576,23 @@ def _fold(rs: RootSystem, stack: np.ndarray, values: np.ndarray) -> list[tuple[W
     return list(zip(map(tuple, lams), values.tolist()))
 
 
+def _fold_shifted(rs: RootSystem, weights: np.ndarray, mults: list[int],
+                  blocks, coeffs) -> dict[Weight, int]:
+    """RS(sum_j coeffs[j] chi_j) as {dominant weight: total}, where chi is
+    the character with the rows of `weights` and the multiplicities `mults`
+    and chi_j moves every weight nu of chi to k_j nu + s_j for the j-th block
+    (k_j, s_j) of `blocks`.  By Brauer-Klimyk, the block (1, kappa) stands
+    for chi * L(kappa), and (k, 0) for psi_k chi.
+
+    Labels follow `_fold_dtype` on the shifted stack; values are int64 while
+    sum |coeffs| * sum |mults| < 2^62, which bounds every value and every sum.
+    """
+    stack = _shifted_stack(weights, [(k, _wadd(s, rs.rho)) for k, s in blocks])
+    dtype = _value_dtype(sum(map(abs, coeffs)) * sum(map(abs, mults)))
+    values = np.outer(np.array(coeffs, dtype=dtype), np.array(mults, dtype=dtype)).ravel()
+    return dict(_fold(rs, stack.astype(_fold_dtype(rs, stack), copy=False), values))
+
+
 def _by_height(rs: RootSystem, terms) -> list[tuple[Weight, int]]:
     """Terms by decreasing height, then lexicographically, with the integer
     height keys of `RootSystem._height_key`."""
@@ -728,17 +762,8 @@ def decompose_expression(rs: RootSystem, name: str, lam: Weight,
     if name == "tensor":
         return square
 
-    weights = _weight_array(list(chi.mult), rs.rank)
-    mults = list(chi.mult.values())
-
-    def fold(blocks, coeffs):
-        """RS(sum_j coeffs[j] chi_j), where chi_j moves every weight nu of chi
-        to k_j nu + s_j for the j-th block (k_j, s_j)."""
-        stack = _shifted_stack(weights, [(k, _wadd(s, rs.rho)) for k, s in blocks])
-        dtype = _value_dtype(sum(map(abs, coeffs)) * sum(mults))
-        values = np.outer(np.array(coeffs, dtype=dtype), np.array(mults, dtype=dtype)).ravel()
-        return dict(_fold(rs, stack.astype(_fold_dtype(rs, stack), copy=False), values))
-
+    fold = functools.partial(_fold_shifted, rs, _weight_array(list(chi.mult), rs.rank),
+                             list(chi.mult.values()))
     zero = (0,) * rs.rank
     q = dict(square)
     if name == "plethysm21":
@@ -754,3 +779,39 @@ def decompose_expression(rs: RootSystem, name: str, lam: Weight,
     if any(m < 0 for m in out.values()):
         raise InternalError(f"{name} of {lam} has a negative multiplicity of an irreducible")
     return _by_height(rs, out.items())
+
+
+def plethysm_counts(chi: Character, hws) -> tuple[int, int, int, int]:
+    """For chi = sum_j L(hws[j]), multiplicity-free: sum_j [alt2 : lam_j],
+    sum_j [sym2 : lam_j], [alt3 : 0] and [chi * alt2 : 0], by three signed
+    Brauer-Klimyk folds (`_fold_shifted`) over |supp chi| weights each,
+    without a Weyl group or a materialized square:
+
+        q = chi^2 = RS(union_j supp chi + lam_j)
+        p = psi2 chi = RS(2 supp chi)          psi3 chi = RS(3 supp chi)
+
+    With lam* the dual of lam, the squares give [alt2 : lam] = (q_lam - p_lam)/2
+    and [sym2 : lam] = q_lam - [alt2 : lam], and the cubes at 0 are
+    [chi^3 : 0] = sum_j q_{lam_j*} and [chi psi2 : 0] = sum_j p_{lam_j*}, so
+
+        [alt3 : 0] = (sum_j q_{lam_j*} - 3 sum_j p_{lam_j*} + 2 [psi3 chi : 0]) / 6
+        [chi * alt2 : 0] = sum_j [alt2 : lam_j*].
+
+    Every division is checked to be exact (`InternalError` otherwise).
+    """
+    rs = chi.rs
+    hws = [tuple(lam) for lam in hws]
+    fold = functools.partial(_fold_shifted, rs, _weight_array(list(chi.mult), rs.rank),
+                             list(chi.mult.values()))
+    zero = (0,) * rs.rank
+    q = fold([(1, lam) for lam in hws], [1] * len(hws))
+    p, p3 = fold([(2, zero)], [1]), fold([(3, zero)], [1])
+
+    def alt(lam):
+        return _exact_div(q.get(lam, 0) - p.get(lam, 0), 2)
+
+    duals = [rs.dual_weight(lam) for lam in hws]
+    a = sum(map(alt, hws))
+    s = sum(q.get(lam, 0) for lam in hws) - a
+    cube = sum(q.get(mu, 0) for mu in duals) - 3 * sum(p.get(mu, 0) for mu in duals)
+    return a, s, _exact_div(cube + 2 * p3.get(zero, 0), 6), sum(map(alt, duals))

@@ -224,16 +224,6 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
-def _parse_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return jobs
-
-
 def _parse_weight(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -289,8 +279,6 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default=d(False), help="treat skipped rows as failures")
     parser.add_argument("--catalog", default=d(None), help="external catalog file")
     parser.add_argument("--output", default=d(None), help="write the report to a file")
-    parser.add_argument("--jobs", type=_parse_jobs, default=d(1),
-                        help="worker processes for catalog sweeps")
 
 
 @functools.cache
@@ -360,7 +348,7 @@ def cmd_table(args) -> int:
         entries = [e for e in entries if e.source == "table4"]
     elif args.only in ("table5", "exceptions"):
         entries = [e for e in entries if e.source == "table5"]
-    pairs = siiclass.classify_catalog(entries, budget=args.budget, jobs=args.jobs)
+    pairs = siiclass.classify_catalog(entries, budget=args.budget)
     _emit(siiclass.emit_tables(pairs, args.format), args.output)
     bad = any(rep.matched_expected is False for _, rep in pairs)
     skipped = any(rep.status.startswith("skipped") for _, rep in pairs)

@@ -16,6 +16,13 @@ out with the doubled real counts.
 The bundled catalog stores one record per known quotient together with the
 published multiplicities; `classify` recomputes them from scratch and
 reports matches, mismatches, and rows skipped under the cost budget.
+
+The counts come from three Brauer-Klimyk folds over |supp chi| weights each
+(`chars.plethysm_counts`): chi^2, psi2 chi and psi3 chi, where chi is the
+character of m.  On a Weyl group of at most `ORBIT_CHECK_MAX_WEYL` elements
+the alternating Weyl-orbit sums of `chars.PlethysmOps` recount them, and a
+difference is an `AssertionError`.  `external_cross_check` recounts two-block
+external products from materialized squares and cubes of each block.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .chars import (Character, PlethysmOps, UsageError, alt2, alt3, decompose, expand,
-                    irrep_character, sym2, sym3, tensor, trivial_character)
+from .chars import (Character, PlethysmOps, UsageError, alt2, decompose, expand,
+                    irrep_character, multiplicity, plethysm_counts, squares_and_cubes, sym2,
+                    tensor, trivial_character)
 from .rootsys import RootSystem, SimpleType, Weight, adjoint_weight
 
 Summand = tuple[Weight, ...]  # one external-tensor summand: one weight per factor
@@ -125,11 +133,11 @@ class SIIReport:
 
 @dataclass(frozen=True)
 class Budget:
-    """Cost gate for a classification attempt.
-
-    Multiplicity extraction sums over a Weyl orbit, and cubic point queries
-    cost O(support) each, so both the group order and the weight support
-    are capped.
+    """Cost gate for a classification attempt: caps on the Weyl order of K
+    and on the weight support of m.  The folds cost O(support) and build no
+    Weyl group, so the default caps are far above what the engine needs;
+    they are kept so that a sweep under given caps reports the same rows
+    as skipped.
     """
 
     max_weyl_order: int = 10**6
@@ -423,21 +431,38 @@ def support_estimate(rs: RootSystem, constituents) -> int:
     return total
 
 
-def _counts(chi: Character, hws) -> tuple[int, int, int, int]:
-    """(a, s, l, epsilon) of a multiplicity-free module with highest weights hws."""
+# Rows whose Weyl group has at most this many elements are also counted by
+# the Weyl-orbit alternating sum, which must agree with the folds.
+ORBIT_CHECK_MAX_WEYL = 100
+
+
+def _orbit_counts(chi: Character, hws) -> tuple[int, int, int, int]:
+    """`plethysm_counts` by alternating sums over the Weyl orbits of
+    lam + rho (`PlethysmOps`): a second path that shares only the character
+    with the folds."""
     ops = PlethysmOps(chi)
     zero = (0,) * chi.rs.rank
     pairs = [ops.mult_in_alt2_sym2(lam) for lam in hws]
-    l, chi_alt2 = ops.mult_in_alt3_chi_alt2(zero)
-    return sum(a for a, _ in pairs), sum(s for _, s in pairs), l, chi_alt2 - l
+    return (sum(a for a, _ in pairs), sum(s for _, s in pairs),
+            *ops.mult_in_alt3_chi_alt2(zero))
+
+
+def _counts(chi: Character, hws) -> tuple[int, int, int, int]:
+    """(a, s, l, epsilon) of a multiplicity-free module with highest weights
+    hws, by Brauer-Klimyk folds (`plethysm_counts`).  On a Weyl group of at
+    most `ORBIT_CHECK_MAX_WEYL` elements the orbit sums must agree."""
+    values = plethysm_counts(chi, hws)
+    if chi.rs.weyl_order <= ORBIT_CHECK_MAX_WEYL:
+        orbit = _orbit_counts(chi, hws)
+        if orbit != values:
+            raise AssertionError(f"Brauer-Klimyk counts {values} != Weyl-orbit counts "
+                                 f"{orbit}; engine bug")
+    a, s, l, chi_alt2 = values
+    return a, s, l, chi_alt2 - l
 
 
 def _classify_values(rs: RootSystem, constituents) -> tuple[int, int, int, int]:
-    a, s, l, eps = _counts(module_character(rs, constituents),
-                           [rs.join(sm) for sm in constituents])
-    if eps != a - l:
-        raise AssertionError("defect identity epsilon == a - l failed; engine bug")
-    return a, s, l, eps
+    return _counts(module_character(rs, constituents), [rs.join(sm) for sm in constituents])
 
 
 def _decimal(n: int) -> str:
@@ -578,11 +603,9 @@ def external_cross_check(entry: IsotropyDatum, split_at: int | None = None) -> d
     lam_v, lam_w = rs_v.join(summand[:cut]), rs_w.join(summand[cut:])
 
     def counts(rsx, chi, lam):
-        a2, s2 = alt2(chi), sym2(chi)
-        a3, s3 = alt3(chi), sym3(chi)
-        p21 = tensor(chi, a2) - a3
+        a2, s2, a3, s3, chi_a2 = squares_and_cubes(chi)
+        p21 = chi_a2 - a3
         zero = (0,) * rsx.rank
-        from .chars import multiplicity
         return {
             "in_alt2": multiplicity(a2, lam), "in_sym2": multiplicity(s2, lam),
             "triv_alt3": multiplicity(a3, zero), "triv_sym3": multiplicity(s3, zero),
@@ -695,23 +718,7 @@ def emit_tables(pairs, fmt: str = "markdown") -> str:
     raise UsageError(f"unknown format {fmt!r}")
 
 
-def classify_catalog(entries=None, budget: Budget | None = None, path: str | None = None,
-                     jobs: int = 1):
-    """Classify a list of rows (default: the whole bundled catalog).
-
-    Rows are independent pure computations, so they may be fanned out over
-    worker processes; results are reassembled in catalog order either way.
-    """
+def classify_catalog(entries=None, budget: Budget | None = None, path: str | None = None):
+    """Classify a list of rows (default: the whole bundled catalog), in order."""
     entries = load_catalog(path) if entries is None else entries
-    if jobs <= 1 or len(entries) <= 1:
-        return [(entry, classify(entry, budget=budget)) for entry in entries]
-    import concurrent.futures
-    # A fork-started pool starts all of its workers at the first submit.
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
-        reports = list(pool.map(_classify_job, [(e, budget) for e in entries]))
-    return list(zip(entries, reports))
-
-
-def _classify_job(arg):
-    entry, budget = arg
-    return classify(entry, budget=budget)
+    return [(entry, classify(entry, budget=budget)) for entry in entries]

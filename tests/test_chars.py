@@ -12,8 +12,8 @@ from conftest import materialize, plethysm21
 from invconn import chars
 from invconn.chars import (EXPRESSIONS, Character, InternalError, PlethysmOps, UsageError,
                            adams, alt2, alt3, decompose, decompose_expression, expand,
-                           irrep_character, multiplicity, sym2, sym3, tensor,
-                           trivial_character)
+                           irrep_character, multiplicity, squares_and_cubes, sym2, sym3,
+                           tensor, trivial_character)
 from invconn.rootsys import PreconditionError, RootSystem, SimpleType
 
 
@@ -113,6 +113,13 @@ def test_alt3_sym3_examples(a1, a2):
     assert multiplicity(alt3(ad), (0, 0)) == 1
     v = irrep_character(a1, (1,))
     assert decompose(sym3(v)) == [((3,), 1)]
+
+
+def test_squares_and_cubes_equal_the_separate_powers():
+    for rs in KERNEL_SYSTEMS:
+        chi = irrep_character(rs, (1,) * rs.rank) + trivial_character(rs)
+        assert squares_and_cubes(chi) == (alt2(chi), sym2(chi), alt3(chi), sym3(chi),
+                                          tensor(chi, alt2(chi)))
 
 
 def test_sym3_brute_force_oracle(a1):

@@ -371,7 +371,7 @@ def test_help_prints_usage_and_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out = capsys.readouterr().out
-    assert exc.value.code == 0 and out.startswith("usage: invconn") and "--jobs" in out
+    assert exc.value.code == 0 and out.startswith("usage: invconn") and "--budget" in out
 
 
 def test_key_error_message_is_not_quoted(capsys):
@@ -444,10 +444,10 @@ def test_the_parser_is_built_once():
 def test_repeated_main_calls_share_no_state(capsys, monkeypatch):
     budgets = []
     monkeypatch.setattr(siiclass, "classify_catalog",
-                        lambda entries, budget, jobs: budgets.append((budget, jobs)) or [])
-    assert run(capsys, "table", "--budget", "1,1", "--jobs", "2")[0] == 0
+                        lambda entries, budget: budgets.append(budget) or [])
+    assert run(capsys, "table", "--budget", "1,1")[0] == 0
     assert run(capsys, "table")[0] == 0
-    assert budgets == [(siiclass.Budget(1, 1), 2), (siiclass.Budget(), 1)]
+    assert budgets == [siiclass.Budget(1, 1), siiclass.Budget()]
 
     # Shared flags before and after the subcommand, then neither.
     before = run(capsys, "--format", "json", "verify-un", "3", "--seed", "5")
@@ -473,7 +473,6 @@ _FLAG_VALUES = {
     "--seed": ["0", "7", "x", "-3", "1.5"],
     # Only tiny or malformed budgets, so that no sweep runs for long.
     "--budget": ["1,1", "5,5", "0,1", "1", "a,b", "1,-1", ""],
-    "--jobs": ["1", "0", "-2", "two"],
     "--catalog": ["absent.json", "bad.json"],
 }
 _COMMANDS = {
