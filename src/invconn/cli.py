@@ -1,6 +1,9 @@
 """Command-line front end: classification sweeps, table diffs, decompositions,
 and the numerical verification batteries on matrix Lie groups.
 
+Every flag follows the command name, and each command accepts only the
+flags its handler reads: a flag it does not read is bad input.
+
 Exit codes: 0 success / all comparisons match, 1 verification failure,
 2 bad input (one `error:` line on stderr).
 """
@@ -266,59 +269,59 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # Shared flags are accepted both before and after the subcommand; the
-    # subcommand copies use SUPPRESS defaults so they never clobber values
-    # given at the top level.
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--format", choices=["json", "md", "csv"], default=d("md"))
-    parser.add_argument("--tolerance", type=_parse_tolerance, default=d(1e-9))
-    parser.add_argument("--seed", type=int, default=d(42))
-    parser.add_argument("--budget", type=_parse_budget, default=d(Budget()))
-    parser.add_argument("--strict", action="store_true",
-                        default=d(False), help="treat skipped rows as failures")
-    parser.add_argument("--catalog", default=d(None), help="external catalog file")
-    parser.add_argument("--output", default=d(None), help="write the report to a file")
+# The shared flags; each command registers `--output` and those it names.
+_FLAGS = {
+    "--tolerance": dict(type=_parse_tolerance, default=1e-9),
+    "--seed": dict(type=int, default=42),
+    "--budget": dict(type=_parse_budget, default=Budget()),
+    "--strict": dict(action="store_true", help="treat skipped rows as failures"),
+    "--catalog": dict(help="external catalog file"),
+    "--output": dict(help="write the report to a file"),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: `parse_args`
-    reads it without changing it and returns a new namespace each call."""
+    reads it without changing it and returns a new namespace each call.
+    Each command parses only the flags its handler reads."""
     p = _Parser(prog="invconn",
                 description="Invariant-connection multiplicities and numerical connection checks")
-    _common_flags(p, suppress=False)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
+    def add(name, flags=(), formats=("json", "md"), **kw):
         sp = sub.add_parser(name, **kw)
-        _common_flags(sp, suppress=True)
+        if formats:
+            sp.add_argument("--format", choices=formats, default="md")
+        for flag in (*flags, "--output"):
+            sp.add_argument(flag, **_FLAGS[flag])
         return sp
 
-    c = add("classify", help="classify one catalog row or family instance")
+    sweep = dict(flags=("--budget", "--strict", "--catalog"), formats=("json", "md", "csv"))
+    c = add("classify", **sweep, help="classify one catalog row or family instance")
     c.add_argument("selector")
     c.add_argument("--p", type=int)
     c.add_argument("--q", type=int)
     c.add_argument("--n", type=int)
 
-    t = add("table", help="recompute the catalog and diff against the "
-                          "published multiplicities")
+    t = add("table", **sweep, help="recompute the catalog and diff against the "
+                                   "published multiplicities")
     t.add_argument("--only", choices=["table4", "table5", "classical", "exceptions"])
 
-    d = add("decompose", help="decompose a plethysm of an irreducible")
+    d = add("decompose", formats=(), help="decompose a plethysm of an irreducible")
     d.add_argument("system", help="root system, e.g. A3 or A1xA2")
     d.add_argument("expression", choices=list(EXPRESSIONS))
     d.add_argument("--hw", required=True, type=_parse_weight)
     d.add_argument("--hw2", type=_parse_weight, default=None)
 
-    v = add("verify-un", help="run the u(n) bi-invariant battery")
+    v = add("verify-un", ("--tolerance", "--seed"), help="run the u(n) bi-invariant battery")
     v.add_argument("n", type=int)
 
-    e = add("einstein", help="Einstein checks for the bracket family")
+    e = add("einstein", ("--tolerance",), help="Einstein checks for the bracket family")
     e.add_argument("algebra")
     e.add_argument("--alphas", default="0.5,1,2")
 
-    add("catalog-dump", help="print the active catalog")
+    add("catalog-dump", ("--catalog",), help="print the active catalog")
     return p
 
 
@@ -420,17 +423,8 @@ def cmd_einstein(args) -> int:
 def cmd_catalog_dump(args) -> int:
     entries = siiclass.load_catalog(args.catalog)
     if args.format == "json":
-        rows = []
-        for e in entries:
-            rows.append({
-                "id": e.id,
-                "ambient": {"series": e.ambient.series, "n": e.ambient.n},
-                "factors": [[f.series, f.rank] for f in e.factors],
-                "constituents": [[list(w) for w in sm] for sm in e.constituents],
-                "expected": None if e.expected is None else dataclasses.asdict(e.expected),
-                "source": e.source,
-            })
-        _emit(json.dumps({"rows": rows}, indent=2, sort_keys=True), args.output)
+        _emit(json.dumps(siiclass.catalog_document(entries), indent=2, sort_keys=True),
+              args.output)
     else:
         lines = [f"{e.id:16s} {siiclass.format_constituents(e):58s} {e.source}" for e in entries]
         _emit("\n".join(lines), args.output)

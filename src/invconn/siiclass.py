@@ -236,6 +236,28 @@ def _parse_catalog(text: str) -> list[IsotropyDatum]:
     return rows
 
 
+def catalog_document(entries: list[IsotropyDatum]) -> dict:
+    """The catalog `entries` in the bundled schema, which `load_catalog`
+    reads back to the same rows."""
+    rows = []
+    for e in entries:
+        rec = {"id": e.id, "ambient": {"series": e.ambient.series, "n": e.ambient.n},
+               "factors": [[f.series, f.rank] for f in e.factors],
+               "constituents": [[list(w) for w in sm] for sm in e.constituents],
+               "source": e.source}
+        if e.expected is not None:
+            x = e.expected
+            rec["expected"] = {"a": x.a, "s": x.s, "N": x.N, "l": x.l, "type": x.rep_type}
+        if e.family is not None:
+            rec["family"] = {"key": e.family, "params": dict(e.params)}
+        if e.alt_constituents is not None:
+            rec["alt_constituents"] = [[list(w) for w in sm] for sm in e.alt_constituents]
+        if e.note:
+            rec["note"] = e.note
+        rows.append(rec)
+    return {"version": 1, "rows": rows}
+
+
 def get_row(row_id: str, path: str | None = None) -> IsotropyDatum:
     key = row_id.replace(" ", "").lower()
     for row in load_catalog(path):

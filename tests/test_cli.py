@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -50,13 +51,13 @@ def test_classify_skipped_row_exit_codes(capsys):
     code, out, _ = run(capsys, "classify", "SO248/E8")
     assert code == 0
     assert "skipped: infeasible" in out
-    code, _, _ = run(capsys, "--strict", "classify", "SO248/E8")
+    code, _, _ = run(capsys, "classify", "SO248/E8", "--strict")
     assert code == 1
 
 
 @pytest.mark.parametrize("budget", [[], ["--budget", "unlimited"]])
 def test_classify_skips_a_huge_family_member_at_once(capsys, budget):
-    code, out, _ = run(capsys, *budget, "classify", "Sp_n", "--n", "99999")
+    code, out, _ = run(capsys, "classify", "Sp_n", "--n", "99999", *budget)
     assert code == 0
     assert "| Sp99999/SO99999xSp1 |" in out and "skipped: infeasible (Weyl order ~10^" in out
 
@@ -70,7 +71,7 @@ def test_classify_known_mismatch_row(capsys):
 
 
 def test_classify_json_schema(capsys):
-    code, out, _ = run(capsys, "--format", "json", "classify", "SO7/G2")
+    code, out, _ = run(capsys, "classify", "SO7/G2", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     row = doc["rows"][0]
@@ -89,7 +90,7 @@ def test_table_subset(capsys):
 
 def test_table_json_deterministic_modulo_timing(capsys):
     def grab():
-        code, out, _ = run(capsys, "--format", "json", "table", "--only", "exceptions",
+        code, out, _ = run(capsys, "table", "--format", "json", "--only", "exceptions",
                            "--budget", "500,500")
         assert code == 0
         doc = json.loads(out)
@@ -170,8 +171,8 @@ def test_verify_un_exit_codes(capsys):
 
 
 def test_verify_un_json_bitwise_deterministic(capsys):
-    code1, out1, _ = run(capsys, "--format", "json", "--seed", "7", "verify-un", "3")
-    code2, out2, _ = run(capsys, "--format", "json", "--seed", "7", "verify-un", "3")
+    code1, out1, _ = run(capsys, "verify-un", "3", "--format", "json", "--seed", "7")
+    code2, out2, _ = run(capsys, "verify-un", "3", "--format", "json", "--seed", "7")
     assert out1 == out2
 
 
@@ -195,7 +196,7 @@ def test_einstein_commands(capsys):
 @pytest.mark.parametrize("algebra,alphas", [("u3", "0.5"), ("u5", "0.5,3")])
 def test_einstein_center_value_has_no_signed_zero(capsys, algebra, alphas):
     # Ric(xi, xi) vanishes on the center; its rounding noise must not print as -0.000.
-    code, out, _ = run(capsys, "--format", "json", "einstein", algebra, f"--alphas={alphas}")
+    code, out, _ = run(capsys, "einstein", algebra, f"--alphas={alphas}", "--format", "json")
     names = [c["name"] for c in json.loads(out)["checks"] if "center" in c["name"]]
     assert code == 0 and len(names) == len(alphas.split(","))
     assert all("Ricci-flat: 0.000 vs" in name for name in names)
@@ -204,7 +205,7 @@ def test_einstein_center_value_has_no_signed_zero(capsys, algebra, alphas):
 def _battery_shape(capsys, *argv):
     """Each check of a battery run as 'PASS name', 'FAIL name' or 'ERRATUM
     name' (a failure flagged as a known upstream data error)."""
-    _, out, _ = run(capsys, "--format", "json", *argv)
+    _, out, _ = run(capsys, *argv, "--format", "json")
     return [f"{'PASS' if c['passed'] else 'ERRATUM' if c['known_upstream_issue'] else 'FAIL'} {c['name']}"
             for c in json.loads(out)["checks"]]
 
@@ -267,15 +268,15 @@ def test_catalog_dump(capsys):
     code, out, _ = run(capsys, "catalog-dump")
     assert code == 0
     assert "G2/SU3" in out and "SO248/E8" in out
-    code, out, _ = run(capsys, "--format", "json", "catalog-dump")
+    code, out, _ = run(capsys, "catalog-dump", "--format", "json")
     doc = json.loads(out)
     assert any(r["id"] == "E7/SU3" for r in doc["rows"])
 
 
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
-    code, out, _ = run(capsys, "--format", "json", "--output", str(target),
-                       "classify", "SO7/G2")
+    code, out, _ = run(capsys, "classify", "SO7/G2", "--format", "json",
+                       "--output", str(target))
     assert code == 0
     assert json.loads(target.read_text())["rows"][0]["id"] == "SO7/G2"
 
@@ -366,12 +367,13 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["verify-un", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["verify-un", "--help"], ["table", "--help"]])
 def test_help_prints_usage_and_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out = capsys.readouterr().out
-    assert exc.value.code == 0 and out.startswith("usage: invconn") and "--budget" in out
+    listed = {"--help": "catalog-dump", "verify-un": "--seed", "table": "--budget"}[argv[0]]
+    assert exc.value.code == 0 and out.startswith("usage: invconn") and listed in out
 
 
 def test_key_error_message_is_not_quoted(capsys):
@@ -435,6 +437,80 @@ def test_verify_un_builds_the_laquer_maps_once(monkeypatch):
     assert len(calls) == 1
 
 
+# -- one flag set per command -----------------------------------------------------
+
+# The shared flags each command's handler reads, besides its own arguments.
+READS = {
+    "classify": {"--format", "--budget", "--strict", "--catalog", "--output"},
+    "table": {"--format", "--budget", "--strict", "--catalog", "--output"},
+    "decompose": {"--output"},
+    "verify-un": {"--format", "--tolerance", "--seed", "--output"},
+    "einstein": {"--format", "--tolerance", "--output"},
+    "catalog-dump": {"--format", "--catalog", "--output"},
+}
+# A cheap call of each command; the table sweeps the exception block under a tiny budget.
+CHEAP = {
+    "classify": ["classify", "SO7/G2"],
+    "table": ["table", "--only", "exceptions", "--budget", "1,1"],
+    "decompose": ["decompose", "A1", "sym2", "--hw", "1"],
+    "verify-un": ["verify-un", "3"],
+    "einstein": ["einstein", "su2", "--alphas", "1"],
+    "catalog-dump": ["catalog-dump"],
+}
+
+
+def _shared_flags(tmp_path):
+    """Each shared flag with a valid value (`--strict` takes none)."""
+    return {"--format": ["json"], "--tolerance": ["1e-9"], "--seed": ["7"],
+            "--budget": ["1,1"], "--strict": [], "--catalog": [_catalog_file(tmp_path)],
+            "--output": [str(tmp_path / "report.txt")]}
+
+
+def _refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", argv
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_parses_only_the_flags_it_reads(capsys, tmp_path, command):
+    for flag, value in _shared_flags(tmp_path).items():
+        argv = [*CHEAP[command], flag, *value]
+        _refused(capsys, [flag, *value, *CHEAP[command]])
+        if flag not in READS[command]:
+            _refused(capsys, argv)
+            continue
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and err == "", (argv, err)
+        if flag == "--output":
+            assert out == "" and (tmp_path / "report.txt").read_text(), argv
+        elif flag == "--format":
+            json.loads(out)
+    if command in ("verify-un", "einstein", "catalog-dump"):
+        _refused(capsys, [*CHEAP[command], "--format", "csv"])
+
+
+def test_catalog_dump_json_round_trips(capsys, tmp_path):
+    dump = tmp_path / "dump.json"
+    assert run(capsys, "catalog-dump", "--format", "json", "--output", str(dump)) == (0, "", "")
+    bundled = resources.files("invconn.data").joinpath("catalog.json").read_text()
+    assert json.loads(dump.read_text()) == json.loads(bundled)
+
+    def report(*argv):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        for row in doc["rows"]:
+            row.pop("elapsed_ms")
+        return code, doc, err
+
+    budget = ("--budget", "20000,50000")
+    assert report("table", *budget, "--catalog", str(dump)) == report("table", *budget)
+    # Sp16/Spin12, the row with two candidate modules, is skipped under that budget.
+    flip = report("classify", "Sp16/Spin12", "--catalog", str(dump))
+    assert flip == report("classify", "Sp16/Spin12")
+    assert flip[1]["rows"][0]["note"].endswith("; both candidate modules agree")
+
+
 # -- one parser per process ------------------------------------------------------
 
 def test_the_parser_is_built_once():
@@ -449,9 +525,9 @@ def test_repeated_main_calls_share_no_state(capsys, monkeypatch):
     assert run(capsys, "table")[0] == 0
     assert budgets == [siiclass.Budget(1, 1), siiclass.Budget()]
 
-    # Shared flags before and after the subcommand, then neither.
-    before = run(capsys, "--format", "json", "verify-un", "3", "--seed", "5")
-    after = run(capsys, "verify-un", "3", "--format", "json", "--seed", "5")
+    # Flags in two orders after the command, then without --format.
+    before = run(capsys, "verify-un", "--format", "json", "3", "--seed", "5")
+    after = run(capsys, "verify-un", "3", "--seed", "5", "--format", "json")
     plain = run(capsys, "verify-un", "3", "--seed", "5")
     assert before == after and json.loads(before[1])["battery"] == "u(3) bi-invariant battery"
     assert plain[1].startswith("u(3) bi-invariant battery\n")
@@ -473,7 +549,8 @@ _FLAG_VALUES = {
     "--seed": ["0", "7", "x", "-3", "1.5"],
     # Only tiny or malformed budgets, so that no sweep runs for long.
     "--budget": ["1,1", "5,5", "0,1", "1", "a,b", "1,-1", ""],
-    "--catalog": ["absent.json", "bad.json"],
+    "--catalog": ["@absent.json", "@bad.json"],
+    "--output": ["@out.txt", "@", "@nodir/out.txt"],
 }
 _COMMANDS = {
     "classify": [st.sampled_from(["G2/SU3", "SO7/G2", "Sp2/SU2", "XX/YY", "SU_pq", "SO_4n",
@@ -503,16 +580,18 @@ _JUNK = st.sampled_from(["--frobnicate", "-q", "extra", "--hw", "--n", "--strict
 @st.composite
 def _argv(draw):
     """A random command line: a command, its positionals, tiny budgets for the
-    sweeps, shared flags and command options with good and bad values, and
-    sometimes one stray token anywhere.  `@name` stands for a file in the
-    test's directory."""
+    sweeps, shared flags (mostly ones the command reads, sometimes one it does
+    not) and command options with good and bad values, and sometimes one
+    stray token anywhere.  `@name` stands for a path in the test's directory."""
     command = draw(st.sampled_from(sorted(_COMMANDS) + ["frobnicate"]))
     argv = [command] + [draw(p) for p in _COMMANDS.get(command, [])]
     if command in ("table", "classify"):
         argv += ["--budget", "1,1"]
-    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=3)):
-        value = draw(st.sampled_from(_FLAG_VALUES[flag]))
-        argv += [flag, "@" + value if flag == "--catalog" else value]
+    own = sorted(READS.get(command, set()) & set(_FLAG_VALUES))
+    foreign = sorted(set(_FLAG_VALUES) - set(own))
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(own if own and draw(st.integers(0, 4)) else foreign))
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
     options = _OPTIONS.get(command, [("--frobnicate", st.just("1"))])
     for flag, value in draw(st.lists(st.sampled_from(options), max_size=3)):
         argv += [flag, draw(value)]
