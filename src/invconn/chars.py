@@ -17,13 +17,21 @@ the Adams operations, where psi_k rescales every weight by k:
 `squares_and_cubes` all five from four tensor products.  Three paths never
 materialize a cube.  `plethysm_counts`, the engine of the classification,
 reads the multiplicities of the constituents of chi in alt2 and sym2 and
-the trivial ones in alt3 and chi*alt2 off three Brauer-Klimyk folds (below):
-chi^2, psi2 chi and psi3 chi, with no Weyl group.  `decompose_expression`
-returns every constituent of one expression of an irreducible chi = L(lam)
-by the same folds.  `PlethysmOps`, the classification's independent check on
-small Weyl groups, evaluates the alt2, sym2, alt3 and chi*alt2 formulas
-point by point on a whole Weyl orbit from five base characters, the tables
-chi^2, psi2 and psi3 and the convolutions chi^3 and chi*psi2.
+the trivial ones in alt3 and chi*alt2 off three Brauer-Klimyk sums (below),
+chi^2, psi2 chi and psi3 chi, made by one fold with no Weyl group.
+`decompose_expression` returns every constituent of one expression of an
+irreducible chi = L(lam) by the same folds.  `PlethysmOps`, the
+classification's independent check on small Weyl groups, evaluates the
+alt2, sym2, alt3 and chi*alt2 formulas point by point on a whole Weyl orbit
+from five base characters, the tables chi^2, psi2 and psi3, built as
+arrays, and the convolutions chi^3 and chi*psi2.
+
+An irreducible character comes from Freudenthal's recursion over the
+dominant weights below its highest weight, which a search that subtracts
+positive roots finds without folding (`dominant_weights_below`, cached per
+system).  The recursion reads the character it is filling: each dominant
+weight enters with its whole Weyl orbit as soon as its multiplicity is
+known, so every lookup is one dict hit.
 
 Multiplicities of irreducibles come from two independent algorithms:
 `multiplicity` sums over the Weyl orbit of lam + rho (Weyl's character
@@ -38,13 +46,15 @@ otherwise it runs on Python ints.  `decompose_expression` makes one
 `decompose(chi, lam)` call for chi^2 and folds every other Adams term,
 psi2 chi = 2 supp chi, psi3 chi = 3 supp chi and chi^3 = sum over the
 constituents kappa of chi^2 of supp chi + kappa, with the same signed fold
-(`_fold_shifted`).  `plethysm_counts` folds chi^2 of chi = sum_j L(lam_j)
-as the union of the stacks supp chi + lam_j.
+(`_fold_shifted`).  `plethysm_counts` folds chi^2 of chi = sum_j L(lam_j),
+the union of the stacks supp chi + lam_j, together with 2 supp chi and
+3 supp chi as one stack whose rows carry the index of their sum.
 
 The numpy kernels share one weight coding: each weight becomes a
 mixed-radix code over a box, chosen so that a sum or difference of weights
-is a sum of codes.  `tensor`, behind every materialized square and cube,
-sums the products m1 * m2 per code in blocks of about 16k weight pairs:
+is a sum of codes.  `_convolve`, behind every materialized square and cube
+(`tensor`) and `PlethysmOps`'s chi^2, sums the products m1 * m2 per code
+in blocks of about 16k weight pairs:
 small boxes (at most 2^17 entries, or no more than the pairs) accumulate
 with `np.add.at` into a dense int64 array, larger ones by sorting each
 block's codes, `np.add.reduceat`, and one merge.  `_convolve_at`, behind
@@ -62,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -161,51 +172,91 @@ def _divided(d: dict[Weight, int], k: int) -> dict[Weight, int]:
 # ---------------------------------------------------------------------------
 
 def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
-    """All dominant weights mu with lam - mu in the non-negative root lattice."""
+    """All dominant weights mu with lam - mu in the non-negative root lattice,
+    by decreasing height, then lexicographically; lam comes first.  Built
+    once per lam and system (`_dominant_search`) and cached on the system,
+    where `irrep_character` and `siiclass.support_estimate` share it."""
+    lam = tuple(lam)
+    doms = rs._dominant_cache.get(lam)
+    if doms is None:
+        doms = rs._dominant_cache[lam] = _dominant_search(rs, lam)
+    return list(doms)
+
+
+def _dominant_search(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
+    """The search behind `dominant_weights_below`: from lam, subtract every
+    positive root from every weight found and keep the dominant results.
+
+    That reaches every dominant mu below lam, because two dominant weights
+    next to each other in the dominance order differ by a positive root
+    (Stembridge, "The partial order of dominant weights", Adv. Math. 136,
+    1998).  So no weight is folded and no dominance is tested.
+    """
+    if not rs.is_dominant(lam):
+        raise PreconditionError(f"highest weight {lam} is not dominant")
     seen = {lam}
     queue = [lam]
+    roots = rs.pos_roots
     while queue:
         mu = queue.pop()
-        for alpha in rs.pos_roots:
+        for alpha in roots:
             nu = _wsub(mu, alpha)
-            nud = rs.to_dominant(nu)[0]
-            if nud not in seen and rs.dominates(lam, nud):
-                seen.add(nud)
-                queue.append(nud)
-    out = list(seen)
-    height = rs._height_key  # height(lam - w) increases as height(w) decreases
-    out.sort(key=lambda w: (-height(w), w))
-    return out
+            if min(nu) >= 0 and nu not in seen:
+                seen.add(nu)
+                queue.append(nu)
+    height = rs._height_key
+    return tuple(sorted(seen, key=lambda w: (-height(w), w)))
 
 
 def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
-    """Multiplicities of the dominant weights of the irreducible L(lam)."""
-    if not rs.is_dominant(lam):
-        raise PreconditionError(f"highest weight {lam} is not dominant")
-    doms = dominant_weights_below(rs, lam)
+    """Every weight of the irreducible L(lam) with its multiplicity.
+
+    Freudenthal's recursion
+
+        (|lam + rho|^2 - |mu + rho|^2) m(mu)
+            = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) <mu + k alpha, alpha>
+
+    runs over the dominant weights mu by decreasing height
+    (`dominant_weights_below`).  As soon as m(mu) is known, mu's whole Weyl
+    orbit enters the table that the recursion reads.  Every mu + k alpha is
+    higher than mu, and so is its dominant representative, so its
+    multiplicity is already there and each lookup is one dict hit.  The
+    weights of L(lam) on an alpha-string have no gaps, so a string ends at
+    its first weight outside the table.  <mu + k alpha, alpha> grows by
+    <alpha, alpha> per step.  Every quotient is checked to be exact
+    (`InternalError` otherwise).
+    """
+    doms = dominant_weights_below(rs, lam)  # refuses a lam that is not dominant
     ip = rs._ip_int
-    rho = rs.rho
-    lam_rho = _wadd(lam, rho)
+    # (alpha, c, <alpha, alpha>) with sum(c * w) = <w, alpha>, all in the scale of `ip`.
+    roots = [(alpha, c, sum(map(operator.mul, c, alpha)))
+             for alpha, (c, _) in zip(rs.pos_roots, rs._dimension_rows)]
+    lam_rho = _wadd(lam, rs.rho)
     norm_top = ip(lam_rho, lam_rho)
-    mult: dict[Weight, int] = {lam: 1}
+    full: dict[Weight, int] = {}
     for mu in doms:
-        if mu == lam:
-            continue
-        total = 0
-        for alpha in rs.pos_roots:
-            nu = _wadd(mu, alpha)
-            while True:
-                m = mult.get(rs.to_dominant(nu)[0])
-                if m is None:
-                    break
-                total += m * ip(nu, alpha)
-                nu = _wadd(nu, alpha)
-        denom = norm_top - ip(_wadd(mu, rho), _wadd(mu, rho))
-        num = 2 * total
-        if denom <= 0 or num % denom:
-            raise InternalError(f"Freudenthal recursion failed at {mu}")
-        mult[mu] = num // denom
-    return mult
+        m = 1
+        if mu != lam:
+            total = 0
+            for alpha, c, norm in roots:
+                nu = _wadd(mu, alpha)
+                m_nu = full.get(nu)
+                if m_nu is None:
+                    continue
+                pair = sum(map(operator.mul, c, nu))
+                while m_nu is not None:
+                    total += m_nu * pair
+                    pair += norm
+                    nu = _wadd(nu, alpha)
+                    m_nu = full.get(nu)
+            mu_rho = _wadd(mu, rs.rho)
+            denom = norm_top - ip(mu_rho, mu_rho)
+            if denom <= 0 or 2 * total % denom:
+                raise InternalError(f"Freudenthal recursion failed at {mu}")
+            m = 2 * total // denom
+        for w in rs.weyl_orbit(mu):
+            full[w] = m
+    return full
 
 
 def _check_highest_weight(rs: RootSystem, lam: Weight) -> None:
@@ -217,7 +268,9 @@ def _check_highest_weight(rs: RootSystem, lam: Weight) -> None:
 
 
 def irrep_character(rs: RootSystem, lam: Weight) -> Character:
-    """Full weight system of the irreducible with highest weight lam (cached)."""
+    """Full weight system of the irreducible with highest weight lam (cached):
+    `freudenthal_multiplicities` on a simple system, the product of the
+    factors' characters on a product."""
     lam = tuple(lam)
     cached = rs._irrep_cache.get(lam)
     if cached is not None:
@@ -233,11 +286,7 @@ def irrep_character(rs: RootSystem, lam: Weight) -> Character:
         rs._irrep_cache[lam] = full
         return Character(rs, full)
 
-    dom = freudenthal_multiplicities(rs, lam)
-    full = {}
-    for mu, m in dom.items():
-        for w in rs.weyl_orbit(mu):
-            full[w] = m
+    full = freudenthal_multiplicities(rs, lam)
     rs._irrep_cache[lam] = full
     chi = Character(rs, full)
     if chi.dim() != rs.weyl_dimension(lam):
@@ -257,9 +306,10 @@ _BLOCK_PAIRS = 1 << 14  # weight pairs formed at once
 def tensor(a: Character, b: Character) -> Character:
     """Pointwise convolution of weight systems; dimensions multiply."""
     _check_same_rs(a, b)
-    if not a.mult or not b.mult:
-        return Character(a.rs, {})
-    return Character(a.rs, _convolve(a.mult, b.mult))
+    rank = a.rs.rank
+    weights, values = _convolve(_weight_array(list(a.mult), rank), list(a.mult.values()),
+                                _weight_array(list(b.mult), rank), list(b.mult.values()))
+    return Character(a.rs, dict(zip(map(tuple, weights.tolist()), values.tolist())))
 
 
 def _value_dtype(bound: int):
@@ -280,17 +330,22 @@ def _box(lo: list[int], hi: list[int], coords: list[int]) -> tuple[list[int], li
     return spans, strides, box, (np.int64 if fits else object)
 
 
-def _convolve(da: dict[Weight, int], db: dict[Weight, int]) -> dict[Weight, int]:
-    """The weight map of the product of two non-empty weight maps, exactly.
+def _convolve(wa: np.ndarray, ma: list[int], wb: np.ndarray,
+              mb: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The product of two weight maps, exactly: the (n, rank) weights, given
+    as the rows of `wa` and `wb`, and the multiplicities, given as lists of
+    Python ints.  Returns the weights of the product in lexicographic order
+    and their nonzero values.
 
     Each weight gets a mixed-radix code over the box of supp a + supp b, with
     offsets chosen so that code(w1) + code(w2) = code(w1 + w2); the first
-    coordinate is the most significant digit.  Pair codes and products
-    m1 * m2 are formed for blocks of rows of a and summed per code: with
-    `np.add.at` into a dense array when the box has at most 2^17 entries or
-    no more entries than there are pairs, otherwise by a sort and
-    `np.add.reduceat` per block and one merge.  The dense array then never
-    outgrows the sort branch's arrays, which hold up to one entry per pair.
+    coordinate is the most significant digit, so code order is
+    lexicographic order.  Pair codes and products m1 * m2 are formed for
+    blocks of rows of a and summed per code: with `np.add.at` into a dense
+    array when the box has at most 2^17 entries or no more entries than
+    there are pairs, otherwise by a sort and `np.add.reduceat` per block and
+    one merge.  The dense array then never outgrows the sort branch's
+    arrays, which hold up to one entry per pair.
 
     Two guards keep int64 from wrapping (`_box`, `_value_dtype`).  Codes are
     int64 only when the box has fewer than 2^62 entries and every coordinate
@@ -298,18 +353,18 @@ def _convolve(da: dict[Weight, int], db: dict[Weight, int]) -> dict[Weight, int]
     2^62, which bounds every product and every sum.  Otherwise the same code
     runs on Python ints (dtype object).
     """
-    rank = len(next(iter(da)))
-    wa, wb = _weight_array(list(da), rank), _weight_array(list(db), rank)
+    mdt = _value_dtype(sum(map(abs, ma)) * sum(map(abs, mb)))
+    if not ma or not mb:
+        return wa[:0], np.zeros(0, dtype=mdt)
     lo_a, lo_b = wa.min(0).tolist(), wb.min(0).tolist()
     hi_a, hi_b = wa.max(0).tolist(), wb.max(0).tolist()
     lo = [x + y for x, y in zip(lo_a, lo_b)]
     hi = [x + y for x, y in zip(hi_a, hi_b)]
     spans, strides, box, cdt = _box(lo, hi, lo_a + lo_b + hi_a + hi_b)
-    mdt = _value_dtype(sum(map(abs, da.values())) * sum(map(abs, db.values())))
     stride_arr = np.array(strides, dtype=cdt)
     ca = (wa.astype(cdt) - np.array(lo_a, dtype=cdt)) @ stride_arr
     cb = (wb.astype(cdt) - np.array(lo_b, dtype=cdt)) @ stride_arr
-    ma, mb = np.array(list(da.values()), dtype=mdt), np.array(list(db.values()), dtype=mdt)
+    ma, mb = np.array(ma, dtype=mdt), np.array(mb, dtype=mdt)
 
     rows = max(1, _BLOCK_PAIRS // len(cb))
     blocks = (((ca[i:i + rows, None] + cb).ravel(), (ma[i:i + rows, None] * mb).ravel())
@@ -327,7 +382,7 @@ def _convolve(da: dict[Weight, int], db: dict[Weight, int]) -> dict[Weight, int]
         nonzero = np.flatnonzero(vals != 0)
         codes, vals = codes[nonzero], vals[nonzero]
     digits = (codes[:, None] // stride_arr) % np.array(spans, dtype=cdt) + np.array(lo, dtype=cdt)
-    return dict(zip(zip(*digits.T.tolist()), vals.tolist()))
+    return digits, vals
 
 
 def _sum_by_code(codes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,12 +456,27 @@ class _WeightTable:
 
     __slots__ = ("weights", "values", "lo", "hi")
 
-    def __init__(self, mult: dict[Weight, int], rank: int, dtype):
+    def __init__(self, weights: np.ndarray, values: np.ndarray):
+        """A table of weights already in lexicographic order."""
+        self.weights, self.values = weights, values
+        self.lo = weights.min(0).tolist() if len(values) else None
+        self.hi = weights.max(0).tolist() if len(values) else None
+
+    @classmethod
+    def of(cls, mult: dict[Weight, int], rank: int, dtype) -> "_WeightTable":
+        """The table of a weight map, with its values in `dtype`."""
         items = sorted(mult.items())
-        self.weights = _weight_array([w for w, _ in items], rank)
-        self.values = np.array([m for _, m in items], dtype=dtype)
-        self.lo = self.weights.min(0).tolist() if items else None
-        self.hi = self.weights.max(0).tolist() if items else None
+        return cls(_weight_array([w for w, _ in items], rank),
+                   np.array([m for _, m in items], dtype=dtype))
+
+    def scaled(self, k: int) -> "_WeightTable":
+        """psi_k of the table for k > 0: every weight times k, which keeps the
+        lexicographic order, with the same values (labels follow the guard
+        of `_shifted_stack`)."""
+        if not len(self):
+            return self
+        return _WeightTable(_shifted_stack(self.weights, [(k, (0,) * self.weights.shape[1])]),
+                            self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -450,7 +520,7 @@ def _convolve_at(table: _WeightTable, nus: np.ndarray, kernel: _WeightTable) -> 
 def _lookup(table: _WeightTable, nus: np.ndarray) -> np.ndarray:
     """table(nu) for every row nu of nus: `_convolve_at` with the unit at 0."""
     rank = nus.shape[1]
-    return _convolve_at(table, nus, _WeightTable({(0,) * rank: 1}, rank, table.values.dtype))
+    return _convolve_at(table, nus, _WeightTable.of({(0,) * rank: 1}, rank, table.values.dtype))
 
 
 def _alternating_sum(rs: RootSystem, lam: Weight, values_at) -> tuple[int, ...]:
@@ -474,7 +544,7 @@ def _alternating_sum(rs: RootSystem, lam: Weight, values_at) -> tuple[int, ...]:
 
 def multiplicity(chi: Character, lam: Weight) -> int:
     """Multiplicity of the irreducible L(lam) inside a Weyl-invariant character."""
-    table = _WeightTable(chi.mult, chi.rs.rank, _value_dtype(sum(map(abs, chi.mult.values()))))
+    table = _WeightTable.of(chi.mult, chi.rs.rank, _value_dtype(sum(map(abs, chi.mult.values()))))
     return _alternating_sum(chi.rs, lam, lambda nus: [_lookup(table, nus)])[0]
 
 
@@ -551,19 +621,28 @@ def _shifted_stack(weights: np.ndarray, blocks) -> np.ndarray:
     return np.concatenate([k * weights + np.array(s, dtype=dtype) for k, s in blocks])
 
 
-def _fold(rs: RootSystem, stack: np.ndarray, values: np.ndarray) -> list[tuple[Weight, int]]:
+def _fold(rs: RootSystem, stack: np.ndarray, values: np.ndarray,
+          groups: np.ndarray | None = None) -> list[tuple[Weight, int]]:
     """The signed Racah-Speiser sum of a virtual character given as rows:
     row i, a weight plus rho, adds sgn_i * values[i] to L(dom_i - rho), where
     dom_i and sgn_i are its dominant representative and sign (`to_dominant`;
     rows on a chamber wall add nothing).  Returns the nonzero totals in
     lexicographic order of the weights, summed by integer codes.
 
+    With `groups`, an (n,) array of non-negative integers, several
+    characters fold as one stack and their totals stay apart: row i adds to
+    (groups[i], *(dom_i - rho)), so every returned weight starts with its
+    group.
+
     `stack` is folded in place and must be in a dtype that holds every label
-    of the fold (`_fold_dtype`); `values` in one that holds sum |values|.
+    of the fold (`_fold_dtype`); `values` in one that holds the sum of
+    |values| over each group.
     """
     tops, signs = _fold_to_dominant(rs, stack)
     keep = signs != 0
     lams, values = tops[keep] - 1, signs[keep] * values[keep]
+    if groups is not None:
+        lams = np.column_stack([groups[keep].astype(lams.dtype), lams])
     if not len(lams):
         return []
     lo, hi = lams.min(0).tolist(), lams.max(0).tolist()
@@ -577,20 +656,31 @@ def _fold(rs: RootSystem, stack: np.ndarray, values: np.ndarray) -> list[tuple[W
 
 
 def _fold_shifted(rs: RootSystem, weights: np.ndarray, mults: list[int],
-                  blocks, coeffs) -> dict[Weight, int]:
-    """RS(sum_j coeffs[j] chi_j) as {dominant weight: total}, where chi is
-    the character with the rows of `weights` and the multiplicities `mults`
-    and chi_j moves every weight nu of chi to k_j nu + s_j for the j-th block
-    (k_j, s_j) of `blocks`.  By Brauer-Klimyk, the block (1, kappa) stands
-    for chi * L(kappa), and (k, 0) for psi_k chi.
+                  *stacks) -> list[dict[Weight, int]]:
+    """RS(sum_j coeffs[j] chi_j) as {dominant weight: total}, one map for each
+    stack (blocks, coeffs) of `stacks`, where chi is the character with the
+    rows of `weights` and the multiplicities `mults` and chi_j moves every
+    weight nu of chi to k_j nu + s_j for the j-th block (k_j, s_j) of
+    `blocks`.  By Brauer-Klimyk, the block (1, kappa) stands for
+    chi * L(kappa), and (k, 0) for psi_k chi.
 
-    Labels follow `_fold_dtype` on the shifted stack; values are int64 while
-    sum |coeffs| * sum |mults| < 2^62, which bounds every value and every sum.
+    All stacks are one fold (`_fold`, with one group per stack).  Labels
+    follow `_fold_dtype` on the whole shifted stack; values are int64 while
+    sum |coeffs| * sum |mults| < 2^62 for every stack, which bounds every
+    value and every sum.
     """
-    stack = _shifted_stack(weights, [(k, _wadd(s, rs.rho)) for k, s in blocks])
-    dtype = _value_dtype(sum(map(abs, coeffs)) * sum(map(abs, mults)))
-    values = np.outer(np.array(coeffs, dtype=dtype), np.array(mults, dtype=dtype)).ravel()
-    return dict(_fold(rs, stack.astype(_fold_dtype(rs, stack), copy=False), values))
+    rows = _shifted_stack(weights, [(k, _wadd(s, rs.rho))
+                                     for blocks, _ in stacks for k, s in blocks])
+    rows = rows.astype(_fold_dtype(rs, rows), copy=False)
+    dtype = _value_dtype(max(sum(map(abs, cs)) for _, cs in stacks) * sum(map(abs, mults)))
+    coeffs = np.array([c for _, cs in stacks for c in cs], dtype=dtype)
+    values = np.outer(coeffs, np.array(mults, dtype=dtype)).ravel()
+    sizes = [len(blocks) * len(weights) for blocks, _ in stacks]
+    groups = np.repeat(np.arange(len(stacks)), sizes)
+    out: list[dict[Weight, int]] = [{} for _ in stacks]
+    for (group, *lam), m in _fold(rs, rows, values, groups):
+        out[group][tuple(lam)] = m
+    return out
 
 
 def _by_height(rs: RootSystem, terms) -> list[tuple[Weight, int]]:
@@ -635,7 +725,7 @@ def decompose(chi: Character, lam: Weight | None = None) -> list[tuple[Weight, i
         shift = _wadd(lam, rs.rho)
     if not mult:
         return []
-    table = _WeightTable(mult, rs.rank, _value_dtype(sum(map(abs, mult.values()))))
+    table = _WeightTable.of(mult, rs.rank, _value_dtype(sum(map(abs, mult.values()))))
     weights = table.weights.astype(_fold_dtype(rs, table.weights), copy=False)
     failures = _invariance_failures(rs, table, weights)
     if failures:
@@ -667,9 +757,11 @@ class PlethysmOps:
     """Multiplicities in the squares and cubes of a fixed genuine character chi.
 
     Every multiplicity is an exact combination of the values of five base
-    characters on one Weyl orbit.  Three are tables built once: chi^2
-    (`_sq`), psi2 (`_p2`) and psi3 (`_p3`).  Two are batched point queries
-    that convolve chi with a table, so the cube is never materialized:
+    characters on one Weyl orbit.  Three are tables built once, as arrays:
+    chi^2 (`_sq`) straight from the sorted output of `_convolve`, and psi2
+    (`_p2`) and psi3 (`_p3`) by scaling the weights of chi's table.  Two are
+    batched point queries that convolve chi with a table, so the cube is
+    never materialized:
     `cube_at` (chi^2 * chi) and `chi_psi2_at` (psi2 * chi).  At each orbit
     point
 
@@ -691,10 +783,11 @@ class PlethysmOps:
             raise UsageError("plethysm point queries require a genuine character")
         self.rs = chi.rs
         rank, dtype = chi.rs.rank, _value_dtype(6 * chi.dim() ** 3)
-        self._items = _WeightTable(chi.mult, rank, dtype)
-        self._sq = _WeightTable(tensor(chi, chi).mult, rank, dtype)
-        self._p2 = _WeightTable(adams(chi, 2).mult, rank, dtype)
-        self._p3 = _WeightTable(adams(chi, 3).mult, rank, dtype)
+        items = self._items = _WeightTable.of(chi.mult, rank, dtype)
+        values = items.values.tolist()
+        weights, square = _convolve(items.weights, values, items.weights, values)
+        self._sq = _WeightTable(weights, square.astype(dtype, copy=False))
+        self._p2, self._p3 = items.scaled(2), items.scaled(3)
 
     def cube_at(self, nus: np.ndarray) -> np.ndarray:
         """chi^3 at every row of the (n, rank) stack `nus`."""
@@ -767,15 +860,17 @@ def decompose_expression(rs: RootSystem, name: str, lam: Weight,
     zero = (0,) * rs.rank
     q = dict(square)
     if name == "plethysm21":
-        out = _divided(fold([(1, kappa) for kappa in q] + [(3, zero)], [*q.values(), -1]), 3)
+        (chi3,) = fold(([(1, kappa) for kappa in q] + [(3, zero)], [*q.values(), -1]))
+        out = _divided(chi3, 3)
     else:
         sign = 1 if name.startswith("sym") else -1
-        p = fold([(2, zero)], [1])
+        (p,) = fold(([(2, zero)], [1]))
         if name in ("alt2", "sym2"):
             out = _divided(_lincomb((1, q), (sign, p)), 2)
         else:
             c = {kappa: m for kappa, m in _lincomb((1, q), (3 * sign, p)).items() if m}
-            out = _divided(fold([(1, kappa) for kappa in c] + [(3, zero)], [*c.values(), 2]), 6)
+            (chi3,) = fold(([(1, kappa) for kappa in c] + [(3, zero)], [*c.values(), 2]))
+            out = _divided(chi3, 6)
     if any(m < 0 for m in out.values()):
         raise InternalError(f"{name} of {lam} has a negative multiplicity of an irreducible")
     return _by_height(rs, out.items())
@@ -783,9 +878,9 @@ def decompose_expression(rs: RootSystem, name: str, lam: Weight,
 
 def plethysm_counts(chi: Character, hws) -> tuple[int, int, int, int]:
     """For chi = sum_j L(hws[j]), multiplicity-free: sum_j [alt2 : lam_j],
-    sum_j [sym2 : lam_j], [alt3 : 0] and [chi * alt2 : 0], by three signed
-    Brauer-Klimyk folds (`_fold_shifted`) over |supp chi| weights each,
-    without a Weyl group or a materialized square:
+    sum_j [sym2 : lam_j], [alt3 : 0] and [chi * alt2 : 0], from three
+    Brauer-Klimyk sums made by one signed fold (`_fold_shifted`), without a
+    Weyl group or a materialized square:
 
         q = chi^2 = RS(union_j supp chi + lam_j)
         p = psi2 chi = RS(2 supp chi)          psi3 chi = RS(3 supp chi)
@@ -801,11 +896,10 @@ def plethysm_counts(chi: Character, hws) -> tuple[int, int, int, int]:
     """
     rs = chi.rs
     hws = [tuple(lam) for lam in hws]
-    fold = functools.partial(_fold_shifted, rs, _weight_array(list(chi.mult), rs.rank),
-                             list(chi.mult.values()))
     zero = (0,) * rs.rank
-    q = fold([(1, lam) for lam in hws], [1] * len(hws))
-    p, p3 = fold([(2, zero)], [1]), fold([(3, zero)], [1])
+    q, p, p3 = _fold_shifted(rs, _weight_array(list(chi.mult), rs.rank), list(chi.mult.values()),
+                             ([(1, lam) for lam in hws], [1] * len(hws)),
+                             ([(2, zero)], [1]), ([(3, zero)], [1]))
 
     def alt(lam):
         return _exact_div(q.get(lam, 0) - p.get(lam, 0), 2)

@@ -333,6 +333,9 @@ def cmd_classify(args) -> int:
     sel = args.selector
     params = {k: v for k, v in (("p", args.p), ("q", args.q), ("n", args.n)) if v is not None}
     if params:
+        if args.catalog is not None:
+            raise UsageError("--catalog reads catalog rows and cannot be combined with the "
+                             "family parameters --p/--q/--n")
         entry = siiclass.family(sel, **params)
     else:
         entry = siiclass.get_row(sel, args.catalog)

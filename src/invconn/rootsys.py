@@ -5,7 +5,14 @@ Weights are stored as tuples of integers in Dynkin-label coordinates
 labels of their factors; every structural object (Cartan matrix, positive
 roots, invariant pairing) is the block direct sum of the factor data, which
 is computed once per simple type, and `signed_orbit` is the product of the
-factor orbits.
+factor orbits.  `factor_systems` of a simple system is the system itself,
+so the per-weight caches a system keeps (characters and dominant weights,
+filled by `chars`) serve every caller that splits it into factors.
+
+A Weyl orbit is built one layer at a time from its dominant weight,
+reflecting each point only at its positive labels (`_orbit`): layer k holds
+the points reached by Weyl elements of length k, so a layer is deduplicated
+against itself alone and its sign is (-1)^k.
 
 All arithmetic is exact.  Root coordinates, heights and dominance use the
 integer matrix det(A) A^-1 of the Cartan matrix A: det(A) times the root
@@ -290,7 +297,10 @@ class RootSystem:
         self._rows = [tuple((j, self.cartan[i][j]) for j in range(n) if self.cartan[i][j])
                       for i in range(n)]
 
+        # Per highest weight: the character (`chars.irrep_character`) and the
+        # dominant weights below it (`chars.dominant_weights_below`).
         self._irrep_cache: dict[Weight, dict] = {}
+        self._dominant_cache: dict[Weight, tuple[Weight, ...]] = {}
         self._factor_systems: list[RootSystem] | None = None
 
     # -- derived data, built on first use -----------------------------------------
@@ -381,7 +391,8 @@ class RootSystem:
 
     # -- elementary operations -------------------------------------------------
 
-    def _reflect(self, w: Weight, i: int) -> Weight:
+    def reflect(self, i: int, w: Weight) -> Weight:
+        """Simple reflection s_i applied to a weight."""
         c = w[i]
         if c == 0:
             return w
@@ -389,10 +400,6 @@ class RootSystem:
         for j, a in self._rows[i]:
             v[j] -= c * a
         return tuple(v)
-
-    def reflect(self, i: int, w: Weight) -> Weight:
-        """Simple reflection s_i applied to a weight."""
-        return self._reflect(w, i)
 
     def to_dominant(self, w: Weight) -> tuple[Weight, int]:
         """Dominant representative and the determinant of the Weyl element used.
@@ -491,26 +498,34 @@ class RootSystem:
         return num // den
 
     def _orbit(self, w: Weight) -> dict[Weight, int]:
-        """Breadth-first Weyl orbit; each point carries (-1)^(its BFS depth).
+        """Weyl orbit of w, one layer at a time; each point carries (-1)^(its
+        layer).
 
-        The parity is det of the Weyl element reaching the point only when w
-        is regular; otherwise just the keys are meaningful.
+        The search starts at the dominant representative of w and reflects
+        each point only at its positive labels.  Such a reflection lengthens
+        the shortest Weyl element reaching the point by one, so layer k holds
+        exactly the points whose shortest element has length k: a layer can
+        only repeat its own points, and it is deduplicated against itself
+        alone.  The parity is det of the Weyl element reaching the point only
+        when w is regular; otherwise just the keys are meaningful.
         """
-        out = {w: 1}
-        frontier = [w]
-        reflect = self._reflect
-        while frontier:
-            nxt = []
-            for v in frontier:
-                s = -out[v]
-                for i in range(self.rank):
-                    if v[i] == 0:
-                        continue
-                    u = reflect(v, i)
-                    if u not in out:
-                        out[u] = s
-                        nxt.append(u)
-            frontier = nxt
+        top = self.to_dominant(w)[0]
+        out = {top: 1}
+        layer = [top]
+        rows = self._rows
+        sign = 1
+        while layer:
+            sign = -sign
+            nxt = {}
+            for v in layer:
+                for i, c in enumerate(v):
+                    if c > 0:
+                        u = list(v)
+                        for j, a in rows[i]:
+                            u[j] -= c * a
+                        nxt[tuple(u)] = sign
+            out.update(nxt)
+            layer = nxt
         return out
 
     def weyl_orbit(self, w: Weight) -> list[Weight]:
@@ -519,13 +534,13 @@ class RootSystem:
     def signed_orbit(self, w: Weight) -> SignedOrbit:
         """Orbit of a strictly dominant weight as arrays, with det(w) per point.
 
-        The orbit is the product of the factor orbits, each from the BFS of
-        `_orbit`, so no map with one entry per element of W is built for a
-        product system.  Points of the first factor vary slowest.
+        The orbit is the product of the factor orbits, each from the layered
+        search of `_orbit`, so no map with one entry per element of W is built
+        for a product system.  Points of the first factor vary slowest.
         """
         if any(x <= 0 for x in w):
             raise PreconditionError("signed_orbit requires a strictly dominant weight")
-        systems = self.factor_systems() if len(self.factors) > 1 else [self]
+        systems = self.factor_systems()
         points = np.zeros((1, 0), dtype=np.int64)
         signs = np.ones(1, dtype=np.int64)
         for sub, part in zip(systems, self.split(w)):
@@ -600,8 +615,11 @@ class RootSystem:
         return tuple(itertools.chain.from_iterable(parts))
 
     def factor_systems(self) -> list["RootSystem"]:
+        """One system per simple factor; a simple system is its own factor, so
+        it shares its caches with every caller that splits it."""
         if self._factor_systems is None:
-            self._factor_systems = [RootSystem([f]) for f in self.factors]
+            self._factor_systems = ([self] if len(self.factors) == 1
+                                    else [RootSystem([f]) for f in self.factors])
         return self._factor_systems
 
     def __repr__(self) -> str:

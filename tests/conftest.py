@@ -4,6 +4,7 @@ import pytest
 from invconn import conncalc as cc
 from invconn import chars
 from invconn.chars import Character
+from invconn.rootsys import SimpleType
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +180,93 @@ def tensor_reference():
     return _tensor_reference
 
 
+# ---------------------------------------------------------------------------
+# Reference algorithms for the character build: the earlier searches, which
+# the engine's layered orbit, root-subtraction search and table-reading
+# Freudenthal recursion replaced.
+# ---------------------------------------------------------------------------
+
+SIMPLE_TYPES_TO_RANK_8 = (
+    [SimpleType(series, n) for series, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+     for n in range(low, 9)]
+    + [SimpleType("E", n) for n in (6, 7, 8)] + [SimpleType("F", 4), SimpleType("G", 2)])
+
+
+def shrink_weight(lam, too_big):
+    """lam with its last nonzero labels zeroed, one at a time, until
+    too_big(lam) is false; the zero weight ends every such shrink."""
+    lam = list(lam)
+    while too_big(tuple(lam)):
+        lam[max(i for i, x in enumerate(lam) if x)] = 0
+    return tuple(lam)
+
+
+def bfs_orbit(rs, w):
+    """The Weyl orbit of w by breadth-first search from w itself: every point
+    is reflected at every nonzero label, against one global `seen` dict.
+    Each point carries (-1)^(its BFS depth), which is det of the Weyl element
+    reaching it when w is regular."""
+    out = {w: 1}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            sign = -out[v]
+            for i in range(rs.rank):
+                if v[i]:
+                    u = rs.reflect(i, v)
+                    if u not in out:
+                        out[u] = sign
+                        nxt.append(u)
+        frontier = nxt
+    return out
+
+
+def dominant_weights_reference(rs, lam):
+    """The dominant weights below lam by folding: subtract every positive
+    root, fold the result with `to_dominant` and keep it when lam dominates
+    it; by decreasing height, then lexicographically."""
+    seen = {lam}
+    queue = [lam]
+    while queue:
+        mu = queue.pop()
+        for alpha in rs.pos_roots:
+            nu = rs.to_dominant(tuple(x - a for x, a in zip(mu, alpha)))[0]
+            if nu not in seen and rs.dominates(lam, nu):
+                seen.add(nu)
+                queue.append(nu)
+    return sorted(seen, key=lambda w: (-rs.height(w), w))
+
+
+def irrep_reference(rs, lam):
+    """The weight system of L(lam) on any system, products included, by
+    Freudenthal's recursion over `dominant_weights_reference` with every
+    lookup folded by `to_dominant` and every pairing from `rs.pairing`
+    (`Fraction`s), then the `bfs_orbit` of each dominant weight."""
+    rho = rs.rho
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    top = rs.pairing(add(lam, rho), add(lam, rho))
+    mult = {lam: 1}
+    for mu in dominant_weights_reference(rs, lam)[1:]:
+        total = 0
+        for alpha in rs.pos_roots:
+            nu = add(mu, alpha)
+            while (m := mult.get(rs.to_dominant(nu)[0])) is not None:
+                total += m * rs.pairing(nu, alpha)
+                nu = add(nu, alpha)
+        m = 2 * total / (top - rs.pairing(add(mu, rho), add(mu, rho)))
+        assert m.denominator == 1, (rs, lam, mu)
+        mult[mu] = int(m)
+    return {w: m for mu, m in mult.items() for w in bfs_orbit(rs, mu)}
+
+
 def _orbit_sum_reference(chi, lam, expr):
     """Multiplicity of L(lam) in expr(chi) by the per-point loop.
 
-    The Weyl orbit of lam + rho is the BFS dict of `rs._orbit`, and every
+    The Weyl orbit of lam + rho is the BFS dict of `bfs_orbit`, and every
     point value is a Python loop over supp chi into dict tables built by
     pure-Python double loops, with Python-int arithmetic throughout.  `expr`
     is "chi" (chi itself), "alt2", "sym2", "alt3" or "chi_alt2".
@@ -222,7 +306,7 @@ def _orbit_sum_reference(chi, lam, expr):
              "sym2": lambda nu: sq.get(nu, 0) - alt2.get(nu, 0),
              "alt3": alt3_at,
              "chi_alt2": lambda nu: convolve_at(alt2, nu)}[expr]
-    return sum(sign * point(sub(p, rs.rho)) for p, sign in rs._orbit(add(lam, rs.rho)).items())
+    return sum(sign * point(sub(p, rs.rho)) for p, sign in bfs_orbit(rs, add(lam, rs.rho)).items())
 
 
 @pytest.fixture(scope="session")

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import materialize, plethysm21
+from conftest import (SIMPLE_TYPES_TO_RANK_8, bfs_orbit, dominant_weights_reference,
+                      irrep_reference, materialize, plethysm21, shrink_weight)
 
 from invconn import chars
 from invconn.chars import (EXPRESSIONS, Character, InternalError, PlethysmOps, UsageError,
-                           adams, alt2, alt3, decompose, decompose_expression, expand,
-                           irrep_character, multiplicity, squares_and_cubes, sym2, sym3,
-                           tensor, trivial_character)
+                           adams, alt2, alt3, decompose, decompose_expression,
+                           dominant_weights_below, expand, irrep_character, multiplicity,
+                           squares_and_cubes, sym2, sym3, tensor, trivial_character)
 from invconn.rootsys import PreconditionError, RootSystem, SimpleType
+from invconn.siiclass import load_catalog
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,46 @@ def a1():
 @pytest.fixture(scope="module")
 def a2():
     return RootSystem([SimpleType("A", 2)])
+
+
+def _assert_build_matches_the_references(rs, lam):
+    """The character of L(lam) against Freudenthal through `to_dominant` and
+    the BFS orbits, on the whole system; per factor, the dominant weights
+    against the fold-and-dominance search and each of their Weyl orbits, as
+    a set without repeats, against the BFS."""
+    assert irrep_character(rs, lam).mult == irrep_reference(rs, lam), (rs, lam)
+    for sub, part in zip(rs.factor_systems(), rs.split(lam)):
+        doms = dominant_weights_below(sub, part)
+        assert doms == dominant_weights_reference(sub, part), (sub, part)
+        for mu in doms:
+            orbit = sub.weyl_orbit(mu)
+            assert len(orbit) == len(set(orbit)) and set(orbit) == set(bfs_orbit(sub, mu)), mu
+
+
+def test_character_build_matches_the_references_on_catalog_constituents():
+    # Every constituent of every catalog row, the rows a budget skips included.
+    checked = 0
+    for row in load_catalog():
+        rs = row.root_system()
+        for summand in row.constituents + (row.alt_constituents or ()):
+            _assert_build_matches_the_references(rs, rs.join(summand))
+            checked += 1
+    assert checked == 64
+
+
+@st.composite
+def _small_irreducibles(draw):
+    """A simple system of rank <= 8 and a dominant weight whose irreducible
+    has dimension at most 2000."""
+    rs = RootSystem([draw(st.sampled_from(SIMPLE_TYPES_TO_RANK_8))])
+    lam = draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * rs.rank))
+    return rs, shrink_weight(lam, lambda w: rs.weyl_dimension(w) > 2000)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_irreducibles())
+def test_character_build_matches_the_references_on_random_weights(case):
+    _assert_build_matches_the_references(*case)
 
 
 def test_irrep_character_examples(a1, a2):
@@ -695,8 +737,8 @@ def test_brauer_klimyk_int64_guards(monkeypatch):
 def test_decompose_expression_checks_every_division(a2, monkeypatch):
     real = chars._fold
 
-    def off_by_one(rs, stack, values):
-        return [(lam, m + 1) for lam, m in real(rs, stack, values)]
+    def off_by_one(rs, stack, values, groups=None):
+        return [(lam, m + 1) for lam, m in real(rs, stack, values, groups)]
 
     monkeypatch.setattr(chars, "_fold", off_by_one)
     for name, k in (("alt2", 2), ("alt3", 6), ("plethysm21", 3)):

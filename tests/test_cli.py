@@ -352,6 +352,8 @@ BAD_INPUTS = {
     "table with a zero budget": lambda tmp: ["table", "--budget", "0,50000"],
     "family with a missing parameter": lambda tmp: ["classify", "SU_pq", "--p", "3"],
     "family with a foreign parameter": lambda tmp: ["classify", "SU_2q", "--n", "3"],
+    "family with a catalog": lambda tmp: ["classify", "SU_pq", "--p", "3", "--q", "3",
+                                          "--catalog", str(tmp / "absent.json")],
 }
 
 

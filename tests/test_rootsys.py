@@ -4,6 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import SIMPLE_TYPES_TO_RANK_8, bfs_orbit, shrink_weight
 
 from invconn.rootsys import (ConfigurationError, PreconditionError, RootSystem,
                              SimpleType, _invert_int_matrix, adjoint_weight)
@@ -182,9 +186,36 @@ def test_signed_orbit_matches_the_bfs_on_catalog_systems():
         orbit = rs.signed_orbit(w)
         assert len(orbit) == rs.weyl_order, factors
         assert orbit.points.dtype == orbit.signs.dtype == np.int64
-        assert dict(zip(map(tuple, orbit.points.tolist()), orbit.signs.tolist())) == rs._orbit(w)
+        signs = dict(zip(map(tuple, orbit.points.tolist()), orbit.signs.tolist()))
+        assert signs == bfs_orbit(rs, w)
         checked += 1
     assert checked == 29
+
+
+@st.composite
+def _weights_in_small_orbits(draw):
+    """A simple system of rank <= 8, a dominant weight lam whose orbit has at
+    most 3000 points, and w = u(lam) for a random word u of simple
+    reflections."""
+    rs = RootSystem([draw(st.sampled_from(SIMPLE_TYPES_TO_RANK_8))])
+    lam = draw(st.tuples(*[st.integers(min_value=0, max_value=3)] * rs.rank))
+    lam = shrink_weight(lam, lambda v: rs.orbit_size(v) > 3000)
+    w = lam
+    for i in draw(st.lists(st.integers(min_value=0, max_value=rs.rank - 1), max_size=12)):
+        w = rs.reflect(i, w)
+    return rs, lam, w
+
+
+@settings(max_examples=80, deadline=None)
+@given(_weights_in_small_orbits())
+def test_layered_orbit_matches_the_bfs(case):
+    rs, lam, w = case
+    orbit = rs.weyl_orbit(w)
+    assert len(orbit) == len(set(orbit)) == rs.orbit_size(lam)
+    # A weight that is not dominant has the orbit of its dominant weight.
+    assert set(orbit) == set(rs.weyl_orbit(lam)) == set(bfs_orbit(rs, w))
+    # From a dominant weight each layer is one BFS depth, so the signs agree too.
+    assert rs._orbit(lam) == bfs_orbit(rs, lam)
 
 
 def test_orbit_size_via_stabilizer():

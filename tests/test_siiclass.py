@@ -239,16 +239,37 @@ def test_external_cross_check_values():
 
 def test_external_cross_check_builds_each_product_once(monkeypatch):
     # Per factor: chi^2, chi^3, chi * psi2 and chi * alt2, and nothing else.
-    # The direct side materializes only the orbit-sum check's chi^2.
-    calls = []
-    real = chars.tensor
-    monkeypatch.setattr(chars, "tensor", lambda a, b: calls.append(a.rs) or real(a, b))
+    # The direct side materializes only the orbit-sum check's chi^2, which
+    # calls the convolution kernel without `tensor`; the ranks tell the
+    # systems apart (G2: 2, SU2: 1, G2xSU2: 3).
+    ranks = []
+    real = chars._convolve
+    monkeypatch.setattr(chars, "_convolve",
+                        lambda wa, ma, wb, mb: ranks.append(wa.shape[1]) or real(wa, ma, wb, mb))
     row = get_row("F4/G2xSU2")
     result = external_cross_check(row)
     assert result == {"direct": (1, 0, 1), "factorized": (1, 0, 1), "match": True}
-    per_system = sorted(calls.count(rs) for rs in set(calls))
-    assert len(calls) == 9 and per_system == [1, 4, 4]
-    assert calls.count(next(rs for rs in calls if rs.rank == 3)) == 1
+    assert len(ranks) == 9 and sorted(ranks.count(r) for r in set(ranks)) == [1, 4, 4]
+    assert ranks.count(3) == 1
+
+
+def test_a_row_builds_each_dominant_weight_list_once_and_folds_once(monkeypatch):
+    # support_estimate and the character build share the dominant weights of
+    # each (factor system, lam); a simple system is its own factor, so a
+    # single-factor row shares them too.  plethysm_counts folds once.
+    builds, folds = [], []
+    real_search, real_fold = chars._dominant_search, chars._fold
+    monkeypatch.setattr(chars, "_dominant_search",
+                        lambda rs, lam: builds.append((rs, lam)) or real_search(rs, lam))
+    monkeypatch.setattr(chars, "_fold", lambda *args: folds.append(args) or real_fold(*args))
+    for row_id, values, expected in (("F4/G2xSU2", (1, 0, 1, 1), [("A1", (4,)), ("G2", (1, 0))]),
+                                     ("G2/SU3", (2, 0, 2, 2), [("A2", (0, 1)), ("A2", (1, 0))])):
+        builds.clear()
+        folds.clear()
+        assert classify(get_row(row_id)).values() == values
+        assert sorted((str(rs.factors[0]), lam) for rs, lam in builds) == expected, row_id
+        assert len({id(rs) for rs, _ in builds}) == len(get_row(row_id).factors)
+        assert len(folds) == 1, row_id
 
 
 def test_external_cross_check_precondition():
@@ -512,9 +533,9 @@ def test_folds_on_python_ints_give_the_same_counts(monkeypatch):
     dtypes = set()
     real = chars._fold
 
-    def recording(rs, stack, values):
+    def recording(rs, stack, values, *groups):
         dtypes.add((stack.dtype, values.dtype))
-        return real(rs, stack, values)
+        return real(rs, stack, values, *groups)
 
     monkeypatch.setattr(chars, "_fold", recording)
     monkeypatch.setattr(chars, "_fold_dtype", lambda rs, weights: object)
@@ -525,15 +546,16 @@ def test_folds_on_python_ints_give_the_same_counts(monkeypatch):
 
 
 def test_a_perturbed_fold_fails_classify(monkeypatch):
-    # The square's fold is the one with a block (1, lam).  A change that
+    # The square's stack is the one with a block (1, lam).  A change that
     # keeps every division exact is caught by the orbit-sum check, one that
     # does not by the division.
     real = chars._fold_shifted
 
     def perturbed(shift):
-        def fold(rs, weights, mults, blocks, coeffs):
-            out = real(rs, weights, mults, blocks, coeffs)
-            return {lam: m + shift for lam, m in out.items()} if blocks[0][0] == 1 else out
+        def fold(rs, weights, mults, *stacks):
+            out = real(rs, weights, mults, *stacks)
+            return [{lam: m + shift for lam, m in sums.items()} if blocks[0][0] == 1 else sums
+                    for sums, (blocks, _) in zip(out, stacks)]
         return fold
 
     row = get_row("G2/SU3")
