@@ -50,32 +50,24 @@ constituents kappa of chi^2 of supp chi + kappa, with the same signed fold
 the union of the stacks supp chi + lam_j, together with 2 supp chi and
 3 supp chi as one stack whose rows carry the index of their sum.
 
-The numpy kernels share one weight coding: each weight becomes a
-mixed-radix code over a box, chosen so that a sum or difference of weights
-is a sum of codes.  `_convolve`, behind every materialized square and cube
-(`tensor`) and `PlethysmOps`'s chi^2, sums the products m1 * m2 per code
-in blocks of about 16k weight pairs:
-small boxes (at most 2^17 entries, or no more than the pairs) accumulate
-with `np.add.at` into a dense int64 array, larger ones by sorting each
-block's codes, `np.add.reduceat`, and one merge.  `_convolve_at`, behind
-the orbit sums, evaluates sum_j m_j table(nu - w_j) at every point nu of
-a Weyl orbit at once by looking the pair codes up among the table's sorted
-codes with `np.searchsorted`, again in blocks of about 16k pairs.
-`decompose` looks every simple reflection of the support up the same way
-and sums the folded terms per dominant weight by code.  Nothing is computed
-in floating point.  Codes are int64 only while the box has
-fewer than 2^62 entries and every coordinate is below 2^61 in size, and
-values only while a bound on every product and sum is below 2^62; beyond
-either guard the same code runs on Python ints, so nothing wraps.
+The numpy kernels code weights over a box (`_codes.Box`) so that a sum or
+difference of weights is a sum of codes.  `_convolve`, behind every
+materialized square and cube (`tensor`) and `PlethysmOps`'s chi^2, sums
+the products m1 * m2 per code (`_codes.sum_by_code`), and `_fold` the
+folded terms per dominant weight.  `_convolve_at`, behind the orbit sums,
+evaluates sum_j m_j table(nu - w_j) at every point nu of a Weyl orbit at
+once by looking the pair codes up among the table's sorted codes with
+`np.searchsorted`, and `decompose` looks every simple reflection of the
+support up the same way.  Nothing is computed in floating point.
 """
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 import numpy as np
 
+from ._codes import INT64_SAFE, Box, sum_by_code, value_dtype
 from .rootsys import PreconditionError, RootSystem, Weight, _weight_array
 
 
@@ -157,10 +149,9 @@ def _lincomb(*terms: tuple[int, dict[Weight, int]]) -> dict[Weight, int]:
 
 
 def _exact_div(m: int, k: int) -> int:
-    q, r = divmod(m, k)
-    if r:
+    if m % k:
         raise InternalError(f"plethysm coefficient {m} is not divisible by {k}")
-    return q
+    return m // k
 
 
 def _divided(d: dict[Weight, int], k: int) -> dict[Weight, int]:
@@ -298,8 +289,6 @@ def irrep_character(rs: RootSystem, lam: Weight) -> Character:
 # Ring operations
 # ---------------------------------------------------------------------------
 
-_INT64_SAFE = 1 << 62  # int64 holds every code, product and sum below this
-_DENSE_BOX = 1 << 17  # a box this small is always accumulated densely (1 MiB of int64)
 _BLOCK_PAIRS = 1 << 14  # weight pairs formed at once
 
 
@@ -312,24 +301,6 @@ def tensor(a: Character, b: Character) -> Character:
     return Character(a.rs, dict(zip(map(tuple, weights.tolist()), values.tolist())))
 
 
-def _value_dtype(bound: int):
-    """int64 when `bound`, which bounds every value, product and partial sum
-    of a computation, is below 2^62; object (Python ints) otherwise."""
-    return np.int64 if bound < _INT64_SAFE else object
-
-
-def _box(lo: list[int], hi: list[int], coords: list[int]) -> tuple[list[int], list[int], int, object]:
-    """Spans and mixed-radix strides of the box lo..hi (the first coordinate
-    is the most significant digit), its number of entries, and the dtype of
-    its codes: int64 only when the box has fewer than 2^62 entries and every
-    coordinate in `coords` is below 2^61 in size, object otherwise."""
-    spans = [h - l + 1 for l, h in zip(lo, hi)]
-    strides = [math.prod(spans[i + 1:]) for i in range(len(spans))]
-    box = math.prod(spans)
-    fits = box < _INT64_SAFE and all(abs(x) < _INT64_SAFE // 2 for x in coords)
-    return spans, strides, box, (np.int64 if fits else object)
-
-
 def _convolve(wa: np.ndarray, ma: list[int], wb: np.ndarray,
               mb: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The product of two weight maps, exactly: the (n, rank) weights, given
@@ -337,60 +308,25 @@ def _convolve(wa: np.ndarray, ma: list[int], wb: np.ndarray,
     Python ints.  Returns the weights of the product in lexicographic order
     and their nonzero values.
 
-    Each weight gets a mixed-radix code over the box of supp a + supp b, with
-    offsets chosen so that code(w1) + code(w2) = code(w1 + w2); the first
-    coordinate is the most significant digit, so code order is
-    lexicographic order.  Pair codes and products m1 * m2 are formed for
-    blocks of rows of a and summed per code: with `np.add.at` into a dense
-    array when the box has at most 2^17 entries or no more entries than
-    there are pairs, otherwise by a sort and `np.add.reduceat` per block and
-    one merge.  The dense array then never outgrows the sort branch's
-    arrays, which hold up to one entry per pair.
-
-    Two guards keep int64 from wrapping (`_box`, `_value_dtype`).  Codes are
-    int64 only when the box has fewer than 2^62 entries and every coordinate
-    is below 2^61 in size; multiplicities only when sum|m_a| * sum|m_b| <
-    2^62, which bounds every product and every sum.  Otherwise the same code
-    runs on Python ints (dtype object).
+    Pair codes over the box of supp a + supp b, each weight measured from
+    the least corner of its own support so that codes add as weights do,
+    and products m1 * m2 are formed for blocks of rows of a and summed per
+    code (`sum_by_code`).  Multiplicities are int64 only while
+    sum|m_a| * sum|m_b| < 2^62, which bounds every product and every sum.
     """
-    mdt = _value_dtype(sum(map(abs, ma)) * sum(map(abs, mb)))
+    mdt = value_dtype(sum(map(abs, ma)) * sum(map(abs, mb)))
     if not ma or not mb:
         return wa[:0], np.zeros(0, dtype=mdt)
     lo_a, lo_b = wa.min(0).tolist(), wb.min(0).tolist()
     hi_a, hi_b = wa.max(0).tolist(), wb.max(0).tolist()
-    lo = [x + y for x, y in zip(lo_a, lo_b)]
-    hi = [x + y for x, y in zip(hi_a, hi_b)]
-    spans, strides, box, cdt = _box(lo, hi, lo_a + lo_b + hi_a + hi_b)
-    stride_arr = np.array(strides, dtype=cdt)
-    ca = (wa.astype(cdt) - np.array(lo_a, dtype=cdt)) @ stride_arr
-    cb = (wb.astype(cdt) - np.array(lo_b, dtype=cdt)) @ stride_arr
+    box = Box(_wadd(lo_a, lo_b), _wadd(hi_a, hi_b), lo_a + lo_b + hi_a + hi_b)
+    ca, cb = box.encode(wa, lo_a), box.encode(wb, lo_b)
     ma, mb = np.array(ma, dtype=mdt), np.array(mb, dtype=mdt)
-
     rows = max(1, _BLOCK_PAIRS // len(cb))
     blocks = (((ca[i:i + rows, None] + cb).ravel(), (ma[i:i + rows, None] * mb).ravel())
               for i in range(0, len(ca), rows))
-    if box <= max(_DENSE_BOX, len(ca) * len(cb)):
-        acc = np.zeros(box, dtype=mdt)
-        for codes, prods in blocks:
-            np.add.at(acc, codes.astype(np.intp, copy=False), prods)
-        nonzero = np.flatnonzero(acc)
-        codes, vals = nonzero.astype(cdt), acc[nonzero]
-    else:
-        parts = [_sum_by_code(codes, prods) for codes, prods in blocks]
-        codes, vals = _sum_by_code(np.concatenate([c for c, _ in parts]),
-                                   np.concatenate([v for _, v in parts]))
-        nonzero = np.flatnonzero(vals != 0)
-        codes, vals = codes[nonzero], vals[nonzero]
-    digits = (codes[:, None] // stride_arr) % np.array(spans, dtype=cdt) + np.array(lo, dtype=cdt)
-    return digits, vals
-
-
-def _sum_by_code(codes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct codes in increasing order, each with the sum of its values."""
-    order = np.argsort(codes)
-    codes, vals = codes[order], vals[order]
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    return codes[starts], np.add.reduceat(vals, starts)
+    codes, vals = sum_by_code(blocks, box.size, len(ca) * len(cb))
+    return box.decode(codes), vals
 
 
 def adams(chi: Character, k: int) -> Character:
@@ -486,32 +422,28 @@ def _convolve_at(table: _WeightTable, nus: np.ndarray, kernel: _WeightTable) -> 
     """sum_j m_j * table(nu - w_j) over the weights w_j and values m_j of
     `kernel`, for every row nu of the (n, rank) stack `nus`, exactly.
 
-    One mixed-radix box holds every nu - w_j and every table weight, with
-    offsets chosen so that code(nu - w_j) = code(nu) + code(-w_j) and both
-    terms lie in [0, box): no pair needs an in-box test.  Pair codes are
-    formed for blocks of rows of `nus` (about 2^14 pairs at once) and looked
-    up among the table's codes, which come out sorted, with
-    `np.searchsorted`.  Codes follow the guard of `_box`; values are int64
-    only when the table and the kernel are, and the caller chose that dtype
-    so that sum|kernel| * sum|table| < 2^62, which bounds every value and its
-    sum over distinct points nu.
+    One `Box` holds every nu - w_j and every table weight.  The code of
+    nu - w_j is the offset of nu from the least nu plus the code of that
+    least nu - w_j, both in [0, box): no pair needs an in-box test.  Pair
+    codes are formed for blocks of rows of `nus` (about 2^14 pairs at once)
+    and looked up among the table's codes, which come out sorted, with
+    `np.searchsorted`.  Values are int64 only when the table and the kernel
+    are, and the caller chose that dtype so that sum|kernel| * sum|table| <
+    2^62, which bounds every value and its sum over distinct points nu.
     """
     if not len(table) or not len(kernel) or not len(nus):
         return np.zeros(len(nus), dtype=np.result_type(table.values.dtype, kernel.values.dtype))
     lo_nu, hi_nu = nus.min(0).tolist(), nus.max(0).tolist()
     lo = [min(a - w, t) for a, w, t in zip(lo_nu, kernel.hi, table.lo)]
     hi = [max(b - w, t) for b, w, t in zip(hi_nu, kernel.lo, table.hi)]
-    _, strides, _, cdt = _box(lo, hi, lo_nu + hi_nu + kernel.lo + kernel.hi + table.lo + table.hi)
-    stride_arr = np.array(strides, dtype=cdt)
-    codes_t = (table.weights.astype(cdt) - np.array(lo, dtype=cdt)) @ stride_arr
-    offset = np.array([a - l for a, l in zip(lo_nu, lo)], dtype=cdt)
-    codes_w = (offset - kernel.weights.astype(cdt)) @ stride_arr
-    lo_nu = np.array(lo_nu, dtype=cdt)
+    box = Box(lo, hi, lo_nu + hi_nu + kernel.lo + kernel.hi + table.lo + table.hi)
+    codes_t = box.encode(table.weights)
+    codes_w = -box.encode(kernel.weights, _wsub(lo_nu, lo))
     last = len(codes_t) - 1
     rows = max(1, _BLOCK_PAIRS // len(codes_w))
     out = []
     for i in range(0, len(nus), rows):
-        codes = ((nus[i:i + rows].astype(cdt, copy=False) - lo_nu) @ stride_arr)[:, None] + codes_w
+        codes = box.encode(nus[i:i + rows], lo_nu)[:, None] + codes_w
         idx = np.minimum(np.searchsorted(codes_t, codes), last)
         out.append(np.where(codes_t[idx] == codes, table.values[idx], 0) @ kernel.values)
     return np.concatenate(out)
@@ -544,7 +476,7 @@ def _alternating_sum(rs: RootSystem, lam: Weight, values_at) -> tuple[int, ...]:
 
 def multiplicity(chi: Character, lam: Weight) -> int:
     """Multiplicity of the irreducible L(lam) inside a Weyl-invariant character."""
-    table = _WeightTable.of(chi.mult, chi.rs.rank, _value_dtype(sum(map(abs, chi.mult.values()))))
+    table = _WeightTable.of(chi.mult, chi.rs.rank, value_dtype(sum(map(abs, chi.mult.values()))))
     return _alternating_sum(chi.rs, lam, lambda nus: [_lookup(table, nus)])[0]
 
 
@@ -587,7 +519,7 @@ def _fold_dtype(rs: RootSystem, weights: np.ndarray):
     if weights.dtype == object:
         return object
     top = max(int(weights.max()), -int(weights.min())) + 1  # np.abs wraps at -2^63
-    return np.int64 if top * rs._orbit_label_factor < _INT64_SAFE // 8 else object
+    return np.int64 if top * rs._orbit_label_factor < INT64_SAFE // 8 else object
 
 
 def _invariance_failures(rs: RootSystem, table: _WeightTable,
@@ -616,7 +548,7 @@ def _shifted_stack(weights: np.ndarray, blocks) -> np.ndarray:
     own dtype from the result (`_fold_dtype`)."""
     top = max(int(weights.max()), -int(weights.min()))
     bound = max(k * top + max(map(abs, s)) for k, s in blocks)
-    dtype = np.int64 if weights.dtype != object and bound < _INT64_SAFE // 2 else object
+    dtype = np.int64 if weights.dtype != object and bound < INT64_SAFE // 2 else object
     weights = weights.astype(dtype, copy=False)
     return np.concatenate([k * weights + np.array(s, dtype=dtype) for k, s in blocks])
 
@@ -646,13 +578,9 @@ def _fold(rs: RootSystem, stack: np.ndarray, values: np.ndarray,
     if not len(lams):
         return []
     lo, hi = lams.min(0).tolist(), lams.max(0).tolist()
-    spans, strides, _, cdt = _box(lo, hi, lo + hi)
-    stride_arr, lo_arr = np.array(strides, dtype=cdt), np.array(lo, dtype=cdt)
-    codes, values = _sum_by_code((lams.astype(cdt) - lo_arr) @ stride_arr, values)
-    nonzero = np.flatnonzero(values != 0)
-    codes, values = codes[nonzero], values[nonzero]
-    lams = ((codes[:, None] // stride_arr) % np.array(spans, dtype=cdt) + lo_arr).tolist()
-    return list(zip(map(tuple, lams), values.tolist()))
+    box = Box(lo, hi, lo + hi)
+    codes, values = sum_by_code([(box.encode(lams), values)], box.size, len(lams))
+    return list(zip(map(tuple, box.decode(codes).tolist()), values.tolist()))
 
 
 def _fold_shifted(rs: RootSystem, weights: np.ndarray, mults: list[int],
@@ -672,7 +600,7 @@ def _fold_shifted(rs: RootSystem, weights: np.ndarray, mults: list[int],
     rows = _shifted_stack(weights, [(k, _wadd(s, rs.rho))
                                      for blocks, _ in stacks for k, s in blocks])
     rows = rows.astype(_fold_dtype(rs, rows), copy=False)
-    dtype = _value_dtype(max(sum(map(abs, cs)) for _, cs in stacks) * sum(map(abs, mults)))
+    dtype = value_dtype(max(sum(map(abs, cs)) for _, cs in stacks) * sum(map(abs, mults)))
     coeffs = np.array([c for _, cs in stacks for c in cs], dtype=dtype)
     values = np.outer(coeffs, np.array(mults, dtype=dtype)).ravel()
     sizes = [len(blocks) * len(weights) for blocks, _ in stacks]
@@ -725,7 +653,7 @@ def decompose(chi: Character, lam: Weight | None = None) -> list[tuple[Weight, i
         shift = _wadd(lam, rs.rho)
     if not mult:
         return []
-    table = _WeightTable.of(mult, rs.rank, _value_dtype(sum(map(abs, mult.values()))))
+    table = _WeightTable.of(mult, rs.rank, value_dtype(sum(map(abs, mult.values()))))
     weights = table.weights.astype(_fold_dtype(rs, table.weights), copy=False)
     failures = _invariance_failures(rs, table, weights)
     if failures:
@@ -782,7 +710,7 @@ class PlethysmOps:
         if not chi.is_genuine():
             raise UsageError("plethysm point queries require a genuine character")
         self.rs = chi.rs
-        rank, dtype = chi.rs.rank, _value_dtype(6 * chi.dim() ** 3)
+        rank, dtype = chi.rs.rank, value_dtype(6 * chi.dim() ** 3)
         items = self._items = _WeightTable.of(chi.mult, rank, dtype)
         values = items.values.tolist()
         weights, square = _convolve(items.weights, values, items.weights, values)

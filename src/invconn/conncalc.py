@@ -22,7 +22,7 @@ b)` with the spec `np.einsum` takes: entries of a and b that agree on the
 letters of both multiply, and products that reach the same output code are
 summed, a block of rows of the first output letter at a time.  A signed sum
 of specs is one join (`_einsum_sum`).  Only `Coo` and the einsum turn
-indices into flat codes.
+indices into flat codes, which `_codes.sum_by_code` sums by.
 
 `MatrixAlgebra` forms e_i e_j (`iab,jbc->ijac`) from the nonzeros of the
 basis matrices, reads the bracket from the commutators and checks that the
@@ -59,6 +59,8 @@ import numbers
 
 import numpy as np
 
+from ._codes import INT64_SAFE, Box, sum_by_code, value_dtype
+
 
 class AlgebraError(ValueError):
     pass
@@ -91,24 +93,20 @@ class Coo:
     (complex for the basis matrices and their products, float64 for every
     tensor a public function returns); both are read-only.  The constructor
     takes entries in any order, sums the values that share a code and drops
-    zeros.  `np.asarray` gives the dense array, and `toarray` the vector and
-    matrix results of the public functions; numpy ufuncs and mixed
-    arithmetic with arrays are refused rather than densifying silently.
+    zeros (`sum_by_code`, which sorts an int64 array of codes in place).
+    `np.asarray` gives the dense array, and `toarray` the vector and matrix
+    results of the public functions; numpy ufuncs and mixed arithmetic with
+    arrays are refused rather than densifying silently.
     """
 
     __array_ufunc__ = None
 
     def __init__(self, shape, codes, vals):
         self.shape = tuple(int(s) for s in shape)
-        _check_codes(self.shape)
-        codes = np.asarray(codes, dtype=np.int64)
-        vals = np.asarray(vals)
-        if len(codes) > 1 and not np.all(codes[1:] > codes[:-1]):
-            order = np.argsort(codes, kind="stable")
-            codes, vals = _sum_runs(codes[order], vals[order])
-        keep = vals != 0
-        if not keep.all():
-            codes, vals = codes[keep], vals[keep]
+        codes, vals = np.asarray(codes, dtype=np.int64), np.asarray(vals)
+        if vals.dtype.kind == "i":  # the sums of duplicates stay below sum |vals|
+            vals = vals.astype(value_dtype(_abs_sum(vals)), copy=False)
+        codes, vals = sum_by_code([(codes, vals)], _check_codes(self.shape), len(codes))
         codes.flags.writeable = vals.flags.writeable = False
         self.codes, self.vals = codes, vals
 
@@ -152,8 +150,9 @@ class Coo:
             return NotImplemented
         if other.shape != self.shape:
             raise TensorShapeError(f"shapes {self.shape} and {other.shape} differ")
-        return Coo(self.shape, np.concatenate((self.codes, other.codes)),
-                   np.concatenate((self.vals, other.vals)))
+        codes = np.concatenate((self.codes, other.codes))
+        order = np.argsort(codes, kind="stable")  # a merge of two sorted runs
+        return Coo(self.shape, codes[order], np.concatenate((self.vals, other.vals))[order])
 
     def __sub__(self, other) -> Coo:
         if not isinstance(other, Coo):
@@ -163,6 +162,9 @@ class Coo:
     def __mul__(self, scalar) -> Coo:
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
+        if isinstance(scalar, numbers.Integral) and self.vals.dtype.kind in "iO":
+            vals = self.vals.astype(value_dtype(abs(int(scalar)) * _abs_sum(self.vals)))
+            return Coo(self.shape, self.codes, vals * int(scalar))
         return Coo(self.shape, self.codes, self.vals * float(scalar))
 
     __rmul__ = __mul__
@@ -188,10 +190,13 @@ class Coo:
         return float(np.linalg.norm(self.vals))
 
 
-def _check_codes(shape) -> None:
-    """Refuse a shape whose flat codes would overflow int64."""
-    if math.prod(shape) >= 1 << 62:
+def _check_codes(shape) -> int:
+    """The number of flat codes of a shape; refuses a shape whose codes
+    would overflow int64."""
+    size = math.prod(shape)
+    if size >= INT64_SAFE:
         raise TensorShapeError(f"a tensor of shape {tuple(shape)} overflows int64 codes")
+    return size
 
 
 def _coo(t, shape=None) -> Coo:
@@ -209,27 +214,9 @@ def _identity(d: int) -> Coo:
     return Coo.from_dense(np.eye(d))
 
 
-def _sum_duplicates(codes: np.ndarray, vals: np.ndarray):
-    """Sorted distinct codes and the sum of the values at each; codes is
-    sorted in place."""
-    if np.all(codes[1:] > codes[:-1]):
-        return codes, vals
-    order = np.argsort(codes)
-    codes.sort()
-    vals = vals[order]
-    del order
-    return _sum_runs(codes, vals)
-
-
-def _sum_runs(codes: np.ndarray, vals: np.ndarray):
-    """Distinct codes and summed values of sorted, nonempty codes."""
-    firsts = _run_starts(codes)
-    return codes[firsts], np.add.reduceat(vals, firsts)
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal entries of a sorted, nonempty array begins."""
-    return np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+def _abs_sum(vals: np.ndarray) -> int:
+    """sum |v| over integer values, as a Python int."""
+    return sum(map(abs, vals.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +246,22 @@ def _einsum_blocks(terms):
     shape: that shape, the exact count of the products of each row of the
     first output letter, and a generator of (codes, values) blocks over runs
     of those rows (`_join_blocks`).  No product is formed before the
-    generator runs."""
+    generator runs.  Integer values are int64 while sum |sign| sum|a| sum|b|
+    over the terms, a bound on every product and sum, is below 2^62."""
     joins, shapes = [], set()
+    dtype = None
+    if all(t.vals.dtype.kind in "iO" for _, a, b, _ in terms for t in (a, b)):
+        dtype = value_dtype(sum(abs(sign) * _abs_sum(a.vals) * _abs_sum(b.vals) for _, a, b, sign in terms))
     for spec, a, b, sign in terms:
         shape, row_axis, nkeys, (a_key, a_code), (b_key, b_code) = _einsum_plan(spec, a.shape, b.shape)
         ia, ib = a.index, b.index
+        a_vals, b_vals = (t.vals.astype(dtype or t.vals.dtype, copy=False) for t in (a, b))
         left = (ia[row_axis], _weighted(ia, a_key), _weighted(ia, a_code),
-                a.vals if sign == 1 else a.vals * sign)
+                a_vals if sign == 1 else a_vals * sign)
         if row_axis:  # a's codes are sorted by its first axis only
             order = _stable_order(left[0], shape[0])
             left = tuple(x[order] for x in left)
-        joins.append(_term(left, (_weighted(ib, b_key), _weighted(ib, b_code), b.vals), nkeys, shape[0]))
+        joins.append(_term(left, (_weighted(ib, b_key), _weighted(ib, b_code), b_vals), nkeys, shape[0]))
         shapes.add(shape)
     if len(shapes) != 1:
         raise TensorShapeError("einsum terms must share one output shape")
@@ -302,15 +294,11 @@ def _einsum_plan(spec: str, a_shape: tuple, b_shape: tuple):
         raise TensorShapeError(f"{spec}: the first output letter must be one of the first operand's")
     shape = tuple(sizes[c] for c in out)
     _check_codes(shape)
-    key_weight = dict(zip(keys, _strides([sizes[c] for c in keys])))
-    code_weight = dict(zip(out, _strides(shape)))
+    key_weight = dict(zip(keys, Box([0] * len(keys), [sizes[c] - 1 for c in keys]).strides))
+    code_weight = dict(zip(out, Box([0] * len(out), [s - 1 for s in shape]).strides))
     weights = [(tuple(key_weight.get(c, 0) for c in names), tuple(code_weight.get(c, 0) for c in names))
                for names in letters]
     return shape, la.index(out[0]), math.prod(sizes[c] for c in keys), *weights
-
-
-def _strides(shape) -> list[int]:
-    return [math.prod(shape[k + 1:]) for k in range(len(shape))]
 
 
 def _weighted(index, weights) -> np.ndarray:
@@ -323,7 +311,7 @@ def _stable_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
     """`np.argsort(keys, kind="stable")` of keys in range(nkeys), several
     times faster: the distinct keys key * n + i, sorted, modulo n."""
     n = len(keys)
-    if nkeys * n >= 1 << 62:
+    if nkeys * n >= INT64_SAFE:
         return np.argsort(keys, kind="stable")
     return np.sort(keys * n + np.arange(n)) % n
 
@@ -360,9 +348,8 @@ def _join_blocks(terms, rows: np.ndarray, stride: int):
     runs of rows: sorted distinct codes and the summed products at each.
     `rows` counts the products of each row, and row z holds the codes from
     z * stride up to (z + 1) * stride; a block holds at most _BLOCK_PRODUCTS
-    products, or one row.  Blocks without products are left out.  A block
-    whose codes span no more entries than it has products is summed over
-    that span (`_sum_span`), any other one by sorting (`_sum_duplicates`)."""
+    products, or one row.  Blocks without products are left out, and a
+    block whose sums all cancel is empty (`sum_by_code`)."""
     dtype = np.result_type(*(t[1] for t in terms), *(t[3] for t in terms))
     bounds = np.concatenate(([0], np.cumsum(rows)))  # products before each row
     z0 = 0
@@ -375,8 +362,7 @@ def _join_blocks(terms, rows: np.ndarray, stride: int):
             for term in terms:
                 row_starts = term[-1]
                 at = _join(term, row_starts[z0], row_starts[z1], codes, vals, at)
-            span = (z1 - z0) * stride
-            yield _sum_span(codes, vals, z0 * stride, span) if span <= size else _sum_duplicates(codes, vals)
+            yield sum_by_code([(codes, vals)], (z1 - z0) * stride, size, z0 * stride)
         z0 = z1
 
 
@@ -396,17 +382,6 @@ def _join(term, e0: int, e1: int, out_codes: np.ndarray, out_vals: np.ndarray, a
     np.take(r_vals, pick, out=out_vals[at:end])
     out_vals[at:end] *= np.repeat(vals[e0:e1], sizes)
     return end
-
-
-def _sum_span(codes: np.ndarray, vals: np.ndarray, start: int, span: int):
-    """The nonzero sums, in the order given, of the values at each code of
-    range(start, start + span), and their codes; codes is shifted in place."""
-    codes -= start
-    sums = np.bincount(codes, vals.real, span)
-    if vals.dtype.kind == "c":
-        sums = sums + 1j * np.bincount(codes, vals.imag, span)
-    nonzero = np.flatnonzero(sums)
-    return nonzero + start, sums[nonzero]
 
 
 # ---------------------------------------------------------------------------
@@ -717,11 +692,14 @@ def _derivative_terms(lams: list, f: Coo) -> list:
 def _reduce_sparse(codes: np.ndarray, vals: np.ndarray, d: int, reduce) -> float:
     """reduce over one block of the derivative: max |value|, or the
     largest norm of the values whose codes share code // d (one last-axis
-    slot)."""
+    slot); 0.0 for a block whose sums all cancelled."""
+    if not len(vals):
+        return 0.0
     if reduce is _max_abs:
         return _max_abs(vals)
-    slots = _run_starts(codes // d)
-    return float(np.sqrt(np.add.reduceat(vals * vals, slots).max()))
+    slots = codes // d
+    _, norms = sum_by_code([(slots, vals * vals)], int(slots[-1] - slots[0]) + 1, len(slots), int(slots[0]))
+    return float(np.sqrt(norms.max(initial=0.0)))
 
 
 def is_equivariant(alg: MatrixAlgebra, mu, tol: float = DEFAULT_TOL):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (SIMPLE_TYPES_TO_RANK_8, bfs_orbit, dominant_weights_reference,
                       irrep_reference, materialize, plethysm21, shrink_weight)
 
-from invconn import chars
+from invconn import _codes, chars
 from invconn.chars import (EXPRESSIONS, Character, InternalError, PlethysmOps, UsageError,
                            adams, alt2, alt3, decompose, decompose_expression,
                            dominant_weights_below, expand, irrep_character, multiplicity,
@@ -420,11 +420,11 @@ def _spread_character(rs, rnd, size, radius, mult):
 
 
 def test_tensor_sort_branch(tensor_reference, monkeypatch):
-    # Weights spread over a box of 161^3 > 2^17 entries, so the sums are
-    # accumulated by sorting codes, not in a dense array.
+    # Weights spread over a box of 161^3 entries, more than the weight pairs,
+    # so the sums are accumulated by sorting codes, not in a dense array.
     calls = []
-    real = chars._sum_by_code
-    monkeypatch.setattr(chars, "_sum_by_code", lambda c, v: calls.append(len(c)) or real(c, v))
+    real = _codes._sorted_sums
+    monkeypatch.setattr(_codes, "_sorted_sums", lambda c, v: calls.append(len(c)) or real(c, v))
     rs = KERNEL_SYSTEMS[-1]
     rnd = random.Random(5)
     for _ in range(5):
@@ -438,7 +438,7 @@ def test_tensor_sort_branch(tensor_reference, monkeypatch):
 def test_tensor_dense_branch_above_the_fixed_cap(tensor_reference, monkeypatch):
     # More weight pairs than box entries, in a box over 2^17: the sums go into
     # a dense array, which is then smaller than the sort branch's arrays.
-    monkeypatch.setattr(chars, "_sum_by_code", lambda c, v: pytest.fail("sort branch used"))
+    monkeypatch.setattr(_codes, "_sorted_sums", lambda c, v: pytest.fail("sort branch used"))
     a1 = KERNEL_SYSTEMS[0]
     rnd = random.Random(6)
     a, b = (_spread_character(a1, rnd, 500, 40_000, 9) for _ in range(2))
@@ -658,7 +658,7 @@ def test_decompose_int64_guards(decompose_reference, a2, monkeypatch):
         assert _outcome(decompose, chi) == _outcome(decompose_reference, chi)
     # The Python-int path on ordinary characters: the same terms.
     monkeypatch.setattr(chars, "_fold_dtype", lambda rs, weights: object)
-    monkeypatch.setattr(chars, "_value_dtype", lambda bound: object)
+    monkeypatch.setattr(chars, "value_dtype", lambda bound: object)
     for rs in DECOMPOSE_SYSTEMS:
         chi = sym2(irrep_character(rs, (1,) * rs.rank))
         assert decompose(chi) == decompose_reference(chi)
@@ -730,7 +730,7 @@ def test_brauer_klimyk_int64_guards(monkeypatch):
     cases = [(rs, (1,) * rs.rank, name) for rs in KERNEL_SYSTEMS for name in EXPRESSIONS]
     expected = [decompose_expression(rs, name, lam) for rs, lam, name in cases]
     monkeypatch.setattr(chars, "_fold_dtype", lambda rs, weights: object)
-    monkeypatch.setattr(chars, "_value_dtype", lambda bound: object)
+    monkeypatch.setattr(chars, "value_dtype", lambda bound: object)
     assert [decompose_expression(rs, name, lam) for rs, lam, name in cases] == expected
 
 

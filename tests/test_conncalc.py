@@ -11,6 +11,7 @@ from conftest import (c_tensor, dense_bracket, dense_classify_type, dense_killin
                       dense_metric_defect, dense_ricci, dense_torsion, dense_torsion_type_conditions,
                       der_tensor, random_a_tensor, random_bilinear, random_torsion_tensor, u_tensor)
 
+from invconn import _codes
 from invconn import conncalc as cc
 
 TOL = 1e-9
@@ -716,6 +717,34 @@ def test_sparse_path_gives_zero_for_a_zero_derivative(monkeypatch):
         assert cc._max_derivative(alg, cc._along(ident, 2), f, cc._max_slot_norm) == 0.0
 
 
+def test_blocks_whose_sums_all_cancel_reduce_to_zero(monkeypatch):
+    # Lambda = m - m^T is skew in its last two slots, so every entry of the
+    # derivative of the metric cancels.  With one row per block, the blocks
+    # of five dense z slices of m are summed densely (the sixth also spans
+    # the empty rows and is sorted), every block is empty once its zeros are
+    # dropped, and an empty block reduces to 0.0.
+    monkeypatch.setattr(cc, "_max_dense_derivative", _no_dense_path)
+    alg = cc.build_algebra("u", 4)
+    d = alg.dim
+    a = np.zeros((d, d, d))
+    a[:6] = np.random.default_rng(34).standard_normal((6, d, d))
+    m = cc.Coo.from_dense(a)
+    skew = m - m.transpose((0, 2, 1))
+    lams, f = [skew, skew], cc._identity(d)
+    rows = _derivative_blocks(lams, f)[0]
+    monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", int(rows.max()))
+    dense = []
+    real = _codes.sum_by_code
+    monkeypatch.setattr(cc, "sum_by_code", lambda blocks, size, terms, start=0:
+                        dense.append(size <= terms) or real(blocks, size, terms, start))
+    assert [len(codes) for codes, _ in _derivative_blocks(lams, f)[1]] == [0] * 6
+    assert dense == [True] * 5 + [False]
+    for reduce in (cc._max_abs, cc._max_slot_norm):
+        assert cc._max_derivative(alg, lams, f, reduce) == 0.0
+        assert cc._reduce_sparse(np.zeros(0, dtype=np.int64), np.zeros(0), d, reduce) == 0.0
+    assert cc.parallel_metric_defect(alg, skew) == 0.0
+
+
 def test_dense_maps_keep_the_dense_path(monkeypatch):
     def no_sparse_path(*args):
         raise AssertionError("the sparse path ran")
@@ -873,6 +902,38 @@ def test_einsum_empty_operands_and_outer_products():
         assert len(got.codes) == 0 and np.asarray(got).shape in ((4, 3, 5), (3, 5, 4), (2,))
 
 
+def test_integer_values_stay_exact(monkeypatch):
+    # int64 on both branches of the join's sums, and Python ints beyond the
+    # guard, where int64 would wrap: 4e9 squared is over 2^63.
+    branches = []
+    real = _codes._sorted_sums
+    monkeypatch.setattr(_codes, "_sorted_sums", lambda c, v: branches.append(len(c)) or real(c, v))
+    a = np.arange(-7, 9).reshape(4, 4)
+    small = cc.Coo((50, 50), [0, 2499], [3, -5])
+    big = cc.Coo((50, 50), [0, 2499], [4_000_000_000, 5])
+    for x, want, dtype, sort in ((cc.Coo.from_dense(a), a @ a, np.int64, False),
+                                 (small, np.asarray(small) @ np.asarray(small), np.int64, True),
+                                 (big, None, object, True)):
+        branches.clear()
+        _, _, blocks = cc._einsum_blocks([("ij,jk->ik", x, x, 1)])
+        (codes, vals), = blocks
+        assert vals.dtype == dtype and bool(branches) == sort
+        got = cc._einsum("ij,jk->ik", x, x)
+        assert got.vals.dtype == dtype and got.codes.tolist() == codes.tolist()
+        if want is not None:
+            assert np.array_equal(np.asarray(got), want)
+    assert got.vals.tolist() == [16 * 10 ** 18, 25]
+    # An integer scalar keeps the values integers, int64 under the guard.
+    for scalar, dtype in ((3, np.int64), (np.int64(-2), np.int64), (2 ** 40, object)):
+        got = big * scalar
+        assert got.vals.dtype == dtype and got.vals.tolist() == [4_000_000_000 * scalar, 5 * scalar]
+    assert (big * 0.5).vals.dtype == np.float64 and (2.0 * small).vals.tolist() == [6.0, -10.0]
+    # Sums of entries: 2^62 + 2^62 is beyond int64.
+    half = cc.Coo((2,), [1], [2 ** 62])
+    assert (half + half).vals.tolist() == [2 ** 63] and (half - half).vals.tolist() == []
+    assert cc.Coo((2,), [0, 0, 1], [7, -3, 0]).vals.dtype == np.int64
+
+
 def test_einsum_refuses_ill_formed_specs():
     a, b = cc.Coo((2, 2), [0], [1.0]), cc.Coo((2, 2), [3], [1.0])
     for spec in ("ii,ij->j",      # a repeated letter inside one operand
@@ -889,23 +950,43 @@ def test_einsum_refuses_ill_formed_specs():
         cc._einsum_sum([("ij,jk->ik", a, b, 1), ("ij,kl->ijkl", a, b, 1)])
 
 
+def _sums_by_code(call: ast.Call) -> bool:
+    """Whether a call sums values by code: `reduceat`, `np.add.at` or a
+    weighted `bincount`."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return (name == "reduceat" or (name == "at" and getattr(func.value, "attr", None) == "add")
+            or (name == "bincount" and (len(call.args) > 1 or any(k.arg == "weights" for k in call.keywords))))
+
+
 def test_only_coo_and_the_einsum_compute_flat_codes():
-    # Index <-> flat-code conversions stay inside `Coo` and the einsum.
+    # Index <-> flat-code conversions stay inside `Coo` and the einsum of
+    # `conncalc` and out of `chars`, whose codes all come from `_codes.Box`.
+    # Only `_codes` sums by code.
     banned = {"unravel_index", "ravel_multi_index", "divmod"}
     allowed = {"_einsum_blocks"}
     found = []
 
-    def visit(node, where):
+    def visit(node, where, module):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, child.name if where is None else f"{where}.{child.name}")
+                visit(child, child.name if where is None else f"{where}.{child.name}", module)
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in banned and not (where or "").startswith("Coo.") and where not in allowed:
-                    found.append((where, name, child.lineno))
-            visit(child, where)
+                if (module in ("chars", "conncalc") and name in banned
+                        and not (where or "").startswith("Coo.") and where not in allowed):
+                    found.append((module, where, name, child.lineno))
+                if _sums_by_code(child):
+                    found.append((module, where, "sum by code", child.lineno))
+            visit(child, where, module)
 
-    visit(ast.parse(pathlib.Path(cc.__file__).read_text()), None)
-    assert found == []
+    package = pathlib.Path(cc.__file__).parent
+    modules = sorted(path.stem for path in package.glob("*.py"))
+    assert {"chars", "conncalc", "_codes"} <= set(modules)
+    for module in modules:
+        visit(ast.parse((package / f"{module}.py").read_text()), None, module)
+    assert {f for f in found if f[0] == "_codes"} and all(f[0] == "_codes" for f in found), found
+    # The key count of the join is an unweighted bincount, which is allowed.
+    assert not _sums_by_code(ast.parse("np.bincount(r_keys, minlength=nkeys)").body[0].value)

@@ -539,7 +539,7 @@ def test_folds_on_python_ints_give_the_same_counts(monkeypatch):
 
     monkeypatch.setattr(chars, "_fold", recording)
     monkeypatch.setattr(chars, "_fold_dtype", lambda rs, weights: object)
-    monkeypatch.setattr(chars, "_value_dtype", lambda bound: object)
+    monkeypatch.setattr(chars, "value_dtype", lambda bound: object)
     got = [chars.plethysm_counts(module_character(rs, module), [rs.join(sm) for sm in module])
            for rs, module in modules]
     assert got == expected and dtypes == {(np.dtype(object), np.dtype(object))}
