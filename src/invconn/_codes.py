@@ -3,8 +3,9 @@
 A `Box` numbers the integer points lo..hi in mixed radix, the first
 coordinate the most significant digit, so that code order is lexicographic
 order and adding points adds codes.  `sum_by_code` sums values per code,
-integers exactly.  Codes and integer values are int64 only below the guards
-of `Box` and `value_dtype`, and Python ints (dtype object) beyond them.
+and `run_sums` per run of equal codes in a sorted array, integers exactly.
+Codes and integer values are int64 only below the guards of `Box` and
+`value_dtype`, and Python ints (dtype object) beyond them.
 """
 from __future__ import annotations
 
@@ -85,7 +86,14 @@ def _sorted_sums(codes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.nd
         codes.sort()
         vals = vals[order]
         del order
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    if len(starts) == len(codes):
+    return run_sums(codes, vals)
+
+
+def run_sums(codes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes of sorted `codes` and the sum of the values of each
+    run of equal codes (`np.add.reduceat`), zeros kept."""
+    new = codes[1:] != codes[:-1]
+    if new.all():
         return codes, vals
+    starts = np.flatnonzero(np.concatenate(([True], new)))
     return codes[starts], np.add.reduceat(vals, starts)

@@ -95,15 +95,14 @@ def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
     checks.append(Check("torsion of mu4 - mu5 is -nu - [.,.]", terr < tol, _fmt(terr)))
 
     mv = conncalc.vectorial_metric_map(alg, maps)
-    dec = conncalc.classify_type(conncalc.a_tensor(alg, mv), tol)
+    cond = conncalc.torsion_type_conditions(alg, mv, tol)
+    dec = cond.decomposition
     phi_expected = np.array([float(np.real(-1j * np.trace(b))) for b in alg.basis])
     phi_err = float(np.abs(dec.phi - phi_expected).max())
     checks.append(Check("vectorial member: difference tensor pure trace type",
                         dec.a2_norm < tol and dec.a3_norm < tol,
                         f"a2={_fmt(dec.a2_norm)} a3={_fmt(dec.a3_norm)}"))
     checks.append(Check("vectorial member: phi(Z) = -i tr Z", phi_err < tol, _fmt(phi_err)))
-
-    cond = conncalc.torsion_type_conditions(alg, mv, tol)
     checks.append(Check("vectorial member: trace-type condition holds, trace vector nonzero",
                         cond.vectorial and not cond.traceless,
                         f"|trace vec|={_fmt(cond.trace_vector_norm)}"))

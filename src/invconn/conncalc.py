@@ -20,9 +20,13 @@ bracket of u(8)).  A dense array passed to a public function is converted
 once, on entry.  Every contraction is one sparse einsum, `_einsum(spec, a,
 b)` with the spec `np.einsum` takes: entries of a and b that agree on the
 letters of both multiply, and products that reach the same output code are
-summed, a block of rows of the first output letter at a time.  A signed sum
-of specs is one join (`_einsum_sum`).  Only `Coo` and the einsum turn
-indices into flat codes, which `_codes.sum_by_code` sums by.
+summed, in one block or, past _BLOCK_PRODUCTS products, in blocks of rows
+of the first output letter.  A signed sum of specs is one join
+(`_einsum_sum`).  Only `Coo` and the einsum turn indices into flat codes,
+which `_codes.sum_by_code` sums by.  The codes are a Coo's pattern, which
+results with the same codes share (-c, s * c, transposes of a skew c): it
+caches the order of a transpose and, per einsum plan, each join side's
+order, keys and output codes, so a join gathers only values.
 
 `MatrixAlgebra` forms e_i e_j (`iab,jbc->ijac`) from the nonzeros of the
 basis matrices, reads the bracket from the commutators and checks that the
@@ -59,7 +63,7 @@ import numbers
 
 import numpy as np
 
-from ._codes import INT64_SAFE, Box, sum_by_code, value_dtype
+from ._codes import INT64_SAFE, Box, run_sums, sum_by_code, value_dtype
 
 
 class AlgebraError(ValueError):
@@ -94,6 +98,8 @@ class Coo:
     tensor a public function returns); both are read-only.  The constructor
     takes entries in any order, sums the values that share a code and drops
     zeros (`sum_by_code`, which sorts an int64 array of codes in place).
+    Given `pattern`, the cache of sorted distinct codes (`_cached`), it only
+    drops zeros, and the result keeps the pattern when none was dropped.
     `np.asarray` gives the dense array, and `toarray` the vector and matrix
     results of the public functions; numpy ufuncs and mixed arithmetic with
     arrays are refused rather than densifying silently.
@@ -101,14 +107,22 @@ class Coo:
 
     __array_ufunc__ = None
 
-    def __init__(self, shape, codes, vals):
-        self.shape = tuple(int(s) for s in shape)
-        codes, vals = np.asarray(codes, dtype=np.int64), np.asarray(vals)
-        if vals.dtype.kind == "i":  # the sums of duplicates stay below sum |vals|
-            vals = vals.astype(value_dtype(_abs_sum(vals)), copy=False)
-        codes, vals = sum_by_code([(codes, vals)], _check_codes(self.shape), len(codes))
+    def __init__(self, shape, codes, vals, pattern: dict | None = None):
+        if pattern is None:
+            shape = tuple(int(s) for s in shape)
+            codes, vals = np.asarray(codes, dtype=np.int64), _int_guard(np.asarray(vals))
+            (codes, vals), pattern = sum_by_code([(codes, vals)], _check_codes(shape), len(codes)), {}
+        elif not vals.all():
+            keep = vals != 0
+            codes, vals, pattern = codes[keep], vals[keep], {}
         codes.flags.writeable = vals.flags.writeable = False
-        self.codes, self.vals = codes, vals
+        self.shape, self.codes, self.vals, self._pattern = shape, codes, vals, pattern
+
+    def _cached(self, key, make, *args):
+        """make(*args), once for all the Coos of this pattern."""
+        if key not in self._pattern:
+            self._pattern[key] = make(*args)
+        return self._pattern[key]
 
     @classmethod
     def from_dense(cls, a) -> Coo:
@@ -122,13 +136,14 @@ class Coo:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @functools.cached_property
+    @property
     def index(self) -> tuple:
         """The indices of the nonzeros, one read-only array per axis."""
-        index = np.unravel_index(self.codes, self.shape)
-        for axis in index:
-            axis.flags.writeable = False
-        return index
+        if "index" not in self._pattern:
+            self._pattern["index"] = index = np.unravel_index(self.codes, self.shape)
+            for axis in index:
+                axis.flags.writeable = False
+        return self._pattern["index"]
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(math.prod(self.shape), dtype=self.vals.dtype)
@@ -143,16 +158,19 @@ class Coo:
         return f"Coo(shape={self.shape}, nonzeros={len(self.codes)})"
 
     def __neg__(self) -> Coo:
-        return Coo(self.shape, self.codes, -self.vals)
+        return Coo(self.shape, self.codes, -self.vals, self._pattern)
 
     def __add__(self, other) -> Coo:
         if not isinstance(other, Coo):
             return NotImplemented
         if other.shape != self.shape:
             raise TensorShapeError(f"shapes {self.shape} and {other.shape} differ")
+        n, vals = len(self.codes), _int_guard(np.concatenate((self.vals, other.vals)))
+        if self._pattern is other._pattern:  # the same codes
+            return Coo(self.shape, self.codes, vals[:n] + vals[n:], self._pattern)
         codes = np.concatenate((self.codes, other.codes))
-        order = np.argsort(codes, kind="stable")  # a merge of two sorted runs
-        return Coo(self.shape, codes[order], np.concatenate((self.vals, other.vals))[order])
+        order = codes.argsort(kind="stable")  # a merge of two sorted runs: a code occurs at most twice
+        return Coo(self.shape, *run_sums(codes[order], vals[order]), {})
 
     def __sub__(self, other) -> Coo:
         if not isinstance(other, Coo):
@@ -163,24 +181,35 @@ class Coo:
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
         if isinstance(scalar, numbers.Integral) and self.vals.dtype.kind in "iO":
-            vals = self.vals.astype(value_dtype(abs(int(scalar)) * _abs_sum(self.vals)))
-            return Coo(self.shape, self.codes, vals * int(scalar))
-        return Coo(self.shape, self.codes, self.vals * float(scalar))
+            vals = self.vals.astype(value_dtype(abs(int(scalar)) * _abs_sum(self.vals))) * int(scalar)
+        else:
+            vals = self.vals * float(scalar)
+        return Coo(self.shape, self.codes, vals, self._pattern)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> Coo:
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
-        return Coo(self.shape, self.codes, self.vals / float(scalar))
+        return Coo(self.shape, self.codes, self.vals / float(scalar), self._pattern)
 
     def transpose(self, axes) -> Coo:
         """The axes permuted as by `np.transpose(t, axes)`."""
+        shape, codes, order, pattern = self._cached(("transpose", *axes), self._transposed, axes)
+        return Coo(shape, codes, self.vals[order], self._pattern if pattern is None else pattern)
+
+    def _transposed(self, axes):
+        """A transpose's shape, sorted codes, order of self's entries and
+        pattern cache, None when its codes are self's."""
         shape = tuple(self.shape[a] for a in axes)
-        return Coo(shape, np.ravel_multi_index(tuple(self.index[a] for a in axes), shape), self.vals)
+        codes = np.ravel_multi_index(tuple(self.index[a] for a in axes), shape)
+        order = codes.argsort()
+        codes = codes[order]
+        same = shape == self.shape and np.array_equal(codes, self.codes)
+        return (shape, self.codes, order, None) if same else (shape, codes, order, {})
 
     def real(self) -> Coo:
-        return Coo(self.shape, self.codes, self.vals.real)
+        return Coo(self.shape, self.codes, self.vals.real, self._pattern)
 
     def max_abs(self) -> float:
         return float(np.abs(self.vals).max()) if len(self.vals) else 0.0
@@ -214,6 +243,12 @@ def _identity(d: int) -> Coo:
     return Coo.from_dense(np.eye(d))
 
 
+def _int_guard(vals: np.ndarray) -> np.ndarray:
+    """Integer values as int64 while sum |v|, a bound on their sums, is
+    below 2^62, and as Python ints beyond."""
+    return vals.astype(value_dtype(_abs_sum(vals)), copy=False) if vals.dtype.kind == "i" else vals
+
+
 def _abs_sum(vals: np.ndarray) -> int:
     """sum |v| over integer values, as a Python int."""
     return sum(map(abs, vals.tolist()))
@@ -236,38 +271,61 @@ def _einsum(spec: str, a: Coo, b: Coo) -> Coo:
 
 def _einsum_sum(terms) -> Coo:
     """The sum of signed einsum terms [(spec, a, b, sign), ...], one join."""
-    shape, _, blocks = _einsum_blocks(terms)
-    parts = list(blocks) or [(np.zeros(0, dtype=np.int64), np.zeros(0))]
-    return Coo(shape, np.concatenate([c for c, _ in parts]), np.concatenate([v for _, v in parts]))
+    shape, total, joins = _einsum_blocks(terms)
+    parts = list(_join_blocks(joins, total, shape))
+    return Coo(shape, *(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))), {})
 
 
 def _einsum_blocks(terms):
     """The sum of signed einsum terms [(spec, a, b, sign), ...] of one output
-    shape: that shape, the exact count of the products of each row of the
-    first output letter, and a generator of (codes, values) blocks over runs
-    of those rows (`_join_blocks`).  No product is formed before the
-    generator runs.  Integer values are int64 while sum |sign| sum|a| sum|b|
-    over the terms, a bound on every product and sum, is below 2^62."""
-    joins, shapes = [], set()
-    dtype = None
+    shape, no product formed: that shape, the number of products and one
+    join per term (`_join`).  Integer values are int64 while sum |sign|
+    sum|a| sum|b| over the terms, a bound on every product and sum, is
+    below 2^62."""
+    joins, shapes, total, dtype = [], set(), 0, None
     if all(t.vals.dtype.kind in "iO" for _, a, b, _ in terms for t in (a, b)):
         dtype = value_dtype(sum(abs(sign) * _abs_sum(a.vals) * _abs_sum(b.vals) for _, a, b, sign in terms))
     for spec, a, b, sign in terms:
-        shape, row_axis, nkeys, (a_key, a_code), (b_key, b_code) = _einsum_plan(spec, a.shape, b.shape)
-        ia, ib = a.index, b.index
-        a_vals, b_vals = (t.vals.astype(dtype or t.vals.dtype, copy=False) for t in (a, b))
-        left = (ia[row_axis], _weighted(ia, a_key), _weighted(ia, a_code),
-                a_vals if sign == 1 else a_vals * sign)
-        if row_axis:  # a's codes are sorted by its first axis only
-            order = _stable_order(left[0], shape[0])
-            left = tuple(x[order] for x in left)
-        joins.append(_term(left, (_weighted(ib, b_key), _weighted(ib, b_code), b_vals), nkeys, shape[0]))
+        shape, row_axis, nkeys, a_weights, b_weights = _einsum_plan(spec, a.shape, b.shape)
+        a_order, keys, codes = a._cached(("left", row_axis, a_weights), _left_side, a, row_axis, a_weights)
+        b_order, starts, b_codes = b._cached(("right", b_weights), _right_side, b, b_weights, nkeys)
+        a_vals, b_vals = (t.vals if dtype is None else t.vals.astype(dtype, copy=False) for t in (a, b))
+        a_vals = a_vals if sign == 1 else a_vals * sign
+        a_vals = a_vals if a_order is None else a_vals[a_order]
+        b_vals = b_vals if b_order is None else b_vals[b_order]
+        # Left entry i meets the sizes[i] right entries from first[i] on, and
+        # its products follow the before[i] products of the entries ahead.
+        first = starts[keys]
+        sizes = starts[keys + 1] - first
+        before = np.zeros(len(keys) + 1, dtype=np.int64)
+        sizes.cumsum(out=before[1:])
+        joins.append((b_codes, b_vals, codes, a_vals, first - before[:-1], sizes, before))
+        total += int(before[-1])
         shapes.add(shape)
     if len(shapes) != 1:
         raise TensorShapeError("einsum terms must share one output shape")
-    (shape,) = shapes
-    rows = _row_products(joins, shape[0])
-    return shape, rows, _join_blocks(joins, rows, math.prod(shape[1:]))
+    return shapes.pop(), total, joins
+
+
+def _left_side(a: Coo, row_axis: int, weights) -> tuple:
+    """The left side of a join on a's pattern, for `_einsum_plan`'s row axis
+    and weights: the stable order of a's entries by their index on the row
+    axis (None for axis 0, which the codes sort already), and the join keys
+    and the output codes in that order."""
+    keys, codes = _weighted(a.index, weights[0]), _weighted(a.index, weights[1])
+    order = _stable_order(a.index[row_axis], a.shape[row_axis]) if row_axis else None
+    return (order, keys, codes) if order is None else (order, keys[order], codes[order])
+
+
+def _right_side(b: Coo, weights, nkeys: int) -> tuple:
+    """The right side of a join on b's pattern: the stable order of b's
+    entries by join key (None where the codes sort them), the start of each
+    key's run and the end of the last, and the output codes in that order."""
+    keys, codes = _weighted(b.index, weights[0]), _weighted(b.index, weights[1])
+    order = _stable_order(keys, nkeys) if (keys[1:] < keys[:-1]).any() else None
+    starts = np.zeros(nkeys + 1, dtype=np.int64)
+    np.bincount(keys, minlength=nkeys).cumsum(out=starts[1:])
+    return order, starts, codes if order is None else codes[order]
 
 
 @functools.lru_cache(maxsize=None)
@@ -316,71 +374,58 @@ def _stable_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
     return np.sort(keys * n + np.arange(n)) % n
 
 
-def _term(left, right, nkeys: int, nrows: int):
-    """One join for `_join_blocks`: left is (rows, keys, codes, values) sorted
-    by row, right is (keys, codes, values), keys in range(nkeys) and rows in
-    range(nrows).  Every left entry meets the right entries of its key,
-    giving code left + right code and value left * right value."""
-    rows, keys, codes, vals = left
-    r_keys, r_codes, r_vals = right
-    if np.any(r_keys[1:] < r_keys[:-1]):
-        order = _stable_order(r_keys, nkeys)
-        r_codes, r_vals = r_codes[order], r_vals[order]
-    starts = np.zeros(nkeys + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r_keys, minlength=nkeys), out=starts[1:])
-    first = starts[keys]
-    before = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(starts[keys + 1] - first, out=before[1:])
-    return r_codes, r_vals, codes, vals, first, before, np.searchsorted(rows, np.arange(nrows + 1))
+def _row_products(joins, shape) -> np.ndarray:
+    """Exact count of the products of each row over all joins: the left
+    codes of row z, in row order, are those from z * stride up to (z + 1) *
+    stride, so a binary search finds each row's first entry."""
+    cuts = np.arange(shape[0] + 1) * math.prod(shape[1:])
+    return sum(np.diff(before[codes.searchsorted(cuts)]) for _, _, codes, _, _, _, before in joins)
 
 
-def _row_products(terms, nrows: int) -> np.ndarray:
-    """Exact count of the products of each row over all terms."""
-    total = np.zeros(nrows, dtype=np.int64)
-    for *_, before, row_starts in terms:
-        at_rows = before[row_starts]
-        total += at_rows[1:] - at_rows[:-1]
-    return total
-
-
-def _join_blocks(terms, rows: np.ndarray, stride: int):
-    """The products of several joins (`_term`) as (codes, values) blocks over
-    runs of rows: sorted distinct codes and the summed products at each.
-    `rows` counts the products of each row, and row z holds the codes from
-    z * stride up to (z + 1) * stride; a block holds at most _BLOCK_PRODUCTS
-    products, or one row.  Blocks without products are left out, and a
+def _join_blocks(joins, total: int, shape):
+    """The products of the joins of `_einsum_blocks` as (codes, values)
+    blocks over runs of rows of the first output letter: sorted distinct
+    codes and the summed products at each.  Up to _BLOCK_PRODUCTS products
+    are one block, even none; more are split by their count per row into
+    blocks of at most _BLOCK_PRODUCTS, or one row, without empty ones.  A
     block whose sums all cancel is empty (`sum_by_code`)."""
-    dtype = np.result_type(*(t[1] for t in terms), *(t[3] for t in terms))
-    bounds = np.concatenate(([0], np.cumsum(rows)))  # products before each row
-    z0 = 0
-    while z0 < len(rows):
-        z1 = max(z0 + 1, int(np.searchsorted(bounds, bounds[z0] + _BLOCK_PRODUCTS, "right")) - 1)
-        size = int(bounds[z1] - bounds[z0])
-        if size:
+    nrows, stride = shape[0], math.prod(shape[1:])
+    cuts, ends = [0, nrows], [(0, len(j[2])) for j in joins]
+    if total > _BLOCK_PRODUCTS:
+        bounds = np.concatenate(([0], _row_products(joins, shape).cumsum()))  # products before each row
+        cuts = [0]
+        while cuts[-1] < nrows:
+            z1 = int(bounds.searchsorted(bounds[cuts[-1]] + _BLOCK_PRODUCTS, "right")) - 1
+            cuts.append(max(cuts[-1] + 1, z1))
+        ends = [j[2].searchsorted(np.multiply(cuts, stride)) for j in joins]
+    dtype = np.result_type(*(j[1] for j in joins), *(j[3] for j in joins))
+    for k, (z0, z1) in enumerate(zip(cuts, cuts[1:])):
+        size = total if len(cuts) == 2 else sum(int(j[6][e[k + 1]] - j[6][e[k]]) for j, e in zip(joins, ends))
+        if size or len(cuts) == 2:
             codes, vals = np.empty(size, dtype=np.int64), np.empty(size, dtype=dtype)
             at = 0
-            for term in terms:
-                row_starts = term[-1]
-                at = _join(term, row_starts[z0], row_starts[z1], codes, vals, at)
+            for join, e in zip(joins, ends):
+                at = _join(join, e[k], e[k + 1], codes, vals, at)
             yield sum_by_code([(codes, vals)], (z1 - z0) * stride, size, z0 * stride)
-        z0 = z1
 
 
-def _join(term, e0: int, e1: int, out_codes: np.ndarray, out_vals: np.ndarray, at: int) -> int:
-    """Every product of the left entries e0..e1 - 1 of a join (`_term`) with
-    the right entries of their groups, written from index `at` of the
-    outputs as summed codes and products; returns the index after them."""
-    r_codes, r_vals, codes, vals, first, before, _ = term
-    sizes = before[e0 + 1:e1 + 1] - before[e0:e1]
-    # The product at position p of the join, of left entry i, takes the
-    # right entry first[i] + p - before[i].
-    pick = np.repeat(first[e0:e1] - before[e0:e1], sizes)
+def _join(join, e0: int, e1: int, out_codes: np.ndarray, out_vals: np.ndarray, at: int) -> int:
+    """Every product of the left entries e0..e1 - 1 of a join of
+    `_einsum_blocks`, (right codes, right values, left codes, left values,
+    shift, sizes, before), with the right entries of their keys, written
+    from index `at` of the outputs as summed codes and products; returns the
+    index after them."""
+    r_codes, r_vals, codes, vals, shift, sizes, before = join
+    sizes = sizes[e0:e1]
+    # The product at position p of the join, of left entry i, takes the right
+    # entry first[i] + p - before[i] = shift[i] + p.
+    pick = shift[e0:e1].repeat(sizes)
     pick += np.arange(before[e0], before[e1])
     end = at + len(pick)
-    np.take(r_codes, pick, out=out_codes[at:end])
-    out_codes[at:end] += np.repeat(codes[e0:e1], sizes)
-    np.take(r_vals, pick, out=out_vals[at:end])
-    out_vals[at:end] *= np.repeat(vals[e0:e1], sizes)
+    r_codes.take(pick, out=out_codes[at:end], mode="clip")  # pick is in range: no bounds buffer
+    out_codes[at:end] += codes[e0:e1].repeat(sizes)
+    r_vals.take(pick, out=out_vals[at:end], mode="clip")
+    out_vals[at:end] *= vals[e0:e1].repeat(sizes)
     return end
 
 
@@ -633,8 +678,9 @@ def _max_derivative(alg: MatrixAlgebra, lams: list, f, reduce) -> float:
     reduces the blocks of the einsum terms (`_derivative_terms`); an empty
     derivative gives 0.0.  It runs when the terms form fewer products than
     the derivative has entries and no Z row needs more than _BLOCK_PRODUCTS
-    of them, both counted exactly before any product is formed.  A dense
-    map keeps the dense path (`_max_dense_derivative`), which densifies.
+    of them, both counted exactly before any product is formed, the rows
+    only past _BLOCK_PRODUCTS products in all.  A dense map keeps the dense
+    path (`_max_dense_derivative`), which densifies.
     """
     d = alg.dim
     if tuple(f.shape) != (d,) * f.ndim or len(lams) != f.ndim or any(
@@ -642,8 +688,10 @@ def _max_derivative(alg: MatrixAlgebra, lams: list, f, reduce) -> float:
         raise TensorShapeError("tensor shape does not match the algebra dimension")
     _check_codes((d,) * (f.ndim + 1))
     f = _coo(f)
-    _, rows, blocks = _einsum_blocks(_derivative_terms(lams, f))
-    if rows.sum() < d ** (f.ndim + 1) and rows.max() <= _BLOCK_PRODUCTS:
+    shape, total, joins = _einsum_blocks(_derivative_terms(lams, f))
+    if total < d ** (f.ndim + 1) and (total <= _BLOCK_PRODUCTS
+                                      or _row_products(joins, shape).max() <= _BLOCK_PRODUCTS):
+        blocks = _join_blocks(joins, total, shape)
         return max((_reduce_sparse(*block, d, reduce) for block in blocks), default=0.0)
     return _max_dense_derivative(alg, lams, f, reduce)
 
@@ -812,6 +860,9 @@ def classify_type(a, tol: float = DEFAULT_TOL) -> TypeDecomposition:
 
 @dataclasses.dataclass
 class TypeConditionReport:
+    """The torsion type conditions of a metric map, and `decomposition`, the
+    type decomposition of its difference tensor mu - [.,.]/2."""
+
     vectorial: bool
     traceless_cyclic: bool
     cyclic: bool
@@ -820,6 +871,7 @@ class TypeConditionReport:
     trace_vector_norm: float
     cyclic_defect: float
     skew_defect: float
+    decomposition: TypeDecomposition
 
 
 def torsion_type_conditions(alg: MatrixAlgebra, mu,
@@ -850,6 +902,7 @@ def torsion_type_conditions(alg: MatrixAlgebra, mu,
         trace_vector_norm=trace_norm,
         cyclic_defect=cyclic_defect,
         skew_defect=skew_defect,
+        decomposition=dec,
     )
 
 

@@ -112,13 +112,14 @@ def dense_torsion_type_conditions(bracket, mu, tol):
     cyc = mu + np.transpose(mu, (1, 2, 0)) + np.transpose(mu, (2, 0, 1))
     cyclic_defect = float(np.abs(cyc - 1.5 * bracket).max())
     trace_norm = float(np.linalg.norm(np.einsum("iik->k", mu)))
-    _, a1, a2, a3 = dense_classify_type(mu - 0.5 * bracket)
+    phi, a1, a2, a3 = dense_classify_type(mu - 0.5 * bracket)
     a1_norm, a2_norm, a3_norm = (float(np.linalg.norm(x)) for x in (a1, a2, a3))
     skew_defect = float(np.abs(mu + np.transpose(mu, (1, 0, 2))).max())
     return cc.TypeConditionReport(
         vectorial=a2_norm < tol and a3_norm < tol, traceless_cyclic=a1_norm < tol and a3_norm < tol,
         cyclic=cyclic_defect < tol, traceless=trace_norm < tol, skew=skew_defect < tol,
-        trace_vector_norm=trace_norm, cyclic_defect=cyclic_defect, skew_defect=skew_defect)
+        trace_vector_norm=trace_norm, cyclic_defect=cyclic_defect, skew_defect=skew_defect,
+        decomposition=cc.TypeDecomposition(phi, *map(cc.Coo.from_dense, (a1, a2, a3))))
 
 
 def dense_ricci(bracket, mu):

@@ -589,6 +589,9 @@ def test_functionals_equal_the_dense_oracles(name, n):
         got, want = cc.torsion_type_conditions(alg, coo), dense_torsion_type_conditions(bracket, full, TOL)
         for field in dataclasses.fields(want):
             a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, cc.TypeDecomposition):  # phi, a1, a2 and a3 in one array
+                a, b = (np.concatenate([x.phi, *(np.asarray(t).ravel() for t in (x.a1, x.a2, x.a3))])
+                        for x in (a, b))
             assert a == b if isinstance(b, bool) else _close(a, b), (where, field.name)
 
 
@@ -641,8 +644,14 @@ def _masked(rng, d, density):
 
 def _derivative_blocks(lams, f):
     """The exact product count of each Z row and the sparse path's blocks."""
-    _, rows, blocks = cc._einsum_blocks(cc._derivative_terms(lams, f))
-    return rows, blocks
+    return _rows_and_blocks(cc._derivative_terms(lams, f))
+
+
+def _rows_and_blocks(terms):
+    """The exact product count of each row of a join and its blocks."""
+    shape, total, joins = cc._einsum_blocks(terms)
+    assert total == cc._row_products(joins, shape).sum()
+    return cc._row_products(joins, shape), cc._join_blocks(joins, total, shape)
 
 
 def _sparse_full(lams, f):
@@ -683,6 +692,11 @@ def test_sparse_path_equals_the_dense_blocks(monkeypatch):
                         assert len(list(_derivative_blocks(lams, f)[1])) > 1, where
                     assert _close(defect(alg, mu), expect), where
                     assert _close(_sparse_full(lams, f), full), where
+                # Below one row's products every row with products is a block
+                # of its own, and the einsum concatenates them.
+                monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", 0)
+                assert len(list(_derivative_blocks(lams, f)[1])) == np.count_nonzero(rows), where
+                assert _close(np.asarray(cc._einsum_sum(cc._derivative_terms(lams, f))), full), where
 
 
 def test_flatness_of_the_bracket_takes_the_sparse_path(monkeypatch):
@@ -877,16 +891,78 @@ def test_einsum_signed_sums_and_small_blocks(monkeypatch):
     e = cc.Coo.from_dense(x)
     assert cc._einsum_sum([("iab,jbc->ijac", e, e, 1), ("iab,jbc->ijac", e, e, -1)]).max_abs() < 1e-14
     # Blocks of one product, and of a few: many blocks, the same sum.
-    _, rows, _ = cc._einsum_blocks(coo_terms)
+    rows, _ = _rows_and_blocks(coo_terms)
     for block in (1, 7):
         monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", block)
-        _, _, blocks = cc._einsum_blocks(coo_terms)
-        assert len(list(blocks)) > 1
+        assert len(list(_rows_and_blocks(coo_terms)[1])) > 1
         got = cc._einsum_sum(coo_terms)
         assert np.array_equal(got.codes, expect.codes) and _close(got.vals, expect.vals), block
     # Each product is one nonzero of the product with the contracted b kept.
     assert rows.sum() == sum(np.count_nonzero(np.einsum(spec + "b", x != 0, y != 0))
                              for spec, x, y, _ in terms)
+
+
+def test_sorted_results_skip_the_sum(monkeypatch):
+    # Negation, scalar products, real parts, transposes and the einsum's
+    # blocks are sorted already: only a join's blocks are summed by code.
+    c = cc.build_algebra("u", 3).bracket
+    dense = np.asarray(c)
+    calls = []
+    real = _codes.sum_by_code
+    monkeypatch.setattr(cc, "sum_by_code", lambda *args: calls.append(args[2]) or real(*args))
+    for got, want in ((-c, -dense), (2.5 * c, 2.5 * dense), (c * 3, 3 * dense), (c / 4.0, dense / 4.0),
+                      (c.real(), dense), (0 * c, 0 * dense), (c.transpose((1, 2, 0)), dense.transpose(1, 2, 0)),
+                      (c.transpose((2, 1, 0)), dense.transpose(2, 1, 0))):
+        assert np.array_equal(np.asarray(got), want)
+        assert np.all(np.diff(got.codes) > 0) and np.all(got.vals != 0)
+    assert calls == []
+    # A result keeps c's pattern unless a zero was dropped; the bracket is
+    # totally skew, so its transposes have c's codes too.
+    assert all(t._pattern is c._pattern for t in (-c, 2.5 * c, c / 4.0, c.real(), c.transpose((1, 2, 0))))
+    assert (0 * c)._pattern is not c._pattern
+    m = cc.Coo.from_dense(dense * (np.random.default_rng(46).random(dense.shape) < 0.5))
+    assert m.transpose((1, 0, 2))._pattern is not m._pattern
+    assert (-m).transpose((1, 0, 2))._pattern is m.transpose((1, 0, 2))._pattern
+    # One sum per block of the join, none for their concatenation.
+    for block, nblocks in ((cc._BLOCK_PRODUCTS, 1), (0, 9)):
+        monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", block)
+        calls.clear()
+        got = cc._einsum("ipq,jqp->ij", c, c)
+        assert len(calls) == nblocks and _close(got.toarray(), np.einsum("ipq,jqp->ij", dense, dense))
+
+
+def test_multiples_of_the_bracket_share_its_join_preparation(monkeypatch):
+    # mu = s c keeps the pattern of c, so the Ricci matrices of three
+    # multiples prepare each join side on c once, in the first call.
+    alg = cc.build_algebra("su", 4)
+    c = alg.bracket
+    builds = []
+    for name in ("_left_side", "_right_side"):
+        monkeypatch.setattr(cc, name, lambda t, *args, real=getattr(cc, name), name=name:
+                            builds.append((name, t._pattern is c._pattern, args)) or real(t, *args))
+    counts = []
+    for s in (0.25, -1.5, 3.0):
+        builds.clear()
+        ricci = cc.ricci_matrix(alg, s * c)
+        counts.append(sum(on_c for _, on_c, _ in builds))
+        assert np.array_equal(ricci, cc.ricci_matrix(alg, np.asarray(s * c)))  # a new pattern, built anew
+    assert counts[0] > 0 and counts[1:] == [0, 0]
+
+
+def test_sums_of_overlapping_patterns_equal_the_dense_sums():
+    # A merge of two sorted runs sums each shared code once; the entries
+    # that cancel are dropped, and integers stay exact.
+    rng = np.random.default_rng(45)
+    shape = (5, 6)
+    for scale, dtype in ((0.5, np.float64), (1, np.int64), (2 ** 70, object)):
+        a, b = (rng.integers(-3, 4, shape) * (rng.random(shape) < 0.6) for _ in range(2))
+        b[a != 0] = np.where(rng.random(shape) < 0.3, -a, b)[a != 0]  # some overlaps cancel
+        a, b = (x.astype(object) * scale if dtype is object else x * scale for x in (a, b))
+        ca, cb = cc.Coo.from_dense(a), cc.Coo.from_dense(b)
+        assert np.intersect1d(ca.codes, cb.codes).size and ca.vals.dtype == dtype
+        for got, want in ((ca + cb, a + b), (ca - cb, a - b), (cb + ca, a + b), (ca + ca, a + a), (ca - ca, 0 * a)):
+            assert got.vals.dtype == dtype and np.array_equal(np.asarray(got), want), dtype
+            assert np.all(np.diff(got.codes) > 0) and np.all(got.vals != 0)
 
 
 def test_einsum_empty_operands_and_outer_products():
@@ -915,14 +991,19 @@ def test_integer_values_stay_exact(monkeypatch):
                                  (small, np.asarray(small) @ np.asarray(small), np.int64, True),
                                  (big, None, object, True)):
         branches.clear()
-        _, _, blocks = cc._einsum_blocks([("ij,jk->ik", x, x, 1)])
-        (codes, vals), = blocks
+        (codes, vals), = _rows_and_blocks([("ij,jk->ik", x, x, 1)])[1]
         assert vals.dtype == dtype and bool(branches) == sort
         got = cc._einsum("ij,jk->ik", x, x)
         assert got.vals.dtype == dtype and got.codes.tolist() == codes.tolist()
         if want is not None:
             assert np.array_equal(np.asarray(got), want)
     assert got.vals.tolist() == [16 * 10 ** 18, 25]
+    # Without a product the result still has the dtype the guard picks.
+    for value, dtype in ((3, np.int64), (2 ** 40, object)):
+        x, y = cc.Coo((2, 2), [0], [value]), cc.Coo((2, 2), [3], [value])
+        for a, b, nonzeros in ((x, y, 0), (y, y, 1)):
+            got = cc._einsum("ij,jk->ik", a, b)
+            assert got.vals.dtype == dtype and len(got.codes) == nonzeros, (value, nonzeros)
     # An integer scalar keeps the values integers, int64 under the guard.
     for scalar, dtype in ((3, np.int64), (np.int64(-2), np.int64), (2 ** 40, object)):
         got = big * scalar
