@@ -21,7 +21,8 @@ once, on entry.  Every contraction is one sparse einsum, `_einsum(spec, a,
 b)` with the spec `np.einsum` takes: entries of a and b that agree on the
 letters of both multiply, and products that reach the same output code are
 summed, in one block or, past _BLOCK_PRODUCTS products, in blocks of rows
-of the first output letter.  A signed sum of specs is one join
+of the first output letter: a block's products fit in the L2 cache, where
+sorting them by code is fast.  A signed sum of specs is one join
 (`_einsum_sum`).  Only `Coo` and the einsum turn indices into flat codes,
 which `_codes.sum_by_code` sums by.  The codes are a Coo's pattern, which
 results with the same codes share (-c, s * c, transposes of a skew c): it
@@ -47,8 +48,10 @@ no term; c is the bracket, mu^T is mu with its last two axes swapped):
 
 The battery paths hold no dense d^3 array, and the defects share one
 reduction, `_max_derivative`: its sparse path reduces the blocks of the
-einsum terms, and a dense map keeps a dense path that reduces blocks of the
-derivative over its leading Z axis, `_BLOCK_ENTRIES` entries at a time.
+einsum terms while no Z row forms more than _MAX_ROW_PRODUCTS products (a
+cap on memory, set apart from the block target), and a dense map keeps a
+dense path that reduces blocks of the derivative over its leading Z axis,
+`_BLOCK_ENTRIES` entries at a time.
 `build_algebra` refuses a size whose largest array would exceed
 `MAX_ARRAY_BYTES`.  The 4-index `curvature` remains for small algebras and
 as a test oracle.
@@ -258,10 +261,14 @@ def _abs_sum(vals: np.ndarray) -> int:
 # The sparse einsum
 # ---------------------------------------------------------------------------
 
-# Products of one block of a join.  Summing its duplicates holds four 8-byte
-# arrays of products (codes, values, their sort order and one sorted copy),
-# so a block takes the bytes of _BLOCK_ENTRIES float64 entries.
-_BLOCK_PRODUCTS = _BLOCK_ENTRIES // 4
+# Summing the duplicates of a block of a join holds four 8-byte arrays of its
+# products (codes, values, their sort order and one sorted copy).  The block
+# target is for speed: 2^15 products take 1 MiB, so the sort stays within a
+# 2 MiB L2 cache.  The row cap is for memory: a block is at least one row,
+# and `_max_derivative` takes the dense path past 2^18 products in one row,
+# whose four arrays take the bytes of _BLOCK_ENTRIES float64 entries.
+_BLOCK_PRODUCTS = 1 << 15
+_MAX_ROW_PRODUCTS = _BLOCK_ENTRIES // 4
 
 
 def _einsum(spec: str, a: Coo, b: Coo) -> Coo:
@@ -382,17 +389,19 @@ def _row_products(joins, shape) -> np.ndarray:
     return sum(np.diff(before[codes.searchsorted(cuts)]) for _, _, codes, _, _, _, before in joins)
 
 
-def _join_blocks(joins, total: int, shape):
+def _join_blocks(joins, total: int, shape, rows=None):
     """The products of the joins of `_einsum_blocks` as (codes, values)
     blocks over runs of rows of the first output letter: sorted distinct
     codes and the summed products at each.  Up to _BLOCK_PRODUCTS products
-    are one block, even none; more are split by their count per row into
-    blocks of at most _BLOCK_PRODUCTS, or one row, without empty ones.  A
-    block whose sums all cancel is empty (`sum_by_code`)."""
+    are one block, even none; more are split by their count per row
+    (`rows`, `_row_products` when not given) into blocks of at most
+    _BLOCK_PRODUCTS, or one row, without empty ones.  A block whose sums
+    all cancel is empty (`sum_by_code`)."""
     nrows, stride = shape[0], math.prod(shape[1:])
     cuts, ends = [0, nrows], [(0, len(j[2])) for j in joins]
     if total > _BLOCK_PRODUCTS:
-        bounds = np.concatenate(([0], _row_products(joins, shape).cumsum()))  # products before each row
+        rows = _row_products(joins, shape) if rows is None else rows
+        bounds = np.concatenate(([0], rows.cumsum()))  # products before each row
         cuts = [0]
         while cuts[-1] < nrows:
             z1 = int(bounds.searchsorted(bounds[cuts[-1]] + _BLOCK_PRODUCTS, "right")) - 1
@@ -553,10 +562,11 @@ def _largest_array_bytes(d: int, n: int) -> int:
     d-dimensional algebra of n x n matrices and running its batteries
     allocate: the complex commutators of all basis pairs, (d, d, n, n) for a
     dense basis, or one block of a derivative: at least a d^3 slice of
-    float64 on the dense path, and on the sparse path _BLOCK_PRODUCTS
-    products or the d^3 nonzeros of a Lambda, 8 bytes each.  The standard
-    bases have at most n nonzeros per matrix, and their arrays stay far
-    below the bound."""
+    float64 on the dense path, and on the sparse path a block of at most
+    _BLOCK_PRODUCTS products, or one row of at most _MAX_ROW_PRODUCTS (a
+    quarter of _BLOCK_ENTRIES), or the d^3 nonzeros of a Lambda, 8 bytes
+    each.  The standard bases have at most n nonzeros per matrix, and their
+    arrays stay far below the bound."""
     return max(16 * d * d * n * n, 8 * max(_BLOCK_ENTRIES, d ** 3))
 
 
@@ -677,10 +687,11 @@ def _max_derivative(alg: MatrixAlgebra, lams: list, f, reduce) -> float:
     guard on the derivative's d^(F.ndim + 1) entries.  The sparse path
     reduces the blocks of the einsum terms (`_derivative_terms`); an empty
     derivative gives 0.0.  It runs when the terms form fewer products than
-    the derivative has entries and no Z row needs more than _BLOCK_PRODUCTS
-    of them, both counted exactly before any product is formed, the rows
-    only past _BLOCK_PRODUCTS products in all.  A dense map keeps the dense
-    path (`_max_dense_derivative`), which densifies.
+    the derivative has entries and no Z row needs more than
+    _MAX_ROW_PRODUCTS of them, both counted exactly before any product is
+    formed, the rows only past _BLOCK_PRODUCTS products in all, where the
+    blocks need them too.  A dense map keeps the dense path
+    (`_max_dense_derivative`), which densifies.
     """
     d = alg.dim
     if tuple(f.shape) != (d,) * f.ndim or len(lams) != f.ndim or any(
@@ -689,9 +700,9 @@ def _max_derivative(alg: MatrixAlgebra, lams: list, f, reduce) -> float:
     _check_codes((d,) * (f.ndim + 1))
     f = _coo(f)
     shape, total, joins = _einsum_blocks(_derivative_terms(lams, f))
-    if total < d ** (f.ndim + 1) and (total <= _BLOCK_PRODUCTS
-                                      or _row_products(joins, shape).max() <= _BLOCK_PRODUCTS):
-        blocks = _join_blocks(joins, total, shape)
+    rows = _row_products(joins, shape) if total > _BLOCK_PRODUCTS else None
+    if total < d ** (f.ndim + 1) and (rows is None or rows.max() <= _MAX_ROW_PRODUCTS):
+        blocks = _join_blocks(joins, total, shape, rows)
         return max((_reduce_sparse(*block, d, reduce) for block in blocks), default=0.0)
     return _max_dense_derivative(alg, lams, f, reduce)
 

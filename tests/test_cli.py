@@ -176,6 +176,29 @@ def test_verify_un_json_bitwise_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("seed", [0, 42, 999])
+def test_un3_random_directions_reach_the_lowest_eigenvalue(seed):
+    # Ric of the vectorial member of u(3) has eigenvalues -19.5 (eight
+    # times) and 0 on the center, and 1000 directions come within rounding
+    # of -19.5 whatever the seed.
+    from invconn import cli
+    [check] = [c for c in cli.un_battery(3, seed=seed) if c.name.startswith("n=3: Ricci positive")]
+    assert check.detail == "min=-19.500" and not check.passed and check.expected_to_fail
+
+
+def test_verify_un_3_does_not_import_numpy_random():
+    # numpy.random would load secrets, hashlib and OpenSSL: 5 MB of RSS
+    # for the 9000 seeded numbers of the n = 3 check.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "invconn.cli", "verify-un", "3"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1 and "FAIL (known upstream data error)" in proc.stdout
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "invconn.conncalc" in imported
+    assert not imported & {"numpy.random", "secrets"}
+
+
 def test_einstein_commands(capsys):
     code, out, _ = run(capsys, "einstein", "su3", "--alphas", "0.5,1,2")
     assert code == 0
@@ -337,6 +360,7 @@ BAD_INPUTS = {
     "einstein non-numeric alphas": lambda tmp: ["einstein", "su3", "--alphas", "a,b"],
     "einstein over the size limit": lambda tmp: ["einstein", "su40"],
     "verify-un over the size limit": lambda tmp: ["verify-un", "30"],
+    "verify-un negative seed": lambda tmp: ["verify-un", "4", "--seed", "-3"],
     "decompose weight of the wrong length": lambda tmp: ["decompose", "A2", "alt2",
                                                          "--hw", "1,0,0"],
     "decompose second weight of the wrong length": lambda tmp: [
@@ -414,9 +438,8 @@ def test_batteries_never_densify(monkeypatch):
         assert checks and all(c.passed != c.expected_to_fail for c in checks)
 
 
-def test_un_battery_10_peak_memory():
-    # The maps and the derivative blocks hold nonzeros only; the eight
-    # Laquer maps alone take 64 MiB as dense arrays.
+def _un_battery_10_peak() -> int:
+    """The tracemalloc peak of `un_battery(10)` above what was allocated before."""
     import tracemalloc
 
     from invconn import cli
@@ -424,10 +447,21 @@ def test_un_battery_10_peak_memory():
     try:
         base = tracemalloc.get_traced_memory()[0]
         cli.un_battery(10)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 16 << 20
+
+
+def test_un_battery_10_peak_memory():
+    # The maps and the derivative blocks hold nonzeros only; the eight
+    # Laquer maps alone take 64 MiB as dense arrays.
+    assert _un_battery_10_peak() <= 16 << 20
+
+
+def test_un_battery_10_peak_memory_with_small_join_blocks():
+    # A join block of 2^15 products holds 1 MiB in its four arrays, so the
+    # peak is set by the maps and their join preparations.
+    assert _un_battery_10_peak() <= 8 << 20
 
 
 def test_verify_un_builds_the_laquer_maps_once(monkeypatch):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import itertools
+import math
 import pathlib
 import re
 import tracemalloc
@@ -672,6 +673,7 @@ def test_sparse_path_equals_the_dense_blocks(monkeypatch):
     dense, default = cc._max_dense_derivative, cc._BLOCK_PRODUCTS
     monkeypatch.setattr(cc, "_max_dense_derivative", _no_dense_path)
     rng = np.random.default_rng(31)
+    split = []
     for alg in _sparse_algebras():
         d = alg.dim
         maps = dict(cc.laquer_basis(alg)) if alg.name.startswith("u(") else {}
@@ -683,13 +685,16 @@ def test_sparse_path_equals_the_dense_blocks(monkeypatch):
                 where = (alg.name, key, defect.__name__)
                 expect = dense(alg, lams, f, reduce)
                 assert _close(expect, reduce(full)), where
-                # The default keeps one block at these sizes; blocks of the
+                # The default target keeps the smaller derivatives in one
+                # block and splits the larger ones (`split`); blocks of the
                 # largest row's products end inside every derivative.
                 rows = _derivative_blocks(lams, f)[0]
                 for block in (default, int(rows.max())):
                     monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", block)
-                    if block < rows.sum():
-                        assert len(list(_derivative_blocks(lams, f)[1])) > 1, where
+                    nblocks = len(list(_derivative_blocks(lams, f)[1]))
+                    assert (nblocks > 1) == (block < rows.sum()), where
+                    if block == default:
+                        split.append(nblocks > 1)
                     assert _close(defect(alg, mu), expect), where
                     assert _close(_sparse_full(lams, f), full), where
                 # Below one row's products every row with products is a block
@@ -697,6 +702,7 @@ def test_sparse_path_equals_the_dense_blocks(monkeypatch):
                 monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", 0)
                 assert len(list(_derivative_blocks(lams, f)[1])) == np.count_nonzero(rows), where
                 assert _close(np.asarray(cc._einsum_sum(cc._derivative_terms(lams, f))), full), where
+    assert any(split) and not all(split)
 
 
 def test_flatness_of_the_bracket_takes_the_sparse_path(monkeypatch):
@@ -779,6 +785,61 @@ def test_dense_maps_keep_the_dense_path(monkeypatch):
         assert cc.flatness_defect(alg, mu) == flat
         assert cc.parallel_metric_defect(alg, mu) == metric
         assert _close(eq, cc._max_slot_norm(cc.covariant_derivative(alg, alg.bracket, mu)))
+
+
+def test_u8_battery_blocks_stay_within_the_block_target(monkeypatch):
+    # Every block that `_join_blocks` sums holds at most _BLOCK_PRODUCTS
+    # products, or a single row of more.  `sum_by_code` calls made while
+    # the blocks generator runs are the blocks' sums: (rows * stride, products).
+    from invconn import cli
+    real_blocks, real_sum = cc._join_blocks, cc.sum_by_code
+    strides, sums, joins = [], [], []
+
+    def join_blocks(*args):
+        blocks, stride = real_blocks(*args), math.prod(args[2][1:])
+        joins.append(len(sums))
+        while True:
+            strides.append(stride)
+            try:
+                block = next(blocks)
+            except StopIteration:
+                return
+            finally:
+                strides.pop()
+            yield block
+
+    def sum_by_code(parts, size, terms, start=0):
+        if strides:
+            sums.append((size // strides[-1], terms))
+        return real_sum(parts, size, terms, start)
+
+    monkeypatch.setattr(cc, "_join_blocks", join_blocks)
+    monkeypatch.setattr(cc, "sum_by_code", sum_by_code)
+    cli.un_battery(8)
+    assert all(products <= cc._BLOCK_PRODUCTS or rows == 1 for rows, products in sums)
+    # Some joins of the battery are split, and their blocks are full.
+    assert len(sums) > len(joins)
+    assert max(products for _, products in sums) > cc._BLOCK_PRODUCTS // 2
+
+
+@pytest.mark.parametrize("name,n", [("u", 14), ("su", 14), ("so", 18)])
+def test_largest_batteries_stay_under_the_row_cap(monkeypatch, name, n):
+    # The largest algebras `build_algebra` accepts: every derivative of
+    # their batteries is counted per Z row, no product formed, and no row
+    # reaches the cap above which `_max_derivative` goes dense.
+    from invconn import cli
+    largest = []
+
+    def count_rows(alg, lams, f, reduce):
+        shape, total, joins = cc._einsum_blocks(cc._derivative_terms(lams, cc._coo(f)))
+        largest.append(int(cc._row_products(joins, shape).max(initial=0)))
+        return 0.0
+
+    monkeypatch.setattr(cc, "_max_derivative", count_rows)
+    if name == "u":
+        cli.un_battery(n)
+    cli.einstein_battery(name, n, [-2.0, -1.0, 0.0, 0.5, 1.0])
+    assert largest and max(largest) <= cc._MAX_ROW_PRODUCTS
 
 
 def test_sparse_codes_fit_int64():
