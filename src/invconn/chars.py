@@ -48,7 +48,8 @@ psi2 chi = 2 supp chi, psi3 chi = 3 supp chi and chi^3 = sum over the
 constituents kappa of chi^2 of supp chi + kappa, with the same signed fold
 (`_fold_shifted`).  `plethysm_counts` folds chi^2 of chi = sum_j L(lam_j),
 the union of the stacks supp chi + lam_j, together with 2 supp chi and
-3 supp chi as one stack whose rows carry the index of their sum.
+3 supp chi as one stack whose rows carry the index of their sum.  Every
+Racah-Speiser sum, `decompose`'s included, enters through `_fold_shifted`.
 
 The numpy kernels code weights over a box (`_codes.Box`) so that a sum or
 difference of weights is a sum of codes.  `_convolve`, behind every
@@ -338,43 +339,50 @@ def adams(chi: Character, k: int) -> Character:
     return Character(chi.rs, {_wscale(w, k): m for w, m in chi.mult.items()})
 
 
-def _square_power(chi: Character, sign: int) -> dict[Weight, int]:
-    """(chi^2 + sign psi2)/2: alt2 for sign -1, sym2 for sign +1."""
-    return _divided(_lincomb((1, tensor(chi, chi).mult), (sign, adams(chi, 2).mult)), 2)
+def _square_power(chi: Character, square: dict[Weight, int], sign: int) -> dict[Weight, int]:
+    """(chi^2 + sign psi2)/2 from `square`, the map of chi^2: alt2 for sign
+    -1, sym2 for sign +1."""
+    total = _lincomb((1, square), (sign, adams(chi, 2).mult))
+    del square  # alt2 and sym2 hold chi^2 nowhere else: free it before dividing
+    return _divided(total, 2)
 
 
 def alt2(chi: Character) -> Character:
     """Exterior square of a genuine character."""
-    return Character(chi.rs, _square_power(chi, -1))
+    return Character(chi.rs, _square_power(chi, tensor(chi, chi).mult, -1))
 
 
 def sym2(chi: Character) -> Character:
-    return Character(chi.rs, _square_power(chi, 1))
+    return Character(chi.rs, _square_power(chi, tensor(chi, chi).mult, 1))
 
 
-def _cube_power(chi: Character, sign: int) -> dict[Weight, int]:
-    """(chi^3 + 3 sign chi*psi2 + 2 psi3)/6: alt3 for sign -1, sym3 for sign +1."""
-    cube = tensor(tensor(chi, chi), chi).mult
-    mixed = tensor(chi, adams(chi, 2)).mult
+def _cube_products(chi: Character, square: Character) -> tuple[dict[Weight, int], ...]:
+    """The maps of chi^3 = chi^2 * chi and chi * psi2, from `square` = chi^2."""
+    return tensor(square, chi).mult, tensor(chi, adams(chi, 2)).mult
+
+
+def _cube_power(chi: Character, cube: dict[Weight, int], mixed: dict[Weight, int],
+                sign: int) -> dict[Weight, int]:
+    """(chi^3 + 3 sign chi*psi2 + 2 psi3)/6 from the maps `cube` of chi^3 and
+    `mixed` of chi*psi2 (`_cube_products`): alt3 for sign -1, sym3 for sign +1."""
     return _divided(_lincomb((1, cube), (3 * sign, mixed), (2, adams(chi, 3).mult)), 6)
 
 
 def alt3(chi: Character) -> Character:
-    return Character(chi.rs, _cube_power(chi, -1))
+    return Character(chi.rs, _cube_power(chi, *_cube_products(chi, tensor(chi, chi)), -1))
 
 
 def sym3(chi: Character) -> Character:
-    return Character(chi.rs, _cube_power(chi, 1))
+    return Character(chi.rs, _cube_power(chi, *_cube_products(chi, tensor(chi, chi)), 1))
 
 
 def squares_and_cubes(chi: Character) -> tuple[Character, ...]:
     """alt2, sym2, alt3, sym3 and chi * alt2 of chi, materialized from four
     tensor products: chi^2, chi^3 = chi^2 * chi, chi * psi2 and chi * alt2."""
-    rs, square, p2, p3 = chi.rs, tensor(chi, chi), adams(chi, 2), adams(chi, 3).mult
-    a2 = Character(rs, _divided(_lincomb((1, square.mult), (-1, p2.mult)), 2))
-    cube, mixed = tensor(square, chi).mult, tensor(chi, p2).mult
-    a3, s3 = (Character(rs, _divided(_lincomb((1, cube), (3 * sign, mixed), (2, p3)), 6))
-              for sign in (-1, 1))
+    square = tensor(chi, chi)
+    a2 = Character(chi.rs, _square_power(chi, square.mult, -1))
+    products = _cube_products(chi, square)
+    a3, s3 = (Character(chi.rs, _cube_power(chi, *products, sign)) for sign in (-1, 1))
     return a2, square - a2, a3, s3, tensor(chi, a2)
 
 
@@ -554,17 +562,14 @@ def _shifted_stack(weights: np.ndarray, blocks) -> np.ndarray:
 
 
 def _fold(rs: RootSystem, stack: np.ndarray, values: np.ndarray,
-          groups: np.ndarray | None = None) -> list[tuple[Weight, int]]:
-    """The signed Racah-Speiser sum of a virtual character given as rows:
-    row i, a weight plus rho, adds sgn_i * values[i] to L(dom_i - rho), where
-    dom_i and sgn_i are its dominant representative and sign (`to_dominant`;
-    rows on a chamber wall add nothing).  Returns the nonzero totals in
-    lexicographic order of the weights, summed by integer codes.
-
-    With `groups`, an (n,) array of non-negative integers, several
-    characters fold as one stack and their totals stay apart: row i adds to
-    (groups[i], *(dom_i - rho)), so every returned weight starts with its
-    group.
+          groups: np.ndarray) -> list[tuple[Weight, int]]:
+    """The signed Racah-Speiser sums of virtual characters given as rows:
+    row i, a weight plus rho, adds sgn_i * values[i] to L(dom_i - rho) of
+    the character groups[i], where dom_i and sgn_i are its dominant
+    representative and sign (`to_dominant`; rows on a chamber wall add
+    nothing).  Returns the nonzero totals (groups[i], *(dom_i - rho)) in
+    lexicographic order, summed by integer codes, so the characters of one
+    stack fold together and their totals stay apart.
 
     `stack` is folded in place and must be in a dtype that holds every label
     of the fold (`_fold_dtype`); `values` in one that holds the sum of
@@ -573,8 +578,7 @@ def _fold(rs: RootSystem, stack: np.ndarray, values: np.ndarray,
     tops, signs = _fold_to_dominant(rs, stack)
     keep = signs != 0
     lams, values = tops[keep] - 1, signs[keep] * values[keep]
-    if groups is not None:
-        lams = np.column_stack([groups[keep].astype(lams.dtype), lams])
+    lams = np.column_stack([groups[keep].astype(lams.dtype), lams])
     if not len(lams):
         return []
     lo, hi = lams.min(0).tolist(), lams.max(0).tolist()
@@ -631,8 +635,9 @@ def decompose(chi: Character, lam: Weight | None = None) -> list[tuple[Weight, i
 
     - Weyl invariance is one lookup of every simple reflection of the whole
       support in the character's own table (`_invariance_failures`);
-    - `_fold` folds the stack supp chi + lam + rho into the dominant chamber
-      and sums the terms sgn * chi(nu) per dominant weight by integer codes;
+    - `_fold_shifted` folds the stack supp chi + lam + rho into the dominant
+      chamber and sums the terms sgn * chi(nu) per dominant weight by
+      integer codes;
     - the terms are sorted by decreasing height, then lexicographically
       (`_by_height`).
 
@@ -646,11 +651,10 @@ def decompose(chi: Character, lam: Weight | None = None) -> list[tuple[Weight, i
     `lam` that is not a dominant weight of the right length.
     """
     rs, mult = chi.rs, chi.mult
-    shift = rs.rho
+    shift = (0,) * rs.rank
     if lam is not None:
-        lam = tuple(lam)
-        _check_highest_weight(rs, lam)
-        shift = _wadd(lam, rs.rho)
+        shift = tuple(lam)
+        _check_highest_weight(rs, shift)
     if not mult:
         return []
     table = _WeightTable.of(mult, rs.rank, value_dtype(sum(map(abs, mult.values()))))
@@ -661,11 +665,10 @@ def decompose(chi: Character, lam: Weight | None = None) -> list[tuple[Weight, i
         raise UsageError(f"character is not Weyl-invariant: weight {w} and its "
                          f"reflection s_{failures[w] + 1} have different multiplicities")
 
-    stack = _shifted_stack(weights, [(1, shift)])
-    terms = _fold(rs, stack.astype(_fold_dtype(rs, stack), copy=False), table.values)
-    if any(m < 0 for _, m in terms):
+    (terms,) = _fold_shifted(rs, weights, table.values.tolist(), ([(1, shift)], [1]))
+    if any(m < 0 for m in terms.values()):
         raise UsageError("not a genuine character: negative multiplicity of an irreducible")
-    return _by_height(rs, terms)
+    return _by_height(rs, terms.items())
 
 
 def expand(rs: RootSystem, terms) -> Character:

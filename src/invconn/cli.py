@@ -57,8 +57,9 @@ def _fmt(x: float) -> str:
     return f"{x:.3e}"
 
 
-def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
-    """The u(n) bi-invariant connection battery (n >= 3).
+def un_battery(n: int, seed: int = 42) -> list[Check]:
+    """The u(n) bi-invariant connection battery (n >= 3); each line compares
+    a defect with `conncalc.DEFAULT_TOL`.
 
     Includes three comparisons against externally published reference
     values for the vectorial-type Ricci tensor that are inconsistent with
@@ -68,6 +69,7 @@ def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
     """
     if n < 3:
         raise RangeError("the u(n) battery requires n >= 3")
+    tol = conncalc.DEFAULT_TOL
     alg = conncalc.build_algebra("u", n)
     maps = conncalc.laquer_basis(alg)
     w = maps["mu4"] - maps["mu5"]
@@ -77,9 +79,9 @@ def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
                 ("mu1", "mu2", "mu3", "mu4", "mu5", "mu6"))
     checks.append(Check("mu1..mu6 equivariant", worst < tol, _fmt(worst)))
 
-    ok_w, dw = conncalc.is_metric(alg, w, tol)
-    ok_nu, dnu = conncalc.is_metric(alg, maps["nu"], tol)
-    ok_th, dth = conncalc.is_metric(alg, maps["theta"], tol)
+    ok_w, dw = conncalc.is_metric(alg, w)
+    ok_nu, dnu = conncalc.is_metric(alg, maps["nu"])
+    ok_th, dth = conncalc.is_metric(alg, maps["theta"])
     checks.append(Check("mu4 - mu5 metric", ok_w, _fmt(dw)))
     checks.append(Check("nu = mu3 - mu4 not metric", not ok_nu, _fmt(dnu)))
     checks.append(Check("theta = mu3 + mu4 not metric", not ok_th, _fmt(dth)))
@@ -96,12 +98,11 @@ def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
     checks.append(Check("torsion of mu4 - mu5 is -nu - [.,.]", terr < tol, _fmt(terr)))
 
     mv = conncalc.vectorial_metric_map(alg, maps)
-    cond = conncalc.torsion_type_conditions(alg, mv, tol)
+    cond = conncalc.torsion_type_conditions(alg, mv)
     dec = cond.decomposition
     phi_expected = np.array([float(np.real(-1j * np.trace(b))) for b in alg.basis])
     phi_err = float(np.abs(dec.phi - phi_expected).max())
-    checks.append(Check("vectorial member: difference tensor pure trace type",
-                        dec.a2_norm < tol and dec.a3_norm < tol,
+    checks.append(Check("vectorial member: difference tensor pure trace type", cond.vectorial,
                         f"a2={_fmt(dec.a2_norm)} a3={_fmt(dec.a3_norm)}"))
     checks.append(Check("vectorial member: phi(Z) = -i tr Z", phi_err < tol, _fmt(phi_err)))
     checks.append(Check("vectorial member: trace-type condition holds, trace vector nonzero",
@@ -113,7 +114,7 @@ def un_battery(n: int, tol: float = 1e-9, seed: int = 42) -> list[Check]:
     checks.append(Check("vectorial member: sum_i mu(e_i, e_i) = i (n^2 - 1) Id",
                         terr2 < tol, _fmt(terr2)))
 
-    cond_a = conncalc.torsion_type_conditions(alg, conncalc.bracket_family_map(alg, 1.5), tol)
+    cond_a = conncalc.torsion_type_conditions(alg, conncalc.bracket_family_map(alg, 1.5))
     checks.append(Check("bracket family: skew and traceless",
                         cond_a.skew and cond_a.traceless))
 
@@ -162,8 +163,9 @@ def _beta_form(alg: conncalc.MatrixAlgebra) -> np.ndarray:
     return np.real(np.outer(tr, tr))
 
 
-def einstein_battery(name: str, n: int, alphas, tol: float = 1e-9) -> list[Check]:
-    """Einstein property of the bracket family over a list of parameters.
+def einstein_battery(name: str, n: int, alphas) -> list[Check]:
+    """Einstein property of the bracket family over a list of parameters,
+    decided against `conncalc.DEFAULT_TOL`.
 
     Simple algebras must be Einstein for every alpha; on u(n) the family is
     Einstein only for the flat members alpha = +-1, and the center direction
@@ -174,9 +176,9 @@ def einstein_battery(name: str, n: int, alphas, tol: float = 1e-9) -> list[Check
     checks: list[Check] = []
     for alpha in alphas:
         mu = conncalc.bracket_family_map(alg, alpha)
-        rep = conncalc.einstein_check(alg, mu, tol)
+        rep = conncalc.einstein_check(alg, mu)
         dt = conncalc.parallel_defect(alg, mu, conncalc.torsion(alg, mu))
-        checks.append(Check(f"alpha={alpha:g}: parallel torsion", dt < tol, _fmt(dt)))
+        checks.append(Check(f"alpha={alpha:g}: parallel torsion", dt < conncalc.DEFAULT_TOL, _fmt(dt)))
         if alpha in (1.0, -1.0):
             flat = conncalc.flatness_defect(alg, mu)
             checks.append(Check(f"alpha={alpha:g}: flat connection", flat < 1e-10, _fmt(flat)))
@@ -218,16 +220,6 @@ def _parse_budget(text: str) -> Budget:
     if int(m.group(1)) <= 0 or int(m.group(2)) <= 0:
         raise argparse.ArgumentTypeError("budget values must be positive")
     return Budget(max_weyl_order=int(m.group(1)), max_support=int(m.group(2)))
-
-
-def _parse_tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
 
 
 def _parse_seed(text: str) -> int:
@@ -284,7 +276,6 @@ def _emit(text: str, path: str | None) -> None:
 
 # The shared flags; each command registers `--output` and those it names.
 _FLAGS = {
-    "--tolerance": dict(type=_parse_tolerance, default=1e-9),
     "--seed": dict(type=_parse_seed, default=42),
     "--budget": dict(type=_parse_budget, default=Budget()),
     "--strict": dict(action="store_true", help="treat skipped rows as failures"),
@@ -327,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--hw", required=True, type=_parse_weight)
     d.add_argument("--hw2", type=_parse_weight, default=None)
 
-    v = add("verify-un", ("--tolerance", "--seed"), help="run the u(n) bi-invariant battery")
+    v = add("verify-un", ("--seed",), help="run the u(n) bi-invariant battery")
     v.add_argument("n", type=int)
 
-    e = add("einstein", ("--tolerance",), help="Einstein checks for the bracket family")
+    e = add("einstein", help="Einstein checks for the bracket family")
     e.add_argument("algebra")
     e.add_argument("--alphas", default="0.5,1,2")
 
@@ -422,7 +413,7 @@ def _render_checks(title: str, checks: list[Check], fmt: str) -> str:
 
 
 def cmd_verify_un(args) -> int:
-    checks = un_battery(args.n, tol=args.tolerance, seed=args.seed)
+    checks = un_battery(args.n, seed=args.seed)
     _emit(_render_checks(f"u({args.n}) bi-invariant battery", checks, args.format), args.output)
     return 0 if all(c.passed for c in checks) else VERIFY_ERROR
 
@@ -430,7 +421,7 @@ def cmd_verify_un(args) -> int:
 def cmd_einstein(args) -> int:
     name, n = _parse_algebra(args.algebra)
     alphas = _parse_alphas(args.alphas)
-    checks = einstein_battery(name, n, alphas, tol=args.tolerance)
+    checks = einstein_battery(name, n, alphas)
     _emit(_render_checks(f"{name}({n}) bracket-family Einstein battery", checks, args.format),
           args.output)
     return 0 if all(c.passed for c in checks) else VERIFY_ERROR

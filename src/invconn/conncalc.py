@@ -77,6 +77,8 @@ class TensorShapeError(ValueError):
     pass
 
 
+# The threshold of the float checks: the predicates below and the battery
+# lines of `cli` compare their defects, norms and residuals with it.
 DEFAULT_TOL = 1e-9
 
 # Entries of one block of a derivative that a defect reduces without holding
@@ -761,9 +763,9 @@ def _reduce_sparse(codes: np.ndarray, vals: np.ndarray, d: int, reduce) -> float
     return float(np.sqrt(norms.max(initial=0.0)))
 
 
-def is_equivariant(alg: MatrixAlgebra, mu, tol: float = DEFAULT_TOL):
+def is_equivariant(alg: MatrixAlgebra, mu):
     defect = equivariance_defect(alg, mu)
-    return defect < tol, defect
+    return defect < DEFAULT_TOL, defect
 
 
 def metric_defect(alg: MatrixAlgebra, mu) -> float:
@@ -779,9 +781,9 @@ def parallel_metric_defect(alg: MatrixAlgebra, mu) -> float:
     return _max_derivative(alg, [mu, mu], _identity(alg.dim), _max_abs)
 
 
-def is_metric(alg: MatrixAlgebra, mu, tol: float = DEFAULT_TOL):
+def is_metric(alg: MatrixAlgebra, mu):
     defect = metric_defect(alg, mu)
-    return defect < tol, defect
+    return defect < DEFAULT_TOL, defect
 
 
 # ---------------------------------------------------------------------------
@@ -805,10 +807,10 @@ def _cubic(t) -> Coo:
     return _coo(t)
 
 
-def a_from_torsion(t, tol: float = DEFAULT_TOL) -> Coo:
+def a_from_torsion(t) -> Coo:
     """2A(X,Y,Z) = T(X,Y,Z) - T(Y,Z,X) + T(Z,X,Y)."""
     t = _cubic(t)
-    if (t + t.transpose((1, 0, 2))).max_abs() > tol:
+    if (t + t.transpose((1, 0, 2))).max_abs() > DEFAULT_TOL:
         raise TensorShapeError("torsion must be antisymmetric in its first two slots")
     # transpose(t, (2,0,1))[x,y,z] = t[y,z,x];  transpose(t, (1,2,0))[x,y,z] = t[z,x,y]
     return 0.5 * (t - t.transpose((2, 0, 1)) + t.transpose((1, 2, 0)))
@@ -854,10 +856,10 @@ class TypeDecomposition:
         return self.a1 + self.a2 + self.a3
 
 
-def classify_type(a, tol: float = DEFAULT_TOL) -> TypeDecomposition:
+def classify_type(a) -> TypeDecomposition:
     """Project a difference tensor onto its trace/cyclic/skew components."""
     a = _cubic(a)
-    if (a + a.transpose((0, 2, 1))).max_abs() > tol:
+    if (a + a.transpose((0, 2, 1))).max_abs() > DEFAULT_TOL:
         raise TensorShapeError("tensor is not antisymmetric in its last two slots")
     d = a.shape[0]
     eye = _identity(d)
@@ -885,8 +887,7 @@ class TypeConditionReport:
     decomposition: TypeDecomposition
 
 
-def torsion_type_conditions(alg: MatrixAlgebra, mu,
-                            tol: float = DEFAULT_TOL) -> TypeConditionReport:
+def torsion_type_conditions(alg: MatrixAlgebra, mu) -> TypeConditionReport:
     """Characterize the torsion type of a metric connection map.
 
     - cyclic:  the cyclic sum of <mu(X,Y),Z> equals 3/2 <[X,Y],Z>
@@ -896,20 +897,20 @@ def torsion_type_conditions(alg: MatrixAlgebra, mu,
     - skew: Lambda(Z)Z = 0, i.e. the difference tensor is a 3-form
     """
     mu = _coo(mu, (alg.dim,) * 3)
-    ok, defect = is_metric(alg, mu, tol)
+    ok, defect = is_metric(alg, mu)
     if not ok:
         raise TensorShapeError(f"map is not metric (defect {defect:.2e})")
     cyc = mu + mu.transpose((1, 2, 0)) + mu.transpose((2, 0, 1))
     cyclic_defect = (cyc - 1.5 * alg.bracket).max_abs()
     trace_norm = float(np.linalg.norm(trace_vector(mu)))
-    dec = classify_type(a_tensor(alg, mu), tol)
+    dec = classify_type(a_tensor(alg, mu))
     skew_defect = (mu + mu.transpose((1, 0, 2))).max_abs()
     return TypeConditionReport(
-        vectorial=dec.a2_norm < tol and dec.a3_norm < tol,
-        traceless_cyclic=dec.a1_norm < tol and dec.a3_norm < tol,
-        cyclic=cyclic_defect < tol,
-        traceless=trace_norm < tol,
-        skew=skew_defect < tol,
+        vectorial=dec.a2_norm < DEFAULT_TOL and dec.a3_norm < DEFAULT_TOL,
+        traceless_cyclic=dec.a1_norm < DEFAULT_TOL and dec.a3_norm < DEFAULT_TOL,
+        cyclic=cyclic_defect < DEFAULT_TOL,
+        traceless=trace_norm < DEFAULT_TOL,
+        skew=skew_defect < DEFAULT_TOL,
         trace_vector_norm=trace_norm,
         cyclic_defect=cyclic_defect,
         skew_defect=skew_defect,
@@ -963,31 +964,30 @@ class EinsteinReport:
     einstein_constant: float
     residual: float
     is_einstein: bool
-    tol: float
 
 
-def einstein_report(alg: MatrixAlgebra, ric: np.ndarray, tol: float = DEFAULT_TOL) -> EinsteinReport:
+def einstein_report(alg: MatrixAlgebra, ric: np.ndarray) -> EinsteinReport:
     sym = 0.5 * (ric + ric.T)
     alt = 0.5 * (ric - ric.T)
     scal = float(np.trace(sym))
     const = scal / alg.dim
     residual = float(np.linalg.norm(sym - const * np.eye(alg.dim)))
-    return EinsteinReport(ric, sym, alt, scal, const, residual, residual < tol, tol)
+    return EinsteinReport(ric, sym, alt, scal, const, residual, residual < DEFAULT_TOL)
 
 
-def ricci(alg: MatrixAlgebra, mu, tol: float = DEFAULT_TOL) -> EinsteinReport:
-    return einstein_report(alg, ricci_matrix(alg, mu), tol)
+def ricci(alg: MatrixAlgebra, mu) -> EinsteinReport:
+    return einstein_report(alg, ricci_matrix(alg, mu))
 
 
-def einstein_check(alg: MatrixAlgebra, mu, tol: float = DEFAULT_TOL) -> EinsteinReport:
+def einstein_check(alg: MatrixAlgebra, mu) -> EinsteinReport:
     mu = _coo(mu, (alg.dim,) * 3)
-    ok, defect = is_metric(alg, mu, tol)
+    ok, defect = is_metric(alg, mu)
     if not ok:
         raise TensorShapeError(f"einstein_check requires a metric map (defect {defect:.2e})")
-    return ricci(alg, mu, tol)
+    return ricci(alg, mu)
 
 
-def ricci_skew_path(alg: MatrixAlgebra, t_form, tol: float = DEFAULT_TOL) -> np.ndarray:
+def ricci_skew_path(alg: MatrixAlgebra, t_form) -> np.ndarray:
     """Ricci of the metric connection with skew torsion T, via
 
         Ric = Ric_g - (1/4) sum_i <T(e_i,X), T(e_i,Y)> - (1/2) (delta T)(X,Y)
@@ -1003,7 +1003,7 @@ def ricci_skew_path(alg: MatrixAlgebra, t_form, tol: float = DEFAULT_TOL) -> np.
     t_form = _coo(t_form, (alg.dim,) * 3)
     skew_defect = max((t_form + t_form.transpose((1, 0, 2))).max_abs(),
                       (t_form + t_form.transpose((0, 2, 1))).max_abs())
-    if skew_defect > tol:
+    if skew_defect > DEFAULT_TOL:
         raise TensorShapeError("T must be a totally skew 3-tensor")
     mu = levi_civita_map(alg)
     ric_g = ricci_matrix(alg, mu)

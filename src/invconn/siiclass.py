@@ -606,23 +606,23 @@ def isotropy_from_embedding(host: str, pi: Character) -> Character:
 # Factorized cross-check for two-block external products
 # ---------------------------------------------------------------------------
 
-def external_cross_check(entry: IsotropyDatum, split_at: int | None = None) -> dict:
+def external_cross_check(entry: IsotropyDatum) -> dict:
     """Compare direct (a, s, l) with the factorized two-block computation.
 
-    The module must be a single external product V (x) W; by default W is the
-    last factor and V everything before it.
+    The module must be a single external product V (x) W, with W on the last
+    factor and V on everything before it.
     """
     if len(entry.constituents) != 1 or len(entry.factors) < 2:
         raise UsageError("cross-check needs a single external-product constituent")
     rs = entry.root_system()
-    cut = len(entry.factors) - 1 if split_at is None else split_at
+    cut = len(entry.factors) - 1
     summand = entry.constituents[0]
 
     rs_v = RootSystem(entry.factors[:cut])
     rs_w = RootSystem(entry.factors[cut:])
-    v = irrep_character(rs_v, rs_v.join(summand[:cut]))
-    w = irrep_character(rs_w, rs_w.join(summand[cut:]))
     lam_v, lam_w = rs_v.join(summand[:cut]), rs_w.join(summand[cut:])
+    v = irrep_character(rs_v, lam_v)
+    w = irrep_character(rs_w, lam_w)
 
     def counts(rsx, chi, lam):
         a2, s2, a3, s3, chi_a2 = squares_and_cubes(chi)
@@ -740,7 +740,6 @@ def emit_tables(pairs, fmt: str = "markdown") -> str:
     raise UsageError(f"unknown format {fmt!r}")
 
 
-def classify_catalog(entries=None, budget: Budget | None = None, path: str | None = None):
-    """Classify a list of rows (default: the whole bundled catalog), in order."""
-    entries = load_catalog(path) if entries is None else entries
+def classify_catalog(entries, budget: Budget | None = None):
+    """Classify a list of rows, in order."""
     return [(entry, classify(entry, budget=budget)) for entry in entries]

@@ -265,7 +265,7 @@ def test_c5_external_cross_checks(row_id):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_c6_un_battery_computable_checks(n):
-    checks = un_battery(n, tol=TOL, seed=SEED)
+    checks = un_battery(n, seed=SEED)
     bad = [c.name for c in checks if not c.passed and not c.expected_to_fail]
     gate(f"criterion 6: u({n}) battery (metricity, equivariance, type, phi, "
          f"calibration, two-path Ricci)", not bad, "; ".join(bad))
@@ -285,7 +285,7 @@ def _trace_form(alg, c_xy, c_xx):
 
 def _battery_flags(n, name):
     """Whether the u(n) battery reports the check `name` as a known erratum."""
-    checks = {c.name: c for c in un_battery(n, tol=TOL, seed=SEED)}
+    checks = {c.name: c for c in un_battery(n, seed=SEED)}
     return name in checks and not checks[name].passed and checks[name].expected_to_fail
 
 
@@ -339,7 +339,7 @@ def test_c6_n3_positivity():
 
 @pytest.mark.parametrize("name,n", [("su", 2), ("su", 3), ("so", 5)])
 def test_c7_einstein_battery_simple(name, n):
-    checks = einstein_battery(name, n, [-1.0, 0.5, 1.0, 2.0], tol=TOL)
+    checks = einstein_battery(name, n, [-1.0, 0.5, 1.0, 2.0])
     bad = [c.name for c in checks if not c.passed]
     gate(f"criterion 7: {name}({n}) Einstein, parallel torsion, flat +-1", not bad,
          "; ".join(bad))

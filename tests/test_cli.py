@@ -480,8 +480,8 @@ READS = {
     "classify": {"--format", "--budget", "--strict", "--catalog", "--output"},
     "table": {"--format", "--budget", "--strict", "--catalog", "--output"},
     "decompose": {"--output"},
-    "verify-un": {"--format", "--tolerance", "--seed", "--output"},
-    "einstein": {"--format", "--tolerance", "--output"},
+    "verify-un": {"--format", "--seed", "--output"},
+    "einstein": {"--format", "--output"},
     "catalog-dump": {"--format", "--catalog", "--output"},
 }
 # A cheap call of each command; the table sweeps the exception block under a tiny budget.

@@ -1132,3 +1132,21 @@ def test_only_coo_and_the_einsum_compute_flat_codes():
     assert {f for f in found if f[0] == "_codes"} and all(f[0] == "_codes" for f in found), found
     # The key count of the join is an unweighted bincount, which is allowed.
     assert not _sums_by_code(ast.parse("np.bincount(r_keys, minlength=nkeys)").body[0].value)
+
+
+def test_the_battery_threshold_is_one_constant():
+    # The float checks compare with `conncalc.DEFAULT_TOL` alone: no function
+    # takes a `tol`, the value is written once, and `cli` reads the constant.
+    package = pathlib.Path(cc.__file__).parent
+    params, literals = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.arg) and node.arg == "tol":
+                params.append((path.stem, node.lineno))
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and node.value == cc.DEFAULT_TOL):
+                literals.append(path.stem)
+    assert params == [] and literals == ["conncalc"], (params, literals)
+    cli_tree = ast.parse((package / "cli.py").read_text())
+    assert any(isinstance(node, ast.Attribute) and node.attr == "DEFAULT_TOL"
+               and getattr(node.value, "id", None) == "conncalc" for node in ast.walk(cli_tree))
