@@ -15,6 +15,10 @@ import numpy as np
 
 INT64_SAFE = 1 << 62  # int64 holds every code, product and sum below this
 
+# Largest single array the engines let outside input make them allocate
+# (128 MiB): `conncalc.build_algebra` and the `chars` folds refuse more.
+MAX_ARRAY_BYTES = 1 << 27
+
 
 def value_dtype(bound: int):
     """int64 when `bound`, which bounds every value, product and partial sum

@@ -42,33 +42,36 @@ rho.  The fold is batched: each numpy step reflects every row of the stack
 that still has a negative label, at its first negative label.  Its labels
 are int64 only while every label that a reflection can reach is below 2^59
 in size (a bound from the invariant norm, `RootSystem._orbit_label_factor`);
-otherwise it runs on Python ints.  `decompose_expression` makes one
-`decompose(chi, lam)` call for chi^2 and folds every other Adams term,
-psi2 chi = 2 supp chi, psi3 chi = 3 supp chi and chi^3 = sum over the
-constituents kappa of chi^2 of supp chi + kappa, with the same signed fold
-(`_fold_shifted`).  `plethysm_counts` folds chi^2 of chi = sum_j L(lam_j),
-the union of the stacks supp chi + lam_j, together with 2 supp chi and
-3 supp chi as one stack whose rows carry the index of their sum.  Every
-Racah-Speiser sum, `decompose`'s included, enters through `_fold_shifted`.
+otherwise it runs on Python ints.  `decompose_expression` folds chi^2,
+`decompose(chi, lam)`'s stack, together with psi2 chi = 2 supp chi, then
+a cube's chi^3 = sum over the constituents kappa of chi^2 of
+supp chi + kappa and psi3 chi = 3 supp chi (`_fold_shifted`), and refuses
+a chi or a stack over `MAX_ARRAY_BYTES` before building it.
+`plethysm_counts` folds chi^2 of chi = sum_j L(lam_j), the union of the
+stacks supp chi + lam_j, together with 2 supp chi and 3 supp chi as one
+stack whose rows carry the index of their sum.  Every Racah-Speiser sum,
+`decompose`'s included, enters through `_fold_shifted`.
 
 The numpy kernels code weights over a box (`_codes.Box`) so that a sum or
 difference of weights is a sum of codes.  `_convolve`, behind every
-materialized square and cube (`tensor`) and `PlethysmOps`'s chi^2, sums
-the products m1 * m2 per code (`_codes.sum_by_code`), and `_fold` the
-folded terms per dominant weight.  `_convolve_at`, behind the orbit sums,
-evaluates sum_j m_j table(nu - w_j) at every point nu of a Weyl orbit at
-once by looking the pair codes up among the table's sorted codes with
-`np.searchsorted`, and `decompose` looks every simple reflection of the
-support up the same way.  Nothing is computed in floating point.
+materialized square and cube and `PlethysmOps`'s chi^2, sums the products
+m1 * m2 per code (`_codes.sum_by_code`), for sym2 with psi2 chi and for
+alt2 with minus it, and `_fold` the folded terms per dominant weight.
+`_convolve_at`, behind the orbit sums, evaluates sum_j m_j table(nu - w_j)
+at every point nu of a Weyl orbit at once by looking the pair codes up
+among the table's sorted codes with `np.searchsorted`, and `decompose`
+looks every simple reflection of the support up the same way.  Nothing is
+computed in floating point.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 import numpy as np
 
-from ._codes import INT64_SAFE, Box, sum_by_code, value_dtype
+from ._codes import INT64_SAFE, MAX_ARRAY_BYTES, Box, sum_by_code, value_dtype
 from .rootsys import PreconditionError, RootSystem, Weight, _weight_array
 
 
@@ -128,6 +131,18 @@ class Character:
 
     def __repr__(self) -> str:
         return f"Character(dim={self.dim()}, support={self.support_size()})"
+
+
+def _nonzero_character(rs: RootSystem, mult: dict[Weight, int]) -> Character:
+    """A character whose map, which has no zero value, is taken as it is."""
+    chi = Character.__new__(Character)
+    chi.rs, chi.mult = rs, mult
+    return chi
+
+
+def _weight_map(weights: np.ndarray, values: np.ndarray) -> dict[Weight, int]:
+    """{row of `weights`: value}, the tuples built column by column."""
+    return dict(zip(zip(*weights.T.tolist()), values.tolist()))
 
 
 def _check_same_rs(a: Character, b: Character) -> None:
@@ -264,26 +279,20 @@ def irrep_character(rs: RootSystem, lam: Weight) -> Character:
     `freudenthal_multiplicities` on a simple system, the product of the
     factors' characters on a product."""
     lam = tuple(lam)
-    cached = rs._irrep_cache.get(lam)
-    if cached is not None:
-        return Character(rs, cached)
-    _check_highest_weight(rs, lam)
-
-    if len(rs.factors) > 1:
-        parts = rs.split(lam)
-        full: dict[Weight, int] = {(): 1}
-        for sub, part in zip(rs.factor_systems(), parts):
-            sub_char = irrep_character(sub, part).mult
-            full = {w1 + w2: m1 * m2 for w1, m1 in full.items() for w2, m2 in sub_char.items()}
+    full = rs._irrep_cache.get(lam)
+    if full is None:
+        _check_highest_weight(rs, lam)
+        if len(rs.factors) > 1:
+            full = {(): 1}
+            for sub, part in zip(rs.factor_systems(), rs.split(lam)):
+                sub_char = irrep_character(sub, part).mult
+                full = {w1 + w2: m1 * m2 for w1, m1 in full.items() for w2, m2 in sub_char.items()}
+        else:
+            full = freudenthal_multiplicities(rs, lam)
+            if sum(full.values()) != rs.weyl_dimension(lam):
+                raise InternalError(f"weight system of {lam} has wrong dimension")
         rs._irrep_cache[lam] = full
-        return Character(rs, full)
-
-    full = freudenthal_multiplicities(rs, lam)
-    rs._irrep_cache[lam] = full
-    chi = Character(rs, full)
-    if chi.dim() != rs.weyl_dimension(lam):
-        raise InternalError(f"weight system of {lam} has wrong dimension")
-    return chi
+    return _nonzero_character(rs, dict(full))  # a copy: callers may change theirs
 
 
 # ---------------------------------------------------------------------------
@@ -293,29 +302,33 @@ def irrep_character(rs: RootSystem, lam: Weight) -> Character:
 _BLOCK_PAIRS = 1 << 14  # weight pairs formed at once
 
 
+def _arrays(chi: Character) -> tuple[np.ndarray, list[int]]:
+    """The weights of chi as an (n, rank) array and their multiplicities."""
+    return _weight_array(list(chi.mult), chi.rs.rank), list(chi.mult.values())
+
+
 def tensor(a: Character, b: Character) -> Character:
     """Pointwise convolution of weight systems; dimensions multiply."""
     _check_same_rs(a, b)
-    rank = a.rs.rank
-    weights, values = _convolve(_weight_array(list(a.mult), rank), list(a.mult.values()),
-                                _weight_array(list(b.mult), rank), list(b.mult.values()))
-    return Character(a.rs, dict(zip(map(tuple, weights.tolist()), values.tolist())))
+    return _nonzero_character(a.rs, _weight_map(*_convolve(*_arrays(a), *_arrays(b))))
 
 
-def _convolve(wa: np.ndarray, ma: list[int], wb: np.ndarray,
-              mb: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _convolve(wa: np.ndarray, ma: list[int], wb: np.ndarray, mb: list[int],
+              psi2: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The product of two weight maps, exactly: the (n, rank) weights, given
     as the rows of `wa` and `wb`, and the multiplicities, given as lists of
     Python ints.  Returns the weights of the product in lexicographic order
-    and their nonzero values.
+    and their nonzero values.  With `psi2` = c and b the same map as a, the
+    result is a^2 + c psi2 a.
 
     Pair codes over the box of supp a + supp b, each weight measured from
-    the least corner of its own support so that codes add as weights do,
-    and products m1 * m2 are formed for blocks of rows of a and summed per
-    code (`sum_by_code`).  Multiplicities are int64 only while
-    sum|m_a| * sum|m_b| < 2^62, which bounds every product and every sum.
+    the least corner of its own support so that codes add as weights do
+    (so 2w has twice the code of w), and products m1 * m2 are formed for
+    blocks of rows of a and summed per code (`sum_by_code`).  Values are
+    int64 only while sum|m_a| * (sum|m_b| + |c|) < 2^62, which bounds every
+    product and every sum.
     """
-    mdt = value_dtype(sum(map(abs, ma)) * sum(map(abs, mb)))
+    mdt = value_dtype(sum(map(abs, ma)) * (sum(map(abs, mb)) + abs(psi2)))
     if not ma or not mb:
         return wa[:0], np.zeros(0, dtype=mdt)
     lo_a, lo_b = wa.min(0).tolist(), wb.min(0).tolist()
@@ -326,7 +339,9 @@ def _convolve(wa: np.ndarray, ma: list[int], wb: np.ndarray,
     rows = max(1, _BLOCK_PAIRS // len(cb))
     blocks = (((ca[i:i + rows, None] + cb).ravel(), (ma[i:i + rows, None] * mb).ravel())
               for i in range(0, len(ca), rows))
-    codes, vals = sum_by_code(blocks, box.size, len(ca) * len(cb))
+    if psi2:
+        blocks = itertools.chain(blocks, [(2 * ca, psi2 * ma)])
+    codes, vals = sum_by_code(blocks, box.size, len(ca) * (len(cb) + bool(psi2)))
     return box.decode(codes), vals
 
 
@@ -339,21 +354,21 @@ def adams(chi: Character, k: int) -> Character:
     return Character(chi.rs, {_wscale(w, k): m for w, m in chi.mult.items()})
 
 
-def _square_power(chi: Character, square: dict[Weight, int], sign: int) -> dict[Weight, int]:
-    """(chi^2 + sign psi2)/2 from `square`, the map of chi^2: alt2 for sign
-    -1, sym2 for sign +1."""
-    total = _lincomb((1, square), (sign, adams(chi, 2).mult))
-    del square  # alt2 and sym2 hold chi^2 nowhere else: free it before dividing
-    return _divided(total, 2)
+def _square(chi: Character, sign: int) -> Character:
+    """(chi^2 + sign psi2 chi)/2 from one `_convolve` pass, the division
+    checked on the array: alt2 for sign -1, sym2 for sign +1."""
+    w, m = _arrays(chi)
+    weights, values = _convolve(w, m, w, m, sign)
+    return _nonzero_character(chi.rs, _weight_map(weights, _divided_at(values, 2)))
 
 
 def alt2(chi: Character) -> Character:
     """Exterior square of a genuine character."""
-    return Character(chi.rs, _square_power(chi, tensor(chi, chi).mult, -1))
+    return _square(chi, -1)
 
 
 def sym2(chi: Character) -> Character:
-    return Character(chi.rs, _square_power(chi, tensor(chi, chi).mult, 1))
+    return _square(chi, 1)
 
 
 def _cube_products(chi: Character, square: Character) -> tuple[dict[Weight, int], ...]:
@@ -378,9 +393,10 @@ def sym3(chi: Character) -> Character:
 
 def squares_and_cubes(chi: Character) -> tuple[Character, ...]:
     """alt2, sym2, alt3, sym3 and chi * alt2 of chi, materialized from four
-    tensor products: chi^2, chi^3 = chi^2 * chi, chi * psi2 and chi * alt2."""
+    tensor products: chi^2, chi^3 = chi^2 * chi, chi * psi2 and chi * alt2;
+    alt2 = (chi^2 - psi2)/2 from the map of chi^2, with no second square."""
     square = tensor(chi, chi)
-    a2 = Character(chi.rs, _square_power(chi, square.mult, -1))
+    a2 = Character(chi.rs, _divided(_lincomb((1, square.mult), (-1, adams(chi, 2).mult)), 2))
     products = _cube_products(chi, square)
     a3, s3 = (Character(chi.rs, _cube_power(chi, *products, sign)) for sign in (-1, 1))
     return a2, square - a2, a3, s3, tensor(chi, a2)
@@ -584,7 +600,14 @@ def _fold(rs: RootSystem, stack: np.ndarray, values: np.ndarray,
     lo, hi = lams.min(0).tolist(), lams.max(0).tolist()
     box = Box(lo, hi, lo + hi)
     codes, values = sum_by_code([(box.encode(lams), values)], box.size, len(lams))
-    return list(zip(map(tuple, box.decode(codes).tolist()), values.tolist()))
+    return list(_weight_map(box.decode(codes), values).items())
+
+
+def _check_size(rows: int, width: int, what: str) -> None:
+    """`UsageError` when an int64 array of rows x width would exceed
+    `MAX_ARRAY_BYTES`."""
+    if rows * width * 8 > MAX_ARRAY_BYTES:
+        raise UsageError(f"{what} would take more than {MAX_ARRAY_BYTES >> 20} MiB")
 
 
 def _fold_shifted(rs: RootSystem, weights: np.ndarray, mults: list[int],
@@ -599,8 +622,11 @@ def _fold_shifted(rs: RootSystem, weights: np.ndarray, mults: list[int],
     All stacks are one fold (`_fold`, with one group per stack).  Labels
     follow `_fold_dtype` on the whole shifted stack; values are int64 while
     sum |coeffs| * sum |mults| < 2^62 for every stack, which bounds every
-    value and every sum.
+    value and every sum.  A stack of rows that would take more than
+    `MAX_ARRAY_BYTES` as int64 is refused before it is built (`UsageError`).
     """
+    size = len(weights) * sum(len(blocks) for blocks, _ in stacks)
+    _check_size(size, rs.rank + 1, f"a Racah-Speiser fold of {size} weights")
     rows = _shifted_stack(weights, [(k, _wadd(s, rs.rho))
                                      for blocks, _ in stacks for k, s in blocks])
     rows = rows.astype(_fold_dtype(rs, rows), copy=False)
@@ -610,8 +636,8 @@ def _fold_shifted(rs: RootSystem, weights: np.ndarray, mults: list[int],
     sizes = [len(blocks) * len(weights) for blocks, _ in stacks]
     groups = np.repeat(np.arange(len(stacks)), sizes)
     out: list[dict[Weight, int]] = [{} for _ in stacks]
-    for (group, *lam), m in _fold(rs, rows, values, groups):
-        out[group][tuple(lam)] = m
+    for key, m in _fold(rs, rows, values, groups):
+        out[key[0]][key[1:]] = m
     return out
 
 
@@ -650,13 +676,22 @@ def decompose(chi: Character, lam: Weight | None = None) -> list[tuple[Weight, i
     and its first reflection, or not genuine, and `PreconditionError` for a
     `lam` that is not a dominant weight of the right length.
     """
-    rs, mult = chi.rs, chi.mult
+    rs = chi.rs
     shift = (0,) * rs.rank
     if lam is not None:
         shift = tuple(lam)
         _check_highest_weight(rs, shift)
-    if not mult:
+    if not chi.mult:
         return []
+    (terms,) = _racah_speiser(chi, shift)
+    return _by_height(rs, terms.items())
+
+
+def _racah_speiser(chi: Character, lam: Weight, *stacks) -> list[dict[Weight, int]]:
+    """RS(chi * L(lam)), then RS of each further stack (`_fold_shifted`), as
+    maps from one fold, for a nonzero chi and a dominant lam; `UsageError`
+    when chi is not Weyl-invariant or chi * L(lam) is not genuine."""
+    rs, mult = chi.rs, chi.mult
     table = _WeightTable.of(mult, rs.rank, value_dtype(sum(map(abs, mult.values()))))
     weights = table.weights.astype(_fold_dtype(rs, table.weights), copy=False)
     failures = _invariance_failures(rs, table, weights)
@@ -664,11 +699,10 @@ def decompose(chi: Character, lam: Weight | None = None) -> list[tuple[Weight, i
         w = next(w for w in mult if w in failures)
         raise UsageError(f"character is not Weyl-invariant: weight {w} and its "
                          f"reflection s_{failures[w] + 1} have different multiplicities")
-
-    (terms,) = _fold_shifted(rs, weights, table.values.tolist(), ([(1, shift)], [1]))
+    terms, *rest = _fold_shifted(rs, weights, table.values.tolist(), ([(1, lam)], [1]), *stacks)
     if any(m < 0 for m in terms.values()):
         raise UsageError("not a genuine character: negative multiplicity of an irreducible")
-    return _by_height(rs, terms.items())
+    return [terms, *rest]
 
 
 def expand(rs: RootSystem, terms) -> Character:
@@ -754,11 +788,9 @@ def decompose_expression(rs: RootSystem, name: str, lam: Weight,
     """The constituents of one of `EXPRESSIONS` of chi = L(lam), as `decompose`
     would return them for the materialized character, without building it.
 
-    The first stage is one `decompose(chi, lam)`, which is chi^2 (for
-    `tensor` with `mu`, `decompose(chi, mu)`, which is chi * L(mu) and the
-    whole answer).  Every other Adams term is one signed fold (`_fold`) of
-    shifted copies of supp chi, with q_kappa = [chi^2 : kappa] and
-    p_kappa = [psi2 chi : kappa]:
+    One fold gives q_kappa = [chi^2 : kappa], that of `decompose(chi, lam)`,
+    and p_kappa = [psi2 chi : kappa] (for `tensor` with `mu`, chi * L(mu),
+    the whole answer); a cube takes a second fold of shifted copies of supp chi:
 
         alt2, sym2 = (q -+ RS(2 supp chi)) / 2
         alt3, sym3 = RS(sum_kappa (q_kappa -+ 3 p_kappa) (supp chi + kappa)
@@ -772,30 +804,31 @@ def decompose_expression(rs: RootSystem, name: str, lam: Weight,
     and every result to be genuine (`InternalError` otherwise).  Values are
     int64 while sum |c| * dim chi < 2^62 over the fold's coefficients c.
 
-    Raises `UsageError` for an unknown name, or for `mu` with any expression
-    but `tensor`.
+    Raises `UsageError` for an unknown name, for `mu` with any expression
+    but `tensor`, or, before building it, for a chi or a fold stack over
+    `MAX_ARRAY_BYTES` as int64.
     """
     if name not in EXPRESSIONS:
         raise UsageError(f"unknown expression {name!r}; expected one of {EXPRESSIONS}")
-    lam = tuple(lam)
-    chi = irrep_character(rs, lam)
     if mu is not None and name != "tensor":
         raise UsageError(f"only the tensor expression takes a second highest weight, "
                          f"not {name}")
-    square = decompose(chi, lam if mu is None else mu)
+    lam = tuple(lam)
+    _check_highest_weight(rs, lam)
+    _check_size(rs.weyl_dimension(lam), rs.rank, f"the weights of L{lam}")
+    chi = irrep_character(rs, lam)
     if name == "tensor":
-        return square
+        return decompose(chi, lam if mu is None else mu)
 
-    fold = functools.partial(_fold_shifted, rs, _weight_array(list(chi.mult), rs.rank),
-                             list(chi.mult.values()))
+    fold = functools.partial(_fold_shifted, rs, *_arrays(chi))
     zero = (0,) * rs.rank
-    q = dict(square)
     if name == "plethysm21":
+        (q,) = _racah_speiser(chi, lam)
         (chi3,) = fold(([(1, kappa) for kappa in q] + [(3, zero)], [*q.values(), -1]))
         out = _divided(chi3, 3)
     else:
         sign = 1 if name.startswith("sym") else -1
-        (p,) = fold(([(2, zero)], [1]))
+        q, p = _racah_speiser(chi, lam, ([(2, zero)], [1]))
         if name in ("alt2", "sym2"):
             out = _divided(_lincomb((1, q), (sign, p)), 2)
         else:
@@ -828,8 +861,7 @@ def plethysm_counts(chi: Character, hws) -> tuple[int, int, int, int]:
     rs = chi.rs
     hws = [tuple(lam) for lam in hws]
     zero = (0,) * rs.rank
-    q, p, p3 = _fold_shifted(rs, _weight_array(list(chi.mult), rs.rank), list(chi.mult.values()),
-                             ([(1, lam) for lam in hws], [1] * len(hws)),
+    q, p, p3 = _fold_shifted(rs, *_arrays(chi), ([(1, lam) for lam in hws], [1] * len(hws)),
                              ([(2, zero)], [1]), ([(3, zero)], [1]))
 
     def alt(lam):

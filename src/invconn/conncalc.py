@@ -66,7 +66,7 @@ import numbers
 
 import numpy as np
 
-from ._codes import INT64_SAFE, Box, run_sums, sum_by_code, value_dtype
+from ._codes import INT64_SAFE, MAX_ARRAY_BYTES, Box, run_sums, sum_by_code, value_dtype
 
 
 class AlgebraError(ValueError):
@@ -84,10 +84,6 @@ DEFAULT_TOL = 1e-9
 # Entries of one block of a derivative that a defect reduces without holding
 # the whole d^4 tensor (8 MiB of float64); a block is at least one Z slice.
 _BLOCK_ENTRIES = 1 << 20
-
-# Largest single array `build_algebra` lets the engine allocate (128 MiB):
-# u(14), su(14) and so(18) are the largest algebras it accepts.
-MAX_ARRAY_BYTES = 1 << 27
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +512,8 @@ def build_algebra(name: str, n: int) -> MatrixAlgebra:
     """Standard orthonormal bases for u(n), su(n), so(n).
 
     Sizes whose largest array (`_largest_array_bytes`) exceeds
-    `MAX_ARRAY_BYTES` are refused before anything is allocated.
+    `MAX_ARRAY_BYTES` (128 MiB) are refused before anything is allocated:
+    u(14), su(14) and so(18) are the largest algebras accepted.
     """
     if n < 2:
         raise AlgebraError("n >= 2 required")

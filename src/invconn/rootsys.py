@@ -5,9 +5,10 @@ Weights are stored as tuples of integers in Dynkin-label coordinates
 labels of their factors; every structural object (Cartan matrix, positive
 roots, invariant pairing) is the block direct sum of the factor data, which
 is computed once per simple type, and `signed_orbit` is the product of the
-factor orbits.  `factor_systems` of a simple system is the system itself,
-so the per-weight caches a system keeps (characters and dominant weights,
-filled by `chars`) serve every caller that splits it into factors.
+factor orbits; the data derived from them is built once per process for
+each factor tuple.  `factor_systems` of a simple system is the system
+itself, so the per-weight caches a system keeps (characters and dominant
+weights, filled by `chars`) serve every caller that splits it into factors.
 
 A Weyl orbit is built one layer at a time from its dominant weight,
 reflecting each point only at its positive labels (`_orbit`): layer k holds
@@ -259,14 +260,33 @@ class SignedOrbit:
         return len(self.signs)
 
 
+class _per_factors(functools.cached_property):
+    """A `cached_property` of `RootSystem`, a pure function of `factors`,
+    built once per process for each factor tuple and shared by every system
+    with those factors; characters and dominant weights stay per system."""
+
+    def __init__(self, func):
+        super().__init__(func)
+        self.shared = {}
+
+    def __get__(self, rs, owner=None):
+        if rs is None:
+            return self
+        if rs.factors not in self.shared:
+            self.shared[rs.factors] = self.func(rs)
+        value = rs.__dict__[self.attrname] = self.shared[rs.factors]
+        return value
+
+
 class RootSystem:
     """Root data for a finite product of simple types.
 
     The instance is immutable after construction and safe to share; all
     operations are pure functions of their arguments.  The derived data
     (positive roots, Weyl order, inverse Cartan matrix and pairing) is built
-    from the per-type caches on first use, so a system whose only use is a
-    reflection or a dual weight costs little more than its Cartan matrix.
+    from the per-type caches on first use, once per factor tuple
+    (`_per_factors`), so a system whose only use is a reflection or a dual
+    weight costs little more than its Cartan matrix.
     """
 
     def __init__(self, factors):
@@ -303,9 +323,9 @@ class RootSystem:
         self._dominant_cache: dict[Weight, tuple[Weight, ...]] = {}
         self._factor_systems: list[RootSystem] | None = None
 
-    # -- derived data, built on first use -----------------------------------------
+    # -- derived data, built on first use once per factor tuple -------------------
 
-    @functools.cached_property
+    @_per_factors
     def _gram(self) -> list[list[Fraction]]:
         """Pairing of fundamental weights: F[i][j] = d_i * (A^-1)[j][i]."""
         n = self.rank
@@ -315,13 +335,13 @@ class RootSystem:
                 out[a + i][a:b] = row
         return out
 
-    @functools.cached_property
+    @_per_factors
     def _gram_int(self) -> list[list[int]]:
         """`_gram` scaled to integers by the lcm of its denominators."""
         scale = math.lcm(*(x.denominator for row in self._gram for x in row))
         return [[x.numerator * (scale // x.denominator) for x in row] for row in self._gram]
 
-    @functools.cached_property
+    @_per_factors
     def _orbit_label_factor(self) -> int:
         """An integer K such that every point of the Weyl orbit of a weight
         whose labels are at most m in size has labels at most K m in size.
@@ -333,7 +353,7 @@ class RootSystem:
         """
         return math.isqrt(math.ceil(6 * sum(map(_pairing_size, self.factors)))) + 1
 
-    @functools.cached_property
+    @_per_factors
     def _scaled_inverse(self) -> tuple[int, list[list[int]]]:
         """(det A, det(A) A^-1) for the Cartan matrix A: the determinant and an
         integer matrix, block diagonal, the block of factor f being
@@ -347,7 +367,7 @@ class RootSystem:
                 out[a + i][a:b] = [det // det_f * x for x in row]
         return det, out
 
-    @functools.cached_property
+    @_per_factors
     def _coord_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Column i of det(A) A^-1 as its nonzero (j, entry) pairs: det(A) times
         the i-th root coordinate of w is sum(entry * w[j])."""
@@ -355,13 +375,13 @@ class RootSystem:
         return tuple(tuple((j, row[i]) for j, row in enumerate(scaled) if row[i])
                      for i in range(self.rank))
 
-    @functools.cached_property
+    @_per_factors
     def _height_vector(self) -> tuple[int, ...]:
         """Row sums of det(A) A^-1: the integer height key
         sum(h[j] * w[j]) of a weight w is det(A) times its height."""
         return tuple(sum(row) for row in self._scaled_inverse[1])
 
-    @functools.cached_property
+    @_per_factors
     def _positive(self) -> list[tuple[Weight, tuple[int, ...]]]:
         """Positive roots with their simple-root coordinates, by height: those
         of the factors, padded with zeros to the other factors' labels."""
@@ -377,15 +397,15 @@ class RootSystem:
                 f"positive-root generation produced {len(pos)}, expected {expected}")
         return pos
 
-    @functools.cached_property
+    @_per_factors
     def pos_roots(self) -> tuple[Weight, ...]:
         return tuple(w for w, _ in self._positive)
 
-    @functools.cached_property
+    @_per_factors
     def pos_root_coords(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for _, c in self._positive)
 
-    @functools.cached_property
+    @_per_factors
     def weyl_order(self) -> int:
         return math.prod(f.weyl_order for f in self.factors)
 
@@ -566,7 +586,7 @@ class RootSystem:
 
     # -- representation-theoretic helpers ---------------------------------------
 
-    @functools.cached_property
+    @_per_factors
     def _dimension_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """For every positive root beta, the integer vector c with
         sum(c * w) = <w, beta> in the scale of `_gram_int`, and <rho, beta>."""
@@ -577,7 +597,7 @@ class RootSystem:
             rows.append((c, sum(c)))
         return tuple(rows)
 
-    @functools.cached_property
+    @_per_factors
     def _rho_denominator(self) -> int:
         """The product of <rho, beta> over the positive roots beta."""
         return math.prod(r for _, r in self._dimension_rows)

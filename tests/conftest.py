@@ -181,6 +181,23 @@ def tensor_reference():
     return _tensor_reference
 
 
+def _square_reference(chi, sign):
+    """(chi^2 + sign psi2 chi)/2 by the Adams formula on dicts: chi^2 from
+    `_tensor_reference`, psi2 chi by doubling every weight, and an exact
+    division at every weight; alt2 for sign -1, sym2 for sign +1."""
+    total = dict(_tensor_reference(chi, chi).mult)
+    for w, m in chi.mult.items():
+        w2 = tuple(2 * x for x in w)
+        total[w2] = total.get(w2, 0) + sign * m
+    assert all(m % 2 == 0 for m in total.values())
+    return Character(chi.rs, {w: m // 2 for w, m in total.items()})
+
+
+@pytest.fixture(scope="session")
+def square_reference():
+    return _square_reference
+
+
 # ---------------------------------------------------------------------------
 # Reference algorithms for the character build: the earlier searches, which
 # the engine's layered orbit, root-subtraction search and table-reading

@@ -414,6 +414,48 @@ def test_tensor_edge_cases(a2):
         tensor(ad, irrep_character(RootSystem([SimpleType("A", 2)]), (1, 1)))
 
 
+def test_root_data_is_shared_and_characters_are_not(monkeypatch):
+    # Two systems with the same factors build their derived data once, but
+    # each keeps its own characters, which do not mix.
+    prop = RootSystem.__dict__["_dimension_rows"]
+    real, builds = prop.func, []
+    monkeypatch.setattr(prop, "shared", {})
+    monkeypatch.setattr(prop, "func", lambda rs: builds.append(rs) or real(rs))
+    a, b = RootSystem([SimpleType("A", 2)]), RootSystem([SimpleType("A", 2)])
+    assert a.weyl_dimension((1, 1)) == b.weyl_dimension((1, 1)) == 8
+    assert builds == [a] and a._dimension_rows is b._dimension_rows
+    with pytest.raises(UsageError, match="different root systems"):
+        tensor(irrep_character(a, (1, 1)), irrep_character(b, (1, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_SYSTEMS[1:]).flatmap(_kernel_character))
+def test_squares_match_the_adams_formula(square_reference, chi):
+    assert alt2(chi) == square_reference(chi, -1)
+    assert sym2(chi) == square_reference(chi, 1)
+    assert alt2(chi) + sym2(chi) == tensor(chi, chi)
+
+
+def test_squares_int64_guards(square_reference, a2, monkeypatch):
+    # Multiplicities near 2^40, and weights beyond int64: chi^2 and psi2 chi
+    # are summed and halved as Python ints.
+    dtypes = []
+    real = chars._convolve
+
+    def spy(*args):
+        weights, values = real(*args)
+        dtypes.append(values.dtype)
+        return weights, values
+
+    monkeypatch.setattr(chars, "_convolve", spy)
+    for chi in (Character(a2, {(2, -1): 2 ** 40 + 1, (0, 1): -(2 ** 41), (1, 1): 3}),
+                Character(a2, {(2 ** 70, 0): 2 ** 41, (0, -2 ** 65): -(2 ** 41), (1, 1): 3})):
+        dtypes.clear()
+        assert alt2(chi) == square_reference(chi, -1)
+        assert sym2(chi) == square_reference(chi, 1)
+        assert dtypes == [object, object]
+
+
 def _spread_character(rs, rnd, size, radius, mult):
     return Character(rs, {tuple(rnd.randint(-radius, radius) for _ in range(rs.rank)):
                           rnd.choice([-1, 1]) * rnd.randint(1, mult) for _ in range(size)})
@@ -732,6 +774,18 @@ def test_brauer_klimyk_int64_guards(monkeypatch):
     monkeypatch.setattr(chars, "_fold_dtype", lambda rs, weights: object)
     monkeypatch.setattr(chars, "value_dtype", lambda bound: object)
     assert [decompose_expression(rs, name, lam) for rs, lam, name in cases] == expected
+
+
+def test_each_expression_makes_one_fold_for_its_squares(a2, monkeypatch):
+    # chi^2 and psi2 chi come from one fold; the cubes take a second.
+    folds = []
+    real = chars._fold
+    monkeypatch.setattr(chars, "_fold", lambda *args: folds.append(args) or real(*args))
+    for name, count in (("tensor", 1), ("alt2", 1), ("sym2", 1), ("alt3", 2), ("sym3", 2),
+                        ("plethysm21", 2)):
+        folds.clear()
+        decompose_expression(a2, name, (1, 1))
+        assert len(folds) == count, name
 
 
 def test_decompose_expression_checks_every_division(a2, monkeypatch):

@@ -142,6 +142,34 @@ def test_decompose_never_materializes(capsys, monkeypatch, argv):
     assert (code, err) == (0, "") and "total dimension" in out
 
 
+def test_decompose_refuses_arrays_over_the_limit(capsys, monkeypatch):
+    # A character too large for the limit is refused before it is built, and
+    # a fold too large for it before its stack is: one `error:` line each.
+    from invconn import chars
+
+    def refuse(*args):
+        raise AssertionError("the character was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chars, "irrep_character", refuse)
+        code, out, err = run(capsys, "decompose", "A1", "sym3", "--hw", "99999999999999999999")
+    assert (code, out) == (2, "")
+    assert err == ("error: the weights of L(99999999999999999999,) would take more "
+                   "than 128 MiB\n")
+    # L(300) of A1 has 301 weights: the fold of chi^2 and psi2 chi stacks 602
+    # rows of 2 labels, the cube fold 301 per constituent of chi^2, which a
+    # 1 MiB limit refuses.
+    stacks = []
+    real = chars._shifted_stack
+    monkeypatch.setattr(chars, "MAX_ARRAY_BYTES", 1 << 20)
+    monkeypatch.setattr(chars, "_shifted_stack",
+                        lambda weights, blocks: stacks.append(len(weights) * len(blocks))
+                        or real(weights, blocks))
+    code, out, err = run(capsys, "decompose", "A1", "sym3", "--hw", "300")
+    assert (code, out, stacks) == (2, "", [602])
+    assert err == "error: a Racah-Speiser fold of 90902 weights would take more than 1 MiB\n"
+
+
 def test_decompose_checks_the_dimension_bookkeeping(capsys, monkeypatch):
     from invconn import cli
 
