@@ -451,6 +451,10 @@ class MatrixAlgebra:
     holds the structure coefficients c[i,j,k] of [e_i, e_j] = sum_k c[i,j,k] e_k
     as a Coo and `killing` the Killing form over the basis.
 
+    Independence: G, the Gram matrix of -Re tr, must have an inverse with
+    ||G||_F ||G^-1||_F d eps < 1.  As cond_F >= cond_2, this rejects without
+    an SVD whatever numpy's `matrix_rank(G) < d`, cond_2 >= 1/(d eps), does.
+
     The products e_i e_j are einsums of the nonzeros of the basis matrices.
     The constructor checks closure: every commutator must equal its
     expansion up to 1e-11 * max(1, max|[e_i, e_j]|), and the largest entry
@@ -466,10 +470,15 @@ class MatrixAlgebra:
         self.dim = len(basis)
 
         gram = -np.real(np.einsum("iab,jba->ij", self.basis, self.basis))
-        if np.linalg.matrix_rank(gram) < self.dim:
-            raise AlgebraError(f"{name}: basis is not linearly independent")
         # Inverse Gram matrix of -Re tr: the dual basis that `coeffs` reads through.
-        self._dual = np.linalg.inv(gram)
+        try:
+            self._dual = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        else:
+            cond = np.linalg.norm(gram) * np.linalg.norm(self._dual)
+        if not cond * self.dim * np.finfo(float).eps < 1.0:  # NaN rejects too
+            raise AlgebraError(f"{name}: basis is not linearly independent")
         self._basis = e = Coo.from_dense(self.basis)
 
         comm = _einsum_sum([("iab,jbc->ijac", e, e, 1), ("ibc,jab->ijac", e, e, -1)])

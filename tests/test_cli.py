@@ -227,6 +227,23 @@ def test_verify_un_3_does_not_import_numpy_random():
     assert not imported & {"numpy.random", "secrets"}
 
 
+def test_batteries_run_without_an_svd(capsys, monkeypatch):
+    # The algebra build reads independence from its inverse Gram matrix:
+    # no battery maps LAPACK's SVD into the process (about 1.1 MB of RSS).
+    import numpy as np
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    # matrix_rank calls the svd of its own module.
+    monkeypatch.setitem(np.linalg.matrix_rank.__wrapped__.__globals__, "svd", no_svd)
+    code, out, _ = run(capsys, "verify-un", "3")
+    assert code == 1 and "FAIL (known upstream data error)" in out
+    code, out, _ = run(capsys, "einstein", "su3", "--alphas=-1,1")
+    assert code == 0 and out
+
+
 def test_einstein_commands(capsys):
     code, out, _ = run(capsys, "einstein", "su3", "--alphas", "0.5,1,2")
     assert code == 0

@@ -329,8 +329,44 @@ def test_rescaled_algebra_coefficients(su3, matrix_reference):
     mu = random_bilinear(8, rng)
     der, _ = matrix_reference(alg, mu)
     assert np.abs(der_tensor(alg, mu) - der).max() < 1e-10
-    with pytest.raises(cc.AlgebraError, match="linearly independent"):
-        cc.MatrixAlgebra("dependent", 3, [su3.basis[0]] * 8)
+
+
+def _gram_rank(basis) -> int:
+    """The SVD reference: numpy's rank of the Gram matrix of -Re tr."""
+    basis = np.asarray(basis)
+    return int(np.linalg.matrix_rank(-np.real(np.einsum("iab,jba->ij", basis, basis))))
+
+
+def test_independence_is_read_from_the_inverse_gram_matrix(su3):
+    # Gram matrices singular exactly or within rounding (`inv` raises), of
+    # condition 1e18, or with a NaN entry (the norm check) all reject.  The
+    # NaN basis makes the SVD reference itself fail to converge.
+    near = su3.basis.copy()
+    near[-1] = (su3.basis[0] + su3.basis[1]) / np.sqrt(2) + 1e-15 * su3.basis[7]
+    nan = su3.basis.copy()
+    nan[2, 0, 1] = np.nan
+    for basis in ([su3.basis[0]] * 8, near, nan):
+        with pytest.raises(cc.AlgebraError, match="not linearly independent"):
+            cc.MatrixAlgebra("dependent", 3, basis)
+    with pytest.raises(cc.AlgebraError, match="not linearly independent"):
+        cc.rescaled_algebra(su3, np.geomspace(1, 1e-9, 8))
+    with pytest.raises(np.linalg.LinAlgError):
+        _gram_rank(nan)
+    # Orthogonal mixes of the so(5) basis build, with the reference's rank d.
+    so5 = cc.build_algebra("so", 5)
+    for seed in range(4):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((10, 10)))
+        mix = np.einsum("ij,jab->iab", q, so5.basis)
+        assert cc.MatrixAlgebra("so5-mix", 5, mix).dim == _gram_rank(mix) == 10
+    # Mixes of Gram condition 1e16 and beyond have the reference's rank
+    # below d, and the check rejects them all.
+    for k in range(8, 12):
+        rng = np.random.default_rng(k)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((10, 10)))[0] for _ in range(2))
+        mix = np.einsum("ij,jab->iab", q1 @ np.diag(np.geomspace(1, 10.0**-k, 10)) @ q2, so5.basis)
+        assert _gram_rank(mix) < 10
+        with pytest.raises(cc.AlgebraError, match="not linearly independent"):
+            cc.MatrixAlgebra("so5-mix", 5, mix)
 
 
 def test_coeffs_of_a_stack(u3):
@@ -1150,3 +1186,21 @@ def test_the_battery_threshold_is_one_constant():
     cli_tree = ast.parse((package / "cli.py").read_text())
     assert any(isinstance(node, ast.Attribute) and node.attr == "DEFAULT_TOL"
                and getattr(node.value, "id", None) == "conncalc" for node in ast.walk(cli_tree))
+
+
+def test_numpy_linalg_use_is_inv_and_norm():
+    # The first call of a LAPACK routine maps its code and workspace into the
+    # process for good: an SVD adds about 1.1 MB of peak RSS, an LU inverse
+    # 0.5 MB, a Cholesky 0.08 MB after the LU.  The package reads
+    # independence from the inverse it needs anyway and calls no other
+    # routine; `norm` of an array is no LAPACK call.
+    package = pathlib.Path(cc.__file__).parent
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "linalg":
+                used.add(node.attr)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):  # only as np.linalg.<name>
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert not any("linalg" in name for name in names), path.stem
+    assert used == {"inv", "norm", "LinAlgError"}, used
