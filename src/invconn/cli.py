@@ -18,13 +18,17 @@ import math
 import random
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import conncalc, siiclass
+from . import siiclass
 from .chars import EXPRESSIONS, UsageError, decompose_expression
 from .rootsys import RootSystem, SimpleType
 from .siiclass import Budget, RangeError
+
+if TYPE_CHECKING:
+    from . import conncalc
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -69,10 +73,14 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
     """
     if n < 3:
         raise RangeError("the u(n) battery requires n >= 3")
+    from . import conncalc  # the numeric engine, loaded by the battery commands only
     tol = conncalc.DEFAULT_TOL
     alg = conncalc.build_algebra("u", n)
     maps = conncalc.laquer_basis(alg)
     w = maps["mu4"] - maps["mu5"]
+    # First, while no other check has cached join preparations on the
+    # patterns; its line is still printed last.
+    defect_w = conncalc.derivation_defect(alg, w)
     checks: list[Check] = []
 
     worst = max(conncalc.equivariance_defect(alg, maps[k]) for k in
@@ -98,6 +106,8 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
     checks.append(Check("torsion of mu4 - mu5 is -nu - [.,.]", terr < tol, _fmt(terr)))
 
     mv = conncalc.vectorial_metric_map(alg, maps)
+    # No check below reads these: their patterns' join preparations go too.
+    del maps, w, t
     cond = conncalc.torsion_type_conditions(alg, mv)
     dec = cond.decomposition
     phi_expected = np.array([float(np.real(-1j * np.trace(b))) for b in alg.basis])
@@ -147,7 +157,6 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
         checks.append(Check("n=3: Ricci positive on 1000 random directions",
                             low > 0, f"min={low:.3f}", expected_to_fail=True))
 
-    defect_w = conncalc.derivation_defect(alg, w)
     checks.append(Check("mu4 - mu5 is not a derivation", defect_w > tol, _fmt(defect_w)))
     return checks
 
@@ -171,6 +180,7 @@ def einstein_battery(name: str, n: int, alphas) -> list[Check]:
     Einstein only for the flat members alpha = +-1, and the center direction
     is the obstruction otherwise.
     """
+    from . import conncalc
     alg = conncalc.build_algebra(name, n)
     simple = name in ("su", "so")
     checks: list[Check] = []

@@ -214,17 +214,44 @@ def test_un3_random_directions_reach_the_lowest_eigenvalue(seed):
     assert check.detail == "min=-19.500" and not check.passed and check.expected_to_fail
 
 
+def _run_importing(*args):
+    """`python -X importtime *args` in a fresh process: the process and the
+    set of modules it imported."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=120, env=env)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    return proc, imported
+
+
 def test_verify_un_3_does_not_import_numpy_random():
     # numpy.random would load secrets, hashlib and OpenSSL: 5 MB of RSS
     # for the 9000 seeded numbers of the n = 3 check.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "invconn.cli", "verify-un", "3"],
-                          capture_output=True, text=True, timeout=120, env=env)
+    proc, imported = _run_importing("-m", "invconn.cli", "verify-un", "3")
     assert proc.returncode == 1 and "FAIL (known upstream data error)" in proc.stdout
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
     assert "invconn.conncalc" in imported
     assert not imported & {"numpy.random", "secrets"}
+
+
+@pytest.mark.parametrize("argv", [["table", "--only", "table4"], ["classify", "G2/SU3"],
+                                  ["decompose", "A2", "alt2", "--hw", "1,0"], ["catalog-dump"]])
+def test_exact_commands_do_not_import_the_numeric_engine(argv):
+    proc, imported = _run_importing("-m", "invconn.cli", *argv)
+    # `table --only table4` exits 1 on the SO8/Sp2xSp1 erratum.
+    assert proc.returncode == (argv[0] == "table") and proc.stdout
+    assert "invconn.chars" in imported and "invconn.conncalc" not in imported
+
+
+def test_package_import_loads_its_names_on_first_use():
+    proc, imported = _run_importing("-c", "import json, invconn; print(json.dumps(dir(invconn)))")
+    assert proc.returncode == 0
+    assert not {m for m in imported if m.startswith("invconn.")} and "numpy" not in imported
+    assert set(invconn.__all__) <= set(json.loads(proc.stdout))
+    for name in invconn.__all__:
+        assert getattr(invconn, name).__name__ == name
+    with pytest.raises(AttributeError):
+        invconn.no_such_name
 
 
 def test_batteries_run_without_an_svd(capsys, monkeypatch):
@@ -504,9 +531,12 @@ def test_un_battery_10_peak_memory():
 
 
 def test_un_battery_10_peak_memory_with_small_join_blocks():
-    # A join block of 2^15 products holds 1 MiB in its four arrays, so the
-    # peak is set by the maps and their join preparations.
-    assert _un_battery_10_peak() <= 8 << 20
+    # A join block of 2^15 products holds 1 MiB in its four arrays. The
+    # derivation defect runs before other checks cache join preparations,
+    # and the Laquer maps go once no check reads them, so no check runs on
+    # top of the others' preparations: the equivariance, derivation and
+    # Ricci checks all peak within 0.1 MiB of the 3.5 MiB maximum.
+    assert _un_battery_10_peak() <= 5 << 20
 
 
 def test_verify_un_builds_the_laquer_maps_once(monkeypatch):
