@@ -4,6 +4,8 @@ A `Box` numbers the integer points lo..hi in mixed radix, the first
 coordinate the most significant digit, so that code order is lexicographic
 order and adding points adds codes.  `sum_by_code` sums values per code,
 and `run_sums` per run of equal codes in a sorted array, integers exactly.
+`stable_order` is the one sort order of the package: equal keys keep the
+order given.
 Codes and integer values are int64 only below the guards of `Box` and
 `value_dtype`, and Python ints (dtype object) beyond them.
 """
@@ -61,8 +63,9 @@ def sum_by_code(blocks, size: int, terms: int, start: int = 0) -> tuple[np.ndarr
     The blocks hold `terms` codes in all, each in range(start, start + size).
     When size <= terms, `np.add.at` sums them in the order given into one
     dense array, no larger than the blocks.  Otherwise `np.add.reduceat`
-    sums each block in `np.argsort` order, its codes sorted in place (sorted
-    codes keep their order), and merges several blocks so once.
+    sums each block in its stable order by code (`stable_order`), so equal
+    codes sum in the order they are given, and merges several blocks so
+    once.
     """
     if size > terms:
         parts = [_sorted_sums(codes, vals) for codes, vals in blocks]
@@ -86,11 +89,34 @@ def _sorted_sums(codes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.nd
     if step > 0:  # sorted and distinct already
         return codes, vals
     if step < 0:
-        order = np.argsort(codes)
-        codes.sort()
-        vals = vals[order]
+        order = stable_order(codes)
+        codes, vals = codes[order], vals[order]
         del order
     return run_sums(codes, vals)
+
+
+def stable_order(keys: np.ndarray, nkeys: int | None = None) -> np.ndarray:
+    """`np.argsort(keys, kind="stable")`, as one `np.sort` of the distinct
+    int64 keys key * n + i of the n keys, modulo n.  The keys are in
+    range(nkeys) when `nkeys` is given, and are measured from their least
+    otherwise.  Object keys, and key ranges with nkeys * n >= 2^62, fall back
+    to `np.argsort`."""
+    n = len(keys)
+    if not n:
+        return np.arange(0)
+    if keys.dtype != object:
+        lo = 0 if nkeys is not None else int(keys.min())
+        span = nkeys if nkeys is not None else int(keys.max()) - lo + 1
+        if span * n < INT64_SAFE:
+            order = keys.astype(np.int64)
+            if lo:
+                order -= lo
+            order *= n
+            order += np.arange(n)
+            order.sort()
+            order %= n
+            return order
+    return np.argsort(keys, kind="stable")
 
 
 def run_sums(codes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,10 @@ once, on entry.  Every contraction is one sparse einsum, `_einsum(spec, a,
 b)` with the spec `np.einsum` takes: entries of a and b that agree on the
 letters of both multiply, and products that reach the same output code are
 summed, in one block or, past _BLOCK_PRODUCTS products, in blocks of rows
-of the first output letter: a block's products fit in the L2 cache, where
-sorting them by code is fast.  A signed sum of specs is one join
+of the first output letter, which bound the memory of their sort.  Equal
+codes sum in the order their products were formed (`_codes.stable_order`,
+the one sort of the package), so the block size changes no sum that the
+sort branch of `sum_by_code` makes.  A signed sum of specs is one join
 (`_einsum_sum`).  Only `Coo` and the einsum turn indices into flat codes,
 which `_codes.sum_by_code` sums by.  The codes are a Coo's pattern, which
 results with the same codes share (-c, s * c, transposes of a skew c): it
@@ -66,7 +68,7 @@ import numbers
 
 import numpy as np
 
-from ._codes import INT64_SAFE, MAX_ARRAY_BYTES, Box, run_sums, sum_by_code, value_dtype
+from ._codes import INT64_SAFE, MAX_ARRAY_BYTES, Box, run_sums, stable_order, sum_by_code, value_dtype
 
 
 class AlgebraError(ValueError):
@@ -98,7 +100,7 @@ class Coo:
     (complex for the basis matrices and their products, float64 for every
     tensor a public function returns); both are read-only.  The constructor
     takes entries in any order, sums the values that share a code and drops
-    zeros (`sum_by_code`, which sorts an int64 array of codes in place).
+    zeros (`sum_by_code`, equal codes in the order given).
     Given `pattern`, the cache of sorted distinct codes (`_cached`), it only
     drops zeros, and the result keeps the pattern when none was dropped.
     `np.asarray` gives the dense array, and `toarray` the vector and matrix
@@ -170,7 +172,7 @@ class Coo:
         if self._pattern is other._pattern:  # the same codes
             return Coo(self.shape, self.codes, vals[:n] + vals[n:], self._pattern)
         codes = np.concatenate((self.codes, other.codes))
-        order = codes.argsort(kind="stable")  # a merge of two sorted runs: a code occurs at most twice
+        order = stable_order(codes)  # a merge of two sorted runs: a code occurs at most twice
         return Coo(self.shape, *run_sums(codes[order], vals[order]), {})
 
     def __sub__(self, other) -> Coo:
@@ -204,7 +206,7 @@ class Coo:
         pattern cache, None when its codes are self's."""
         shape = tuple(self.shape[a] for a in axes)
         codes = np.ravel_multi_index(tuple(self.index[a] for a in axes), shape)
-        order = codes.argsort()
+        order = stable_order(codes)
         codes = codes[order]
         same = shape == self.shape and np.array_equal(codes, self.codes)
         return (shape, self.codes, order, None) if same else (shape, codes, order, {})
@@ -259,13 +261,16 @@ def _abs_sum(vals: np.ndarray) -> int:
 # The sparse einsum
 # ---------------------------------------------------------------------------
 
-# Summing the duplicates of a block of a join holds four 8-byte arrays of its
-# products (codes, values, their sort order and one sorted copy).  The block
-# target is for speed: 2^15 products take 1 MiB, so the sort stays within a
-# 2 MiB L2 cache.  The row cap is for memory: a block is at least one row,
-# and `_max_derivative` takes the dense path past 2^18 products in one row,
-# whose four arrays take the bytes of _BLOCK_ENTRIES float64 entries.
-_BLOCK_PRODUCTS = 1 << 15
+# Summing the duplicates of a block of a join holds five 8-byte arrays of its
+# products: codes, values, their stable order and the sorted copies of both.
+# The block target is for memory: the sums do not depend on it, as equal
+# codes sum in the order their products were formed, and the time of a
+# battery does not either; 2^14 products hold 640 KiB, and the tracemalloc
+# peak of `un_battery(8)` is 1.73 MiB against 2.29 MiB at 2^15.  The row cap
+# is a second bound on memory: a block is at least one row, and
+# `_max_derivative` takes the dense path past 2^18 products in one row, whose
+# five arrays take 10 MiB, the bytes of 1.25 _BLOCK_ENTRIES float64 entries.
+_BLOCK_PRODUCTS = 1 << 14
 _MAX_ROW_PRODUCTS = _BLOCK_ENTRIES // 4
 
 
@@ -318,7 +323,7 @@ def _left_side(a: Coo, row_axis: int, weights) -> tuple:
     axis (None for axis 0, which the codes sort already), and the join keys
     and the output codes in that order."""
     keys, codes = _weighted(a.index, weights[0]), _weighted(a.index, weights[1])
-    order = _stable_order(a.index[row_axis], a.shape[row_axis]) if row_axis else None
+    order = stable_order(a.index[row_axis], a.shape[row_axis]) if row_axis else None
     return (order, keys, codes) if order is None else (order, keys[order], codes[order])
 
 
@@ -327,7 +332,7 @@ def _right_side(b: Coo, weights, nkeys: int) -> tuple:
     entries by join key (None where the codes sort them), the start of each
     key's run and the end of the last, and the output codes in that order."""
     keys, codes = _weighted(b.index, weights[0]), _weighted(b.index, weights[1])
-    order = _stable_order(keys, nkeys) if (keys[1:] < keys[:-1]).any() else None
+    order = stable_order(keys, nkeys) if (keys[1:] < keys[:-1]).any() else None
     starts = np.zeros(nkeys + 1, dtype=np.int64)
     np.bincount(keys, minlength=nkeys).cumsum(out=starts[1:])
     return order, starts, codes if order is None else codes[order]
@@ -368,15 +373,6 @@ def _weighted(index, weights) -> np.ndarray:
     """sum over axes of index[axis] * weights[axis], as int64."""
     parts = [i if w == 1 else i * w for i, w in zip(index, weights) if w]
     return sum(parts[1:], parts[0]) if parts else np.zeros(len(index[0]), dtype=np.int64)
-
-
-def _stable_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
-    """`np.argsort(keys, kind="stable")` of keys in range(nkeys), several
-    times faster: the distinct keys key * n + i, sorted, modulo n."""
-    n = len(keys)
-    if nkeys * n >= INT64_SAFE:
-        return np.argsort(keys, kind="stable")
-    return np.sort(keys * n + np.arange(n)) % n
 
 
 def _row_products(joins, shape) -> np.ndarray:

@@ -18,9 +18,12 @@ against itself alone and its sign is (-1)^k.
 All arithmetic is exact.  Root coordinates, heights and dominance use the
 integer matrix det(A) A^-1 of the Cartan matrix A: det(A) times the root
 coordinates of a weight are integers, so a height key or a dominance test
-builds no `Fraction` (`root_coords` and `height` still return the exact
-rationals).  The invariant pairing is a matrix of `fractions.Fraction`, with
-a pre-scaled integer copy used in hot loops.
+builds no `Fraction`.  The invariant pairing is an integer matrix over one
+common denominator, built from integer root lengths and det(A) A^-1 per
+simple type.  Only the rational API (`root_lengths`, `pairing`,
+`root_coords` and `height`) builds Fractions, importing `fractions` on first
+use, so the commands, which never call it, do not load `fractions` and
+`decimal`.
 """
 
 from __future__ import annotations
@@ -30,9 +33,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Weight = tuple[int, ...]
 
@@ -107,16 +113,9 @@ class SimpleType:
 
     def root_lengths(self) -> list[Fraction]:
         """Half squared lengths (alpha, alpha)/2 of the simple roots, long = 1."""
-        n = self.rank
-        if self.series in ("A", "D", "E"):
-            return [Fraction(1)] * n
-        if self.series == "B":
-            return [Fraction(1)] * (n - 1) + [Fraction(1, 2)]
-        if self.series == "C":
-            return [Fraction(1, 2)] * (n - 1) + [Fraction(1)]
-        if self.series == "F":
-            return [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)]
-        return [Fraction(1, 3), Fraction(1)]  # G2, first node short
+        from fractions import Fraction
+        scale, lengths = _scaled_lengths(self)
+        return [Fraction(x, scale) for x in lengths]
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -181,6 +180,21 @@ def _invert_int_matrix(m: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], 
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
 
+def _scaled_lengths(st: SimpleType) -> tuple[int, tuple[int, ...]]:
+    """(L, L d) for the half squared lengths d_i = (alpha_i, alpha_i)/2 of
+    the simple roots, long = 1: the least L that makes them integers."""
+    n = st.rank
+    if st.series in ("A", "D", "E"):
+        return 1, (1,) * n
+    if st.series == "B":
+        return 2, (2,) * (n - 1) + (1,)
+    if st.series == "C":
+        return 2, (1,) * (n - 1) + (2,)
+    if st.series == "F":
+        return 2, (2, 2, 1, 1)
+    return 3, (1, 3)  # G2, first node short
+
+
 @functools.cache
 def _simple_inverse(st: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """det A and the integer matrix det(A) A^-1 of one simple type's Cartan
@@ -188,24 +202,31 @@ def _simple_inverse(st: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return _invert_int_matrix(st.cartan_matrix())
 
 
-_FractionMatrix = tuple[tuple[Fraction, ...], ...]
-
-
 @functools.cache
-def _simple_pairing(st: SimpleType) -> _FractionMatrix:
+def _simple_pairing(st: SimpleType) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The pairing of the fundamental weights of one simple type,
     F[i][j] = d_i * (A^-1)[j][i] with d_i the half squared length of
-    alpha_i; exact, and computed once per type."""
+    alpha_i, as reduced (numerator, denominator) pairs; computed once per
+    type."""
     det, adj = _simple_inverse(st)
-    lengths = st.root_lengths()
-    return tuple(tuple(lengths[i] * Fraction(adj[j][i], det) for j in range(st.rank))
+    scale, lengths = _scaled_lengths(st)
+    return tuple(tuple(_reduced(lengths[i] * adj[j][i], scale * det) for j in range(st.rank))
                  for i in range(st.rank))
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 @functools.cache
-def _pairing_size(st: SimpleType) -> Fraction:
-    """sum |F_ij| over the pairing of fundamental weights of one simple type."""
-    return sum(abs(x) for row in _simple_pairing(st) for x in row)
+def _pairing_size(st: SimpleType) -> tuple[int, int]:
+    """sum |F_ij| over the pairing of fundamental weights of one simple
+    type, as a (numerator, denominator) pair."""
+    det, adj = _simple_inverse(st)
+    scale, lengths = _scaled_lengths(st)
+    return sum(abs(lengths[i] * x) for row in adj for i, x in enumerate(row)), scale * det
 
 
 @functools.cache
@@ -326,20 +347,20 @@ class RootSystem:
     # -- derived data, built on first use once per factor tuple -------------------
 
     @_per_factors
-    def _gram(self) -> list[list[Fraction]]:
-        """Pairing of fundamental weights: F[i][j] = d_i * (A^-1)[j][i]."""
-        n = self.rank
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for f, (a, b) in zip(self.factors, self._slices):
-            for i, row in enumerate(_simple_pairing(f)):
-                out[a + i][a:b] = row
-        return out
+    def _gram_scale(self) -> int:
+        """The least common denominator of the pairing of fundamental weights."""
+        return math.lcm(*(den for f in self.factors for row in _simple_pairing(f) for _, den in row))
 
     @_per_factors
     def _gram_int(self) -> list[list[int]]:
-        """`_gram` scaled to integers by the lcm of its denominators."""
-        scale = math.lcm(*(x.denominator for row in self._gram for x in row))
-        return [[x.numerator * (scale // x.denominator) for x in row] for row in self._gram]
+        """The pairing of fundamental weights, F[i][j] = d_i * (A^-1)[j][i],
+        times `_gram_scale`: an integer matrix, block diagonal by factor."""
+        scale, n = self._gram_scale, self.rank
+        out = [[0] * n for _ in range(n)]
+        for f, (a, b) in zip(self.factors, self._slices):
+            for i, row in enumerate(_simple_pairing(f)):
+                out[a + i][a:b] = [num * (scale // den) for num, den in row]
+        return out
 
     @_per_factors
     def _orbit_label_factor(self) -> int:
@@ -351,7 +372,10 @@ class RootSystem:
         4 / |alpha_i|^2 <= 6 (the short root of G2 has |alpha|^2 = 2/3), so
         u_i^2 <= 6 m^2 sum |F_ij|.
         """
-        return math.isqrt(math.ceil(6 * sum(map(_pairing_size, self.factors)))) + 1
+        sizes = [_pairing_size(f) for f in self.factors]
+        den = math.lcm(*(d for _, d in sizes))
+        num = 6 * sum(n * (den // d) for n, d in sizes)
+        return math.isqrt(-(-num // den)) + 1
 
     @_per_factors
     def _scaled_inverse(self) -> tuple[int, list[list[int]]]:
@@ -451,15 +475,8 @@ class RootSystem:
 
     def pairing(self, v: Weight, w: Weight) -> Fraction:
         """Invariant symmetric form, normalized so long roots have norm 2."""
-        g = self._gram
-        n = self.rank
-        total = Fraction(0)
-        for i in range(n):
-            vi = v[i]
-            if vi:
-                row = g[i]
-                total += vi * sum(row[j] * w[j] for j in range(n) if w[j])
-        return total
+        from fractions import Fraction
+        return Fraction(self._ip_int(v, w), self._gram_scale)
 
     def _ip_int(self, v, w) -> int:
         g = self._gram_int
@@ -484,6 +501,7 @@ class RootSystem:
         c = A^-T labels; each coordinate is an integer of det(A) A^-1 over
         det A.
         """
+        from fractions import Fraction
         det = self._scaled_inverse[0]
         return tuple(Fraction(sum(t * w[j] for j, t in col), det) for col in self._coord_columns)
 
@@ -501,6 +519,7 @@ class RootSystem:
         return sum(h * x for h, x in zip(self._height_vector, w))
 
     def height(self, w: Weight) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._height_key(w), self._scaled_inverse[0])
 
     # -- Weyl group ------------------------------------------------------------

@@ -243,6 +243,17 @@ def test_exact_commands_do_not_import_the_numeric_engine(argv):
     assert "invconn.chars" in imported and "invconn.conncalc" not in imported
 
 
+@pytest.mark.parametrize("argv,code", [(["table", "--only", "table4"], 1), (["classify", "G2/SU3"], 0),
+                                       (["decompose", "A2", "alt2", "--hw", "1,0"], 0),
+                                       (["verify-un", "3"], 1), (["einstein", "su3", "--alphas=-1,1"], 0)])
+def test_commands_do_not_import_fractions(argv, code):
+    # `fractions` imports `decimal`, whose C module is about 0.25 MB of RSS;
+    # the commands pair weights in integers and never build a Fraction.
+    proc, imported = _run_importing("-m", "invconn.cli", *argv)
+    assert proc.returncode == code and proc.stdout
+    assert "invconn.rootsys" in imported and not imported & {"fractions", "decimal"}
+
+
 def test_package_import_loads_its_names_on_first_use():
     proc, imported = _run_importing("-c", "import json, invconn; print(json.dumps(dir(invconn)))")
     assert proc.returncode == 0
@@ -510,15 +521,15 @@ def test_batteries_never_densify(monkeypatch):
         assert checks and all(c.passed != c.expected_to_fail for c in checks)
 
 
-def _un_battery_10_peak() -> int:
-    """The tracemalloc peak of `un_battery(10)` above what was allocated before."""
+def _un_battery_peak(n: int) -> int:
+    """The tracemalloc peak of `un_battery(n)` above what was allocated before."""
     import tracemalloc
 
     from invconn import cli
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cli.un_battery(10)
+        cli.un_battery(n)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -527,16 +538,41 @@ def _un_battery_10_peak() -> int:
 def test_un_battery_10_peak_memory():
     # The maps and the derivative blocks hold nonzeros only; the eight
     # Laquer maps alone take 64 MiB as dense arrays.
-    assert _un_battery_10_peak() <= 16 << 20
+    assert _un_battery_peak(10) <= 16 << 20
 
 
 def test_un_battery_10_peak_memory_with_small_join_blocks():
-    # A join block of 2^15 products holds 1 MiB in its four arrays. The
+    # A join block of 2^14 products holds 640 KiB in its five arrays. The
     # derivation defect runs before other checks cache join preparations,
     # and the Laquer maps go once no check reads them, so no check runs on
     # top of the others' preparations: the equivariance, derivation and
     # Ricci checks all peak within 0.1 MiB of the 3.5 MiB maximum.
-    assert _un_battery_10_peak() <= 5 << 20
+    assert _un_battery_peak(10) <= 5 << 20
+
+
+def test_un_battery_8_peak_memory():
+    # At u(8) the join blocks set the peak: 1.73 MiB with blocks of 2^14
+    # products, 2.29 MiB with blocks of 2^15.
+    assert _un_battery_peak(8) <= 2 << 20
+
+
+def test_battery_lines_do_not_depend_on_the_join_blocks(monkeypatch):
+    # Equal codes sum in the order their products were formed, whatever
+    # rows a block holds, so the residuals read the same for every block
+    # size that keeps the sums on the sort branch of `sum_by_code`.
+    from invconn import cli, conncalc
+    alphas = [-2, -1, -0.5, 0, 0.5, 1, 1.5, 2, 3]
+
+    def lines():
+        runs = [cli.un_battery(n) for n in range(3, 9)]
+        runs += [cli.einstein_battery(name, n, alphas) for name, n in (("su", 5), ("so", 7), ("u", 5), ("su", 8))]
+        return [c.line for checks in runs for c in checks]
+
+    seen = []
+    for block in (1 << 12, 1 << 14, 1 << 16):
+        monkeypatch.setattr(conncalc, "_BLOCK_PRODUCTS", block)
+        seen.append(lines())
+    assert len(seen[0]) == 172 and seen[0] == seen[1] == seen[2]
 
 
 def test_verify_un_builds_the_laquer_maps_once(monkeypatch):

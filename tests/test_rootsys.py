@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import SIMPLE_TYPES_TO_RANK_8, bfs_orbit, shrink_weight
 
 from invconn.rootsys import (ConfigurationError, PreconditionError, RootSystem,
-                             SimpleType, _invert_int_matrix, adjoint_weight)
+                             SimpleType, _invert_int_matrix, _simple_inverse, adjoint_weight)
 from invconn.siiclass import load_catalog
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
@@ -355,6 +355,60 @@ def test_integer_root_coordinates_match_fractions():
                 expected = all(c.denominator == 1 and c >= 0 for c in diff)
                 assert rs.dominates(lam, mu) == expected, (rs, lam, mu)
             assert rs.dominates(lam, below)
+
+
+def _half_squared_lengths(cartan):
+    """(alpha_i, alpha_i)/2 of the simple roots, longest = 1, from the
+    Cartan matrix alone: (alpha_i, alpha_j) = A_ij d_j = A_ji d_i."""
+    n = len(cartan)
+    d = [None] * n
+    for root in range(n):
+        if d[root] is None:
+            d[root], stack = Fraction(1), [root]
+            while stack:
+                i = stack.pop()
+                for j in range(n):
+                    if d[j] is None and cartan[i][j]:
+                        d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                        stack.append(j)
+    return [x / max(d) for x in d]
+
+
+def _fraction_pairing(rs):
+    """F[i][j] = d_i (A^-1)[j][i] over Fractions, block diagonal by factor;
+    A^-1 from the integer inverse that the test above checks."""
+    n, off = rs.rank, 0
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for f in rs.factors:
+        det, adj = _simple_inverse(f)
+        for i, d in enumerate(_half_squared_lengths(f.cartan_matrix())):
+            for j in range(f.rank):
+                gram[off + i][off + j] = d * Fraction(adj[j][i], det)
+        off += f.rank
+    return gram
+
+
+def test_integer_pairing_matches_fractions():
+    # The integer pairing, its scale and the orbit label bound against the
+    # pairing built over Fractions, with the root lengths read off the
+    # Cartan matrix: on every catalog system and the simple types A1-A11,
+    # B2-B9, C2-C9, D4-D9, E6-E8, F4 and G2.
+    rnd = random.Random(23)
+    types = ([("A", n) for n in range(1, 12)] + [(s, n) for s in "BC" for n in range(2, 10)]
+             + [("D", n) for n in range(4, 10)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+    systems = _catalog_systems() + [RootSystem([SimpleType(*t)]) for t in types]
+    for rs in systems:
+        gram = _fraction_pairing(rs)
+        scale = math.lcm(*(x.denominator for row in gram for x in row))
+        assert rs._gram_int == [[x.numerator * (scale // x.denominator) for x in row] for row in gram], rs
+        size = sum(abs(x) for row in gram for x in row)
+        assert rs._orbit_label_factor == math.isqrt(math.ceil(6 * size)) + 1, rs
+        lengths = [x for f in rs.factors for x in _half_squared_lengths(f.cartan_matrix())]
+        assert [x for f in rs.factors for x in f.root_lengths()] == lengths, rs
+        for _ in range(3):
+            v, w = (tuple(rnd.randint(-3, 3) for _ in range(rs.rank)) for _ in range(2))
+            assert rs.pairing(v, w) == sum(v[i] * gram[i][j] * w[j] for i in range(rs.rank)
+                                           for j in range(rs.rank) if v[i] and w[j]), rs
 
 
 def test_weyl_dimension_is_exact_for_huge_weights():
