@@ -19,7 +19,7 @@ _EXPORTS = {
               "decompose_expression", "expand", "irrep_character", "multiplicity", "sym2",
               "sym3", "tensor", "trivial_character"),
     "conncalc": ("MatrixAlgebra", "build_algebra", "laquer_basis", "classify_type",
-                 "torsion", "curvature", "ricci", "einstein_check"),
+                 "torsion", "ricci"),
     "rootsys": ("RootSystem", "SimpleType", "adjoint_weight"),
     "siiclass": ("Budget", "IsotropyDatum", "SIIReport", "classify", "classify_reducible",
                  "duality_type", "external_cross_check", "emit_tables", "family", "get_row",

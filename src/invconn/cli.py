@@ -270,10 +270,10 @@ def _parse_alphas(text: str) -> list[float]:
 
 
 def _parse_algebra(text: str) -> tuple[str, int]:
-    m = re.fullmatch(r"(su|so|u)\(?(\d+)\)?", text.strip().lower())
+    m = re.fullmatch(r"(su|so|u)(?:(\d+)|\((\d+)\))", text.strip().lower())
     if not m:
         raise UsageError(f"bad algebra {text!r}; expected e.g. su3, so5, u3")
-    return m.group(1), int(m.group(2))
+    return m.group(1), int(m.group(2) or m.group(3))
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -42,7 +42,7 @@ one spec per axis (`zaq,xqy->zxay` for t = 1 of a 3-axis F), and the checks
 differ only in the list of Lambda, one per axis of F (None where an axis has
 no term; c is the bracket, mu^T is mu with its last two axes swapped):
 
-    D_Z F of a vector-valued F along mu     mu, .., mu, -mu^T  (covariant_derivative)
+    D_Z F of a vector-valued F along mu     mu, .., mu, -mu^T  (parallel_defect)
     D_Z g of the metric, scalar-valued      mu, mu             (parallel_metric_defect)
     equivariance of mu = D_W mu along ad    c, c, -c^T         (equivariance_defect)
     derivation defect = D_Z c along mu      mu, mu, -mu^T      (derivation_defect)
@@ -55,8 +55,7 @@ cap on memory, set apart from the block target), and a dense map keeps a
 dense path that reduces blocks of the derivative over its leading Z axis,
 `_BLOCK_ENTRIES` entries at a time.
 `build_algebra` refuses a size whose largest array would exceed
-`MAX_ARRAY_BYTES`.  The 4-index `curvature` remains for small algebras and
-as a test oracle.
+`MAX_ARRAY_BYTES`.
 """
 
 from __future__ import annotations
@@ -587,16 +586,6 @@ def _offdiag(basis: list[np.ndarray], n: int, s: float) -> None:
             basis.append(e)
 
 
-def rescaled_algebra(alg: MatrixAlgebra, scales) -> MatrixAlgebra:
-    """Same bracket, new inner product making the rescaled basis orthonormal.
-
-    Used to probe non-bi-invariant metrics: the structure coefficients are
-    read over e_i' = scales[i] * e_i, declared orthonormal.
-    """
-    scales = np.asarray(scales, dtype=float)
-    return MatrixAlgebra(alg.name + "-rescaled", alg.n, alg.basis * scales[:, None, None])
-
-
 # ---------------------------------------------------------------------------
 # Laquer basis on u(n)
 # ---------------------------------------------------------------------------
@@ -765,11 +754,6 @@ def _reduce_sparse(codes: np.ndarray, vals: np.ndarray, d: int, reduce) -> float
     return float(np.sqrt(norms.max(initial=0.0)))
 
 
-def is_equivariant(alg: MatrixAlgebra, mu):
-    defect = equivariance_defect(alg, mu)
-    return defect < DEFAULT_TOL, defect
-
-
 def metric_defect(alg: MatrixAlgebra, mu) -> float:
     """Max of |<mu(X,Y),Z> + <mu(X,Z),Y>|: skewness of every Lambda(X)."""
     mu = _coo(mu, (alg.dim,) * 3)
@@ -807,20 +791,6 @@ def _cubic(t) -> Coo:
     if t.ndim != 3 or len(set(t.shape)) != 1:
         raise TensorShapeError("expected a cubic 3-tensor")
     return _coo(t)
-
-
-def a_from_torsion(t) -> Coo:
-    """2A(X,Y,Z) = T(X,Y,Z) - T(Y,Z,X) + T(Z,X,Y)."""
-    t = _cubic(t)
-    if (t + t.transpose((1, 0, 2))).max_abs() > DEFAULT_TOL:
-        raise TensorShapeError("torsion must be antisymmetric in its first two slots")
-    # transpose(t, (2,0,1))[x,y,z] = t[y,z,x];  transpose(t, (1,2,0))[x,y,z] = t[z,x,y]
-    return 0.5 * (t - t.transpose((2, 0, 1)) + t.transpose((1, 2, 0)))
-
-
-def torsion_from_a(a) -> Coo:
-    a = _cubic(a)
-    return a - a.transpose((1, 0, 2))
 
 
 def trace_vector(mu) -> np.ndarray:
@@ -924,17 +894,6 @@ def torsion_type_conditions(alg: MatrixAlgebra, mu) -> TypeConditionReport:
 # Curvature and Ricci
 # ---------------------------------------------------------------------------
 
-def curvature(alg: MatrixAlgebra, mu) -> np.ndarray:
-    """R[x,y,z,k] with R(X,Y)Z = mu(X,mu(Y,Z)) - mu(Y,mu(X,Z)) - mu([X,Y],Z).
-
-    A dense d^4 array: the batteries use `ricci_matrix` and
-    `flatness_defect`, which never form it."""
-    mu, c = np.asarray(mu, dtype=np.float64), np.asarray(alg.bracket)
-    return (np.einsum("yzp,xpk->xyzk", mu, mu)
-            - np.einsum("xzp,ypk->xyzk", mu, mu)
-            - np.einsum("xyp,pzk->xyzk", c, mu))
-
-
 def ricci_matrix(alg: MatrixAlgebra, mu) -> np.ndarray:
     """Ric(X,Y) = sum_i <R(e_i,X)Y, e_i>, contracted from mu directly:
 
@@ -989,33 +948,6 @@ def einstein_check(alg: MatrixAlgebra, mu) -> EinsteinReport:
     return ricci(alg, mu)
 
 
-def ricci_skew_path(alg: MatrixAlgebra, t_form) -> np.ndarray:
-    """Ricci of the metric connection with skew torsion T, via
-
-        Ric = Ric_g - (1/4) sum_i <T(e_i,X), T(e_i,Y)> - (1/2) (delta T)(X,Y)
-
-    with the co-differential (delta T)(X,Y) = -sum_i (D_{e_i} T)(e_i,X,Y) of
-    the Levi-Civita derivative, contracted from mu = [.,.]/2 directly:
-
-        (delta T)[x,y] = sum_{i,q} mu[i,i,q] T[q,x,y] + mu[i,x,q] T[i,q,y]
-                         + mu[i,y,q] T[i,x,q]
-
-    as einsums of the nonzeros of mu and T, without the d^4 derivative.
-    """
-    t_form = _coo(t_form, (alg.dim,) * 3)
-    skew_defect = max((t_form + t_form.transpose((1, 0, 2))).max_abs(),
-                      (t_form + t_form.transpose((0, 2, 1))).max_abs())
-    if skew_defect > DEFAULT_TOL:
-        raise TensorShapeError("T must be a totally skew 3-tensor")
-    mu = levi_civita_map(alg)
-    ric_g = ricci_matrix(alg, mu)
-    s = _einsum("ixq,iyq->xy", t_form, t_form).toarray()
-    delta = (_einsum("qxy,q->xy", t_form, _einsum("ijq,ij->q", mu, _identity(alg.dim))).toarray()
-             + _einsum("ixq,iqy->xy", mu, t_form).toarray()
-             + _einsum("ixq,iyq->xy", t_form, mu).toarray())
-    return ric_g - 0.25 * s - 0.5 * delta
-
-
 def vectorial_ricci(alg: MatrixAlgebra, xi: np.ndarray, ric_g: np.ndarray) -> np.ndarray:
     """Ricci of the metric connection whose difference tensor is the trace
     tensor of the covector dual to xi:
@@ -1049,22 +981,3 @@ def derivation_defect(alg: MatrixAlgebra, mu) -> float:
 def parallel_defect(alg: MatrixAlgebra, mu, f) -> float:
     """Max |(D_Z F)| over every entry: zero exactly when F is parallel for mu."""
     return _max_derivative(alg, _along(_coo(mu, (alg.dim,) * 3), f.ndim), f, _max_abs)
-
-
-def covariant_derivative(alg: MatrixAlgebra, mu, f, vector_valued: bool = True) -> np.ndarray:
-    """Derivative of an invariant tensor along the connection map mu, as a
-    dense array.
-
-    For an algebra-valued tensor F (last axis = output components):
-
-        (D_Z F)(X_1..X_p) = Lambda(Z) F(X_1..X_p) - sum_i F(.., Lambda(Z) X_i, ..)
-
-    and for a scalar-valued form only the slot terms appear.  The result
-    gains a leading Z axis with one entry per row of mu: `_derivative` with
-    mu on every slot and, for a vector-valued F, -mu^T on its last axis.
-    """
-    d = alg.dim
-    mu, f = np.asarray(mu, dtype=np.float64), np.asarray(f, dtype=np.float64)
-    if f.shape != (d,) * f.ndim or f.ndim < 1 + vector_valued or mu.shape[1:] != (d, d):
-        raise TensorShapeError("tensor shape does not match the algebra dimension")
-    return _derivative(_along(mu, f.ndim) if vector_valued else [mu] * f.ndim, f)

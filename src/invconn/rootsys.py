@@ -15,15 +15,12 @@ reflecting each point only at its positive labels (`_orbit`): layer k holds
 the points reached by Weyl elements of length k, so a layer is deduplicated
 against itself alone and its sign is (-1)^k.
 
-All arithmetic is exact.  Root coordinates, heights and dominance use the
-integer matrix det(A) A^-1 of the Cartan matrix A: det(A) times the root
-coordinates of a weight are integers, so a height key or a dominance test
-builds no `Fraction`.  The invariant pairing is an integer matrix over one
-common denominator, built from integer root lengths and det(A) A^-1 per
-simple type.  Only the rational API (`root_lengths`, `pairing`,
-`root_coords` and `height`) builds Fractions, importing `fractions` on first
-use, so the commands, which never call it, do not load `fractions` and
-`decimal`.
+All arithmetic is exact and in integers.  Heights use the integer matrix
+det(A) A^-1 of the Cartan matrix A: det(A) times the height of a weight is
+an integer key (`_height_key`).  The invariant pairing is an integer matrix
+over one common denominator (`_ip_int`, `_gram_scale`), built from integer
+root lengths and det(A) A^-1 per simple type.  No rational is built, and
+the module does not import `fractions` or the `decimal` it loads.
 """
 
 from __future__ import annotations
@@ -33,12 +30,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 Weight = tuple[int, ...]
 
@@ -110,12 +103,6 @@ class SimpleType:
 
     def cartan_matrix(self) -> list[list[int]]:
         return _cartan_matrix(self.series, self.rank)
-
-    def root_lengths(self) -> list[Fraction]:
-        """Half squared lengths (alpha, alpha)/2 of the simple roots, long = 1."""
-        from fractions import Fraction
-        scale, lengths = _scaled_lengths(self)
-        return [Fraction(x, scale) for x in lengths]
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -392,14 +379,6 @@ class RootSystem:
         return det, out
 
     @_per_factors
-    def _coord_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Column i of det(A) A^-1 as its nonzero (j, entry) pairs: det(A) times
-        the i-th root coordinate of w is sum(entry * w[j])."""
-        scaled = self._scaled_inverse[1]
-        return tuple(tuple((j, row[i]) for j, row in enumerate(scaled) if row[i])
-                     for i in range(self.rank))
-
-    @_per_factors
     def _height_vector(self) -> tuple[int, ...]:
         """Row sums of det(A) A^-1: the integer height key
         sum(h[j] * w[j]) of a weight w is det(A) times its height."""
@@ -435,16 +414,6 @@ class RootSystem:
 
     # -- elementary operations -------------------------------------------------
 
-    def reflect(self, i: int, w: Weight) -> Weight:
-        """Simple reflection s_i applied to a weight."""
-        c = w[i]
-        if c == 0:
-            return w
-        v = list(w)
-        for j, a in self._rows[i]:
-            v[j] -= c * a
-        return tuple(v)
-
     def to_dominant(self, w: Weight) -> tuple[Weight, int]:
         """Dominant representative and the determinant of the Weyl element used.
 
@@ -473,12 +442,9 @@ class RootSystem:
     def is_dominant(self, w: Weight) -> bool:
         return all(x >= 0 for x in w)
 
-    def pairing(self, v: Weight, w: Weight) -> Fraction:
-        """Invariant symmetric form, normalized so long roots have norm 2."""
-        from fractions import Fraction
-        return Fraction(self._ip_int(v, w), self._gram_scale)
-
     def _ip_int(self, v, w) -> int:
+        """`_gram_scale` times the invariant pairing of v and w, normalized
+        so that long roots have norm 2: an integer."""
         g = self._gram_int
         n = self.rank
         total = 0
@@ -494,33 +460,9 @@ class RootSystem:
                 total += vi * s
         return total
 
-    def root_coords(self, w: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of a weight in the simple-root basis (exact rationals).
-
-        Dynkin labels are related to root coordinates c by labels = c A, so
-        c = A^-T labels; each coordinate is an integer of det(A) A^-1 over
-        det A.
-        """
-        from fractions import Fraction
-        det = self._scaled_inverse[0]
-        return tuple(Fraction(sum(t * w[j] for j, t in col), det) for col in self._coord_columns)
-
-    def dominates(self, lam: Weight, mu: Weight) -> bool:
-        """True when lam - mu is a non-negative integer combination of simple roots."""
-        det = self._scaled_inverse[0]
-        for col in self._coord_columns:
-            c = sum(t * (lam[j] - mu[j]) for j, t in col)
-            if c < 0 or c % det:
-                return False
-        return True
-
     def _height_key(self, w: Weight) -> int:
         """det(A) times the height of w: an integer that orders weights by height."""
         return sum(h * x for h, x in zip(self._height_vector, w))
-
-    def height(self, w: Weight) -> Fraction:
-        from fractions import Fraction
-        return Fraction(self._height_key(w), self._scaled_inverse[0])
 
     # -- Weyl group ------------------------------------------------------------
 

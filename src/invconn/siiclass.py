@@ -226,6 +226,8 @@ def _parse_catalog(text: str) -> list[IsotropyDatum]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
         raise CatalogError("catalog file must be an object with a 'rows' list")
+    if "version" in doc and _integer(doc["version"]) != 1:
+        raise CatalogError(f"catalog version {doc['version']} is not 1, the one this program reads")
     for i, rec in enumerate(doc["rows"]):
         if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
             raise CatalogError(f"bad catalog record rows[{i}]: not an object with a string 'id'")

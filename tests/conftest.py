@@ -1,10 +1,112 @@
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from invconn import conncalc as cc
 from invconn import chars
 from invconn.chars import Character
-from invconn.rootsys import SimpleType
+from invconn.rootsys import RootSystem, SimpleType, _scaled_lengths
+
+
+# ---------------------------------------------------------------------------
+# The dense d^4 calculus and the rest of the connection calculus that no
+# command runs: the references that the battery paths are compared with.
+# ---------------------------------------------------------------------------
+
+def curvature(alg, mu):
+    """R[x,y,z,k] with R(X,Y)Z = mu(X,mu(Y,Z)) - mu(Y,mu(X,Z)) - mu([X,Y],Z),
+    as a dense d^4 array: the batteries use `ricci_matrix` and
+    `flatness_defect`, which never form it."""
+    mu, c = np.asarray(mu, dtype=np.float64), np.asarray(alg.bracket)
+    return (np.einsum("yzp,xpk->xyzk", mu, mu)
+            - np.einsum("xzp,ypk->xyzk", mu, mu)
+            - np.einsum("xyp,pzk->xyzk", c, mu))
+
+
+def covariant_derivative(alg, mu, f, vector_valued=True):
+    """Derivative of an invariant tensor along the connection map mu, as a
+    dense array.
+
+    For an algebra-valued tensor F (last axis = output components):
+
+        (D_Z F)(X_1..X_p) = Lambda(Z) F(X_1..X_p) - sum_i F(.., Lambda(Z) X_i, ..)
+
+    and for a scalar-valued form only the slot terms appear.  The result
+    gains a leading Z axis with one entry per row of mu: `_derivative` with
+    mu on every slot and, for a vector-valued F, -mu^T on its last axis.
+    """
+    d = alg.dim
+    mu, f = np.asarray(mu, dtype=np.float64), np.asarray(f, dtype=np.float64)
+    if f.shape != (d,) * f.ndim or f.ndim < 1 + vector_valued or mu.shape[1:] != (d, d):
+        raise cc.TensorShapeError("tensor shape does not match the algebra dimension")
+    return cc._derivative(cc._along(mu, f.ndim) if vector_valued else [mu] * f.ndim, f)
+
+
+def sparse_derivative(mu, f):
+    """D_Z F of a vector-valued F along mu on the path of the batteries:
+    the einsum terms of `_derivative_terms`, summed by one `_einsum_sum`,
+    densified."""
+    mu, f = cc._coo(mu), cc._coo(f)
+    return np.asarray(cc._einsum_sum(cc._derivative_terms(cc._along(mu, f.ndim), f)))
+
+
+def ricci_skew_path(alg, t_form):
+    """Ricci of the metric connection with skew torsion T, via
+
+        Ric = Ric_g - (1/4) sum_i <T(e_i,X), T(e_i,Y)> - (1/2) (delta T)(X,Y)
+
+    with the co-differential (delta T)(X,Y) = -sum_i (D_{e_i} T)(e_i,X,Y) of
+    the Levi-Civita derivative, contracted from mu = [.,.]/2 directly:
+
+        (delta T)[x,y] = sum_{i,q} mu[i,i,q] T[q,x,y] + mu[i,x,q] T[i,q,y]
+                         + mu[i,y,q] T[i,x,q]
+
+    as einsums of the nonzeros of mu and T, without the d^4 derivative.
+    """
+    t_form = cc._coo(t_form, (alg.dim,) * 3)
+    skew_defect = max((t_form + t_form.transpose((1, 0, 2))).max_abs(),
+                      (t_form + t_form.transpose((0, 2, 1))).max_abs())
+    if skew_defect > cc.DEFAULT_TOL:
+        raise cc.TensorShapeError("T must be a totally skew 3-tensor")
+    mu = cc.levi_civita_map(alg)
+    ric_g = cc.ricci_matrix(alg, mu)
+    eye = cc._identity(alg.dim)
+    s = cc._einsum("ixq,iyq->xy", t_form, t_form).toarray()
+    delta = (cc._einsum("qxy,q->xy", t_form, cc._einsum("ijq,ij->q", mu, eye)).toarray()
+             + cc._einsum("ixq,iqy->xy", mu, t_form).toarray()
+             + cc._einsum("ixq,iyq->xy", t_form, mu).toarray())
+    return ric_g - 0.25 * s - 0.5 * delta
+
+
+def a_from_torsion(t):
+    """2A(X,Y,Z) = T(X,Y,Z) - T(Y,Z,X) + T(Z,X,Y)."""
+    t = cc._cubic(t)
+    if (t + t.transpose((1, 0, 2))).max_abs() > cc.DEFAULT_TOL:
+        raise cc.TensorShapeError("torsion must be antisymmetric in its first two slots")
+    # transpose(t, (2,0,1))[x,y,z] = t[y,z,x];  transpose(t, (1,2,0))[x,y,z] = t[z,x,y]
+    return 0.5 * (t - t.transpose((2, 0, 1)) + t.transpose((1, 2, 0)))
+
+
+def torsion_from_a(a):
+    a = cc._cubic(a)
+    return a - a.transpose((1, 0, 2))
+
+
+def rescaled_algebra(alg, scales):
+    """Same bracket, new inner product making the rescaled basis orthonormal.
+
+    Used to probe non-bi-invariant metrics: the structure coefficients are
+    read over e_i' = scales[i] * e_i, declared orthonormal.
+    """
+    scales = np.asarray(scales, dtype=float)
+    return cc.MatrixAlgebra(alg.name + "-rescaled", alg.n, alg.basis * scales[:, None, None])
+
+
+def is_equivariant(alg, mu):
+    defect = cc.equivariance_defect(alg, mu)
+    return defect < cc.DEFAULT_TOL, defect
 
 
 # ---------------------------------------------------------------------------
@@ -14,12 +116,12 @@ from invconn.rootsys import SimpleType
 def der_tensor(alg, mu):
     """der(X,Y;Z) = mu(Z,[X,Y]) - [mu(Z,X),Y] - [X,mu(Z,Y)], as der[x,y,z,k]:
     the derivative of the bracket along Lambda(Z)."""
-    return np.moveaxis(cc.covariant_derivative(alg, mu, alg.bracket), 0, 2)
+    return np.moveaxis(covariant_derivative(alg, mu, alg.bracket), 0, 2)
 
 
 def c_tensor(alg, mu):
     """C(X,Y;Z) = (D_Z mu)(X,Y) - (D_Z mu)(Y,X), as C[x,y,z,k]."""
-    dmu = cc.covariant_derivative(alg, mu, mu)  # dmu[z,x,y,k]
+    dmu = covariant_derivative(alg, mu, mu)  # dmu[z,x,y,k]
     return np.transpose(dmu, (1, 2, 0, 3)) - np.transpose(dmu, (2, 1, 0, 3))
 
 
@@ -204,6 +306,68 @@ def square_reference():
 # Freudenthal recursion replaced.
 # ---------------------------------------------------------------------------
 
+# The rational root-system API, which no command calls: the commands pair,
+# order and reflect weights in integers (`RootSystem._ip_int`,
+# `_height_key`, `to_dominant`).
+
+def root_lengths(st):
+    """Half squared lengths (alpha, alpha)/2 of the simple roots of a
+    `SimpleType`, long = 1."""
+    scale, lengths = _scaled_lengths(st)
+    return [Fraction(x, scale) for x in lengths]
+
+
+def pairing(rs, v, w):
+    """Invariant symmetric form, normalized so long roots have norm 2."""
+    return Fraction(rs._ip_int(v, w), rs._gram_scale)
+
+
+def reflect(rs, i, w):
+    """Simple reflection s_i applied to a weight."""
+    c = w[i]
+    if c == 0:
+        return w
+    v = list(w)
+    for j, a in rs._rows[i]:
+        v[j] -= c * a
+    return tuple(v)
+
+
+@functools.cache
+def _coord_columns(factors):
+    """Column i of det(A) A^-1 as its nonzero (j, entry) pairs: det(A) times
+    the i-th root coordinate of w is sum(entry * w[j])."""
+    scaled = RootSystem(factors)._scaled_inverse[1]
+    return tuple(tuple((j, row[i]) for j, row in enumerate(scaled) if row[i])
+                 for i in range(len(scaled)))
+
+
+def root_coords(rs, w):
+    """Coordinates of a weight in the simple-root basis (exact rationals).
+
+    Dynkin labels are related to root coordinates c by labels = c A, so
+    c = A^-T labels; each coordinate is an integer of det(A) A^-1 over
+    det A.
+    """
+    det = rs._scaled_inverse[0]
+    return tuple(Fraction(sum(t * w[j] for j, t in col), det) for col in _coord_columns(rs.factors))
+
+
+def dominates(rs, lam, mu):
+    """True when lam - mu is a non-negative integer combination of simple roots."""
+    det = rs._scaled_inverse[0]
+    for col in _coord_columns(rs.factors):
+        c = sum(t * (lam[j] - mu[j]) for j, t in col)
+        if c < 0 or c % det:
+            return False
+    return True
+
+
+def height(rs, w):
+    """The height of w, the sum of its root coordinates."""
+    return Fraction(rs._height_key(w), rs._scaled_inverse[0])
+
+
 SIMPLE_TYPES_TO_RANK_8 = (
     [SimpleType(series, n) for series, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
      for n in range(low, 9)]
@@ -232,7 +396,7 @@ def bfs_orbit(rs, w):
             sign = -out[v]
             for i in range(rs.rank):
                 if v[i]:
-                    u = rs.reflect(i, v)
+                    u = reflect(rs, i, v)
                     if u not in out:
                         out[u] = sign
                         nxt.append(u)
@@ -250,32 +414,32 @@ def dominant_weights_reference(rs, lam):
         mu = queue.pop()
         for alpha in rs.pos_roots:
             nu = rs.to_dominant(tuple(x - a for x, a in zip(mu, alpha)))[0]
-            if nu not in seen and rs.dominates(lam, nu):
+            if nu not in seen and dominates(rs, lam, nu):
                 seen.add(nu)
                 queue.append(nu)
-    return sorted(seen, key=lambda w: (-rs.height(w), w))
+    return sorted(seen, key=lambda w: (-height(rs, w), w))
 
 
 def irrep_reference(rs, lam):
     """The weight system of L(lam) on any system, products included, by
     Freudenthal's recursion over `dominant_weights_reference` with every
-    lookup folded by `to_dominant` and every pairing from `rs.pairing`
+    lookup folded by `to_dominant` and every pairing from `pairing`
     (`Fraction`s), then the `bfs_orbit` of each dominant weight."""
     rho = rs.rho
 
     def add(a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    top = rs.pairing(add(lam, rho), add(lam, rho))
+    top = pairing(rs, add(lam, rho), add(lam, rho))
     mult = {lam: 1}
     for mu in dominant_weights_reference(rs, lam)[1:]:
         total = 0
         for alpha in rs.pos_roots:
             nu = add(mu, alpha)
             while (m := mult.get(rs.to_dominant(nu)[0])) is not None:
-                total += m * rs.pairing(nu, alpha)
+                total += m * pairing(rs, nu, alpha)
                 nu = add(nu, alpha)
-        m = 2 * total / (top - rs.pairing(add(mu, rho), add(mu, rho)))
+        m = 2 * total / (top - pairing(rs, add(mu, rho), add(mu, rho)))
         assert m.denominator == 1, (rs, lam, mu)
         mult[mu] = int(m)
     return {w: m for mu, m in mult.items() for w in bfs_orbit(rs, mu)}
@@ -341,7 +505,7 @@ def _decompose_reference(chi):
     rs, mult = chi.rs, chi.mult
     for w, m in mult.items():
         for i in range(rs.rank):
-            if w[i] and mult.get(rs.reflect(i, w)) != m:
+            if w[i] and mult.get(reflect(rs, i, w)) != m:
                 raise UsageError(f"character is not Weyl-invariant: weight {w} and its "
                                  f"reflection s_{i + 1} have different multiplicities")
     coeff = {}
@@ -353,7 +517,7 @@ def _decompose_reference(chi):
     terms = [(lam, m) for lam, m in coeff.items() if m]
     if any(m < 0 for _, m in terms):
         raise UsageError("not a genuine character: negative multiplicity of an irreducible")
-    terms.sort(key=lambda t: (-sum(rs.root_coords(t[0])), t[0]))
+    terms.sort(key=lambda t: (-sum(root_coords(rs, t[0])), t[0]))
     return terms
 
 

@@ -1,0 +1,84 @@
+"""Golden outputs of the commands, and the script that rewrites them.
+
+Each file under `tests/data/golden` holds one command: a line with its
+arguments, a line with its exit code, then
+
+  - for `table --format json`, its stdout with every `elapsed_ms` value
+    masked;
+  - for a battery (`verify-un`, `einstein`), one JSON line per check:
+    [name, passed, known_upstream_issue].  The float details stay out:
+    their last digits depend on the BLAS kernels.
+
+    python tests/golden.py            compare; exit 1 and name the files that differ
+    python tests/golden.py --write    rewrite the files
+
+A change that alters an output on purpose commits the rewritten files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import pathlib
+import re
+import sys
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
+ALPHAS = "--alphas=-2,-1,0.5,1,3"
+
+CASES = {
+    "table.txt": ["table", "--format", "json"],
+    "table-budget-20000-50000.txt": ["table", "--format", "json", "--budget", "20000,50000"],
+    "table-budget-unlimited.txt": ["table", "--format", "json", "--budget", "unlimited"],
+    **{f"verify-un-{n}.txt": ["verify-un", str(n), "--format", "json"] for n in range(3, 11)},
+    **{f"einstein-{alg}.txt": ["einstein", alg, ALPHAS, "--format", "json"]
+       for alg in ("su3", "so5", "u4")},
+}
+
+_ELAPSED = re.compile(r'("elapsed_ms": )[^,\n]+')
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of one command, run in this process."""
+    from invconn.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def render(argv: list[str]) -> str:
+    """The golden text of one command."""
+    code, out = run(argv)
+    head = f"invconn {' '.join(argv)}\nexit code {code}\n"
+    if argv[0] == "table":
+        return head + _ELAPSED.sub(r'\1"masked"', out)
+    return head + "".join(json.dumps([c["name"], c["passed"], c["known_upstream_issue"]]) + "\n"
+                          for c in json.loads(out)["checks"])
+
+
+def differences() -> list[str]:
+    """The golden files that are missing or differ from a fresh run."""
+    return [name for name, argv in CASES.items()
+            if not (GOLDEN / name).is_file() or (GOLDEN / name).read_text(encoding="utf-8") != render(argv)]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help="rewrite the golden files")
+    if parser.parse_args().write:
+        GOLDEN.mkdir(parents=True, exist_ok=True)
+        for name, argv in CASES.items():
+            (GOLDEN / name).write_text(render(argv), encoding="utf-8")
+        return 0
+    bad = differences()
+    for name in bad:
+        print(f"differs: {GOLDEN / name}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    sys.exit(main())

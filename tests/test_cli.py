@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -254,6 +255,22 @@ def test_commands_do_not_import_fractions(argv, code):
     assert "invconn.rootsys" in imported and not imported & {"fractions", "decimal"}
 
 
+def test_no_module_imports_fractions_or_decimal():
+    # Every import statement of the package, those in function bodies and
+    # `if TYPE_CHECKING:` blocks included: the exact engine is integer-only.
+    found = []
+    for path in sorted(Path(invconn.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.stem, name) for name in names if name.split(".")[0] in ("fractions", "decimal")]
+    assert found == []
+
+
 def test_package_import_loads_its_names_on_first_use():
     proc, imported = _run_importing("-c", "import json, invconn; print(json.dumps(dir(invconn)))")
     assert proc.returncode == 0
@@ -434,12 +451,18 @@ BAD_INPUTS = {
         "table", "--catalog", _catalog_file(tmp, constituents=[[[1.7, 0]]])],
     "catalog expected count that is a boolean": lambda tmp: [
         "table", "--catalog", _catalog_file(tmp, expected=dict(SO7_G2["expected"], a=True))],
-    "verify-un infinite tolerance": lambda tmp: ["verify-un", "4", "--tolerance", "inf"],
-    "verify-un nan tolerance": lambda tmp: ["verify-un", "4", "--tolerance", "nan"],
+    "catalog version 2": lambda tmp: [
+        "table", "--catalog", _catalog_doc(tmp, {"version": 2, "rows": [SO7_G2]})],
+    "catalog version that is a string": lambda tmp: [
+        "catalog-dump", "--catalog", _catalog_doc(tmp, {"version": "1", "rows": [SO7_G2]})],
+    "verify-un unknown flag --tolerance inf": lambda tmp: ["verify-un", "4", "--tolerance", "inf"],
+    "verify-un unknown flag --tolerance nan": lambda tmp: ["verify-un", "4", "--tolerance", "nan"],
     "einstein nan alpha": lambda tmp: ["einstein", "u3", "--alphas=nan"],
     "einstein infinite alpha": lambda tmp: ["einstein", "u3", "--alphas=0.5,inf"],
     "einstein alpha that overflows": lambda tmp: ["einstein", "u3", "--alphas=1e400"],
     "einstein su1": lambda tmp: ["einstein", "su1"],
+    "einstein unbalanced parenthesis su(3": lambda tmp: ["einstein", "su(3"],
+    "einstein unbalanced parenthesis su3)": lambda tmp: ["einstein", "su3)"],
     "einstein non-numeric alphas": lambda tmp: ["einstein", "su3", "--alphas", "a,b"],
     "einstein over the size limit": lambda tmp: ["einstein", "su40"],
     "verify-un over the size limit": lambda tmp: ["verify-un", "30"],
@@ -451,11 +474,11 @@ BAD_INPUTS = {
     "decompose second weight for a square": lambda tmp: [
         "decompose", "A2", "alt2", "--hw", "1,0", "--hw2", "0,1"],
     "unknown catalog row": lambda tmp: ["classify", "XX/YY"],
-    "verify-un non-numeric tolerance": lambda tmp: ["verify-un", "4", "--tolerance", "abc"],
+    "verify-un unknown flag --tolerance abc": lambda tmp: ["verify-un", "4", "--tolerance", "abc"],
     "verify-un non-numeric n": lambda tmp: ["verify-un", "x"],
     "unknown command": lambda tmp: ["frobnicate"],
     "decompose without --hw": lambda tmp: ["decompose", "A2", "alt2"],
-    "table with zero jobs": lambda tmp: ["table", "--jobs", "0"],
+    "table unknown flag --jobs 0": lambda tmp: ["table", "--jobs", "0"],
     "table with a zero budget": lambda tmp: ["table", "--budget", "0,50000"],
     "family with a missing parameter": lambda tmp: ["classify", "SU_pq", "--p", "3"],
     "family with a foreign parameter": lambda tmp: ["classify", "SU_2q", "--n", "3"],
