@@ -61,6 +61,13 @@ def _fmt(x: float) -> str:
     return f"{x:.3e}"
 
 
+def _name_value(x: float) -> str:
+    """x to three places, for a check name.  Rounding to 9 places first
+    gives one name to the values that last-ulp noise spreads around a
+    rounding tie, and adding 0.0 turns a -0.0 into 0.0."""
+    return f"{round(round(x, 9), 3) + 0.0:.3f}"
+
+
 def un_battery(n: int, seed: int = 42) -> list[Check]:
     """The u(n) bi-invariant connection battery (n >= 3); each line compares
     a defect with `conncalc.DEFAULT_TOL`.
@@ -110,7 +117,8 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
     del maps, w, t
     cond = conncalc.torsion_type_conditions(alg, mv)
     dec = cond.decomposition
-    phi_expected = np.array([float(np.real(-1j * np.trace(b))) for b in alg.basis])
+    tr = np.array([complex(np.trace(b)) for b in alg.basis])
+    phi_expected = np.real(-1j * tr)
     phi_err = float(np.abs(dec.phi - phi_expected).max())
     checks.append(Check("vectorial member: difference tensor pure trace type", cond.vectorial,
                         f"a2={_fmt(dec.a2_norm)} a3={_fmt(dec.a3_norm)}"))
@@ -119,7 +127,8 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
                         cond.vectorial and not cond.traceless,
                         f"|trace vec|={_fmt(cond.trace_vector_norm)}"))
     trace_vec = conncalc.trace_vector(mv)
-    expect_trace = (n * n - 1) * alg.coeffs(1j * np.eye(n))
+    xi = alg.coeffs(1j * np.eye(n))
+    expect_trace = (n * n - 1) * xi
     terr2 = float(np.abs(trace_vec - expect_trace).max())
     checks.append(Check("vectorial member: sum_i mu(e_i, e_i) = i (n^2 - 1) Id",
                         terr2 < tol, _fmt(terr2)))
@@ -132,18 +141,19 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
     cal = float(np.abs(ric_g + 0.25 * alg.killing).max())
     checks.append(Check("calibration Ric(LC) = -B/4", cal < tol, _fmt(cal)))
 
-    xi = alg.coeffs(1j * np.eye(n))
     ric_vec = conncalc.ricci_matrix(alg, mv)
     two_path = float(np.abs(ric_vec - conncalc.vectorial_ricci(alg, xi, ric_g)).max())
     checks.append(Check("two-path Ricci agreement (direct curvature vs trace-type formula)",
                         two_path < tol, _fmt(two_path)))
 
-    printed = _printed_un_ricci(alg, n)
+    # The published form (1/2){(n-4) tr XY + (5-2n) tr X tr Y} over the basis.
+    beta = np.real(np.outer(tr, tr))
+    tr_xy = np.real(np.einsum("iab,jba->ij", alg.basis, alg.basis))
+    printed = 0.5 * ((n - 4) * tr_xy + (5 - 2 * n) * beta)
     err_printed = float(np.abs(ric_vec - printed).max())
     checks.append(Check("Ricci equals the published u(n) closed form",
                         err_printed < tol, _fmt(err_printed), expected_to_fail=True))
     if n == 4:
-        beta = _beta_form(alg)
         err_beta = float(np.abs(ric_vec + 1.5 * beta).max())
         checks.append(Check("n=4: Ricci equals -(3/2) trX trY",
                             err_beta < tol, _fmt(err_beta), expected_to_fail=True))
@@ -159,17 +169,6 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
 
     checks.append(Check("mu4 - mu5 is not a derivation", defect_w > tol, _fmt(defect_w)))
     return checks
-
-
-def _printed_un_ricci(alg: conncalc.MatrixAlgebra, n: int) -> np.ndarray:
-    """The published form (1/2){(n-4) tr XY + (5-2n) tr X tr Y} over the basis."""
-    tr_xy = np.real(np.einsum("iab,jba->ij", alg.basis, alg.basis))
-    return 0.5 * ((n - 4) * tr_xy + (5 - 2 * n) * _beta_form(alg))
-
-
-def _beta_form(alg: conncalc.MatrixAlgebra) -> np.ndarray:
-    tr = np.array([complex(np.trace(b)) for b in alg.basis])
-    return np.real(np.outer(tr, tr))
 
 
 def einstein_battery(name: str, n: int, alphas) -> list[Check]:
@@ -189,23 +188,20 @@ def einstein_battery(name: str, n: int, alphas) -> list[Check]:
         rep = conncalc.einstein_check(alg, mu)
         dt = conncalc.parallel_defect(alg, mu, conncalc.torsion(alg, mu))
         checks.append(Check(f"alpha={alpha:g}: parallel torsion", dt < conncalc.DEFAULT_TOL, _fmt(dt)))
-        if alpha in (1.0, -1.0):
-            flat = conncalc.flatness_defect(alg, mu)
-            checks.append(Check(f"alpha={alpha:g}: flat connection", flat < 1e-10, _fmt(flat)))
-        if simple:
-            checks.append(Check(f"alpha={alpha:g}: Einstein", rep.is_einstein,
-                                f"residual={_fmt(rep.residual)}"))
-        elif alpha in (1.0, -1.0):
-            checks.append(Check(f"alpha={alpha:g}: Einstein (flat)", rep.is_einstein,
-                                f"residual={_fmt(rep.residual)}"))
+        flat = alpha in (1.0, -1.0)
+        if flat:
+            defect = conncalc.flatness_defect(alg, mu)
+            checks.append(Check(f"alpha={alpha:g}: flat connection", defect < 1e-10, _fmt(defect)))
+        residual = f"residual={_fmt(rep.residual)}"
+        if simple or flat:
+            checks.append(Check(f"alpha={alpha:g}: Einstein" + ("" if simple else " (flat)"),
+                                rep.is_einstein, residual))
         else:
             center = alg.coeffs(1j * np.eye(n) / np.sqrt(n))
-            # Adding 0.0 turns the -0.0 that rounding noise can leave into 0.0.
-            center_val = round(float(center @ rep.ric_sym @ center), 3) + 0.0
             checks.append(Check(
                 f"alpha={alpha:g}: not Einstein (center direction is Ricci-flat: "
-                f"{center_val:.3f} vs Einstein constant {rep.einstein_constant:.3f})",
-                not rep.is_einstein, f"residual={_fmt(rep.residual)}"))
+                f"{_name_value(center @ rep.ric_sym @ center)} vs Einstein constant "
+                f"{_name_value(rep.einstein_constant)})", not rep.is_einstein, residual))
     return checks
 
 
@@ -353,13 +349,7 @@ def cmd_classify(args) -> int:
         entry = siiclass.family(sel, **params)
     else:
         entry = siiclass.get_row(sel, args.catalog)
-    rep = siiclass.classify(entry, budget=args.budget)
-    _emit(siiclass.emit_tables([(entry, rep)], args.format), args.output)
-    if rep.status.startswith("skipped"):
-        return VERIFY_ERROR if args.strict else 0
-    if rep.matched_expected is False:
-        return VERIFY_ERROR
-    return 0
+    return _report_sweep([(entry, siiclass.classify(entry, budget=args.budget))], args)
 
 
 def cmd_table(args) -> int:
@@ -368,13 +358,16 @@ def cmd_table(args) -> int:
         entries = [e for e in entries if e.source == "table4"]
     elif args.only in ("table5", "exceptions"):
         entries = [e for e in entries if e.source == "table5"]
-    pairs = siiclass.classify_catalog(entries, budget=args.budget)
+    return _report_sweep(siiclass.classify_catalog(entries, budget=args.budget), args)
+
+
+def _report_sweep(pairs, args) -> int:
+    """Print the table of classified rows; 1 on a mismatch, or on a skipped
+    row under --strict."""
     _emit(siiclass.emit_tables(pairs, args.format), args.output)
     bad = any(rep.matched_expected is False for _, rep in pairs)
     skipped = any(rep.status.startswith("skipped") for _, rep in pairs)
-    if bad or (args.strict and skipped):
-        return VERIFY_ERROR
-    return 0
+    return VERIFY_ERROR if bad or (args.strict and skipped) else 0
 
 
 def _expression_dim(name: str, d: int, d2: int) -> int:
@@ -405,36 +398,33 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _render_checks(title: str, checks: list[Check], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps({
+def _report_battery(title: str, checks: list[Check], args) -> int:
+    """Print a battery's checks; 1 when one fails."""
+    passed = sum(c.passed for c in checks)
+    failed = len(checks) - passed
+    if args.format == "json":
+        text = json.dumps({
             "battery": title,
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail,
                         "known_upstream_issue": c.expected_to_fail} for c in checks],
-            "passed": sum(c.passed for c in checks),
-            "failed": sum(not c.passed for c in checks),
+            "passed": passed,
+            "failed": failed,
         }, indent=2, sort_keys=True)
-    lines = [title]
-    for c in checks:
-        lines.append("  " + c.line)
-    lines.append(f"{sum(c.passed for c in checks)} passed, "
-                 f"{sum(not c.passed for c in checks)} failed")
-    return "\n".join(lines)
+    else:
+        text = "\n".join([title, *("  " + c.line for c in checks), f"{passed} passed, {failed} failed"])
+    _emit(text, args.output)
+    return VERIFY_ERROR if failed else 0
 
 
 def cmd_verify_un(args) -> int:
-    checks = un_battery(args.n, seed=args.seed)
-    _emit(_render_checks(f"u({args.n}) bi-invariant battery", checks, args.format), args.output)
-    return 0 if all(c.passed for c in checks) else VERIFY_ERROR
+    return _report_battery(f"u({args.n}) bi-invariant battery",
+                           un_battery(args.n, seed=args.seed), args)
 
 
 def cmd_einstein(args) -> int:
     name, n = _parse_algebra(args.algebra)
-    alphas = _parse_alphas(args.alphas)
-    checks = einstein_battery(name, n, alphas)
-    _emit(_render_checks(f"{name}({n}) bracket-family Einstein battery", checks, args.format),
-          args.output)
-    return 0 if all(c.passed for c in checks) else VERIFY_ERROR
+    checks = einstein_battery(name, n, _parse_alphas(args.alphas))
+    return _report_battery(f"{name}({n}) bracket-family Einstein battery", checks, args)
 
 
 def cmd_catalog_dump(args) -> int:

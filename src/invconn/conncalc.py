@@ -67,7 +67,7 @@ import numbers
 
 import numpy as np
 
-from ._codes import INT64_SAFE, MAX_ARRAY_BYTES, Box, run_sums, stable_order, sum_by_code, value_dtype
+from ._codes import INT64_SAFE, MAX_ARRAY_BYTES, Box, stable_order, sum_by_code, value_dtype
 
 
 class AlgebraError(ValueError):
@@ -170,9 +170,7 @@ class Coo:
         n, vals = len(self.codes), _int_guard(np.concatenate((self.vals, other.vals)))
         if self._pattern is other._pattern:  # the same codes
             return Coo(self.shape, self.codes, vals[:n] + vals[n:], self._pattern)
-        codes = np.concatenate((self.codes, other.codes))
-        order = stable_order(codes)  # a merge of two sorted runs: a code occurs at most twice
-        return Coo(self.shape, *run_sums(codes[order], vals[order]), {})
+        return Coo(self.shape, np.concatenate((self.codes, other.codes)), vals)
 
     def __sub__(self, other) -> Coo:
         if not isinstance(other, Coo):
@@ -927,17 +925,14 @@ class EinsteinReport:
     is_einstein: bool
 
 
-def einstein_report(alg: MatrixAlgebra, ric: np.ndarray) -> EinsteinReport:
+def ricci(alg: MatrixAlgebra, mu) -> EinsteinReport:
+    ric = ricci_matrix(alg, mu)
     sym = 0.5 * (ric + ric.T)
     alt = 0.5 * (ric - ric.T)
     scal = float(np.trace(sym))
     const = scal / alg.dim
     residual = float(np.linalg.norm(sym - const * np.eye(alg.dim)))
     return EinsteinReport(ric, sym, alt, scal, const, residual, residual < DEFAULT_TOL)
-
-
-def ricci(alg: MatrixAlgebra, mu) -> EinsteinReport:
-    return einstein_report(alg, ricci_matrix(alg, mu))
 
 
 def einstein_check(alg: MatrixAlgebra, mu) -> EinsteinReport:

@@ -44,7 +44,7 @@ class PreconditionError(ValueError):
     """An operation was called outside its contract (e.g. non-dominant weight)."""
 
 
-_EXCEPTIONAL_POSROOTS = {"G": 6, "F": 24, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}
+_E_POSROOTS = {6: 36, 7: 63, 8: 120}
 _EXCEPTIONAL_WEYL_ORDERS = {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51_840,
                             ("E", 7): 2_903_040, ("E", 8): 696_729_600}
 
@@ -82,7 +82,7 @@ class SimpleType:
             return 6
         if self.series == "F":
             return 24
-        return _EXCEPTIONAL_POSROOTS[("E", n)]
+        return _E_POSROOTS[n]
 
     @property
     def weyl_order(self) -> int:
@@ -307,19 +307,10 @@ class RootSystem:
         self.rank = sum(f.rank for f in factors)
         self.rho: Weight = (1,) * self.rank
 
-        # Block-diagonal Cartan matrix.
         n = self.rank
-        self.cartan = [[0] * n for _ in range(n)]
-        off = 0
-        self._slices = []
-        for f in factors:
-            block = f.cartan_matrix()
-            r = f.rank
-            for i in range(r):
-                for j in range(r):
-                    self.cartan[off + i][off + j] = block[i][j]
-            self._slices.append((off, off + r))
-            off += r
+        ends = itertools.accumulate(f.rank for f in factors)
+        self._slices = [(b - f.rank, b) for f, b in zip(factors, ends)]
+        self.cartan = self._block_diagonal([f.cartan_matrix() for f in factors])
 
         # Sparse reflection rows: row i lists (j, a_ij) with a_ij != 0.
         self._rows = [tuple((j, self.cartan[i][j]) for j in range(n) if self.cartan[i][j])
@@ -330,6 +321,15 @@ class RootSystem:
         self._irrep_cache: dict[Weight, dict] = {}
         self._dominant_cache: dict[Weight, tuple[Weight, ...]] = {}
         self._factor_systems: list[RootSystem] | None = None
+
+    def _block_diagonal(self, blocks) -> list[list[int]]:
+        """The rank x rank matrix with one block per factor on its diagonal."""
+        n = self.rank
+        out = [[0] * n for _ in range(n)]
+        for block, (a, b) in zip(blocks, self._slices):
+            for i, row in enumerate(block):
+                out[a + i][a:b] = row
+        return out
 
     # -- derived data, built on first use once per factor tuple -------------------
 
@@ -342,12 +342,9 @@ class RootSystem:
     def _gram_int(self) -> list[list[int]]:
         """The pairing of fundamental weights, F[i][j] = d_i * (A^-1)[j][i],
         times `_gram_scale`: an integer matrix, block diagonal by factor."""
-        scale, n = self._gram_scale, self.rank
-        out = [[0] * n for _ in range(n)]
-        for f, (a, b) in zip(self.factors, self._slices):
-            for i, row in enumerate(_simple_pairing(f)):
-                out[a + i][a:b] = [num * (scale // den) for num, den in row]
-        return out
+        scale = self._gram_scale
+        return self._block_diagonal([[num * (scale // den) for num, den in row]
+                                     for row in _simple_pairing(f)] for f in self.factors)
 
     @_per_factors
     def _orbit_label_factor(self) -> int:
@@ -369,14 +366,10 @@ class RootSystem:
         """(det A, det(A) A^-1) for the Cartan matrix A: the determinant and an
         integer matrix, block diagonal, the block of factor f being
         (det A / det A_f) det(A_f) A_f^-1."""
-        det = math.prod(_simple_inverse(f)[0] for f in self.factors)
-        n = self.rank
-        out = [[0] * n for _ in range(n)]
-        for f, (a, b) in zip(self.factors, self._slices):
-            det_f, adj = _simple_inverse(f)
-            for i, row in enumerate(adj):
-                out[a + i][a:b] = [det // det_f * x for x in row]
-        return det, out
+        inverses = [_simple_inverse(f) for f in self.factors]
+        det = math.prod(det_f for det_f, _ in inverses)
+        return det, self._block_diagonal([[det // det_f * x for x in row] for row in adj]
+                                         for det_f, adj in inverses)
 
     @_per_factors
     def _height_vector(self) -> tuple[int, ...]:

@@ -32,12 +32,12 @@ import inspect
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
-from .chars import (Character, PlethysmOps, UsageError, alt2, decompose, expand,
-                    irrep_character, multiplicity, plethysm_counts, squares_and_cubes, sym2,
-                    tensor, trivial_character)
+from .chars import (Character, PlethysmOps, UsageError, alt2, decompose, dominant_weights_below,
+                    expand, irrep_character, multiplicity, plethysm_counts, squares_and_cubes,
+                    sym2, tensor, trivial_character)
 from .rootsys import RootSystem, SimpleType, Weight, adjoint_weight
 
 Summand = tuple[Weight, ...]  # one external-tensor summand: one weight per factor
@@ -51,17 +51,15 @@ class RangeError(ValueError):
     """Family parameter outside the stated range."""
 
 
-_EXCEPTIONAL_DIMS = {("G", 2): 14, ("F", 4): 52, ("E", 6): 78, ("E", 7): 133, ("E", 8): 248}
-
-
 @dataclass(frozen=True)
 class Ambient:
     series: str  # SU | SO | Sp | G | F | E
     n: int
 
     def __post_init__(self):
-        if self.series not in ("SU", "SO", "Sp") and (self.series, self.n) not in _EXCEPTIONAL_DIMS:
+        if self.series not in ("SU", "SO", "Sp", "G", "F", "E"):
             raise CatalogError(f"unknown ambient group {self}")
+        self.dim  # SimpleType refuses an exceptional series of another rank
 
     @property
     def dim(self) -> int:
@@ -71,7 +69,7 @@ class Ambient:
             return self.n * (self.n - 1) // 2
         if self.series == "Sp":
             return self.n * (2 * self.n + 1)
-        return _EXCEPTIONAL_DIMS[(self.series, self.n)]
+        return SimpleType(self.series, self.n).dim
 
     def __str__(self) -> str:
         return f"{self.series}{self.n}"
@@ -152,11 +150,11 @@ class Budget:
 # Catalog data
 # ---------------------------------------------------------------------------
 
-def _integer(x) -> int:
-    """A JSON integer of the catalog: floats and booleans are refused, not
-    truncated."""
+def _integer(x, key: str) -> int:
+    """A JSON integer of the catalog, named `key` in the error: floats and
+    booleans are refused, not truncated."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise CatalogError(f"{x!r} is not an integer")
+        raise CatalogError(f"{key} is {x!r}, not an integer")
     return x
 
 
@@ -164,7 +162,7 @@ def _summands(factors: tuple[SimpleType, ...], seq) -> tuple[Summand, ...]:
     """Parse summands, each one dominant weight per factor of the matching rank."""
     out = []
     for summand in seq:
-        weights = tuple(tuple(_integer(x) for x in w) for w in summand)
+        weights = tuple(tuple(_integer(x, "weight label") for x in w) for w in summand)
         if len(weights) != len(factors):
             raise CatalogError(f"summand {summand} has {len(weights)} weights "
                                f"for {len(factors)} factors")
@@ -179,13 +177,13 @@ def _summands(factors: tuple[SimpleType, ...], seq) -> tuple[Summand, ...]:
 
 def _row_from_json(rec: dict) -> IsotropyDatum:
     try:
-        ambient = Ambient(rec["ambient"]["series"], _integer(rec["ambient"]["n"]))
-        factors = tuple(SimpleType(s, _integer(r)) for s, r in rec["factors"])
+        ambient = Ambient(rec["ambient"]["series"], _integer(rec["ambient"]["n"], "ambient n"))
+        factors = tuple(SimpleType(s, _integer(r, "factor rank")) for s, r in rec["factors"])
         constituents = _summands(factors, rec["constituents"])
         expected = None
         if rec.get("expected"):
             e = rec["expected"]
-            expected = Expected(*(_integer(e[k]) for k in "asNl"), e["type"])
+            expected = Expected(*(_integer(e[k], f"expected {k}") for k in "asNl"), e["type"])
             if expected.rep_type not in ("r", "c"):
                 raise CatalogError(f"expected type {expected.rep_type!r} is neither 'r' nor 'c'")
         alt = rec.get("alt_constituents")
@@ -226,7 +224,7 @@ def _parse_catalog(text: str) -> list[IsotropyDatum]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
         raise CatalogError("catalog file must be an object with a 'rows' list")
-    if "version" in doc and _integer(doc["version"]) != 1:
+    if "version" in doc and _integer(doc["version"], "version") != 1:
         raise CatalogError(f"catalog version {doc['version']} is not 1, the one this program reads")
     for i, rec in enumerate(doc["rows"]):
         if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
@@ -308,7 +306,8 @@ def family(key: str, **params: int) -> IsotropyDatum:
     if sorted(params) != sorted(names):
         raise UsageError(f"family {key} takes the parameters {', '.join(names)}; "
                          f"got {', '.join(sorted(params)) or 'none'}")
-    return builders[key](**params)
+    return replace(builders[key](**params), source="table4", family=key,
+                   params=tuple(sorted(params.items())))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -321,8 +320,7 @@ def _fam_su_alt2(n: int) -> IsotropyDatum:
     r = n - 1
     w = _e(r, 2, n - 2)
     return IsotropyDatum(f"SU{n*(n-1)//2}/SU{n}", Ambient("SU", n * (n - 1) // 2),
-                         (_su(n),), ((w,),), Expected(1, 2, 3, 1, "r"), "table4",
-                         "SU_alt2", (("n", n),))
+                         (_su(n),), ((w,),), Expected(1, 2, 3, 1, "r"))
 
 
 def _fam_su_sym2(n: int) -> IsotropyDatum:
@@ -330,8 +328,7 @@ def _fam_su_sym2(n: int) -> IsotropyDatum:
     r = n - 1
     w = tuple(2 if i in (0, r - 1) else 0 for i in range(r)) if r > 1 else (4,)
     return IsotropyDatum(f"SU{n*(n+1)//2}/SU{n}", Ambient("SU", n * (n + 1) // 2),
-                         (_su(n),), ((w,),), Expected(1, 2, 3, 1, "r"), "table4",
-                         "SU_sym2", (("n", n),))
+                         (_su(n),), ((w,),), Expected(1, 2, 3, 1, "r"))
 
 
 def _fam_su_pq(p: int, q: int) -> IsotropyDatum:
@@ -339,15 +336,14 @@ def _fam_su_pq(p: int, q: int) -> IsotropyDatum:
     return IsotropyDatum(f"SU{p*q}/SU{p}xSU{q}", Ambient("SU", p * q),
                          (_su(p), _su(q)),
                          ((adjoint_weight(_su(p)), adjoint_weight(_su(q))),),
-                         Expected(2, 2, 4, 2, "r"), "table4", "SU_pq",
-                         (("p", p), ("q", q)))
+                         Expected(2, 2, 4, 2, "r"))
 
 
 def _fam_su_2q(q: int) -> IsotropyDatum:
     _require(q >= 3, "SU_2q requires q >= 3")
     return IsotropyDatum(f"SU{2*q}/SU2xSU{q}", Ambient("SU", 2 * q),
                          (_su(2), _su(q)), (((2,), adjoint_weight(_su(q))),),
-                         Expected(1, 1, 2, 1, "r"), "table4", "SU_2q", (("q", q),))
+                         Expected(1, 1, 2, 1, "r"))
 
 
 def _fam_so_ad(n: int) -> IsotropyDatum:
@@ -355,45 +351,40 @@ def _fam_so_ad(n: int) -> IsotropyDatum:
     r = n - 1
     return IsotropyDatum(f"SO{n*n-1}/SU{n}", Ambient("SO", n * n - 1),
                          (_su(n),), ((_e(r, 1, 1, n - 2),), (_e(r, 2, r, r),)),
-                         Expected(6, 2, 8, 4, "c"), "table4", "SO_ad", (("n", n),))
+                         Expected(6, 2, 8, 4, "c"))
 
 
 def _fam_so_alt2(n: int) -> IsotropyDatum:
     _require(n >= 9, "SO_alt2 requires n >= 9")
     st = _so(n)
     return IsotropyDatum(f"SO{n*(n-1)//2}/SO{n}", Ambient("SO", n * (n - 1) // 2),
-                         (st,), ((_e(st.rank, 1, 3),),),
-                         Expected(3, 1, 4, 2, "r"), "table4", "SO_alt2", (("n", n),))
+                         (st,), ((_e(st.rank, 1, 3),),), Expected(3, 1, 4, 2, "r"))
 
 
 def _fam_so_sym2(n: int) -> IsotropyDatum:
     _require(n >= 7, "SO_sym2 requires n >= 7")
     st = _so(n)
     return IsotropyDatum(f"SO{(n-1)*(n+2)//2}/SO{n}", Ambient("SO", (n - 1) * (n + 2) // 2),
-                         (st,), ((_e(st.rank, 1, 1, 2),),),
-                         Expected(3, 1, 4, 2, "r"), "table4", "SO_sym2", (("n", n),))
+                         (st,), ((_e(st.rank, 1, 1, 2),),), Expected(3, 1, 4, 2, "r"))
 
 
 def _fam_so_spalt(n: int) -> IsotropyDatum:
     _require(n >= 4, "SO_spalt requires n >= 4")
     return IsotropyDatum(f"SO{(n-1)*(2*n+1)}/Sp{n}", Ambient("SO", (n - 1) * (2 * n + 1)),
-                         (SimpleType("C", n),), ((_e(n, 1, 3),),),
-                         Expected(3, 1, 4, 2, "r"), "table4", "SO_spalt", (("n", n),))
+                         (SimpleType("C", n),), ((_e(n, 1, 3),),), Expected(3, 1, 4, 2, "r"))
 
 
 def _fam_so_spsym(n: int) -> IsotropyDatum:
     _require(n >= 3, "SO_spsym requires n >= 3")
     return IsotropyDatum(f"SO{n*(2*n+1)}/Sp{n}", Ambient("SO", n * (2 * n + 1)),
-                         (SimpleType("C", n),), ((_e(n, 1, 1, 2),),),
-                         Expected(3, 1, 4, 2, "r"), "table4", "SO_spsym", (("n", n),))
+                         (SimpleType("C", n),), ((_e(n, 1, 1, 2),),), Expected(3, 1, 4, 2, "r"))
 
 
 def _fam_so_4n(n: int) -> IsotropyDatum:
     _require(n >= 2, "SO_4n requires n >= 2")
     return IsotropyDatum(f"SO{4*n}/Sp{n}xSp1", Ambient("SO", 4 * n),
                          (SimpleType("C", n), SimpleType("A", 1)),
-                         ((_e(n, 2), (2,)),),
-                         Expected(1, 0, 1, 1, "r"), "table4", "SO_4n", (("n", n),))
+                         ((_e(n, 2), (2,)),), Expected(1, 0, 1, 1, "r"))
 
 
 def _fam_sp_n(n: int) -> IsotropyDatum:
@@ -401,7 +392,7 @@ def _fam_sp_n(n: int) -> IsotropyDatum:
     st = _so(n)
     return IsotropyDatum(f"Sp{n}/SO{n}xSp1", Ambient("Sp", n),
                          (st, SimpleType("A", 1)), ((_e(st.rank, 1, 1), (2,)),),
-                         Expected(1, 0, 1, 1, "r"), "table4", "Sp_n", (("n", n),))
+                         Expected(1, 0, 1, 1, "r"))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +435,6 @@ def support_estimate(rs: RootSystem, constituents) -> int:
     dual pair can overlap, so the total over-counts at most by the pair
     intersection, which is fine for a budget gate.
     """
-    from .chars import dominant_weights_below
     total = 0
     for summand in constituents:
         size = 1
@@ -506,13 +496,16 @@ def classify(entry: IsotropyDatum, budget: Budget | None = None) -> SIIReport:
     """
     budget = budget or Budget()
     t0 = time.perf_counter()
+
+    def skipped(dim_m: int, reason: str) -> SIIReport:
+        return SIIReport(entry.id, dim_m, expected=entry.expected,
+                         status=f"skipped: infeasible ({reason})", elapsed=time.perf_counter() - t0)
+
     # The closed-form order gates before any work per root or per label.
     order = math.prod(f.weyl_order for f in entry.factors)
     if order > budget.max_weyl_order:
-        return SIIReport(entry.id, entry.expected_dim_m(), expected=entry.expected,
-                         status=f"skipped: infeasible (Weyl order {_decimal(order)} "
-                                f"> {budget.max_weyl_order})",
-                         elapsed=time.perf_counter() - t0)
+        return skipped(entry.expected_dim_m(),
+                       f"Weyl order {_decimal(order)} > {budget.max_weyl_order}")
     rs = entry.root_system()
 
     dim_m = sum(constituent_dim(rs, sm) for sm in entry.constituents)
@@ -523,9 +516,7 @@ def classify(entry: IsotropyDatum, budget: Budget | None = None) -> SIIReport:
 
     support = support_estimate(rs, entry.constituents)
     if support > budget.max_support:
-        return SIIReport(entry.id, dim_m, expected=entry.expected,
-                         status=f"skipped: infeasible (support {support} > {budget.max_support})",
-                         elapsed=time.perf_counter() - t0)
+        return skipped(dim_m, f"support {support} > {budget.max_support}")
 
     rep_type = duality_type(rs, entry.constituents)
     a, s, l, eps = _classify_values(rs, entry.constituents)

@@ -1,13 +1,17 @@
 """Golden outputs of the commands, and the script that rewrites them.
 
-Each file under `tests/data/golden` holds one command: a line with its
-arguments, a line with its exit code, then
+Each file under `tests/data/golden` but `decompose.txt` holds one command:
+a line with its arguments, a line with its exit code, then
 
   - for `table --format json`, its stdout with every `elapsed_ms` value
     masked;
   - for a battery (`verify-un`, `einstein`), one JSON line per check:
     [name, passed, known_upstream_issue].  The float details stay out:
     their last digits depend on the BLAS kernels.
+
+`decompose.txt` holds one line per `decompose` cell of the benchmark's
+plethysm pool (`benchmarks/data/plethysm_pool.json`, read, never written):
+the sha256 of its exit code and stdout, then its arguments.
 
     python tests/golden.py            compare; exit 1 and name the files that differ
     python tests/golden.py --write    rewrite the files
@@ -19,13 +23,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
 import re
 import sys
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "golden"
+POOL = ROOT / "benchmarks" / "data" / "plethysm_pool.json"
+DECOMPOSE = "decompose.txt"
 ALPHAS = "--alphas=-2,-1,0.5,1,3"
 
 CASES = {
@@ -36,6 +44,7 @@ CASES = {
     **{f"einstein-{alg}.txt": ["einstein", alg, ALPHAS, "--format", "json"]
        for alg in ("su3", "so5", "u4")},
 }
+FILES = [*CASES, DECOMPOSE]
 
 _ELAPSED = re.compile(r'("elapsed_ms": )[^,\n]+')
 
@@ -49,8 +58,23 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def render(argv: list[str]) -> str:
-    """The golden text of one command."""
+def decompose_cells() -> list[list[str]]:
+    """The arguments of each `decompose` cell of the plethysm pool."""
+    return [["decompose", c["system"], c["expr"], "--hw", ",".join(map(str, c["hw"]))]
+            for c in json.loads(POOL.read_text(encoding="utf-8"))["decompose"]]
+
+
+def _digest(argv: list[str]) -> str:
+    """The sha256 of the exit code and stdout of one command."""
+    code, out = run(argv)
+    return hashlib.sha256(f"exit code {code}\n{out}".encode()).hexdigest()
+
+
+def render(name: str) -> str:
+    """The golden text of one file."""
+    if name == DECOMPOSE:
+        return "".join(f"{_digest(argv)}  {' '.join(argv)}\n" for argv in decompose_cells())
+    argv = CASES[name]
     code, out = run(argv)
     head = f"invconn {' '.join(argv)}\nexit code {code}\n"
     if argv[0] == "table":
@@ -59,10 +83,11 @@ def render(argv: list[str]) -> str:
                           for c in json.loads(out)["checks"])
 
 
-def differences() -> list[str]:
-    """The golden files that are missing or differ from a fresh run."""
-    return [name for name, argv in CASES.items()
-            if not (GOLDEN / name).is_file() or (GOLDEN / name).read_text(encoding="utf-8") != render(argv)]
+def differences(names=FILES) -> list[str]:
+    """Those of the golden files `names` that are missing or differ from a
+    fresh run."""
+    return [name for name in names
+            if not (GOLDEN / name).is_file() or (GOLDEN / name).read_text(encoding="utf-8") != render(name)]
 
 
 def main() -> int:
@@ -70,8 +95,8 @@ def main() -> int:
     parser.add_argument("--write", action="store_true", help="rewrite the golden files")
     if parser.parse_args().write:
         GOLDEN.mkdir(parents=True, exist_ok=True)
-        for name, argv in CASES.items():
-            (GOLDEN / name).write_text(render(argv), encoding="utf-8")
+        for name in FILES:
+            (GOLDEN / name).write_text(render(name), encoding="utf-8")
         return 0
     bad = differences()
     for name in bad:
@@ -80,5 +105,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main())

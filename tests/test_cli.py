@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invconn
-from invconn import siiclass
+from invconn import cli, siiclass
 from invconn.cli import build_parser, main
 
 SRC = str(Path(invconn.__file__).resolve().parents[1])
@@ -325,6 +326,23 @@ def test_einstein_center_value_has_no_signed_zero(capsys, algebra, alphas):
     assert all("Ricci-flat: 0.000 vs" in name for name in names)
 
 
+def test_check_names_give_one_value_to_the_noise_around_a_tie():
+    # 35/16 = 2.1875 sits on a rounding tie of three places, so one ulp of
+    # noise either side used to print 2.187 or 2.188.
+    for tie, name in ((2.1875, "2.188"), (63 / 16, "3.938"), (1.40625, "1.406"), (0.0, "0.000")):
+        values = (math.nextafter(tie, -math.inf), tie, math.nextafter(tie, math.inf))
+        assert [cli._name_value(x) for x in values] == [name] * 3, tie
+    assert cli._name_value(-1e-12) == "0.000"
+
+
+def test_einstein_constant_has_one_name_per_algebra(capsys):
+    # u6 has the constant 35/16 at alpha = -0.5 and at 0.5.
+    code, out, _ = run(capsys, "einstein", "u6", "--alphas=-0.5,0.5", "--format", "json")
+    names = [c["name"] for c in json.loads(out)["checks"] if "center" in c["name"]]
+    assert code == 0 and len(names) == 2
+    assert all(name.endswith("vs Einstein constant 2.188)") for name in names), names
+
+
 def _battery_shape(capsys, *argv):
     """Each check of a battery run as 'PASS name', 'FAIL name' or 'ERRATUM
     name' (a failure flagged as a known upstream data error)."""
@@ -431,6 +449,8 @@ BAD_INPUTS = {
         "table", "--catalog", _catalog_file(tmp, constituents=[[[1, 0], [1]]])],
     "catalog ambient of an unknown series": lambda tmp: [
         "catalog-dump", "--catalog", _catalog_file(tmp, ambient={"series": "XX", "n": 7})],
+    "catalog exceptional ambient of an unknown rank": lambda tmp: [
+        "catalog-dump", "--catalog", _catalog_file(tmp, ambient={"series": "E", "n": 5})],
     "catalog module with a repeated constituent": lambda tmp: [
         "catalog-dump", "--catalog", _catalog_file(tmp, constituents=[[[3, 0]], [[3, 0]]])],
     "catalog row that is not an object": lambda tmp: [
@@ -512,6 +532,20 @@ def test_key_error_message_is_not_quoted(capsys):
     code, _, err = run(capsys, "classify", "XX/YY")
     assert code == 2
     assert err == "error: no catalog row with id 'XX/YY'\n"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"version": True, "rows": [SO7_G2]}, "version is True, not an integer"),
+    ({"version": 1, "rows": [dict(SO7_G2, ambient={"series": "SO", "n": 7.9})]},
+     "bad catalog record 'SO7/G2': ambient n is 7.9, not an integer"),
+    ({"rows": [dict(SO7_G2, factors=[["G", 2.5]])]}, "factor rank is 2.5, not an integer"),
+    ({"rows": [dict(SO7_G2, constituents=[[[1.7, 0]]])]}, "weight label is 1.7, not an integer"),
+    ({"rows": [dict(SO7_G2, expected=dict(SO7_G2["expected"], a=True))]},
+     "expected a is True, not an integer"),
+])
+def test_catalog_integer_errors_name_the_key(capsys, tmp_path, doc, message):
+    code, _, err = run(capsys, "table", "--catalog", _catalog_doc(tmp_path, doc))
+    assert code == 2 and err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["einstein", "su40"], ["verify-un", "30"]])

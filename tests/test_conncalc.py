@@ -1050,11 +1050,11 @@ def test_multiples_of_the_bracket_share_its_join_preparation(monkeypatch):
 
 
 def test_sums_of_overlapping_patterns_equal_the_dense_sums():
-    # A merge of two sorted runs sums each shared code once; the entries
-    # that cancel are dropped, and integers stay exact.
+    # A sum of two patterns sums each shared code once; the entries that
+    # cancel are dropped, and integers stay exact.
     rng = np.random.default_rng(45)
     shape = (5, 6)
-    for scale, dtype in ((0.5, np.float64), (1, np.int64), (2 ** 70, object)):
+    for scale, dtype in ((0.5, np.float64), (0.5 - 0.25j, np.complex128), (1, np.int64), (2 ** 70, object)):
         a, b = (rng.integers(-3, 4, shape) * (rng.random(shape) < 0.6) for _ in range(2))
         b[a != 0] = np.where(rng.random(shape) < 0.3, -a, b)[a != 0]  # some overlaps cancel
         a, b = (x.astype(object) * scale if dtype is object else x * scale for x in (a, b))
@@ -1239,6 +1239,20 @@ def test_argsort_is_only_the_fallback_of_stable_order():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), None, path.stem)
     assert found == [("_codes", "stable_order")], found
+
+
+def test_only_codes_names_run_sums():
+    # `sum_by_code` is the one kernel that sums by code: a sum of two Coos
+    # goes through the constructor's, and no module but `_codes` reaches
+    # its helper `run_sums`.
+    package = pathlib.Path(cc.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "run_sums" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              node.name if isinstance(node, ast.alias) else None):
+                found.add(path.stem)
+    assert found == {"_codes"}, found
 
 
 def test_numpy_linalg_use_is_inv_and_norm():
