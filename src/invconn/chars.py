@@ -65,7 +65,6 @@ computed in floating point.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
@@ -178,7 +177,7 @@ def _divided(d: dict[Weight, int], k: int) -> dict[Weight, int]:
 # Irreducible characters (Freudenthal recursion)
 # ---------------------------------------------------------------------------
 
-def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
+def dominant_weights_below(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
     """All dominant weights mu with lam - mu in the non-negative root lattice,
     by decreasing height, then lexicographically; lam comes first.  Built
     once per lam and system (`_dominant_search`) and cached on the system,
@@ -187,7 +186,7 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     doms = rs._dominant_cache.get(lam)
     if doms is None:
         doms = rs._dominant_cache[lam] = _dominant_search(rs, lam)
-    return list(doms)
+    return doms
 
 
 def _dominant_search(rs: RootSystem, lam: Weight) -> tuple[Weight, ...]:
@@ -275,24 +274,21 @@ def _check_highest_weight(rs: RootSystem, lam: Weight) -> None:
 
 
 def irrep_character(rs: RootSystem, lam: Weight) -> Character:
-    """Full weight system of the irreducible with highest weight lam (cached):
+    """Full weight system of the irreducible with highest weight lam:
     `freudenthal_multiplicities` on a simple system, the product of the
     factors' characters on a product."""
     lam = tuple(lam)
-    full = rs._irrep_cache.get(lam)
-    if full is None:
-        _check_highest_weight(rs, lam)
-        if len(rs.factors) > 1:
-            full = {(): 1}
-            for sub, part in zip(rs.factor_systems(), rs.split(lam)):
-                sub_char = irrep_character(sub, part).mult
-                full = {w1 + w2: m1 * m2 for w1, m1 in full.items() for w2, m2 in sub_char.items()}
-        else:
-            full = freudenthal_multiplicities(rs, lam)
-            if sum(full.values()) != rs.weyl_dimension(lam):
-                raise InternalError(f"weight system of {lam} has wrong dimension")
-        rs._irrep_cache[lam] = full
-    return _nonzero_character(rs, dict(full))  # a copy: callers may change theirs
+    _check_highest_weight(rs, lam)
+    if len(rs.factors) > 1:
+        full = {(): 1}
+        for sub, part in zip(rs.factor_systems(), rs.split(lam)):
+            sub_char = irrep_character(sub, part).mult
+            full = {w1 + w2: m1 * m2 for w1, m1 in full.items() for w2, m2 in sub_char.items()}
+    else:
+        full = freudenthal_multiplicities(rs, lam)
+        if sum(full.values()) != rs.weyl_dimension(lam):
+            raise InternalError(f"weight system of {lam} has wrong dimension")
+    return _nonzero_character(rs, full)
 
 
 # ---------------------------------------------------------------------------
@@ -820,21 +816,23 @@ def decompose_expression(rs: RootSystem, name: str, lam: Weight,
     if name == "tensor":
         return decompose(chi, lam if mu is None else mu)
 
-    fold = functools.partial(_fold_shifted, rs, *_arrays(chi))
     zero = (0,) * rs.rank
-    if name == "plethysm21":
-        (q,) = _racah_speiser(chi, lam)
-        (chi3,) = fold(([(1, kappa) for kappa in q] + [(3, zero)], [*q.values(), -1]))
-        out = _divided(chi3, 3)
-    else:
-        sign = 1 if name.startswith("sym") else -1
+    sign = 1 if name.startswith("sym") else -1
+    if name in ("alt2", "sym2"):
         q, p = _racah_speiser(chi, lam, ([(2, zero)], [1]))
-        if name in ("alt2", "sym2"):
-            out = _divided(_lincomb((1, q), (sign, p)), 2)
+        out = _divided(_lincomb((1, q), (sign, p)), 2)
+    else:
+        # A cube: the second fold, sum_kappa c_kappa (supp chi + kappa) + psi3 (3 supp chi).
+        if name == "plethysm21":
+            (c,) = _racah_speiser(chi, lam)
+            psi3, k = -1, 3
         else:
+            q, p = _racah_speiser(chi, lam, ([(2, zero)], [1]))
             c = {kappa: m for kappa, m in _lincomb((1, q), (3 * sign, p)).items() if m}
-            (chi3,) = fold(([(1, kappa) for kappa in c] + [(3, zero)], [*c.values(), 2]))
-            out = _divided(chi3, 6)
+            psi3, k = 2, 6
+        (chi3,) = _fold_shifted(rs, *_arrays(chi),
+                                ([(1, kappa) for kappa in c] + [(3, zero)], [*c.values(), psi3]))
+        out = _divided(chi3, k)
     if any(m < 0 for m in out.values()):
         raise InternalError(f"{name} of {lam} has a negative multiplicity of an irreducible")
     return _by_height(rs, out.items())

@@ -126,10 +126,8 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
     checks.append(Check("vectorial member: trace-type condition holds, trace vector nonzero",
                         cond.vectorial and not cond.traceless,
                         f"|trace vec|={_fmt(cond.trace_vector_norm)}"))
-    trace_vec = conncalc.trace_vector(mv)
     xi = alg.coeffs(1j * np.eye(n))
-    expect_trace = (n * n - 1) * xi
-    terr2 = float(np.abs(trace_vec - expect_trace).max())
+    terr2 = float(np.abs(cond.trace_vector - (n * n - 1) * xi).max())
     checks.append(Check("vectorial member: sum_i mu(e_i, e_i) = i (n^2 - 1) Id",
                         terr2 < tol, _fmt(terr2)))
 
@@ -180,6 +178,7 @@ def einstein_battery(name: str, n: int, alphas) -> list[Check]:
     is the obstruction otherwise.
     """
     from . import conncalc
+    tol = conncalc.DEFAULT_TOL
     alg = conncalc.build_algebra(name, n)
     simple = name in ("su", "so")
     checks: list[Check] = []
@@ -187,11 +186,11 @@ def einstein_battery(name: str, n: int, alphas) -> list[Check]:
         mu = conncalc.bracket_family_map(alg, alpha)
         rep = conncalc.einstein_check(alg, mu)
         dt = conncalc.parallel_defect(alg, mu, conncalc.torsion(alg, mu))
-        checks.append(Check(f"alpha={alpha:g}: parallel torsion", dt < conncalc.DEFAULT_TOL, _fmt(dt)))
+        checks.append(Check(f"alpha={alpha:g}: parallel torsion", dt < tol, _fmt(dt)))
         flat = alpha in (1.0, -1.0)
         if flat:
             defect = conncalc.flatness_defect(alg, mu)
-            checks.append(Check(f"alpha={alpha:g}: flat connection", defect < 1e-10, _fmt(defect)))
+            checks.append(Check(f"alpha={alpha:g}: flat connection", defect < tol, _fmt(defect)))
         residual = f"residual={_fmt(rep.residual)}"
         if simple or flat:
             checks.append(Check(f"alpha={alpha:g}: Einstein" + ("" if simple else " (flat)"),
@@ -245,14 +244,14 @@ def _parse_weight(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad weight {text!r}") from exc
 
 
-def _parse_system(text: str) -> RootSystem:
+def _parse_factors(text: str) -> list[SimpleType]:
     factors = []
     for part in text.split("x"):
         m = re.fullmatch(r"([A-Ga-g])(\d+)", part.strip())
         if not m:
             raise UsageError(f"bad root-system factor {part!r}; expected e.g. A2 or G2")
         factors.append(SimpleType(m.group(1).upper(), int(m.group(2))))
-    return RootSystem(factors)
+    return factors
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -379,7 +378,13 @@ def _expression_dim(name: str, d: int, d2: int) -> int:
 
 
 def cmd_decompose(args) -> int:
-    rs = _parse_system(args.system)
+    factors = _parse_factors(args.system)
+    rank = sum(f.rank for f in factors)
+    for lam in (args.hw, args.hw2):
+        if lam is not None and len(lam) != rank:  # checked before the system is built
+            raise UsageError(f"highest weight {lam} has {len(lam)} labels, "
+                             f"but {'x'.join(map(str, factors))} has rank {rank}")
+    rs = RootSystem(factors)
     terms = decompose_expression(rs, args.expression, args.hw, args.hw2)
     lines = []
     total = 0

@@ -843,18 +843,23 @@ def classify_type(a) -> TypeDecomposition:
 
 @dataclasses.dataclass
 class TypeConditionReport:
-    """The torsion type conditions of a metric map, and `decomposition`, the
-    type decomposition of its difference tensor mu - [.,.]/2."""
+    """The torsion type conditions of a metric map, its trace vector
+    sum_i mu(e_i, e_i), and `decomposition`, the type decomposition of its
+    difference tensor mu - [.,.]/2."""
 
     vectorial: bool
     traceless_cyclic: bool
     cyclic: bool
     traceless: bool
     skew: bool
-    trace_vector_norm: float
+    trace_vector: np.ndarray
     cyclic_defect: float
     skew_defect: float
     decomposition: TypeDecomposition
+
+    @property
+    def trace_vector_norm(self) -> float:
+        return float(np.linalg.norm(self.trace_vector))
 
 
 def torsion_type_conditions(alg: MatrixAlgebra, mu) -> TypeConditionReport:
@@ -872,16 +877,16 @@ def torsion_type_conditions(alg: MatrixAlgebra, mu) -> TypeConditionReport:
         raise TensorShapeError(f"map is not metric (defect {defect:.2e})")
     cyc = mu + mu.transpose((1, 2, 0)) + mu.transpose((2, 0, 1))
     cyclic_defect = (cyc - 1.5 * alg.bracket).max_abs()
-    trace_norm = float(np.linalg.norm(trace_vector(mu)))
+    trace = trace_vector(mu)
     dec = classify_type(a_tensor(alg, mu))
     skew_defect = (mu + mu.transpose((1, 0, 2))).max_abs()
     return TypeConditionReport(
         vectorial=dec.a2_norm < DEFAULT_TOL and dec.a3_norm < DEFAULT_TOL,
         traceless_cyclic=dec.a1_norm < DEFAULT_TOL and dec.a3_norm < DEFAULT_TOL,
         cyclic=cyclic_defect < DEFAULT_TOL,
-        traceless=trace_norm < DEFAULT_TOL,
+        traceless=float(np.linalg.norm(trace)) < DEFAULT_TOL,
         skew=skew_defect < DEFAULT_TOL,
-        trace_vector_norm=trace_norm,
+        trace_vector=trace,
         cyclic_defect=cyclic_defect,
         skew_defect=skew_defect,
         decomposition=dec,

@@ -7,8 +7,10 @@ roots, invariant pairing) is the block direct sum of the factor data, which
 is computed once per simple type, and `signed_orbit` is the product of the
 factor orbits; the data derived from them is built once per process for
 each factor tuple.  `factor_systems` of a simple system is the system
-itself, so the per-weight caches a system keeps (characters and dominant
-weights, filled by `chars`) serve every caller that splits it into factors.
+itself, so the per-weight cache a system keeps (the dominant weights below
+a highest weight, filled by `chars`) serves every caller that splits it
+into factors.  A system whose rank x rank Cartan matrix would take more than
+`MAX_ARRAY_BYTES` is refused before any of it is built.
 
 A Weyl orbit is built one layer at a time from its dominant weight,
 reflecting each point only at its positive labels (`_orbit`): layer k holds
@@ -19,8 +21,9 @@ All arithmetic is exact and in integers.  Heights use the integer matrix
 det(A) A^-1 of the Cartan matrix A: det(A) times the height of a weight is
 an integer key (`_height_key`).  The invariant pairing is an integer matrix
 over one common denominator (`_ip_int`, `_gram_scale`), built from integer
-root lengths and det(A) A^-1 per simple type.  No rational is built, and
-the module does not import `fractions` or the `decimal` it loads.
+root lengths and det(A) A^-1 as one integer table per simple type
+(`_simple_pairing`).  No rational is built, and the module does not
+import `fractions` or the `decimal` it loads.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._codes import MAX_ARRAY_BYTES
 
 Weight = tuple[int, ...]
 
@@ -190,30 +195,16 @@ def _simple_inverse(st: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 @functools.cache
-def _simple_pairing(st: SimpleType) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The pairing of the fundamental weights of one simple type,
-    F[i][j] = d_i * (A^-1)[j][i] with d_i the half squared length of
-    alpha_i, as reduced (numerator, denominator) pairs; computed once per
-    type."""
+def _simple_pairing(st: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, D F) for the pairing of the fundamental weights of one simple
+    type, F[i][j] = d_i * (A^-1)[j][i] with d_i the half squared length of
+    alpha_i, and D the least common denominator of its entries: an integer
+    and an integer matrix, computed once per type."""
     det, adj = _simple_inverse(st)
     scale, lengths = _scaled_lengths(st)
-    return tuple(tuple(_reduced(lengths[i] * adj[j][i], scale * det) for j in range(st.rank))
-                 for i in range(st.rank))
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num / den in lowest terms, for den > 0."""
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
-@functools.cache
-def _pairing_size(st: SimpleType) -> tuple[int, int]:
-    """sum |F_ij| over the pairing of fundamental weights of one simple
-    type, as a (numerator, denominator) pair."""
-    det, adj = _simple_inverse(st)
-    scale, lengths = _scaled_lengths(st)
-    return sum(abs(lengths[i] * x) for row in adj for i, x in enumerate(row)), scale * det
+    nums = [[lengths[i] * adj[j][i] for j in range(st.rank)] for i in range(st.rank)]
+    g = math.gcd(scale * det, *itertools.chain.from_iterable(nums))
+    return scale * det // g, tuple(tuple(x // g for x in row) for row in nums)
 
 
 @functools.cache
@@ -271,7 +262,7 @@ class SignedOrbit:
 class _per_factors(functools.cached_property):
     """A `cached_property` of `RootSystem`, a pure function of `factors`,
     built once per process for each factor tuple and shared by every system
-    with those factors; characters and dominant weights stay per system."""
+    with those factors; the dominant weights stay per system."""
 
     def __init__(self, func):
         super().__init__(func)
@@ -304,10 +295,12 @@ class RootSystem:
         if not factors:
             raise ConfigurationError("at least one simple factor required")
         self.factors = factors
-        self.rank = sum(f.rank for f in factors)
-        self.rho: Weight = (1,) * self.rank
+        self.rank = n = sum(f.rank for f in factors)
+        if n * n * 8 > MAX_ARRAY_BYTES:
+            raise ConfigurationError(f"rank {n} is too large: its Cartan matrix would take "
+                                     f"more than {MAX_ARRAY_BYTES >> 20} MiB")
+        self.rho: Weight = (1,) * n
 
-        n = self.rank
         ends = itertools.accumulate(f.rank for f in factors)
         self._slices = [(b - f.rank, b) for f, b in zip(factors, ends)]
         self.cartan = self._block_diagonal([f.cartan_matrix() for f in factors])
@@ -316,9 +309,8 @@ class RootSystem:
         self._rows = [tuple((j, self.cartan[i][j]) for j in range(n) if self.cartan[i][j])
                       for i in range(n)]
 
-        # Per highest weight: the character (`chars.irrep_character`) and the
-        # dominant weights below it (`chars.dominant_weights_below`).
-        self._irrep_cache: dict[Weight, dict] = {}
+        # Per highest weight: the dominant weights below it
+        # (`chars.dominant_weights_below`).
         self._dominant_cache: dict[Weight, tuple[Weight, ...]] = {}
         self._factor_systems: list[RootSystem] | None = None
 
@@ -336,15 +328,15 @@ class RootSystem:
     @_per_factors
     def _gram_scale(self) -> int:
         """The least common denominator of the pairing of fundamental weights."""
-        return math.lcm(*(den for f in self.factors for row in _simple_pairing(f) for _, den in row))
+        return math.lcm(*(_simple_pairing(f)[0] for f in self.factors))
 
     @_per_factors
     def _gram_int(self) -> list[list[int]]:
         """The pairing of fundamental weights, F[i][j] = d_i * (A^-1)[j][i],
         times `_gram_scale`: an integer matrix, block diagonal by factor."""
         scale = self._gram_scale
-        return self._block_diagonal([[num * (scale // den) for num, den in row]
-                                     for row in _simple_pairing(f)] for f in self.factors)
+        return self._block_diagonal([[x * (scale // den) for x in row] for row in pairing]
+                                    for den, pairing in map(_simple_pairing, self.factors))
 
     @_per_factors
     def _orbit_label_factor(self) -> int:
@@ -356,10 +348,8 @@ class RootSystem:
         4 / |alpha_i|^2 <= 6 (the short root of G2 has |alpha|^2 = 2/3), so
         u_i^2 <= 6 m^2 sum |F_ij|.
         """
-        sizes = [_pairing_size(f) for f in self.factors]
-        den = math.lcm(*(d for _, d in sizes))
-        num = 6 * sum(n * (den // d) for n, d in sizes)
-        return math.isqrt(-(-num // den)) + 1
+        size = sum(abs(x) for row in self._gram_int for x in row)
+        return math.isqrt(-(-6 * size // self._gram_scale)) + 1
 
     @_per_factors
     def _scaled_inverse(self) -> tuple[int, list[list[int]]]:

@@ -213,14 +213,14 @@ def dense_torsion_type_conditions(bracket, mu, tol):
     """The report of `torsion_type_conditions` for a metric map."""
     cyc = mu + np.transpose(mu, (1, 2, 0)) + np.transpose(mu, (2, 0, 1))
     cyclic_defect = float(np.abs(cyc - 1.5 * bracket).max())
-    trace_norm = float(np.linalg.norm(np.einsum("iik->k", mu)))
+    trace = np.einsum("iik->k", mu)
     phi, a1, a2, a3 = dense_classify_type(mu - 0.5 * bracket)
     a1_norm, a2_norm, a3_norm = (float(np.linalg.norm(x)) for x in (a1, a2, a3))
     skew_defect = float(np.abs(mu + np.transpose(mu, (1, 0, 2))).max())
     return cc.TypeConditionReport(
         vectorial=a2_norm < tol and a3_norm < tol, traceless_cyclic=a1_norm < tol and a3_norm < tol,
-        cyclic=cyclic_defect < tol, traceless=trace_norm < tol, skew=skew_defect < tol,
-        trace_vector_norm=trace_norm, cyclic_defect=cyclic_defect, skew_defect=skew_defect,
+        cyclic=cyclic_defect < tol, traceless=float(np.linalg.norm(trace)) < tol, skew=skew_defect < tol,
+        trace_vector=trace, cyclic_defect=cyclic_defect, skew_defect=skew_defect,
         decomposition=cc.TypeDecomposition(phi, *map(cc.Coo.from_dense, (a1, a2, a3))))
 
 
@@ -417,7 +417,7 @@ def dominant_weights_reference(rs, lam):
             if nu not in seen and dominates(rs, lam, nu):
                 seen.add(nu)
                 queue.append(nu)
-    return sorted(seen, key=lambda w: (-height(rs, w), w))
+    return tuple(sorted(seen, key=lambda w: (-height(rs, w), w)))
 
 
 def irrep_reference(rs, lam):

@@ -35,14 +35,18 @@ GOLDEN = ROOT / "tests" / "data" / "golden"
 POOL = ROOT / "benchmarks" / "data" / "plethysm_pool.json"
 DECOMPOSE = "decompose.txt"
 ALPHAS = "--alphas=-2,-1,0.5,1,3"
+NINE_ALPHAS = "--alphas=-2,-1,-0.5,0,0.5,1,1.5,2,3"
 
 CASES = {
     "table.txt": ["table", "--format", "json"],
     "table-budget-20000-50000.txt": ["table", "--format", "json", "--budget", "20000,50000"],
     "table-budget-unlimited.txt": ["table", "--format", "json", "--budget", "unlimited"],
-    **{f"verify-un-{n}.txt": ["verify-un", str(n), "--format", "json"] for n in range(3, 11)},
+    **{f"verify-un-{n}.txt": ["verify-un", str(n), "--format", "json"] for n in range(3, 13)},
+    "verify-un-3-seed-5.txt": ["verify-un", "3", "--seed", "5", "--format", "json"],
     **{f"einstein-{alg}.txt": ["einstein", alg, ALPHAS, "--format", "json"]
        for alg in ("su3", "so5", "u4")},
+    **{f"einstein-{alg}.txt": ["einstein", alg, NINE_ALPHAS, "--format", "json"]
+       for alg in ("su4", "su5", *(f"so{n}" for n in range(6, 11)), "u3", "u5", "u6", "u7", "u8")},
 }
 FILES = [*CASES, DECOMPOSE]
 

@@ -81,6 +81,13 @@ def test_irrep_character_examples(a1, a2):
         irrep_character(a2, (1, -1))
 
 
+def test_irrep_character_is_built_anew_on_each_call(a2):
+    # No system keeps a character, so a caller may change the one it holds.
+    ad = irrep_character(a2, (1, 1))
+    ad.mult.clear()
+    assert irrep_character(a2, (1, 1)).dim() == 8
+
+
 def test_sl3_adjoint_against_explicit_root_system(a2):
     # Brute-force construction: the adjoint weights are the six roots plus a
     # double zero weight.

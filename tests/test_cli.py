@@ -189,6 +189,42 @@ def test_decompose_checks_the_dimension_bookkeeping(capsys, monkeypatch):
         assert "total dimension" in out
 
 
+_WIDE = ",".join(["1"] + ["0"] * 99_999)  # a weight of A100000
+
+
+def _refuse_cartan_matrices(monkeypatch):
+    from invconn import rootsys
+
+    def refuse(*args):
+        raise AssertionError("a Cartan matrix was built")
+
+    monkeypatch.setattr(rootsys, "_cartan_matrix", refuse)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["A100000", "alt2", "--hw", "1"], "highest weight (1,) has 1 labels, but A100000 has rank 100000"),
+    (["A2xA99998", "tensor", "--hw", _WIDE, "--hw2", "1"],
+     "highest weight (1,) has 1 labels, but A2xA99998 has rank 100000"),
+    (["A100000", "alt2", "--hw", _WIDE], "rank 100000 is too large: its Cartan matrix would take "
+                                         "more than 128 MiB"),
+], ids=["hw", "hw2", "rank"])
+def test_decompose_of_a_huge_rank_builds_no_cartan_matrix(capsys, monkeypatch, argv, message):
+    # The weights are checked against the summed factor rank first, and a
+    # system whose Cartan matrix would pass the array limit is refused.
+    _refuse_cartan_matrices(monkeypatch)
+    code, out, err = run(capsys, "decompose", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_catalog_row_of_a_huge_rank_builds_no_cartan_matrix(capsys, monkeypatch, tmp_path):
+    _refuse_cartan_matrices(monkeypatch)
+    path = _catalog_file(tmp_path, factors=[["A", 100_000]], constituents=[[[1] + [0] * 99_999]])
+    code, out, err = run(capsys, "table", "--catalog", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: bad catalog record 'SO7/G2': rank 100000 is too large: its Cartan "
+                   "matrix would take more than 128 MiB\n")
+
+
 def test_verify_un_exit_codes(capsys):
     code, out, _ = run(capsys, "verify-un", "3")
     # Two upstream reference values are inconsistent with the computation;
@@ -639,6 +675,34 @@ def test_verify_un_builds_the_laquer_maps_once(monkeypatch):
     monkeypatch.setattr(conncalc, "laquer_basis", lambda alg: calls.append(alg) or real(alg))
     cli.un_battery(3)
     assert len(calls) == 1
+
+
+def test_verify_un_forms_each_trace_join_once(monkeypatch):
+    # The trace vector of the vectorial map comes with its type conditions:
+    # the battery forms no second `ijk,ij->k` join on that map.
+    from invconn import cli, conncalc
+    specs = []
+    real = conncalc._einsum_blocks
+    monkeypatch.setattr(conncalc, "_einsum_blocks",
+                        lambda terms: specs.append([t[0] for t in terms]) or real(terms))
+    cli.un_battery(3)
+    assert len(specs) == 44
+    assert specs.count(["ijk,ij->k"]) == 2  # the vectorial map and the bracket family
+
+
+def test_flatness_line_follows_the_default_tolerance(monkeypatch):
+    # A flatness defect of 5e-10 passes under DEFAULT_TOL = 1e-9 and fails
+    # under 1e-11, like every other line of the battery.
+    from invconn import cli, conncalc
+
+    def flat_lines():
+        return [(c.passed, c.detail) for c in cli.einstein_battery("u", 3, [-1.0, 1.0])
+                if c.name.endswith("flat connection")]
+
+    monkeypatch.setattr(conncalc, "flatness_defect", lambda alg, mu: 5e-10)
+    assert flat_lines() == [(True, "5.000e-10")] * 2
+    monkeypatch.setattr(conncalc, "DEFAULT_TOL", 1e-11)
+    assert flat_lines() == [(False, "5.000e-10")] * 2
 
 
 # -- one flag set per command -----------------------------------------------------

@@ -416,3 +416,16 @@ def test_weyl_dimension_is_exact_for_huge_weights():
     a2 = RootSystem([SimpleType("A", 2)])
     big = 2 ** 80
     assert a2.weyl_dimension((big, big)) == (big + 1) ** 2 * (2 * big + 2) // 2
+
+
+def test_a_rank_over_the_array_limit_builds_no_cartan_matrix(monkeypatch):
+    # A rank x rank matrix of 8-byte entries over 128 MiB: rank 4097.
+    from invconn import rootsys
+
+    def refuse(*args):
+        raise AssertionError("a Cartan matrix was built")
+
+    monkeypatch.setattr(rootsys, "_cartan_matrix", refuse)
+    for factors in ([SimpleType("A", 4097)], [SimpleType("A", 2048), SimpleType("D", 2049)]):
+        with pytest.raises(ConfigurationError, match="rank 4097 is too large"):
+            RootSystem(factors)
