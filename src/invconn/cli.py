@@ -160,7 +160,7 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
         # secrets, hashlib and OpenSSL for these 9000 numbers.
         gauss = random.Random(seed).gauss
         x = np.array([gauss(0.0, 1.0) for _ in range(1000 * alg.dim)]).reshape(1000, alg.dim)
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x /= np.sqrt(np.einsum("ki,ki->k", x, x))[:, None]
         low = float(np.einsum("ki,ij,kj->k", x, ric_vec, x).min())
         checks.append(Check("n=3: Ricci positive on 1000 random directions",
                             low > 0, f"min={low:.3f}", expected_to_fail=True))
@@ -199,7 +199,7 @@ def einstein_battery(name: str, n: int, alphas) -> list[Check]:
             center = alg.coeffs(1j * np.eye(n) / np.sqrt(n))
             checks.append(Check(
                 f"alpha={alpha:g}: not Einstein (center direction is Ricci-flat: "
-                f"{_name_value(center @ rep.ric_sym @ center)} vs Einstein constant "
+                f"{_name_value(np.einsum('i,ij,j->', center, rep.ric_sym, center))} vs Einstein constant "
                 f"{_name_value(rep.einstein_constant)})", not rep.is_einstein, residual))
     return checks
 
@@ -254,13 +254,19 @@ def _parse_factors(text: str) -> list[SimpleType]:
     return factors
 
 
+# The Einstein battery compares absolute defects with `DEFAULT_TOL`, and its
+# residuals grow like alpha^2: su(14), the largest su accepted, passes at
+# +-100 and prints false FAILs from |alpha| = 300.
+MAX_ALPHA = 100
+
+
 def _parse_alphas(text: str) -> list[float]:
     try:
         alphas = [float(a) for a in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"--alphas must be a comma-separated list of numbers, got {text!r}") from exc
-    if not all(math.isfinite(a) for a in alphas):
-        raise UsageError(f"--alphas must be finite numbers, got {text!r}")
+    if not all(abs(a) <= MAX_ALPHA for a in alphas):  # NaN fails too
+        raise UsageError(f"--alphas must be finite numbers of size at most {MAX_ALPHA}, got {text!r}")
     return alphas
 
 

@@ -216,7 +216,21 @@ class Coo:
 
     def norm(self) -> float:
         """The Euclidean (Frobenius) norm."""
-        return float(np.linalg.norm(self.vals))
+        return _norm(self.vals)
+
+
+def _sum_sq(x) -> float:
+    """sum |x|^2 over the entries of an array, as one einsum.  numpy's
+    `norm` and `@` would map OpenBLAS code into the process for this alone."""
+    x = np.ravel(x)
+    if x.dtype.kind == "c":
+        x = x.view(x.real.dtype)
+    return float(np.einsum("i,i->", x, x))
+
+
+def _norm(x) -> float:
+    """The Euclidean (Frobenius) norm of an array (`_sum_sq`)."""
+    return math.sqrt(_sum_sq(x))
 
 
 def _check_codes(shape) -> int:
@@ -444,9 +458,13 @@ class MatrixAlgebra:
     holds the structure coefficients c[i,j,k] of [e_i, e_j] = sum_k c[i,j,k] e_k
     as a Coo and `killing` the Killing form over the basis.
 
-    Independence: G, the Gram matrix of -Re tr, must have an inverse with
-    ||G||_F ||G^-1||_F d eps < 1.  As cond_F >= cond_2, this rejects without
+    Independence: G, the Gram matrix of -Re tr, is symmetric and positive
+    semidefinite, and the dual basis is its inverse by Gauss-Jordan
+    elimination without pivoting (`_spd_inverse`).  A pivot that is not > 0
+    (NaN included) rejects the basis, and so does an inverse with
+    ||G||_F ||G^-1||_F d eps >= 1.  As cond_F >= cond_2, this rejects without
     an SVD whatever numpy's `matrix_rank(G) < d`, cond_2 >= 1/(d eps), does.
+    No basis, coefficient or norm computation calls BLAS or LAPACK.
 
     The products e_i e_j are einsums of the nonzeros of the basis matrices.
     The constructor checks closure: every commutator must equal its
@@ -464,12 +482,8 @@ class MatrixAlgebra:
 
         gram = -np.real(np.einsum("iab,jba->ij", self.basis, self.basis))
         # Inverse Gram matrix of -Re tr: the dual basis that `coeffs` reads through.
-        try:
-            self._dual = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        else:
-            cond = np.linalg.norm(gram) * np.linalg.norm(self._dual)
+        self._dual = _spd_inverse(gram)
+        cond = np.inf if self._dual is None else _norm(gram) * _norm(self._dual)
         if not cond * self.dim * np.finfo(float).eps < 1.0:  # NaN rejects too
             raise AlgebraError(f"{name}: basis is not linearly independent")
         self._basis = e = Coo.from_dense(self.basis)
@@ -499,7 +513,8 @@ class MatrixAlgebra:
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Basis coefficients of an algebra element, or of a stack of them
         (the leading axes are kept)."""
-        return -np.real(np.tensordot(m, self.basis, axes=([-2, -1], [2, 1]))) @ self._dual
+        raw = -np.real(np.einsum("...ab,kba->...k", m, self.basis))
+        return np.einsum("...k,kl->...l", raw, self._dual)
 
     def bilinear_coeffs(self, f) -> np.ndarray:
         """Structure coefficients c[i,j,k] of a matrix-valued bilinear map,
@@ -508,6 +523,27 @@ class MatrixAlgebra:
 
     def __repr__(self) -> str:
         return f"MatrixAlgebra({self.name}, dim={self.dim})"
+
+
+def _spd_inverse(g: np.ndarray) -> np.ndarray | None:
+    """The inverse of a symmetric positive definite matrix by Gauss-Jordan
+    elimination on [G | I] without pivoting, or None at a pivot that is not
+    > 0.  A row whose entry in the pivot column is exactly 0 is not
+    updated: a Gram matrix of a standard basis is diagonal but for entries
+    of about 1e-17, so most columns update no row."""
+    d = len(g)
+    a = np.concatenate([g, np.eye(d)], axis=1)
+    for col in range(d):
+        row = a[col]
+        pivot = row[col]
+        if not pivot > 0:
+            return None
+        row /= pivot
+        rows = a[:, col].nonzero()[0]
+        if len(rows) > 1:
+            rows = rows[rows != col]
+            a[rows] -= np.multiply.outer(a[rows, col], row)
+    return a[:, d:]
 
 
 def build_algebra(name: str, n: int) -> MatrixAlgebra:
@@ -859,7 +895,7 @@ class TypeConditionReport:
 
     @property
     def trace_vector_norm(self) -> float:
-        return float(np.linalg.norm(self.trace_vector))
+        return _norm(self.trace_vector)
 
 
 def torsion_type_conditions(alg: MatrixAlgebra, mu) -> TypeConditionReport:
@@ -884,7 +920,7 @@ def torsion_type_conditions(alg: MatrixAlgebra, mu) -> TypeConditionReport:
         vectorial=dec.a2_norm < DEFAULT_TOL and dec.a3_norm < DEFAULT_TOL,
         traceless_cyclic=dec.a1_norm < DEFAULT_TOL and dec.a3_norm < DEFAULT_TOL,
         cyclic=cyclic_defect < DEFAULT_TOL,
-        traceless=float(np.linalg.norm(trace)) < DEFAULT_TOL,
+        traceless=_norm(trace) < DEFAULT_TOL,
         skew=skew_defect < DEFAULT_TOL,
         trace_vector=trace,
         cyclic_defect=cyclic_defect,
@@ -936,7 +972,7 @@ def ricci(alg: MatrixAlgebra, mu) -> EinsteinReport:
     alt = 0.5 * (ric - ric.T)
     scal = float(np.trace(sym))
     const = scal / alg.dim
-    residual = float(np.linalg.norm(sym - const * np.eye(alg.dim)))
+    residual = _norm(sym - const * np.eye(alg.dim))
     return EinsteinReport(ric, sym, alt, scal, const, residual, residual < DEFAULT_TOL)
 
 
@@ -959,7 +995,7 @@ def vectorial_ricci(alg: MatrixAlgebra, xi: np.ndarray, ric_g: np.ndarray) -> np
     which the caller has already computed.
     """
     xi = np.asarray(xi, dtype=float)
-    norm_sq = float(xi @ xi)
+    norm_sq = _sum_sq(xi)
     if norm_sq == 0.0:
         raise TensorShapeError("degenerate vectorial type: xi = 0")
     d = alg.dim

@@ -107,20 +107,26 @@ class SimpleType:
         return self.rank + 2 * self.num_positive_roots
 
     def cartan_matrix(self) -> list[list[int]]:
-        return _cartan_matrix(self.series, self.rank)
+        n = self.rank
+        a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), x in _cartan_matrix(self.series, n).items():
+            a[i][j] = x
+        return a
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
 
 
-def _cartan_matrix(series: str, n: int) -> list[list[int]]:
+def _cartan_matrix(series: str, n: int) -> dict[tuple[int, int], int]:
+    """The Cartan matrix of one simple type as its off-diagonal nonzero
+    entries {(i, j): a_ij}; every diagonal entry is 2."""
     # Convention: A[i][j] = 2*(alpha_i, alpha_j)/(alpha_j, alpha_j), so row i
     # holds the Dynkin labels of the simple root alpha_i.
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    a = {}
 
     def link(i, j, aij=-1, aji=-1):
-        a[i][j] = aij
-        a[j][i] = aji
+        a[i, j] = aij
+        a[j, i] = aji
 
     if series in ("A", "B", "C"):
         for i in range(n - 1):
@@ -303,11 +309,17 @@ class RootSystem:
 
         ends = itertools.accumulate(f.rank for f in factors)
         self._slices = [(b - f.rank, b) for f, b in zip(factors, ends)]
-        self.cartan = self._block_diagonal([f.cartan_matrix() for f in factors])
-
-        # Sparse reflection rows: row i lists (j, a_ij) with a_ij != 0.
-        self._rows = [tuple((j, self.cartan[i][j]) for j in range(n) if self.cartan[i][j])
-                      for i in range(n)]
+        # The Cartan matrix as one int64 array, and the sparse reflection
+        # rows: row i lists (j, a_ij) with a_ij != 0, by j.  Both are filled
+        # from the factors' nonzero entries.
+        self.cartan = np.zeros((n, n), dtype=np.int64)
+        rows = [[(i, 2)] for i in range(n)]
+        for f, (a, _) in zip(factors, self._slices):
+            for (i, j), x in _cartan_matrix(f.series, f.rank).items():
+                self.cartan[a + i, a + j] = x
+                rows[a + i].append((a + j, x))
+        np.fill_diagonal(self.cartan, 2)
+        self._rows = [tuple(sorted(row)) for row in rows]
 
         # Per highest weight: the dominant weights below it
         # (`chars.dominant_weights_below`).

@@ -336,6 +336,58 @@ def test_batteries_run_without_an_svd(capsys, monkeypatch):
     assert code == 0 and out
 
 
+# Rss of the OpenBLAS mappings in this process, in kB (None without them),
+# then the batteries, then again.
+_OPENBLAS_RSS = """
+import contextlib, io
+from invconn.cli import main
+
+def openblas_rss():
+    total, name, seen = 0, "", False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            head = line.split()
+            if not head[0].endswith(":"):
+                name = head[5] if len(head) > 5 else ""
+            elif head[0] == "Rss:" and "openblas" in name:
+                total, seen = total + int(head[1]), True
+    return total if seen else None
+
+before = openblas_rss()
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["verify-un", "3"], ["verify-un", "5"], ["einstein", "u3"], ["einstein", "su5"]):
+        main(argv)
+print(before, openblas_rss())
+"""
+
+
+def test_batteries_map_no_openblas_code():
+    # numpy's `inv`, `norm`, `@` and `tensordot` map OpenBLAS code into the
+    # process on first call (about 600 kB); the batteries call none of them.
+    if not Path("/proc/self/smaps").is_file():
+        pytest.skip("no /proc/self/smaps")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _OPENBLAS_RSS],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    if before == "None":
+        pytest.skip("numpy maps no OpenBLAS library")
+    assert int(after) == int(before)
+
+
+def test_alphas_beyond_the_bound_are_refused_by_name(capsys):
+    code, out, err = run(capsys, "einstein", "su5", "--alphas=0.5,1e3")
+    assert (code, out) == (2, "")
+    assert err == "error: --alphas must be finite numbers of size at most 100, got '0.5,1e3'\n"
+
+
+def test_einstein_passes_at_the_alpha_bound_on_the_largest_su(capsys):
+    # Residuals grow like alpha^2; su(14) is the largest su accepted.
+    code, out, _ = run(capsys, "einstein", "su14", "--alphas=-100,100")
+    assert code == 0 and "FAIL" not in out
+
+
 def test_einstein_commands(capsys):
     code, out, _ = run(capsys, "einstein", "su3", "--alphas", "0.5,1,2")
     assert code == 0
@@ -516,6 +568,8 @@ BAD_INPUTS = {
     "einstein nan alpha": lambda tmp: ["einstein", "u3", "--alphas=nan"],
     "einstein infinite alpha": lambda tmp: ["einstein", "u3", "--alphas=0.5,inf"],
     "einstein alpha that overflows": lambda tmp: ["einstein", "u3", "--alphas=1e400"],
+    "einstein alpha over the bound": lambda tmp: ["einstein", "su5", "--alphas=1e3"],
+    "einstein alpha under the bound": lambda tmp: ["einstein", "su5", "--alphas=-1e7"],
     "einstein su1": lambda tmp: ["einstein", "su1"],
     "einstein unbalanced parenthesis su(3": lambda tmp: ["einstein", "su(3"],
     "einstein unbalanced parenthesis su3)": lambda tmp: ["einstein", "su3)"],

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +14,12 @@ from hypothesis import strategies as st
 from conftest import (SIMPLE_TYPES_TO_RANK_8, bfs_orbit, dominates, height, pairing, reflect, root_coords,
                       root_lengths, shrink_weight)
 
+import invconn
 from invconn.rootsys import (ConfigurationError, PreconditionError, RootSystem,
                              SimpleType, _invert_int_matrix, _simple_inverse, adjoint_weight)
 from invconn.siiclass import load_catalog
+
+SRC = str(Path(invconn.__file__).resolve().parents[1])
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
              ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G", 2), ("F", 4),
@@ -311,7 +318,7 @@ def _fraction_inverse(m):
 
 def test_invert_int_matrix_gives_det_and_adjugate():
     rnd = random.Random(21)
-    mats = [rs.cartan for rs in _catalog_systems()]
+    mats = [rs.cartan.tolist() for rs in _catalog_systems()]
     for _ in range(30):  # random invertible matrices, some needing row swaps
         n = rnd.randint(1, 6)
         m = [[rnd.randint(-3, 3) for _ in range(n)] for _ in range(n)]
@@ -334,7 +341,7 @@ def test_integer_root_coordinates_match_fractions():
     assert len(systems) == len(_catalog_systems()) - 3
     for rs in systems:
         n = rs.rank
-        ainv = _fraction_inverse(rs.cartan)
+        ainv = _fraction_inverse(rs.cartan.tolist())
         det = rs._scaled_inverse[0]
 
         def coords(w):
@@ -429,3 +436,22 @@ def test_a_rank_over_the_array_limit_builds_no_cartan_matrix(monkeypatch):
     for factors in ([SimpleType("A", 4097)], [SimpleType("A", 2048), SimpleType("D", 2049)]):
         with pytest.raises(ConfigurationError, match="rank 4097 is too large"):
             RootSystem(factors)
+
+
+_BUILD_A2048 = """
+import tracemalloc
+from invconn.rootsys import RootSystem, SimpleType
+tracemalloc.start()
+RootSystem([SimpleType("A", 2048)])
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_a_large_rank_holds_one_cartan_matrix():
+    # The int64 Cartan matrix of A2048 takes 32 MiB, and building the
+    # system holds little else: no list-of-lists copy, no dense row scan.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _BUILD_A2048],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1.1 * 2048 ** 2 * 8
