@@ -458,11 +458,12 @@ class MatrixAlgebra:
     holds the structure coefficients c[i,j,k] of [e_i, e_j] = sum_k c[i,j,k] e_k
     as a Coo and `killing` the Killing form over the basis.
 
-    Independence: G, the Gram matrix of -Re tr, is symmetric and positive
-    semidefinite, and the dual basis is its inverse by Gauss-Jordan
-    elimination without pivoting (`_spd_inverse`).  A pivot that is not > 0
-    (NaN included) rejects the basis, and so does an inverse with
-    ||G||_F ||G^-1||_F d eps >= 1.  As cond_F >= cond_2, this rejects without
+    Independence: G, the Gram matrix of -Re tr, is symmetric and, for an
+    anti-Hermitian basis, positive semidefinite; the dual basis is its
+    inverse by Gauss-Jordan elimination without pivoting (`_spd_inverse`).
+    A pivot that is not > 0 (NaN included) rejects the basis as dependent
+    or not anti-Hermitian, and an inverse with ||G||_F ||G^-1||_F d eps >= 1
+    rejects it as dependent.  As cond_F >= cond_2, this rejects without
     an SVD whatever numpy's `matrix_rank(G) < d`, cond_2 >= 1/(d eps), does.
     No basis, coefficient or norm computation calls BLAS or LAPACK.
 
@@ -483,8 +484,10 @@ class MatrixAlgebra:
         gram = -np.real(np.einsum("iab,jba->ij", self.basis, self.basis))
         # Inverse Gram matrix of -Re tr: the dual basis that `coeffs` reads through.
         self._dual = _spd_inverse(gram)
-        cond = np.inf if self._dual is None else _norm(gram) * _norm(self._dual)
-        if not cond * self.dim * np.finfo(float).eps < 1.0:  # NaN rejects too
+        if self._dual is None:
+            raise AlgebraError(f"{name}: basis is not linearly independent, or not anti-Hermitian "
+                               "(the Gram matrix of -Re tr is not positive definite)")
+        if not _norm(gram) * _norm(self._dual) * self.dim * np.finfo(float).eps < 1.0:  # NaN rejects too
             raise AlgebraError(f"{name}: basis is not linearly independent")
         self._basis = e = Coo.from_dense(self.basis)
 

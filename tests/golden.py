@@ -98,7 +98,8 @@ def _tiny(detail: str) -> bool:
 
 def same_line(old: str, new: str) -> bool:
     """Whether a fresh line matches a golden one: equal, or the same PASS
-    check whose details differ only in numbers below 1e-13 in size."""
+    check, both lines as `render` writes them, whose details differ only in
+    numbers below 1e-13 in size."""
     if old == new:
         return True
     try:
@@ -106,6 +107,8 @@ def same_line(old: str, new: str) -> bool:
     except ValueError:
         return False
     if not (isinstance(a, list) and isinstance(b, list) and len(a) == len(b) == 4):
+        return False
+    if json.dumps(a) != old or json.dumps(b) != new:  # no other spacing or line end
         return False
     return (a[:3] == b[:3] and a[1] is True and _tiny(a[3]) and _tiny(b[3])
             and _NUMBER.sub("#", a[3]) == _NUMBER.sub("#", b[3]))
@@ -115,7 +118,12 @@ def _matches(name: str) -> bool:
     path = GOLDEN / name
     if not path.is_file():
         return False
-    old, new = path.read_text(encoding="utf-8").splitlines(), render(name).splitlines()
+    old, new = path.read_text(encoding="utf-8"), render(name)
+    if old == new:
+        return True
+    if name == DECOMPOSE or CASES[name][0] == "table":
+        return False
+    old, new = old.split("\n"), new.split("\n")
     return len(old) == len(new) and all(map(same_line, old, new))
 
 

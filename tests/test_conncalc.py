@@ -372,6 +372,13 @@ def test_independence_is_read_from_the_inverse_gram_matrix(su3):
             cc.MatrixAlgebra("so5-mix", 5, mix)
 
 
+def test_a_basis_that_is_not_anti_hermitian_is_named():
+    # sl(2,R) is closed and independent, but -tr(H^2) = -2 < 0.
+    h, e, f = (np.array(m, dtype=complex) for m in ([[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]))
+    with pytest.raises(cc.AlgebraError, match="or not anti-Hermitian"):
+        cc.MatrixAlgebra("sl2R", 2, [h, e, f])
+
+
 def test_dual_basis_by_elimination_matches_lapack():
     # The Gram matrices of the standard bases are the identity up to 1e-17.
     for name, n in (("u", 8), ("su", 10), ("so", 7)):

@@ -2,6 +2,7 @@
 files of `golden.py` and the catalog sweep in `docs/catalog_sweep.md`."""
 
 import pathlib
+import sys
 
 import pytest
 
@@ -21,6 +22,10 @@ def _flip_last_byte(monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda text, path: real(text[:-1] + chr(ord(text[-1]) ^ 1), path))
 
 
+def _no_final_newline(monkeypatch):
+    monkeypatch.setattr(cli, "_emit", lambda text, path: sys.stdout.write(text.rstrip("\n")))
+
+
 def _decimal_comma(monkeypatch):
     real = cli._name_value
     monkeypatch.setattr(cli, "_name_value", lambda x: real(x).replace(".", ",", 1))
@@ -35,12 +40,13 @@ def _next_exponent_digit(monkeypatch):
     (_flip_last_byte, [golden.DECOMPOSE, "table.txt"]),
     (_decimal_comma, ["einstein-u4.txt"]),
     (_next_exponent_digit, ["einstein-u4.txt", "verify-un-3.txt"]),
+    (_no_final_newline, [golden.DECOMPOSE, "table.txt"]),
 ])
 def test_a_one_byte_change_to_a_renderer_fails_the_comparison(monkeypatch, mutant, names):
-    # The last byte of every printed report, one byte of a number in a check
-    # name, or one digit of every detail number: each golden file it
-    # reaches differs.  The details of u4's "not Einstein" lines and of
-    # verify-un's FAIL lines are not below 1e-13.
+    # The last byte of every printed report, its final newline, one byte of
+    # a number in a check name, or one digit of every detail number: each
+    # golden file it reaches differs.  The details of u4's "not Einstein"
+    # lines and of verify-un's FAIL lines are not below 1e-13.
     mutant(monkeypatch)
     assert golden.differences(names) == names
 
@@ -51,6 +57,8 @@ def test_only_tiny_numbers_of_a_pass_detail_may_differ():
     assert not golden.same_line(line, line.replace("1.000e-16", "1.000e-13"))
     assert not golden.same_line(line, line.replace("a3=", "a1="))
     assert not golden.same_line(line, line.replace("true", "false").replace("1.000e-16", "2.000e-16"))
+    assert not golden.same_line(line, line.replace("1.000e-16", "9.000e-14") + "\r")
+    assert not golden.same_line(line, line.replace("1.000e-16", "9.000e-14").replace(", ", ","))
     big = '["x", true, false, "2.000e+00"]'
     assert not golden.same_line(big, big.replace("2.000", "2.001"))
 
