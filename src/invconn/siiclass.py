@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import io
 import json
 import math
 import time
@@ -158,6 +159,12 @@ def _integer(x, key: str) -> int:
     return x
 
 
+def _string(x, key: str) -> str:
+    if not isinstance(x, str):
+        raise CatalogError(f"{key} is {x!r}, not a string")
+    return x
+
+
 def _summands(factors: tuple[SimpleType, ...], seq) -> tuple[Summand, ...]:
     """Parse summands, each one dominant weight per factor of the matching rank."""
     out = []
@@ -196,9 +203,9 @@ def _row_from_json(rec: dict) -> IsotropyDatum:
             raise CatalogError("'family' must be an object whose 'params' is an object")
         return IsotropyDatum(
             id=rec["id"], ambient=ambient, factors=factors, constituents=constituents,
-            expected=expected, source=rec.get("source", ""),
+            expected=expected, source=_string(rec.get("source", ""), "source"),
             family=fam.get("key"), params=tuple(sorted((fam.get("params") or {}).items())),
-            alt_constituents=altc, note=rec.get("note", ""))
+            alt_constituents=altc, note=_string(rec.get("note", ""), "note"))
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"bad catalog record {rec['id']!r}: {exc}") from exc
 
@@ -230,9 +237,12 @@ def _parse_catalog(text: str) -> list[IsotropyDatum]:
         if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
             raise CatalogError(f"bad catalog record rows[{i}]: not an object with a string 'id'")
     rows = [_row_from_json(rec) for rec in doc["rows"]]
-    ids = [r.id for r in rows]
-    if len(set(ids)) != len(ids):
-        raise CatalogError("duplicate row ids in catalog")
+    seen: dict[str, str] = {}
+    for r in rows:
+        key = _row_key(r.id)
+        if key in seen:
+            raise CatalogError(f"duplicate row ids in catalog: {seen[key]!r} and {r.id!r}")
+        seen[key] = r.id
     return rows
 
 
@@ -258,10 +268,15 @@ def catalog_document(entries: list[IsotropyDatum]) -> dict:
     return {"version": 1, "rows": rows}
 
 
+def _row_key(row_id: str) -> str:
+    """The form in which a selector and a row id are compared."""
+    return row_id.replace(" ", "").lower()
+
+
 def get_row(row_id: str, path: str | None = None) -> IsotropyDatum:
-    key = row_id.replace(" ", "").lower()
+    key = _row_key(row_id)
     for row in load_catalog(path):
-        if row.id.lower() == key:
+        if _row_key(row.id) == key:
             return row
     raise KeyError(f"no catalog row with id {row_id!r}")
 
@@ -714,11 +729,12 @@ def emit_tables(pairs, fmt: str = "markdown") -> str:
 
     header = ["space", "m^C", "dim m", "a s N l (computed)", "a s N l (expected)", "type", "status"]
     if fmt == "csv":
-        lines = [",".join(header)]
-        for r in rows:
-            lines.append(",".join('"%s"' % c if "," in c else c for c in cells(r)))
-        lines.append(f"# {summary}")
-        return "\n".join(lines) + "\n"
+        import csv  # only this format loads it
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells(r) for r in rows)
+        return buf.getvalue() + f"# {summary}\n"
     if fmt in ("markdown", "md"):
         body = [cells(r) for r in rows]
         widths = [max(len(h), *(len(b[i]) for b in body)) if body else len(h)

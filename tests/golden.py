@@ -1,20 +1,14 @@
 """Golden outputs of the commands, and the script that rewrites them.
 
 Each file under `tests/data/golden` but `decompose.txt` holds one command:
-a line with its arguments, a line with its exit code, then
-
-  - for `table --format json`, its stdout with every `elapsed_ms` value
-    masked;
-  - for a battery (`verify-un`, `einstein`), one JSON line per check:
-    [name, passed, known_upstream_issue, detail].
+a line with its arguments, a line with its exit code, then its stdout with
+every `elapsed_ms` value masked.
 
 `decompose.txt` holds one line per `decompose` cell of the benchmark's
 plethysm pool (`benchmarks/data/plethysm_pool.json`, read, never written):
 the sha256 of its exit code and stdout, then its arguments.
 
-A fresh run must match the files exactly, with one exception: the detail
-of a PASS line may differ where every number in both versions is below
-1e-13 in size, the rounding noise of a vanishing residual.
+A fresh run must match the files exactly.
 
     python tests/golden.py            compare; exit 1 and name the files that differ
     python tests/golden.py --write    rewrite the files
@@ -37,25 +31,27 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden"
 POOL = ROOT / "benchmarks" / "data" / "plethysm_pool.json"
 DECOMPOSE = "decompose.txt"
-ALPHAS = "--alphas=-2,-1,0.5,1,3"
-NINE_ALPHAS = "--alphas=-2,-1,-0.5,0,0.5,1,1.5,2,3"
-
+ALPHAS = "--alphas=-2,-1,-0.5,0,0.5,1,1.5,2,3"
+ALGEBRAS = ("su3", "su4", "su5", *(f"so{n}" for n in range(5, 11)), *(f"u{n}" for n in range(3, 9)))
 CASES = {
     "table.txt": ["table", "--format", "json"],
     "table-budget-20000-50000.txt": ["table", "--format", "json", "--budget", "20000,50000"],
     "table-budget-unlimited.txt": ["table", "--format", "json", "--budget", "unlimited"],
+    "table-csv.txt": ["table", "--format", "csv"],
     **{f"verify-un-{n}.txt": ["verify-un", str(n), "--format", "json"] for n in range(3, 13)},
     "verify-un-3-seed-5.txt": ["verify-un", "3", "--seed", "5", "--format", "json"],
-    **{f"einstein-{alg}.txt": ["einstein", alg, ALPHAS, "--format", "json"]
-       for alg in ("su3", "so5", "u4")},
-    **{f"einstein-{alg}.txt": ["einstein", alg, NINE_ALPHAS, "--format", "json"]
-       for alg in ("su4", "su5", *(f"so{n}" for n in range(6, 11)), "u3", "u5", "u6", "u7", "u8")},
+    **{f"einstein-{alg}.txt": ["einstein", alg, ALPHAS, "--format", "json"] for alg in ALGEBRAS},
+    # The md battery renderings: the n = 3 and n = 4 errata, the random-direction
+    # line, "not Einstein" names, flat lines and lines with no detail.
+    "verify-un-3-md.txt": ["verify-un", "3", "--format", "md"],
+    "verify-un-4-md.txt": ["verify-un", "4", "--format", "md"],
+    "einstein-u4-md.txt": ["einstein", "u4", ALPHAS, "--format", "md"],
+    "einstein-so5-md.txt": ["einstein", "so5", ALPHAS, "--format", "md"],
 }
+MD = [name for name in CASES if name.endswith("-md.txt")]
 FILES = [*CASES, DECOMPOSE]
 
 _ELAPSED = re.compile(r'("elapsed_ms": )[^,\n]+')
-# A number in a battery detail; the 2 of "a2=" is a name, not a number.
-_NUMBER = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -85,52 +81,14 @@ def render(name: str) -> str:
         return "".join(f"{_digest(argv)}  {' '.join(argv)}\n" for argv in decompose_cells())
     argv = CASES[name]
     code, out = run(argv)
-    head = f"invconn {' '.join(argv)}\nexit code {code}\n"
-    if argv[0] == "table":
-        return head + _ELAPSED.sub(r'\1"masked"', out)
-    return head + "".join(json.dumps([c["name"], c["passed"], c["known_upstream_issue"], c["detail"]])
-                          + "\n" for c in json.loads(out)["checks"])
-
-
-def _tiny(detail: str) -> bool:
-    return all(abs(float(x)) < 1e-13 for x in _NUMBER.findall(detail))
-
-
-def same_line(old: str, new: str) -> bool:
-    """Whether a fresh line matches a golden one: equal, or the same PASS
-    check, both lines as `render` writes them, whose details differ only in
-    numbers below 1e-13 in size."""
-    if old == new:
-        return True
-    try:
-        a, b = json.loads(old), json.loads(new)
-    except ValueError:
-        return False
-    if not (isinstance(a, list) and isinstance(b, list) and len(a) == len(b) == 4):
-        return False
-    if json.dumps(a) != old or json.dumps(b) != new:  # no other spacing or line end
-        return False
-    return (a[:3] == b[:3] and a[1] is True and _tiny(a[3]) and _tiny(b[3])
-            and _NUMBER.sub("#", a[3]) == _NUMBER.sub("#", b[3]))
-
-
-def _matches(name: str) -> bool:
-    path = GOLDEN / name
-    if not path.is_file():
-        return False
-    old, new = path.read_text(encoding="utf-8"), render(name)
-    if old == new:
-        return True
-    if name == DECOMPOSE or CASES[name][0] == "table":
-        return False
-    old, new = old.split("\n"), new.split("\n")
-    return len(old) == len(new) and all(map(same_line, old, new))
+    return f"invconn {' '.join(argv)}\nexit code {code}\n" + _ELAPSED.sub(r'\1"masked"', out)
 
 
 def differences(names=FILES) -> list[str]:
     """Those of the golden files `names` that are missing or differ from a
     fresh run."""
-    return [name for name in names if not _matches(name)]
+    return [name for name in names if not (GOLDEN / name).is_file()
+            or (GOLDEN / name).read_text(encoding="utf-8") != render(name)]
 
 
 def main() -> int:

@@ -278,7 +278,7 @@ def test_exact_commands_do_not_import_the_numeric_engine(argv):
     proc, imported = _run_importing("-m", "invconn.cli", *argv)
     # `table --only table4` exits 1 on the SO8/Sp2xSp1 erratum.
     assert proc.returncode == (argv[0] == "table") and proc.stdout
-    assert "invconn.chars" in imported and "invconn.conncalc" not in imported
+    assert "invconn.chars" in imported and not imported & {"invconn.conncalc", "csv"}
 
 
 @pytest.mark.parametrize("argv,code", [(["table", "--only", "table4"], 1), (["classify", "G2/SU3"], 0),
@@ -515,6 +515,12 @@ SO7_G2 = {"id": "SO7/G2", "ambient": {"series": "SO", "n": 7}, "factors": [["G",
           "source": "table5"}
 
 
+# The one bundled row with two candidate modules, whose notes `classify` joins.
+SP16_SPIN12 = {"id": "Sp16/Spin12", "ambient": {"series": "Sp", "n": 16}, "factors": [["D", 6]],
+               "constituents": [[[0, 0, 0, 0, 0, 2]]], "alt_constituents": [[[0, 0, 0, 0, 2, 0]]],
+               "source": "table5"}
+
+
 def _catalog_file(tmp_path, **changes):
     return _catalog_doc(tmp_path, {"version": 1, "rows": [dict(SO7_G2, **changes)]})
 
@@ -559,6 +565,8 @@ BAD_INPUTS = {
         "table", "--catalog", _catalog_file(tmp, constituents=[[[1.7, 0]]])],
     "catalog expected count that is a boolean": lambda tmp: [
         "table", "--catalog", _catalog_file(tmp, expected=dict(SO7_G2["expected"], a=True))],
+    "catalog note that is not a string": lambda tmp: [
+        "table", "--catalog", _catalog_doc(tmp, {"rows": [dict(SP16_SPIN12, note=5)]})],
     "catalog version 2": lambda tmp: [
         "table", "--catalog", _catalog_doc(tmp, {"version": 2, "rows": [SO7_G2]})],
     "catalog version that is a string": lambda tmp: [
@@ -632,10 +640,26 @@ def test_key_error_message_is_not_quoted(capsys):
     ({"rows": [dict(SO7_G2, constituents=[[[1.7, 0]]])]}, "weight label is 1.7, not an integer"),
     ({"rows": [dict(SO7_G2, expected=dict(SO7_G2["expected"], a=True))]},
      "expected a is True, not an integer"),
+    # The string keys are named the same way.
+    ({"rows": [dict(SP16_SPIN12, note=5)]}, "bad catalog record 'Sp16/Spin12': note is 5, not a string"),
+    ({"rows": [dict(SO7_G2, source=["table5"])]}, "source is ['table5'], not a string"),
 ])
 def test_catalog_integer_errors_name_the_key(capsys, tmp_path, doc, message):
     code, _, err = run(capsys, "table", "--catalog", _catalog_doc(tmp_path, doc))
     assert code == 2 and err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+
+
+def test_a_row_id_with_spaces_is_selected_with_or_without_them(capsys, tmp_path):
+    path = _catalog_file(tmp_path, id="SO7 / G2")
+    for selector in ("SO7 / G2", "SO7/G2", "so7/g2"):
+        code, out, _ = run(capsys, "classify", selector, "--catalog", path, "--format", "json")
+        assert code == 0 and [r["id"] for r in json.loads(out)["rows"]] == ["SO7 / G2"]
+
+
+def test_ids_that_select_the_same_row_are_refused_by_name(capsys, tmp_path):
+    path = _catalog_doc(tmp_path, {"rows": [SO7_G2, dict(SO7_G2, id="so7 / g2")]})
+    code, out, err = run(capsys, "classify", "SO7/G2", "--catalog", path)
+    assert (code, out, err) == (2, "", "error: duplicate row ids in catalog: 'SO7/G2' and 'so7 / g2'\n")
 
 
 @pytest.mark.parametrize("argv", [["einstein", "su40"], ["verify-un", "30"]])

@@ -292,6 +292,16 @@ def test_emit_tables_statuses(tmp_path):
     assert csv.splitlines()[0].startswith("space,")
 
 
+def test_csv_cells_with_commas_and_quotes_round_trip():
+    import csv
+    import dataclasses
+    row = dataclasses.replace(get_row("G2/SU3"), id='G2/SU3,"x"')
+    text = emit_tables(classify_catalog([row]), "csv")
+    header, cells, summary = text.splitlines()
+    assert next(csv.reader([cells]))[:2] == ['G2/SU3,"x"', format_constituents(row)]
+    assert summary == "# matched 1 / skipped 0 / mismatched 0"
+
+
 def test_emit_tables_flags_corrupted_expected():
     import dataclasses
     row = get_row("SO7/G2")
