@@ -42,11 +42,13 @@ rho.  The fold is batched: each numpy step reflects every row of the stack
 that still has a negative label, at its first negative label.  Its labels
 are int64 only while every label that a reflection can reach is below 2^59
 in size (a bound from the invariant norm, `RootSystem._orbit_label_factor`);
-otherwise it runs on Python ints.  `decompose_expression` folds chi^2,
-`decompose(chi, lam)`'s stack, together with psi2 chi = 2 supp chi, then
-a cube's chi^3 = sum over the constituents kappa of chi^2 of
-supp chi + kappa and psi3 chi = 3 supp chi (`_fold_shifted`), and refuses
-a chi or a stack over `MAX_ARRAY_BYTES` before building it.
+otherwise it runs on Python ints.  `decompose` takes a character from
+outside, so it alone checks Weyl invariance before it folds.
+`decompose_expression` folds the arrays of the irreducible it has just
+built: chi^2, the stack supp chi + lam, together with psi2 chi =
+2 supp chi, then a cube's chi^3 = sum over the constituents kappa of chi^2
+of supp chi + kappa and psi3 chi = 3 supp chi (`_fold_shifted`), and
+refuses a chi or a stack over `MAX_ARRAY_BYTES` before building it.
 `plethysm_counts` folds chi^2 of chi = sum_j L(lam_j), the union of the
 stacks supp chi + lam_j, together with 2 supp chi and 3 supp chi as one
 stack whose rows carry the index of their sum.  Every Racah-Speiser sum,
@@ -679,26 +681,17 @@ def decompose(chi: Character, lam: Weight | None = None) -> list[tuple[Weight, i
         _check_highest_weight(rs, shift)
     if not chi.mult:
         return []
-    (terms,) = _racah_speiser(chi, shift)
-    return _by_height(rs, terms.items())
-
-
-def _racah_speiser(chi: Character, lam: Weight, *stacks) -> list[dict[Weight, int]]:
-    """RS(chi * L(lam)), then RS of each further stack (`_fold_shifted`), as
-    maps from one fold, for a nonzero chi and a dominant lam; `UsageError`
-    when chi is not Weyl-invariant or chi * L(lam) is not genuine."""
-    rs, mult = chi.rs, chi.mult
-    table = _WeightTable.of(mult, rs.rank, value_dtype(sum(map(abs, mult.values()))))
+    table = _WeightTable.of(chi.mult, rs.rank, value_dtype(sum(map(abs, chi.mult.values()))))
     weights = table.weights.astype(_fold_dtype(rs, table.weights), copy=False)
     failures = _invariance_failures(rs, table, weights)
     if failures:
-        w = next(w for w in mult if w in failures)
+        w = next(w for w in chi.mult if w in failures)
         raise UsageError(f"character is not Weyl-invariant: weight {w} and its "
                          f"reflection s_{failures[w] + 1} have different multiplicities")
-    terms, *rest = _fold_shifted(rs, weights, table.values.tolist(), ([(1, lam)], [1]), *stacks)
+    (terms,) = _fold_shifted(rs, weights, table.values.tolist(), ([(1, shift)], [1]))
     if any(m < 0 for m in terms.values()):
         raise UsageError("not a genuine character: negative multiplicity of an irreducible")
-    return [terms, *rest]
+    return _by_height(rs, terms.items())
 
 
 def expand(rs: RootSystem, terms) -> Character:
@@ -784,9 +777,12 @@ def decompose_expression(rs: RootSystem, name: str, lam: Weight,
     """The constituents of one of `EXPRESSIONS` of chi = L(lam), as `decompose`
     would return them for the materialized character, without building it.
 
-    One fold gives q_kappa = [chi^2 : kappa], that of `decompose(chi, lam)`,
-    and p_kappa = [psi2 chi : kappa] (for `tensor` with `mu`, chi * L(mu),
-    the whole answer); a cube takes a second fold of shifted copies of supp chi:
+    `tensor` is `decompose(chi, lam)`, or `decompose(chi, mu)` with `mu`.
+    Every other expression folds the arrays of chi itself, which the
+    Freudenthal recursion fills orbit by orbit, so no Weyl-invariance check
+    runs: one fold gives q_kappa = [chi^2 : kappa] and p_kappa =
+    [psi2 chi : kappa], and a cube takes a second fold of shifted copies of
+    supp chi:
 
         alt2, sym2 = (q -+ RS(2 supp chi)) / 2
         alt3, sym3 = RS(sum_kappa (q_kappa -+ 3 p_kappa) (supp chi + kappa)
@@ -818,19 +814,21 @@ def decompose_expression(rs: RootSystem, name: str, lam: Weight,
 
     zero = (0,) * rs.rank
     sign = 1 if name.startswith("sym") else -1
+    weights, mults = _arrays(chi)
+    square, psi2 = ([(1, lam)], [1]), ([(2, zero)], [1])
     if name in ("alt2", "sym2"):
-        q, p = _racah_speiser(chi, lam, ([(2, zero)], [1]))
+        q, p = _fold_shifted(rs, weights, mults, square, psi2)
         out = _divided(_lincomb((1, q), (sign, p)), 2)
     else:
         # A cube: the second fold, sum_kappa c_kappa (supp chi + kappa) + psi3 (3 supp chi).
         if name == "plethysm21":
-            (c,) = _racah_speiser(chi, lam)
+            (c,) = _fold_shifted(rs, weights, mults, square)
             psi3, k = -1, 3
         else:
-            q, p = _racah_speiser(chi, lam, ([(2, zero)], [1]))
+            q, p = _fold_shifted(rs, weights, mults, square, psi2)
             c = {kappa: m for kappa, m in _lincomb((1, q), (3 * sign, p)).items() if m}
             psi3, k = 2, 6
-        (chi3,) = _fold_shifted(rs, *_arrays(chi),
+        (chi3,) = _fold_shifted(rs, weights, mults,
                                 ([(1, kappa) for kappa in c] + [(3, zero)], [*c.values(), psi3]))
         out = _divided(chi3, k)
     if any(m < 0 for m in out.values()):

@@ -456,7 +456,8 @@ class MatrixAlgebra:
     is orthonormal for -Re tr, as `build_algebra` checks; otherwise `coeffs`
     still reads coefficients through the dual basis of -Re tr.  `bracket`
     holds the structure coefficients c[i,j,k] of [e_i, e_j] = sum_k c[i,j,k] e_k
-    as a Coo and `killing` the Killing form over the basis.
+    as a Coo, `killing` the Killing form over the basis, `gram` the Gram
+    matrix -Re tr e_i e_j and `traces` the real numbers i tr e_k.
 
     Independence: G, the Gram matrix of -Re tr, is symmetric and, for an
     anti-Hermitian basis, positive semidefinite; the dual basis is its
@@ -481,7 +482,9 @@ class MatrixAlgebra:
         self.basis = np.array(basis)
         self.dim = len(basis)
 
-        gram = -np.real(np.einsum("iab,jba->ij", self.basis, self.basis))
+        self.gram = gram = -np.real(np.einsum("iab,jba->ij", self.basis, self.basis))
+        self.traces = np.real(1j * np.einsum("iaa->i", self.basis))
+        gram.flags.writeable = self.traces.flags.writeable = False
         # Inverse Gram matrix of -Re tr: the dual basis that `coeffs` reads through.
         self._dual = _spd_inverse(gram)
         if self._dual is None:
@@ -508,6 +511,11 @@ class MatrixAlgebra:
         Coo: -Re tr(m[i, j] e_k), then the dual basis."""
         raw = -_einsum("ijac,kca->ijk", m, self._basis).real()
         return _einsum("ijk,kl->ijl", raw, Coo.from_dense(self._dual))
+
+    @functools.cached_property
+    def center(self) -> np.ndarray:
+        """coeffs(i Id), the center direction of u(n), formed once."""
+        return self.coeffs(1j * np.eye(self.n))
 
     def matrix(self, coeffs: np.ndarray) -> np.ndarray:
         """The algebra element with the given basis coefficients."""
@@ -637,7 +645,8 @@ def laquer_basis(alg: MatrixAlgebra) -> dict[str, Coo]:
 
     In closed form over the basis: mu1 is the bracket, mu2 the symmetrised
     coefficients of the products i e_i e_j, and with the real numbers
-    t_i = i tr e_i, g_ij = tr e_i e_j and xi = coeffs(i Id),
+    t_i = i tr e_i (`alg.traces`), g_ij = tr e_i e_j (minus `alg.gram`) and
+    xi = coeffs(i Id) (`alg.center`),
 
         mu3[i,j,k] = t_i delta_jk      mu5[i,j,k] = g_ij xi_k
         mu4[i,j,k] = t_j delta_ik      mu6[i,j,k] = -t_i t_j xi_k,
@@ -649,9 +658,9 @@ def laquer_basis(alg: MatrixAlgebra) -> dict[str, Coo]:
     e = alg._basis
     prod = _einsum("iab,jbc->ijac", e, e)
     half = alg._sparse_coeffs(Coo(prod.shape, prod.codes, 1j * prod.vals))
-    g = _einsum("iab,jba->ij", e, e).real()
-    t = Coo.from_dense(np.real(1j * np.einsum("iaa->i", alg.basis)))
-    xi = Coo.from_dense(alg.coeffs(1j * np.eye(alg.n)))
+    g = Coo.from_dense(-alg.gram)
+    t = Coo.from_dense(alg.traces)
+    xi = Coo.from_dense(alg.center)
     eye = _identity(alg.dim)
     maps = {
         "mu1": alg.bracket,

@@ -10,7 +10,10 @@ each factor tuple.  `factor_systems` of a simple system is the system
 itself, so the per-weight cache a system keeps (the dominant weights below
 a highest weight, filled by `chars`) serves every caller that splits it
 into factors.  A system whose rank x rank Cartan matrix would take more than
-`MAX_ARRAY_BYTES` is refused before any of it is built.
+`MAX_ARRAY_BYTES` is refused before any of it is built, and one whose
+positive-root tables would is refused at their first use, before any root
+is built: a system that is only gated, reflected or dualised never builds
+them.
 
 A Weyl orbit is built one layer at a time from its dominant weight,
 reflecting each point only at its positive labels (`_orbit`): layer k holds
@@ -39,6 +42,13 @@ import numpy as np
 from ._codes import MAX_ARRAY_BYTES
 
 Weight = tuple[int, ...]
+
+# Peak memory of the positive-root tables per label of a positive root:
+# the roots and their coordinates as padded tuples, the dimension rows and
+# the per-type search.  Measured as peak RSS over that of a rank-2 run,
+# `decompose A{r} alt2 --hw 1,0,...,0` on CPython 3.11 (x86-64): 36-38
+# bytes per label at r = 130 and 150.
+_ROOT_LABEL_BYTES = 40
 
 
 class ConfigurationError(ValueError):
@@ -100,6 +110,17 @@ class SimpleType:
         if self.series == "D":
             return 2 ** (n - 1) * math.factorial(n)
         return _EXCEPTIONAL_WEYL_ORDERS[(self.series, n)]
+
+    @property
+    def weyl_order_log10(self) -> float:
+        """log10 of `weyl_order` from the same closed form, with `math.lgamma`
+        for the factorial, so that no factorial of a large rank is formed."""
+        n = self.rank
+        if self.series == "A":
+            return math.lgamma(n + 2) / math.log(10)
+        if self.series in ("B", "C", "D"):
+            return (n - (self.series == "D")) * math.log10(2) + math.lgamma(n + 1) / math.log(10)
+        return math.log10(_EXCEPTIONAL_WEYL_ORDERS[(self.series, n)])
 
     @property
     def dim(self) -> int:
@@ -384,15 +405,18 @@ class RootSystem:
         """Positive roots with their simple-root coordinates, by height: those
         of the factors, padded with zeros to the other factors' labels."""
         n = self.rank
+        count = sum(f.num_positive_roots for f in self.factors)
+        if count * n * _ROOT_LABEL_BYTES > MAX_ARRAY_BYTES:
+            raise ConfigurationError(f"{self} is too large: its {count} positive roots of rank {n} "
+                                     f"would take more than {MAX_ARRAY_BYTES >> 20} MiB")
         pos = []
         for f, (a, b) in zip(self.factors, self._slices):
             left, right = (0,) * a, (0,) * (n - b)
             pos.extend((left + w + right, left + c + right) for w, c in _simple_positive_roots(f))
         pos.sort(key=lambda wc: (sum(wc[1]), wc[1]))
-        expected = sum(f.num_positive_roots for f in self.factors)
-        if len(pos) != expected:
+        if len(pos) != count:
             raise ConfigurationError(
-                f"positive-root generation produced {len(pos)}, expected {expected}")
+                f"positive-root generation produced {len(pos)}, expected {count}")
         return pos
 
     @_per_factors
@@ -546,9 +570,9 @@ class RootSystem:
     def _dimension_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """For every positive root beta, the integer vector c with
         sum(c * w) = <w, beta> in the scale of `_gram_int`, and <rho, beta>."""
-        g = self._gram_int
+        roots, g = self.pos_roots, self._gram_int  # the roots first: they refuse a huge rank
         rows = []
-        for beta in self.pos_roots:
+        for beta in roots:
             c = tuple(sum(g_ij * b for g_ij, b in zip(row, beta)) for row in g)
             rows.append((c, sum(c)))
         return tuple(rows)

@@ -414,13 +414,6 @@ def _fam_sp_n(n: int) -> IsotropyDatum:
 # Classification
 # ---------------------------------------------------------------------------
 
-def constituent_dim(rs: RootSystem, summand: Summand) -> int:
-    dim = 1
-    for sub, w in zip(rs.factor_systems(), summand):
-        dim *= sub.weyl_dimension(w)
-    return dim
-
-
 def module_character(rs: RootSystem, constituents) -> Character:
     return expand(rs, [(rs.join(summand), 1) for summand in constituents])
 
@@ -494,13 +487,34 @@ def _classify_values(rs: RootSystem, constituents) -> tuple[int, int, int, int]:
     return _counts(module_character(rs, constituents), [rs.join(sm) for sm in constituents])
 
 
+# A Weyl order below 10 to this power, at most this many digits, is formed
+# exactly and printed in full; a larger one is compared and printed as a
+# power of ten from its logarithm, so the gate forms no factorial of a
+# large rank.
+_EXACT_ORDER_DIGITS = 4300
+_DECIMAL_CHUNK = 10 ** 600
+
+
 def _decimal(n: int) -> str:
-    """n in decimal, or as a power of ten when it has more digits than
-    Python converts to a string."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"~10^{math.log10(n):.1f}"
+    """n >= 0 in decimal, 600 digits at a time: below every limit that the
+    interpreter may set on the digits of one int-to-str conversion."""
+    chunks = []
+    while n >= _DECIMAL_CHUNK:
+        n, r = divmod(n, _DECIMAL_CHUNK)
+        chunks.append(f"{r:0600d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def _weyl_gate(factors, cap: int) -> str | None:
+    """Why a row whose Weyl group has more than `cap` elements is skipped,
+    or None, from the closed-form orders of its factors."""
+    digits = sum(f.weyl_order_log10 for f in factors)
+    if digits < _EXACT_ORDER_DIGITS:
+        order = math.prod(f.weyl_order for f in factors)
+        return f"Weyl order {_decimal(order)} > {_decimal(cap)}" if order > cap else None
+    if digits > math.log10(max(cap, 1)):
+        return f"Weyl order ~10^{digits:.1f} > {_decimal(cap)}"
+    return None
 
 
 def classify(entry: IsotropyDatum, budget: Budget | None = None) -> SIIReport:
@@ -517,13 +531,12 @@ def classify(entry: IsotropyDatum, budget: Budget | None = None) -> SIIReport:
                          status=f"skipped: infeasible ({reason})", elapsed=time.perf_counter() - t0)
 
     # The closed-form order gates before any work per root or per label.
-    order = math.prod(f.weyl_order for f in entry.factors)
-    if order > budget.max_weyl_order:
-        return skipped(entry.expected_dim_m(),
-                       f"Weyl order {_decimal(order)} > {budget.max_weyl_order}")
+    reason = _weyl_gate(entry.factors, budget.max_weyl_order)
+    if reason:
+        return skipped(entry.expected_dim_m(), reason)
     rs = entry.root_system()
 
-    dim_m = sum(constituent_dim(rs, sm) for sm in entry.constituents)
+    dim_m = sum(rs.weyl_dimension(rs.join(sm)) for sm in entry.constituents)
     if dim_m != entry.expected_dim_m():
         raise CatalogError(
             f"{entry.id}: module dimension {dim_m} != "

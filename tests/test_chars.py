@@ -795,6 +795,31 @@ def test_each_expression_makes_one_fold_for_its_squares(a2, monkeypatch):
         assert len(folds) == count, name
 
 
+def test_only_decompose_checks_weyl_invariance(a2, monkeypatch):
+    # The non-tensor expressions fold the arrays of the irreducible they have
+    # just built, which the Freudenthal recursion fills orbit by orbit: they
+    # build no weight table and look no reflection up.  `tensor` goes through
+    # `decompose`, which takes characters from outside and keeps the check.
+    cases = [(rs, (1,) * rs.rank, name) for rs in KERNEL_SYSTEMS for name in EXPRESSIONS
+             if name != "tensor"]
+    expected = [decompose_expression(rs, name, lam) for rs, lam, name in cases]
+
+    def refuse(*args):
+        raise AssertionError("Weyl-invariance check on an expression path")
+
+    with monkeypatch.context() as m:
+        m.setattr(chars, "_invariance_failures", refuse)
+        m.setattr(chars._WeightTable, "of", refuse)
+        assert [decompose_expression(rs, name, lam) for rs, lam, name in cases] == expected
+        with pytest.raises(AssertionError, match="Weyl-invariance check"):
+            decompose_expression(a2, "tensor", (1, 1))
+    chi = Character(a2, {(0, 0): 1, (1, 0): 2, (-1, 1): 2, (0, -1): 1})
+    with pytest.raises(UsageError) as exc:
+        decompose(chi)
+    assert str(exc.value) == ("character is not Weyl-invariant: weight (-1, 1) and its "
+                              "reflection s_2 have different multiplicities")
+
+
 def test_decompose_expression_checks_every_division(a2, monkeypatch):
     real = chars._fold
 

@@ -1,11 +1,13 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import invconn
 from invconn import cli, siiclass
 from invconn.cli import build_parser, main
+from invconn.rootsys import SimpleType
 
 SRC = str(Path(invconn.__file__).resolve().parents[1])
 
@@ -64,12 +67,75 @@ def test_classify_skips_a_huge_family_member_at_once(capsys, budget):
     assert "| Sp99999/SO99999xSp1 |" in out and "skipped: infeasible (Weyl order ~10^" in out
 
 
+def test_the_weyl_gate_forms_no_factorial_of_a_huge_rank(capsys):
+    # SU2q/SU2xSUq at q = 10^9, gated from lgamma: the exact order would
+    # have about 8.6 * 10^9 digits.  The factors are set directly, since the
+    # family builder writes out a weight with q - 1 labels.
+    q = 10 ** 9
+    row = dataclasses.replace(siiclass.family("SU_2q", q=3), ambient=siiclass.Ambient("SU", 2 * q),
+                              factors=(SimpleType("A", 1), SimpleType("A", q - 1)))
+    t0 = time.perf_counter()
+    rep = siiclass.classify(row, siiclass.Budget.unlimited())
+    assert time.perf_counter() - t0 < 0.5
+    assert rep.status == f"skipped: infeasible (Weyl order ~10^8565705523.3 > {1 << 62})"
+    rep = siiclass.classify(row, siiclass.Budget(max_weyl_order=0, max_support=0))
+    assert rep.status == "skipped: infeasible (Weyl order ~10^8565705523.3 > 0)"
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "classify", "SU_2q", "--q", "1000000")  # 5.6 million digits
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0 and "skipped: infeasible (Weyl order ~10^5565709.2 > 1000000)" in out
+
+
+@pytest.mark.parametrize("n, limit", [(99999, "0"), (1001, "640"), (5000, "100000")])
+def test_a_weyl_order_prints_the_same_under_any_digit_limit(n, limit):
+    # Sp99999: ~10^228283.3 also when str() would take every digit;
+    # Sp1001: all 1285 digits of the order also when str() takes only 640;
+    # Sp5000: ~10^8163.8, not 8165 digits, when str() would take them.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "invconn.cli", "classify", "Sp_n", "--n", str(n),
+            "--budget", "unlimited"]
+    outs = [subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+            for env in ({**env, "PYTHONINTMAXSTRDIGITS": "4300"},
+                        {**env, "PYTHONINTMAXSTRDIGITS": limit})]
+    assert [(p.returncode, p.stderr) for p in outs] == [(0, "")] * 2
+    assert outs[0].stdout == outs[1].stdout and "skipped: infeasible (Weyl order " in outs[0].stdout
+
+
 def test_classify_known_mismatch_row(capsys):
     # The n=2 member of the SO_4n family is a symmetric pair; the published
     # counts cannot be reproduced and the row reports a mismatch.
     code, out, _ = run(capsys, "classify", "SO8/Sp2xSp1")
     assert code == 1
     assert "mismatch" in out
+
+
+def test_positive_roots_over_the_memory_bound_are_refused_before_they_are_built(
+        capsys, monkeypatch):
+    from invconn import rootsys
+
+    def refuse(st):
+        raise AssertionError("positive roots built")
+    monkeypatch.setattr(rootsys, "_simple_positive_roots", refuse)
+    code, out, err = run(capsys, "decompose", "A400", "alt2", "--hw", ",".join(["1"] + ["0"] * 399))
+    assert code == 2 and out == ""
+    assert err == ("error: RootSystem(A400) is too large: its 80200 positive roots of rank 400 "
+                   "would take more than 128 MiB\n")
+
+
+def test_no_catalog_row_or_family_member_reaches_the_root_bound():
+    from invconn.rootsys import _ROOT_LABEL_BYTES, MAX_ARRAY_BYTES
+
+    def table_bytes(factors):
+        rank = sum(f.rank for f in factors)
+        return sum(f.num_positive_roots for f in factors) * rank * _ROOT_LABEL_BYTES
+    rows = siiclass.load_catalog()
+    rows += [siiclass.family(key, n=30) for key in ("SU_alt2", "SU_sym2", "SO_ad", "SO_alt2",
+                                                    "SO_sym2", "SO_spalt", "SO_spsym", "SO_4n",
+                                                    "Sp_n")]
+    rows += [siiclass.family("SU_2q", q=30), siiclass.family("SU_pq", p=30, q=30)]
+    assert max(table_bytes(row.factors) for row in rows) * 10 < MAX_ARRAY_BYTES
+    # A188 is the largest A_r accepted: its tables peak near the bound.
+    assert table_bytes([SimpleType("A", 188)]) <= MAX_ARRAY_BYTES < table_bytes([SimpleType("A", 189)])
 
 
 def test_classify_json_schema(capsys):
@@ -757,15 +823,37 @@ def test_verify_un_builds_the_laquer_maps_once(monkeypatch):
 
 def test_verify_un_forms_each_trace_join_once(monkeypatch):
     # The trace vector of the vectorial map comes with its type conditions:
-    # the battery forms no second `ijk,ij->k` join on that map.
+    # the battery forms no second `ijk,ij->k` join on that map, and the
+    # Laquer maps read the Gram matrix of the algebra instead of an
+    # `iab,jba->ij` join.
     from invconn import cli, conncalc
     specs = []
     real = conncalc._einsum_blocks
     monkeypatch.setattr(conncalc, "_einsum_blocks",
                         lambda terms: specs.append([t[0] for t in terms]) or real(terms))
     cli.un_battery(3)
-    assert len(specs) == 44
+    assert len(specs) == 43
+    assert ["iab,jba->ij"] not in specs
     assert specs.count(["ijk,ij->k"]) == 2  # the vectorial map and the bracket family
+
+
+def test_each_battery_forms_its_center_direction_once(monkeypatch):
+    # verify-un reads coeffs(i Id) from `MatrixAlgebra.center` in the Laquer
+    # maps and in its checks; einstein forms its center direction once, not
+    # once per alpha.
+    from invconn import cli, conncalc
+    calls = []
+    real = conncalc.MatrixAlgebra.coeffs
+    monkeypatch.setattr(conncalc.MatrixAlgebra, "coeffs",
+                        lambda alg, m: calls.append(alg.name) or real(alg, m))
+    cli.un_battery(3)
+    assert calls == ["u(3)"]
+    calls.clear()
+    cli.einstein_battery("u", 4, [-2, -1, -0.5, 0, 0.5, 1, 1.5, 2, 3])
+    assert calls == ["u(4)"]
+    calls.clear()
+    cli.einstein_battery("su", 3, [0.5, 2])
+    assert calls == []
 
 
 def test_flatness_line_follows_the_default_tolerance(monkeypatch):
@@ -834,6 +922,14 @@ def test_each_command_parses_only_the_flags_it_reads(capsys, tmp_path, command):
             json.loads(out)
     if command in ("verify-un", "einstein", "catalog-dump"):
         _refused(capsys, [*CHEAP[command], "--format", "csv"])
+
+
+@pytest.mark.parametrize("command", sorted(CHEAP))
+def test_an_output_file_holds_the_stdout_bytes(capsys, tmp_path, command):
+    code, out, _ = run(capsys, *CHEAP[command])
+    target = tmp_path / "report.txt"
+    assert run(capsys, *CHEAP[command], "--output", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode() and out.endswith("\n")
 
 
 def test_catalog_dump_json_round_trips(capsys, tmp_path):

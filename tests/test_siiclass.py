@@ -11,8 +11,8 @@ from invconn import chars, siiclass
 from invconn.chars import InternalError, UsageError, irrep_character, multiplicity, tensor
 from invconn.rootsys import RootSystem, SimpleType
 from invconn.siiclass import (Budget, CatalogError, RangeError, classify,
-                              classify_catalog, classify_reducible, constituent_dim,
-                              duality_type, emit_tables, external_cross_check, family,
+                              classify_catalog, classify_reducible, duality_type,
+                              emit_tables, external_cross_check, family,
                               format_constituents, get_row, isotropy_from_embedding,
                               load_catalog, module_character, support_estimate,
                               unitary_group_module)
@@ -37,7 +37,7 @@ def test_catalog_loads_and_is_consistent():
     assert "SO248/E8" in ids and "G2/SU3" in ids
     for row in rows:
         rs = row.root_system()
-        dim = sum(constituent_dim(rs, sm) for sm in row.constituents)
+        dim = sum(rs.weyl_dimension(rs.join(sm)) for sm in row.constituents)
         assert dim == row.expected_dim_m(), row.id
         if row.expected is not None:
             assert row.expected.N == row.expected.a + row.expected.s, row.id
@@ -140,7 +140,7 @@ def test_gate_reports_the_computed_module_dimension():
         rs = row.root_system()
         rep = classify(row, budget=Budget(max_weyl_order=0, max_support=0))
         assert rep.status.startswith("skipped: infeasible (Weyl order"), row.id
-        assert rep.dim_m == sum(constituent_dim(rs, sm) for sm in row.constituents), row.id
+        assert rep.dim_m == sum(rs.weyl_dimension(rs.join(sm)) for sm in row.constituents), row.id
 
 
 def test_support_estimate_is_exact():
@@ -451,8 +451,8 @@ def test_sp16_spin12_candidates_agree():
     # check the two candidate modules have equal dimension and are both
     # self-dual, which is what the diagram symmetry requires.
     rs = row.root_system()
-    d1 = sum(constituent_dim(rs, sm) for sm in row.constituents)
-    d2 = sum(constituent_dim(rs, sm) for sm in row.alt_constituents)
+    d1 = sum(rs.weyl_dimension(rs.join(sm)) for sm in row.constituents)
+    d2 = sum(rs.weyl_dimension(rs.join(sm)) for sm in row.alt_constituents)
     assert d1 == d2 == 462
     assert duality_type(rs, row.constituents) == duality_type(rs, row.alt_constituents) == "real"
 
