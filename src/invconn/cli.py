@@ -164,23 +164,34 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
 
 
 def einstein_battery(name: str, n: int, alphas) -> list[Check]:
-    """Einstein property of the bracket family over a list of parameters,
-    decided against `conncalc.DEFAULT_TOL`.
+    """Einstein property of the bracket family over a list of parameters.
 
-    Simple algebras must be Einstein for every alpha; on u(n) the family is
-    Einstein only for the flat members alpha = +-1, and the center direction
-    is the obstruction otherwise.
+    mu_alpha = ((1 - alpha)/2) [.,.] and its torsion -alpha [.,.] make each
+    defect below at most quadratic in alpha, so each is compared with
+    `conncalc.DEFAULT_TOL` times max(1, alpha^2), the tolerance itself at
+    alpha = +-1.  Simple algebras must be Einstein for every alpha; on u(n)
+    the family is Einstein only for the flat members alpha = +-1, and the
+    center direction is the obstruction otherwise.
     """
     from . import conncalc
-    tol = conncalc.DEFAULT_TOL
     alg = conncalc.build_algebra(name, n)
     simple = name in ("su", "so")
-    center = None if simple else alg.coeffs(1j * np.eye(n) / np.sqrt(n))
+    center = None if simple else alg.center / np.sqrt(n)
     checks: list[Check] = []
     for alpha in alphas:
+        tol = conncalc.DEFAULT_TOL * max(1.0, alpha * alpha)
         mu = conncalc.bracket_family_map(alg, alpha)
-        rep = conncalc.einstein_check(alg, mu)
-        dt = conncalc.parallel_defect(alg, mu, conncalc.torsion(alg, mu))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            metric = conncalc.metric_defect(alg, mu)
+            rep = conncalc.ricci(alg, mu)
+            dt = conncalc.parallel_defect(alg, mu, conncalc.torsion(alg, mu))
+        if not math.isfinite(metric + rep.residual + dt):  # each is >= 0 or NaN
+            raise RangeError(f"alpha={alpha:g}: the defects leave double range (metric "
+                             f"{_fmt(metric)}, residual {_fmt(rep.residual)}, parallel torsion {_fmt(dt)})")
+        if not metric < tol:
+            raise conncalc.TensorShapeError(
+                f"alpha={alpha:g}: the bracket-family map is not metric (defect {_fmt(metric)})")
+        einstein = rep.residual < tol
         checks.append(Check(f"alpha={alpha:g}: parallel torsion", dt < tol, _fmt(dt)))
         flat = alpha in (1.0, -1.0)
         if flat:
@@ -189,12 +200,12 @@ def einstein_battery(name: str, n: int, alphas) -> list[Check]:
         residual = f"residual={_fmt(rep.residual)}"
         if simple or flat:
             checks.append(Check(f"alpha={alpha:g}: Einstein" + ("" if simple else " (flat)"),
-                                rep.is_einstein, residual))
+                                einstein, residual))
         else:
             checks.append(Check(
                 f"alpha={alpha:g}: not Einstein (center direction is Ricci-flat: "
                 f"{_name_value(np.einsum('i,ij,j->', center, rep.ric_sym, center))} vs Einstein constant "
-                f"{_name_value(rep.einstein_constant)})", not rep.is_einstein, residual))
+                f"{_name_value(rep.einstein_constant)})", not einstein, residual))
     return checks
 
 
@@ -248,19 +259,20 @@ def _parse_factors(text: str) -> list[SimpleType]:
     return factors
 
 
-# The Einstein battery compares absolute defects with `DEFAULT_TOL`, and its
-# residuals grow like alpha^2: su(14), the largest su accepted, passes at
-# +-100 and prints false FAILs from |alpha| = 300.
-MAX_ALPHA = 100
-
-
 def _parse_alphas(text: str) -> list[float]:
+    """The finite numbers of a comma-separated list, -0 read as 0; a repeated
+    value is refused, since it would repeat the check names."""
     try:
-        alphas = [float(a) for a in text.split(",")]
+        alphas = [float(a) + 0.0 for a in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"--alphas must be a comma-separated list of numbers, got {text!r}") from exc
-    if not all(abs(a) <= MAX_ALPHA for a in alphas):  # NaN fails too
-        raise UsageError(f"--alphas must be finite numbers of size at most {MAX_ALPHA}, got {text!r}")
+    if not all(map(math.isfinite, alphas)):
+        raise UsageError(f"--alphas must be finite numbers, got {text!r}")
+    seen: set[float] = set()
+    for alpha in alphas:
+        if alpha in seen:
+            raise UsageError(f"--alphas repeats {alpha:g}, got {text!r}")
+        seen.add(alpha)
     return alphas
 
 

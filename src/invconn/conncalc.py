@@ -79,7 +79,9 @@ class TensorShapeError(ValueError):
 
 
 # The threshold of the float checks: the predicates below and the battery
-# lines of `cli` compare their defects, norms and residuals with it.
+# lines of `cli` compare their defects, norms and residuals with it.  The
+# Einstein battery scales it by max(1, alpha^2), the size of the bracket
+# family's defects.
 DEFAULT_TOL = 1e-9
 
 # Entries of one block of a derivative that a defect reduces without holding

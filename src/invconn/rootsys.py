@@ -569,11 +569,15 @@ class RootSystem:
     @_per_factors
     def _dimension_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """For every positive root beta, the integer vector c with
-        sum(c * w) = <w, beta> in the scale of `_gram_int`, and <rho, beta>."""
-        roots, g = self.pos_roots, self._gram_int  # the roots first: they refuse a huge rank
+        sum(c * w) = <w, beta> in the scale of `_gram_int`, and <rho, beta>.
+
+        <omega_i, alpha_j> vanishes for i != j, so c_i = D_i k_i for the
+        simple-root coordinates k of beta, D_i = <omega_i, alpha_i>."""
+        coords, g = self.pos_root_coords, self._gram_int  # the roots first: they refuse a huge rank
+        diag = [sum(g[i][j] * a for j, a in row) for i, row in enumerate(self._rows)]
         rows = []
-        for beta in roots:
-            c = tuple(sum(g_ij * b for g_ij, b in zip(row, beta)) for row in g)
+        for k in coords:
+            c = tuple(map(operator.mul, diag, k))
             rows.append((c, sum(c)))
         return tuple(rows)
 

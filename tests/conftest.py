@@ -322,6 +322,16 @@ def pairing(rs, v, w):
     return Fraction(rs._ip_int(v, w), rs._gram_scale)
 
 
+def dimension_rows_reference(rs):
+    """`RootSystem._dimension_rows` as the dense product of `_gram_int` with
+    the labels of every positive root: O(|Phi+| rank^2)."""
+    rows = []
+    for beta in rs.pos_roots:
+        c = tuple(sum(g_ij * b for g_ij, b in zip(row, beta)) for row in rs._gram_int)
+        rows.append((c, sum(c)))
+    return tuple(rows)
+
+
 def reflect(rs, i, w):
     """Simple reflection s_i applied to a weight."""
     c = w[i]

@@ -442,16 +442,52 @@ def test_batteries_map_no_openblas_code():
     assert int(after) == int(before)
 
 
-def test_alphas_beyond_the_bound_are_refused_by_name(capsys):
-    code, out, err = run(capsys, "einstein", "su5", "--alphas=0.5,1e3")
-    assert (code, out) == (2, "")
-    assert err == "error: --alphas must be finite numbers of size at most 100, got '0.5,1e3'\n"
+def _decisions(checks):
+    """Each check as (PASS or FAIL, its name without alpha and values)."""
+    return [(c.passed, c.name.split(":")[1].split("(")[0]) for c in checks]
 
 
-def test_einstein_passes_at_the_alpha_bound_on_the_largest_su(capsys):
-    # Residuals grow like alpha^2; su(14) is the largest su accepted.
-    code, out, _ = run(capsys, "einstein", "su14", "--alphas=-100,100")
+@pytest.mark.parametrize("algebra", ["su5", "so7", "u4", "su14"])
+def test_einstein_decides_large_alphas_as_at_two(capsys, algebra):
+    # Every defect of mu_alpha is at most quadratic in alpha and is compared
+    # with DEFAULT_TOL max(1, alpha^2); an absolute 1e-9 printed false FAILs
+    # from alpha = 300 on su(14) and at 1e4 on so(7).
+    name, n = cli._parse_algebra(algebra)
+    at_two = _decisions(cli.einstein_battery(name, n, [2.0]))
+    for alpha in (-1e7, -1e4, 1e4, 1e7):
+        assert _decisions(cli.einstein_battery(name, n, [alpha])) == at_two, alpha
+    code, out, _ = run(capsys, "einstein", algebra, "--alphas=-1e7,-1e4,1e4,1e7")
     assert code == 0 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("algebra", ["su3", "so5", "u4"])
+def test_einstein_accepts_alpha_1000(capsys, algebra):
+    code, out, _ = run(capsys, "einstein", algebra, "--alphas=1000")
+    assert code == 0 and "FAIL" not in out and "alpha=1000: parallel torsion" in out
+
+
+def test_an_alpha_whose_defects_leave_double_range_is_refused_by_name(capsys):
+    # The Einstein residual of su(5) at alpha = 1e100 sums squares of about
+    # 1e200, which overflow, and at 1e300 the products do: no PASS or FAIL
+    # line is printed, and no numpy warning.
+    code, out, err = run(capsys, "einstein", "su5", "--alphas=0.5,1e100")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: alpha=1e+100: the defects leave double range (metric ")
+    assert ", residual inf, parallel torsion " in err and err.count("\n") == 1
+    code, out, err = run(capsys, "einstein", "u4", "--alphas=1e300")
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: alpha=1e+300: the defects leave double range (metric ")
+
+
+def test_a_repeated_alpha_is_refused_and_minus_zero_prints_as_zero(capsys):
+    code, out, err = run(capsys, "einstein", "su3", "--alphas=1,1.0,-0")
+    assert (code, out) == (2, "")
+    assert err == "error: --alphas repeats 1, got '1,1.0,-0'\n"
+    code, out, err = run(capsys, "einstein", "su3", "--alphas=0,-0")
+    assert (code, err) == (2, "error: --alphas repeats 0, got '0,-0'\n")
+    code, out, _ = run(capsys, "einstein", "su3", "--alphas=-0", "--format", "json")
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert code == 0 and names == ["alpha=0: parallel torsion", "alpha=0: Einstein"]
 
 
 def test_einstein_commands(capsys):
@@ -642,8 +678,8 @@ BAD_INPUTS = {
     "einstein nan alpha": lambda tmp: ["einstein", "u3", "--alphas=nan"],
     "einstein infinite alpha": lambda tmp: ["einstein", "u3", "--alphas=0.5,inf"],
     "einstein alpha that overflows": lambda tmp: ["einstein", "u3", "--alphas=1e400"],
-    "einstein alpha over the bound": lambda tmp: ["einstein", "su5", "--alphas=1e3"],
-    "einstein alpha under the bound": lambda tmp: ["einstein", "su5", "--alphas=-1e7"],
+    "einstein alpha whose residual overflows": lambda tmp: ["einstein", "su5", "--alphas=1e100"],
+    "einstein repeated alpha": lambda tmp: ["einstein", "su3", "--alphas=1,1.0,-0"],
     "einstein su1": lambda tmp: ["einstein", "su1"],
     "einstein unbalanced parenthesis su(3": lambda tmp: ["einstein", "su(3"],
     "einstein unbalanced parenthesis su3)": lambda tmp: ["einstein", "su3)"],

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (SIMPLE_TYPES_TO_RANK_8, bfs_orbit, dominates, height, pairing, reflect, root_coords,
-                      root_lengths, shrink_weight)
+from conftest import (SIMPLE_TYPES_TO_RANK_8, bfs_orbit, dimension_rows_reference, dominates, height,
+                      pairing, reflect, root_coords, root_lengths, shrink_weight)
 
 import invconn
 from invconn.rootsys import (ConfigurationError, PreconditionError, RootSystem,
@@ -417,6 +417,17 @@ def test_integer_pairing_matches_fractions():
             v, w = (tuple(rnd.randint(-3, 3) for _ in range(rs.rank)) for _ in range(2))
             assert pairing(rs, v, w) == sum(v[i] * gram[i][j] * w[j] for i in range(rs.rank)
                                            for j in range(rs.rank) if v[i] and w[j]), rs
+
+
+@pytest.mark.parametrize("factors", [[t] for t in SIMPLE_TYPES_TO_RANK_8] + [
+    [SimpleType("A", 2), SimpleType("G", 2), SimpleType("B", 3)],
+    [SimpleType("C", 3), SimpleType("A", 1), SimpleType("F", 4)],
+    [SimpleType("D", 4), SimpleType("E", 6), SimpleType("A", 1), SimpleType("A", 1)]], ids=str)
+def test_dimension_rows_equal_the_gram_product(factors):
+    # Each row scales the simple-root coordinates of its root; the reference
+    # pairs the root's labels with every row of the integer Gram matrix.
+    rs = RootSystem(factors)
+    assert rs._dimension_rows == dimension_rows_reference(rs)
 
 
 def test_weyl_dimension_is_exact_for_huge_weights():
