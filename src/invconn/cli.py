@@ -126,9 +126,13 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
     checks.append(Check("vectorial member: sum_i mu(e_i, e_i) = i (n^2 - 1) Id",
                         terr2 < tol, _fmt(terr2)))
 
-    cond_a = conncalc.torsion_type_conditions(alg, conncalc.bracket_family_map(alg, 1.5))
-    checks.append(Check("bracket family: skew and traceless",
-                        cond_a.skew and cond_a.traceless))
+    # mu_1.5 = -c/4: its metric, skew and trace defects are a quarter of c's.
+    c = alg.bracket
+    skew = (c + c.transpose((1, 0, 2))).max_abs() / 4
+    trace = math.hypot(*conncalc.trace_vector(c)) / 4
+    if not metric["mu1"] / 4 < tol:
+        raise conncalc.TensorShapeError(f"map is not metric (defect {metric['mu1'] / 4:.2e})")
+    checks.append(Check("bracket family: skew and traceless", skew < tol and trace < tol))
 
     ric_g = conncalc.ricci_matrix(alg, conncalc.levi_civita_map(alg))
     cal = float(np.abs(ric_g + 0.25 * alg.killing).max())
@@ -163,28 +167,46 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
     return checks
 
 
+def _bracket_member(alpha: float, m_c: float, j: float, quad, lin):
+    """The metric defect, Ricci matrix and parallel-torsion defect of
+    mu_alpha = t c, t = (1 - alpha)/2, read from the bracket c's metric
+    defect m_c, its derivative J along (c, c, -c^T) and its Ricci parts
+    (Q, L): |t| m_c, t^2 Q - t L and |t alpha| J, since the torsion of t c
+    is -alpha c and the derivative is bilinear in the map and the tensor."""
+    t = (1.0 - alpha) / 2.0
+    return abs(t) * m_c, t * t * quad - t * lin, abs(t * alpha) * j
+
+
 def einstein_battery(name: str, n: int, alphas) -> list[Check]:
     """Einstein property of the bracket family over a list of parameters.
 
-    mu_alpha = ((1 - alpha)/2) [.,.] and its torsion -alpha [.,.] make each
-    defect below at most quadratic in alpha, so each is compared with
-    `conncalc.DEFAULT_TOL` times max(1, alpha^2), the tolerance itself at
-    alpha = +-1.  Simple algebras must be Einstein for every alpha; on u(n)
-    the family is Einstein only for the flat members alpha = +-1, and the
-    center direction is the obstruction otherwise.
+    mu_alpha = t [.,.], t = (1 - alpha)/2, with torsion -alpha [.,.]: each
+    defect is a polynomial in t and alpha whose coefficients depend on the
+    bracket c alone.  They are formed once per algebra, by the only sparse
+    joins of the battery: c's metric defect m_c, its derivative J along
+    (c, c, -c^T) and its Ricci parts (Q, L) (`conncalc.ricci_parts`); each
+    alpha then reads d x d arithmetic (`_bracket_member`).  The flat line
+    reads J at alpha = -1, where mu = c and the curvature is that same
+    derivative, and 0 at alpha = +1, where mu = 0.  Each defect is at most
+    quadratic in alpha, so it is compared with `conncalc.DEFAULT_TOL` times
+    max(1, alpha^2), the tolerance itself at alpha = +-1.  Simple algebras
+    must be Einstein for every alpha; on u(n) the family is Einstein only
+    for the flat members alpha = +-1, and the center direction is the
+    obstruction otherwise.
     """
     from . import conncalc
     alg = conncalc.build_algebra(name, n)
     simple = name in ("su", "so")
     center = None if simple else alg.center / np.sqrt(n)
+    c = alg.bracket
+    m_c, j = conncalc.metric_defect(alg, c), conncalc.parallel_defect(alg, c, c)
+    quad, lin = conncalc.ricci_parts(alg, c)
     checks: list[Check] = []
     for alpha in alphas:
         tol = conncalc.DEFAULT_TOL * max(1.0, alpha * alpha)
-        mu = conncalc.bracket_family_map(alg, alpha)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            metric = conncalc.metric_defect(alg, mu)
-            rep = conncalc.ricci(alg, mu)
-            dt = conncalc.parallel_defect(alg, mu, conncalc.torsion(alg, mu))
+            metric, ric, dt = _bracket_member(alpha, m_c, j, quad, lin)
+            rep = conncalc.einstein_report(alg, ric)
         if not math.isfinite(metric + rep.residual + dt):  # each is >= 0 or NaN
             raise RangeError(f"alpha={alpha:g}: the defects leave double range (metric "
                              f"{_fmt(metric)}, residual {_fmt(rep.residual)}, parallel torsion {_fmt(dt)})")
@@ -195,7 +217,7 @@ def einstein_battery(name: str, n: int, alphas) -> list[Check]:
         checks.append(Check(f"alpha={alpha:g}: parallel torsion", dt < tol, _fmt(dt)))
         flat = alpha in (1.0, -1.0)
         if flat:
-            defect = conncalc.flatness_defect(alg, mu)
+            defect = j if alpha == -1.0 else 0.0
             checks.append(Check(f"alpha={alpha:g}: flat connection", defect < tol, _fmt(defect)))
         residual = f"residual={_fmt(rep.residual)}"
         if simple or flat:

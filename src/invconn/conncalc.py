@@ -505,14 +505,17 @@ class MatrixAlgebra:
             raise AlgebraError(f"{name}: basis is not closed under the bracket "
                                f"({self.closure_residual:.2e})")
 
-        # B(X, Y) = tr(ad X ad Y) from the structure coefficients.
-        self.killing = _einsum("ipq,jqp->ij", self.bracket, self.bracket).toarray()
-
     def _sparse_coeffs(self, m: Coo) -> Coo:
         """`coeffs` of the matrices m[i, j], a (d, d, n, n) Coo, as a (d, d, d)
         Coo: -Re tr(m[i, j] e_k), then the dual basis."""
         raw = -_einsum("ijac,kca->ijk", m, self._basis).real()
         return _einsum("ijk,kl->ijl", raw, Coo.from_dense(self._dual))
+
+    @functools.cached_property
+    def killing(self) -> np.ndarray:
+        """B(X, Y) = tr(ad X ad Y) from the structure coefficients, formed
+        on first use."""
+        return _einsum("ipq,jqp->ij", self.bracket, self.bracket).toarray()
 
     @functools.cached_property
     def center(self) -> np.ndarray:
@@ -947,19 +950,27 @@ def torsion_type_conditions(alg: MatrixAlgebra, mu) -> TypeConditionReport:
 # Curvature and Ricci
 # ---------------------------------------------------------------------------
 
-def ricci_matrix(alg: MatrixAlgebra, mu) -> np.ndarray:
-    """Ric(X,Y) = sum_i <R(e_i,X)Y, e_i>, contracted from mu directly:
+def ricci_parts(alg: MatrixAlgebra, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Ric(X,Y) = sum_i <R(e_i,X)Y, e_i> as its quadratic part Q and its
+    bracket part L, Ric = Q - L, contracted from mu directly:
 
-        Ric[x,y] = sum_p mu[x,y,p] tau[p] - sum_{e,p} mu[e,y,p] mu[x,p,e]
-                   - sum_{e,p} c[e,x,p] mu[p,y,e],   tau[p] = sum_e mu[e,p,e]
+        Q[x,y] = sum_p mu[x,y,p] tau[p] - sum_{e,p} mu[e,y,p] mu[x,p,e],
+        L[x,y] = sum_{e,p} c[e,x,p] mu[p,y,e],   tau[p] = sum_e mu[e,p,e]
 
-    as three einsums of the nonzeros, without the curvature tensor.
+    as three einsums of the nonzeros, without the curvature tensor.  The
+    parts of t mu are t^2 Q and t L, so the parts of the bracket c give the
+    Ricci matrix t^2 Q - t L of every member t c of the bracket family.
     """
     mu = _coo(mu, (alg.dim,) * 3)
     tau = _einsum("epq,eq->p", mu, _identity(alg.dim))
-    return (_einsum("xyp,p->xy", mu, tau).toarray()
-            - _einsum("xpe,eyp->xy", mu, mu).toarray()
-            - _einsum("exp,pye->xy", alg.bracket, mu).toarray())
+    quad = _einsum("xyp,p->xy", mu, tau).toarray() - _einsum("xpe,eyp->xy", mu, mu).toarray()
+    return quad, _einsum("exp,pye->xy", alg.bracket, mu).toarray()
+
+
+def ricci_matrix(alg: MatrixAlgebra, mu) -> np.ndarray:
+    """Ric(X,Y) = sum_i <R(e_i,X)Y, e_i>, the Q - L of `ricci_parts`."""
+    quad, lin = ricci_parts(alg, mu)
+    return quad - lin
 
 
 def flatness_defect(alg: MatrixAlgebra, mu) -> float:
@@ -977,25 +988,22 @@ class EinsteinReport:
     scal: float
     einstein_constant: float
     residual: float
-    is_einstein: bool
 
 
-def ricci(alg: MatrixAlgebra, mu) -> EinsteinReport:
-    ric = ricci_matrix(alg, mu)
+def einstein_report(alg: MatrixAlgebra, ric: np.ndarray) -> EinsteinReport:
+    """The Einstein report of a Ricci matrix: its symmetric and skew parts,
+    the scalar curvature, the Einstein constant scal / dim and the residual
+    |Ric_sym - const g|, Frobenius."""
     sym = 0.5 * (ric + ric.T)
     alt = 0.5 * (ric - ric.T)
     scal = float(np.trace(sym))
     const = scal / alg.dim
     residual = _norm(sym - const * np.eye(alg.dim))
-    return EinsteinReport(ric, sym, alt, scal, const, residual, residual < DEFAULT_TOL)
+    return EinsteinReport(ric, sym, alt, scal, const, residual)
 
 
-def einstein_check(alg: MatrixAlgebra, mu) -> EinsteinReport:
-    mu = _coo(mu, (alg.dim,) * 3)
-    ok, defect = is_metric(alg, mu)
-    if not ok:
-        raise TensorShapeError(f"einstein_check requires a metric map (defect {defect:.2e})")
-    return ricci(alg, mu)
+def ricci(alg: MatrixAlgebra, mu) -> EinsteinReport:
+    return einstein_report(alg, ricci_matrix(alg, mu))
 
 
 def vectorial_ricci(alg: MatrixAlgebra, xi: np.ndarray, ric_g: np.ndarray) -> np.ndarray:

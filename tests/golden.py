@@ -10,7 +10,8 @@ the sha256 of its exit code and stdout, then its arguments.
 
 A fresh run must match the files exactly.
 
-    python tests/golden.py            compare; exit 1 and name the files that differ
+    python tests/golden.py            compare; exit 1, name each file that differs
+                                      and print its unified diff
     python tests/golden.py --write    rewrite the files
 
 A change that alters an output on purpose commits the rewritten files.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -84,11 +86,24 @@ def render(name: str) -> str:
     return f"invconn {' '.join(argv)}\nexit code {code}\n" + _ELAPSED.sub(r'\1"masked"', out)
 
 
+def unified_diffs(names=FILES):
+    """(name, unified diff of the committed file against a fresh run) for
+    each of the golden files `names` that is missing or differs; a missing
+    file diffs as empty."""
+    for name in names:
+        path = GOLDEN / name
+        old = path.read_text(encoding="utf-8") if path.is_file() else None
+        new = render(name)
+        if old != new:
+            yield name, difflib.unified_diff((old or "").splitlines(keepends=True),
+                                             new.splitlines(keepends=True),
+                                             f"{name} (committed)", f"{name} (fresh run)")
+
+
 def differences(names=FILES) -> list[str]:
     """Those of the golden files `names` that are missing or differ from a
     fresh run."""
-    return [name for name in names if not (GOLDEN / name).is_file()
-            or (GOLDEN / name).read_text(encoding="utf-8") != render(name)]
+    return [name for name, _ in unified_diffs(names)]
 
 
 def main() -> int:
@@ -99,10 +114,12 @@ def main() -> int:
         for name in FILES:
             (GOLDEN / name).write_text(render(name), encoding="utf-8")
         return 0
-    bad = differences()
-    for name in bad:
+    code = 0
+    for name, diff in unified_diffs():
         print(f"differs: {GOLDEN / name}")
-    return 1 if bad else 0
+        sys.stdout.writelines(diff)
+        code = 1
+    return code
 
 
 if __name__ == "__main__":

@@ -353,12 +353,12 @@ def test_c7_einstein_battery_simple(name, n):
 def test_c7_u3_reported_non_einstein():
     alg = cc.build_algebra("u", 3)
     for alpha in (0.5, 2.0):
-        rep = cc.einstein_check(alg, cc.bracket_family_map(alg, alpha))
-        assert not rep.is_einstein
+        rep = cc.ricci(alg, cc.bracket_family_map(alg, alpha))
+        assert not rep.residual < cc.DEFAULT_TOL
     # the flat members satisfy the Einstein condition trivially
     for alpha in (-1.0, 1.0):
-        rep = cc.einstein_check(alg, cc.bracket_family_map(alg, alpha))
-        assert rep.is_einstein and abs(rep.scal) < 1e-12
+        rep = cc.ricci(alg, cc.bracket_family_map(alg, alpha))
+        assert rep.residual < cc.DEFAULT_TOL and abs(rep.scal) < 1e-12
     gate("criterion 7: u(3) reported non-Einstein for non-flat members", True)
 
 

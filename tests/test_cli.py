@@ -868,7 +868,7 @@ def test_verify_un_forms_each_trace_join_once(monkeypatch):
     monkeypatch.setattr(conncalc, "_einsum_blocks",
                         lambda terms: specs.append([t[0] for t in terms]) or real(terms))
     cli.un_battery(3)
-    assert len(specs) == 43
+    assert len(specs) == 41
     assert ["iab,jba->ij"] not in specs
     assert specs.count(["ijk,ij->k"]) == 2  # the vectorial map and the bracket family
 
@@ -893,18 +893,122 @@ def test_each_battery_forms_its_center_direction_once(monkeypatch):
 
 
 def test_flatness_line_follows_the_default_tolerance(monkeypatch):
-    # A flatness defect of 5e-10 passes under DEFAULT_TOL = 1e-9 and fails
-    # under 1e-11, like every other line of the battery.
+    # J, the derivative of the bracket along (c, c, -c^T), is the flat line
+    # at alpha = -1 and, times |t alpha| = 1 at alpha = -1 and 2, the
+    # parallel-torsion line.  At 5e-10 they pass under DEFAULT_TOL = 1e-9
+    # (4e-9 at alpha = 2) and fail under 1e-11, like every other line of
+    # the battery; at alpha = +1 both lines read exactly 0.
     from invconn import cli, conncalc
 
-    def flat_lines():
-        return [(c.passed, c.detail) for c in cli.einstein_battery("u", 3, [-1.0, 1.0])
-                if c.name.endswith("flat connection")]
+    def lines():
+        return [(c.name, c.passed, c.detail) for c in cli.einstein_battery("u", 3, [-1.0, 1.0, 2.0])
+                if c.name.endswith(("flat connection", "parallel torsion"))]
 
-    monkeypatch.setattr(conncalc, "flatness_defect", lambda alg, mu: 5e-10)
-    assert flat_lines() == [(True, "5.000e-10")] * 2
+    def expect(passed):
+        return [("alpha=-1: parallel torsion", passed, "5.000e-10"),
+                ("alpha=-1: flat connection", passed, "5.000e-10"),
+                ("alpha=1: parallel torsion", True, "0.000e+00"),
+                ("alpha=1: flat connection", True, "0.000e+00"),
+                ("alpha=2: parallel torsion", passed, "5.000e-10")]
+
+    monkeypatch.setattr(conncalc, "parallel_defect", lambda alg, mu, f: 5e-10)
+    assert lines() == expect(True)
     monkeypatch.setattr(conncalc, "DEFAULT_TOL", 1e-11)
-    assert flat_lines() == [(False, "5.000e-10")] * 2
+    assert lines() == expect(False)
+
+
+# The algebras and parameters on which the Einstein battery's coefficient
+# path is held against each member's own joins.
+TWO_PATH_ALGEBRAS = [("su", 3), ("su", 5), ("so", 5), ("so", 7), ("u", 3), ("u", 5)]
+TWO_PATH_ALPHAS = [-1e7, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0, 1e4]
+
+
+def _two_path_gaps(name: str, n: int) -> list:
+    """(alpha, what) wherever the Einstein battery, which reads every alpha
+    from the bracket's m_c, J, Q and L, and the per-member path on
+    mu_alpha = `bracket_family_map(alg, alpha)` disagree: a metric defect,
+    Ricci matrix or parallel-torsion defect apart by more than
+    1e-13 max(1, t^2) max|Q, L|, a refused member, or a line of the battery
+    that the member's own defects decide the other way."""
+    import numpy as np
+
+    from invconn import conncalc
+    alg = conncalc.build_algebra(name, n)
+    c = alg.bracket
+    parts = (conncalc.metric_defect(alg, c), conncalc.parallel_defect(alg, c, c),
+             *conncalc.ricci_parts(alg, c))
+    scale = max(np.abs(parts[2]).max(), np.abs(parts[3]).max())
+    lines = iter(cli.einstein_battery(name, n, TWO_PATH_ALPHAS))
+    gaps = []
+    for alpha in TWO_PATH_ALPHAS:
+        t, tol = (1.0 - alpha) / 2.0, conncalc.DEFAULT_TOL * max(1.0, alpha * alpha)
+        mu = conncalc.bracket_family_map(alg, alpha)
+        member = dict(metric=conncalc.metric_defect(alg, mu), ricci=conncalc.ricci_matrix(alg, mu),
+                      torsion=conncalc.parallel_defect(alg, mu, conncalc.torsion(alg, mu)))
+        coeffs = dict(zip(member, cli._bracket_member(alpha, *parts)))
+        gaps += [(alpha, k) for k in member
+                 if np.abs(coeffs[k] - member[k]).max() > 1e-13 * max(1.0, t * t) * scale]
+        if not member["metric"] < tol:
+            gaps.append((alpha, "refused"))
+        einstein = conncalc.einstein_report(alg, member["ricci"]).residual < tol
+        decisions = [member["torsion"] < tol]
+        if alpha in (1.0, -1.0):
+            decisions.append(conncalc.flatness_defect(alg, mu) < tol)
+        decisions.append(einstein if name != "u" or alpha in (1.0, -1.0) else not einstein)
+        gaps += [(alpha, line.name) for passed, line in zip(decisions, lines) if line.passed != passed]
+    assert next(lines, None) is None
+    return gaps
+
+
+@pytest.mark.parametrize("name,n", TWO_PATH_ALGEBRAS)
+def test_einstein_coefficients_agree_with_each_member(name, n):
+    assert _two_path_gaps(name, n) == []
+
+
+@pytest.mark.parametrize("name,n", TWO_PATH_ALGEBRAS)
+def test_einstein_coefficients_are_the_members_own_joins(name, n):
+    # At alpha = -1 the flat line joins the operands of J; Ricci is Q - L.
+    import numpy as np
+
+    from invconn import conncalc
+    alg = conncalc.build_algebra(name, n)
+    c = alg.bracket
+    assert conncalc.parallel_defect(alg, c, c) == conncalc.flatness_defect(alg, c)
+    quad, lin = conncalc.ricci_parts(alg, c)
+    assert np.array_equal(conncalc.ricci_matrix(alg, c), quad - lin)
+
+
+def _drop_bracket_term(real):
+    return lambda alpha, m_c, j, quad, lin: real(alpha, m_c, j, quad, 0.0 * lin)
+
+
+def _t_for_t_squared(real):
+    def member(alpha, m_c, j, quad, lin):
+        metric, _, dt = real(alpha, m_c, j, quad, lin)
+        t = (1.0 - alpha) / 2.0
+        return metric, t * quad - t * lin, dt
+    return member
+
+
+@pytest.mark.parametrize("mutant", [_drop_bracket_term, _t_for_t_squared])
+@pytest.mark.parametrize("name,n", [("su", 3), ("u", 3)])
+def test_a_wrong_einstein_coefficient_fails_the_two_path_check(monkeypatch, mutant, name, n):
+    monkeypatch.setattr(cli, "_bracket_member", mutant(cli._bracket_member))
+    assert (0.0, "ricci") in _two_path_gaps(name, n)
+
+
+def test_einstein_joins_do_not_grow_with_the_alphas(monkeypatch):
+    # m_c, J, Q and L are formed once per algebra; each alpha adds no join.
+    from invconn import conncalc
+    joins = []
+    real = conncalc._einsum_blocks
+    monkeypatch.setattr(conncalc, "_einsum_blocks", lambda terms: joins.append(1) or real(terms))
+    counts = []
+    for alphas in ([0.5], [-2, -1, -0.5, 0, 0.5, 1, 1.5, 2, 3]):
+        joins.clear()
+        cli.einstein_battery("su", 5, alphas)
+        counts.append(len(joins))
+    assert counts[0] == counts[1]
 
 
 # -- one flag set per command -----------------------------------------------------
