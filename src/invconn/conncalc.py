@@ -38,15 +38,17 @@ einsum terms: a 3-tensor Lambda_t is contracted into axis t of F,
 
     D[z, ..a at t..] = -sum_t sum_q Lambda_t[z,a,q] F[..q at t..],
 
-one spec per axis (`zaq,xqy->zxay` for t = 1 of a 3-axis F), and the checks
-differ only in the list of Lambda, one per axis of F (None where an axis has
-no term; c is the bracket, mu^T is mu with its last two axes swapped):
+one spec per axis (`zaq,xqy->zxay` for t = 1 of a 3-axis F), with z over
+the rows of the Lambdas, and the checks differ only in the list of Lambda,
+one per axis of F (None where an axis has no term; c is the bracket, c_gen
+its rows at the algebra's generators, mu^T is mu with its last two axes
+swapped):
 
-    D_Z F of a vector-valued F along mu     mu, .., mu, -mu^T  (parallel_defect)
-    D_Z g of the metric, scalar-valued      mu, mu             (parallel_metric_defect)
-    equivariance of mu = D_W mu along ad    c, c, -c^T         (equivariance_defect)
-    derivation defect = D_Z c along mu      mu, mu, -mu^T      (derivation_defect)
-    curvature R[x,y,z,k] of mu, F = mu      c, mu, -mu^T       (flatness_defect)
+    D_Z F of a vector-valued F along mu     mu, .., mu, -mu^T        (parallel_defect)
+    D_Z g of the metric, scalar-valued      mu, mu                   (parallel_metric_defect)
+    equivariance of mu = D_W mu along ad,   c_gen, c_gen, -c_gen^T   (equivariance_defect)
+      W over the generators
+    derivation defect = D_Z c along mu      mu, mu, -mu^T            (derivation_defect)
 
 The battery paths hold no dense d^3 array, and the defects share one
 reduction, `_max_derivative`: its sparse path reduces the blocks of the
@@ -209,6 +211,15 @@ class Coo:
         codes = codes[order]
         same = shape == self.shape and np.array_equal(codes, self.codes)
         return (shape, self.codes, order, None) if same else (shape, codes, order, {})
+
+    def take_rows(self, rows) -> Coo:
+        """`np.take(t, rows, axis=0)` for distinct rows."""
+        at = np.full(self.shape[0], -1)
+        at[list(rows)] = np.arange(len(rows))
+        row = at[self.index[0]]
+        keep = row >= 0
+        stride = math.prod(self.shape[1:])
+        return Coo((len(rows), *self.shape[1:]), row[keep] * stride + self.codes[keep] % stride, self.vals[keep])
 
     def real(self) -> Coo:
         return Coo(self.shape, self.codes, self.vals.real, self._pattern)
@@ -460,6 +471,9 @@ class MatrixAlgebra:
     holds the structure coefficients c[i,j,k] of [e_i, e_j] = sum_k c[i,j,k] e_k
     as a Coo, `killing` the Killing form over the basis, `gram` the Gram
     matrix -Re tr e_i e_j and `traces` the real numbers i tr e_k.
+    `generators` are the indices of basis elements that, with the centre,
+    generate the algebra as a Lie algebra (every index unless given), and
+    `generator_bracket` holds the bracket's rows at them.
 
     Independence: G, the Gram matrix of -Re tr, is symmetric and, for an
     anti-Hermitian basis, positive semidefinite; the dual basis is its
@@ -478,11 +492,12 @@ class MatrixAlgebra:
     and safe to share.
     """
 
-    def __init__(self, name: str, n: int, basis: list[np.ndarray]):
+    def __init__(self, name: str, n: int, basis: list[np.ndarray], generators=None):
         self.name = name
         self.n = n
         self.basis = np.array(basis)
         self.dim = len(basis)
+        self.generators = tuple(range(self.dim)) if generators is None else tuple(generators)
 
         self.gram = gram = -np.real(np.einsum("iab,jba->ij", self.basis, self.basis))
         self.traces = np.real(1j * np.einsum("iaa->i", self.basis))
@@ -516,6 +531,12 @@ class MatrixAlgebra:
         """B(X, Y) = tr(ad X ad Y) from the structure coefficients, formed
         on first use."""
         return _einsum("ipq,jqp->ij", self.bracket, self.bracket).toarray()
+
+    @functools.cached_property
+    def generator_bracket(self) -> Coo:
+        """c[generators[g], j, k], the (len(generators), d, d) rows of the
+        bracket at the generators, formed on first use."""
+        return self.bracket.take_rows(self.generators)
 
     @functools.cached_property
     def center(self) -> np.ndarray:
@@ -602,7 +623,18 @@ def build_algebra(name: str, n: int) -> MatrixAlgebra:
                 e[k, l] = s
                 e[l, k] = -s
                 basis.append(e)
-    alg = MatrixAlgebra(f"{name}({n})", n, basis)
+    # Generators: the adjacent-plane rotations (E_k,k+1 - E_k+1,k)/sqrt2, the
+    # plane (k, k+1) being pair k(2n - k - 1)/2 in the order of k < l, and on
+    # su(n) and u(n) also i(E_12 + E_21)/sqrt2.  so(n) is maximal in su(n), as
+    # SU(n)/SO(n) is an irreducible symmetric space, and the centre of u(n)
+    # acts by ad = 0.
+    adjacent = [k * (2 * n - k - 1) // 2 for k in range(n - 1)]
+    if name == "so":
+        generators = adjacent
+    else:
+        first = len(basis) - n * (n - 1)  # the off-diagonal pairs follow the diagonal, two per pair
+        generators = [first + 1] + [first + 2 * p for p in adjacent]
+    alg = MatrixAlgebra(f"{name}({n})", n, basis, sorted(generators))
     # The declared metric is -Re tr, and so bi-invariant, only for a basis
     # orthonormal for -Re tr.
     if np.abs(alg._dual - np.eye(alg.dim)).max() > 1e-12:
@@ -684,12 +716,6 @@ def levi_civita_map(alg: MatrixAlgebra) -> Coo:
     return 0.5 * alg.bracket
 
 
-def bracket_family_map(alg: MatrixAlgebra, alpha: float) -> Coo:
-    """mu_alpha = ((1 - alpha)/2) [.,.]; its torsion is alpha times the
-    canonical torsion -[X,Y]."""
-    return ((1.0 - alpha) / 2.0) * alg.bracket
-
-
 def vectorial_metric_map(alg: MatrixAlgebra, maps: dict | None = None) -> Coo:
     """The u(n) metric map [.,.]/2 + mu4 - mu5.
 
@@ -709,9 +735,12 @@ def vectorial_metric_map(alg: MatrixAlgebra, maps: dict | None = None) -> Coo:
 # ---------------------------------------------------------------------------
 
 def equivariance_defect(alg: MatrixAlgebra, mu) -> float:
-    """Max norm of mu([W,X],Y) + mu(X,[W,Y]) - [W, mu(X,Y)] over basis triples:
-    the derivative of mu along ad W."""
-    return _max_derivative(alg, _along(alg.bracket, 3), _coo(mu, (alg.dim,) * 3), _max_slot_norm)
+    """Max norm of mu([W,X],Y) + mu(X,[W,Y]) - [W, mu(X,Y)] over basis pairs
+    X, Y and W over `alg.generators`: the derivative of mu along ad W.  The W
+    whose derivative vanishes form a Lie subalgebra, and the centre has
+    ad = 0, so a zero defect on the generators is a zero defect on the whole
+    algebra."""
+    return _max_derivative(alg, _along(alg.generator_bracket, 3), _coo(mu, (alg.dim,) * 3), _max_slot_norm)
 
 
 def _max_slot_norm(t: np.ndarray) -> float:
@@ -727,31 +756,33 @@ def _max_derivative(alg: MatrixAlgebra, lams: list, f, reduce) -> float:
     """Max of reduce (`_max_abs` or `_max_slot_norm`) over the derivative
     `_derivative(lams, F)`, by one of two paths with the same result.
 
-    lams are Coo or None, and F a Coo or an array, converted after the int64
-    guard on the derivative's d^(F.ndim + 1) entries.  The sparse path
-    reduces the blocks of the einsum terms (`_derivative_terms`); an empty
-    derivative gives 0.0.  It runs when the terms form fewer products than
-    the derivative has entries and no Z row needs more than
-    _MAX_ROW_PRODUCTS of them, both counted exactly before any product is
-    formed, the rows only past _BLOCK_PRODUCTS products in all, where the
-    blocks need them too.  A dense map keeps the dense path
-    (`_max_dense_derivative`), which densifies.
+    lams are Coo or None, whose leading (Z) axes share one length r, and F a
+    Coo or an array, converted after the int64 guard on the derivative's
+    r d^F.ndim entries.  The sparse path reduces the blocks of the einsum
+    terms (`_derivative_terms`); an empty derivative gives 0.0.  It runs
+    when the terms form fewer products than the derivative has entries and
+    no Z row needs more than _MAX_ROW_PRODUCTS of them, both counted exactly
+    before any product is formed, the rows only past _BLOCK_PRODUCTS
+    products in all, where the blocks need them too.  A dense map keeps the
+    dense path (`_max_dense_derivative`), which densifies.
     """
     d = alg.dim
-    if tuple(f.shape) != (d,) * f.ndim or len(lams) != f.ndim or any(
-            lam is not None and lam.shape != (d, d, d) for lam in lams):
+    zs = {lam.shape[0] for lam in lams if lam is not None}
+    if tuple(f.shape) != (d,) * f.ndim or len(lams) != f.ndim or len(zs) != 1 or any(
+            lam is not None and lam.shape[1:] != (d, d) for lam in lams):
         raise TensorShapeError("tensor shape does not match the algebra dimension")
-    _check_codes((d,) * (f.ndim + 1))
+    (r,) = zs
+    _check_codes((r, *f.shape))
     f = _coo(f)
     shape, total, joins = _einsum_blocks(_derivative_terms(lams, f))
     rows = _row_products(joins, shape) if total > _BLOCK_PRODUCTS else None
-    if total < d ** (f.ndim + 1) and (rows is None or rows.max() <= _MAX_ROW_PRODUCTS):
+    if total < r * d ** f.ndim and (rows is None or rows.max() <= _MAX_ROW_PRODUCTS):
         blocks = _join_blocks(joins, total, shape, rows)
         return max((_reduce_sparse(*block, d, reduce) for block in blocks), default=0.0)
-    return _max_dense_derivative(alg, lams, f, reduce)
+    return _max_dense_derivative(lams, f, reduce)
 
 
-def _max_dense_derivative(alg: MatrixAlgebra, lams: list, f: Coo, reduce) -> float:
+def _max_dense_derivative(lams: list, f: Coo, reduce) -> float:
     """The dense path of `_max_derivative`: densify each Lambda and F once,
     then reduce blocks of rows of Z, _BLOCK_ENTRIES entries per block, or
     one row if more."""
@@ -759,8 +790,9 @@ def _max_dense_derivative(alg: MatrixAlgebra, lams: list, f: Coo, reduce) -> flo
     lams = [None if lam is None else dense[id(lam)] for lam in lams]
     f = dense[id(f)]
     step = max(1, _BLOCK_ENTRIES // f.size)
+    rows = len(next(lam for lam in lams if lam is not None))
     return max(reduce(_derivative([None if lam is None else lam[z:z + step] for lam in lams], f))
-               for z in range(0, alg.dim, step))
+               for z in range(0, rows, step))
 
 
 def _along(mu, ndim: int) -> list:
@@ -875,9 +907,6 @@ class TypeDecomposition:
     def a3_norm(self) -> float:
         return self.a3.norm()
 
-    def reassembled(self) -> Coo:
-        return self.a1 + self.a2 + self.a3
-
 
 def classify_type(a) -> TypeDecomposition:
     """Project a difference tensor onto its trace/cyclic/skew components."""
@@ -971,13 +1000,6 @@ def ricci_matrix(alg: MatrixAlgebra, mu) -> np.ndarray:
     """Ric(X,Y) = sum_i <R(e_i,X)Y, e_i>, the Q - L of `ricci_parts`."""
     quad, lin = ricci_parts(alg, mu)
     return quad - lin
-
-
-def flatness_defect(alg: MatrixAlgebra, mu) -> float:
-    """Max |R[x,y,z,k]| without the d^4 array: R is the join on F = mu with
-    the bracket on its first axis and mu, -mu^T on the other two."""
-    mu = _coo(mu, (alg.dim,) * 3)
-    return _max_derivative(alg, [alg.bracket, *_along(mu, 2)], mu, _max_abs)
 
 
 @dataclasses.dataclass

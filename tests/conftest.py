@@ -17,8 +17,8 @@ from invconn.rootsys import RootSystem, SimpleType, _scaled_lengths
 
 def curvature(alg, mu):
     """R[x,y,z,k] with R(X,Y)Z = mu(X,mu(Y,Z)) - mu(Y,mu(X,Z)) - mu([X,Y],Z),
-    as a dense d^4 array: the batteries use `ricci_matrix` and
-    `flatness_defect`, which never form it."""
+    as a dense d^4 array: the batteries use `ricci_matrix`, and
+    `flatness_defect` never forms it."""
     mu, c = np.asarray(mu, dtype=np.float64), np.asarray(alg.bracket)
     return (np.einsum("yzp,xpk->xyzk", mu, mu)
             - np.einsum("xzp,ypk->xyzk", mu, mu)
@@ -107,6 +107,32 @@ def rescaled_algebra(alg, scales):
 def is_equivariant(alg, mu):
     defect = cc.equivariance_defect(alg, mu)
     return defect < cc.DEFAULT_TOL, defect
+
+
+def full_equivariance_defect(alg, mu):
+    """`equivariance_defect` with W over every basis element, not only the
+    generators: the full-basis reference of the battery's check."""
+    return cc._max_derivative(alg, cc._along(alg.bracket, 3), cc._coo(mu, (alg.dim,) * 3), cc._max_slot_norm)
+
+
+def bracket_family_map(alg, alpha):
+    """mu_alpha = ((1 - alpha)/2) [.,.]; its torsion is alpha times the
+    canonical torsion -[X,Y].  The Einstein battery reads every alpha from
+    the bracket's coefficients and never forms mu_alpha; this is the
+    per-member reference."""
+    return ((1.0 - alpha) / 2.0) * alg.bracket
+
+
+def flatness_defect(alg, mu):
+    """Max |R[x,y,z,k]| without the d^4 array: R is the join on F = mu with
+    the bracket on its first axis and mu, -mu^T on the other two."""
+    mu = cc._coo(mu, (alg.dim,) * 3)
+    return cc._max_derivative(alg, [alg.bracket, *cc._along(mu, 2)], mu, cc._max_abs)
+
+
+def reassembled(dec):
+    """a1 + a2 + a3 of a `TypeDecomposition`."""
+    return dec.a1 + dec.a2 + dec.a3
 
 
 # ---------------------------------------------------------------------------

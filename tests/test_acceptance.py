@@ -32,9 +32,9 @@ import random
 
 import numpy as np
 import pytest
-from conftest import (a_from_torsion, c_tensor, covariant_derivative, curvature, der_tensor, plethysm21,
-                      random_a_tensor, random_bilinear, random_torsion_tensor, sparse_derivative,
-                      torsion_from_a)
+from conftest import (a_from_torsion, bracket_family_map, c_tensor, covariant_derivative, curvature,
+                      der_tensor, plethysm21, random_a_tensor, random_bilinear, random_torsion_tensor,
+                      reassembled, sparse_derivative, torsion_from_a)
 
 from invconn import conncalc as cc
 from invconn.chars import (PlethysmOps, alt2, alt3, decompose, expand,
@@ -346,18 +346,18 @@ def test_c7_einstein_battery_simple(name, n):
          "; ".join(bad))
     alg = cc.build_algebra(name, n)
     for alpha in (-1.0, 1.0):
-        flat = float(np.abs(curvature(alg, cc.bracket_family_map(alg, alpha))).max())
+        flat = float(np.abs(curvature(alg, bracket_family_map(alg, alpha))).max())
         assert flat < 1e-10
 
 
 def test_c7_u3_reported_non_einstein():
     alg = cc.build_algebra("u", 3)
     for alpha in (0.5, 2.0):
-        rep = cc.ricci(alg, cc.bracket_family_map(alg, alpha))
+        rep = cc.ricci(alg, bracket_family_map(alg, alpha))
         assert not rep.residual < cc.DEFAULT_TOL
     # the flat members satisfy the Einstein condition trivially
     for alpha in (-1.0, 1.0):
-        rep = cc.ricci(alg, cc.bracket_family_map(alg, alpha))
+        rep = cc.ricci(alg, bracket_family_map(alg, alpha))
         assert rep.residual < cc.DEFAULT_TOL and abs(rep.scal) < 1e-12
     gate("criterion 7: u(3) reported non-Einstein for non-flat members", True)
 
@@ -372,7 +372,7 @@ def test_c8_projector_suite():
         for _ in range(100):
             a = random_a_tensor(d, rng)
             dec = cc.classify_type(a)
-            assert np.abs(np.asarray(dec.reassembled()) - a).max() < 1e-9
+            assert np.abs(np.asarray(reassembled(dec)) - a).max() < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a2, axes=3)) < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a3, axes=3)) < 1e-9
             assert abs(np.tensordot(dec.a2, dec.a3, axes=3)) < 1e-9

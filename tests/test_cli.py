@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from conftest import bracket_family_map, flatness_defect
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -942,7 +943,7 @@ def _two_path_gaps(name: str, n: int) -> list:
     gaps = []
     for alpha in TWO_PATH_ALPHAS:
         t, tol = (1.0 - alpha) / 2.0, conncalc.DEFAULT_TOL * max(1.0, alpha * alpha)
-        mu = conncalc.bracket_family_map(alg, alpha)
+        mu = bracket_family_map(alg, alpha)
         member = dict(metric=conncalc.metric_defect(alg, mu), ricci=conncalc.ricci_matrix(alg, mu),
                       torsion=conncalc.parallel_defect(alg, mu, conncalc.torsion(alg, mu)))
         coeffs = dict(zip(member, cli._bracket_member(alpha, *parts)))
@@ -953,7 +954,7 @@ def _two_path_gaps(name: str, n: int) -> list:
         einstein = conncalc.einstein_report(alg, member["ricci"]).residual < tol
         decisions = [member["torsion"] < tol]
         if alpha in (1.0, -1.0):
-            decisions.append(conncalc.flatness_defect(alg, mu) < tol)
+            decisions.append(flatness_defect(alg, mu) < tol)
         decisions.append(einstein if name != "u" or alpha in (1.0, -1.0) else not einstein)
         gaps += [(alpha, line.name) for passed, line in zip(decisions, lines) if line.passed != passed]
     assert next(lines, None) is None
@@ -973,7 +974,7 @@ def test_einstein_coefficients_are_the_members_own_joins(name, n):
     from invconn import conncalc
     alg = conncalc.build_algebra(name, n)
     c = alg.bracket
-    assert conncalc.parallel_defect(alg, c, c) == conncalc.flatness_defect(alg, c)
+    assert conncalc.parallel_defect(alg, c, c) == flatness_defect(alg, c)
     quad, lin = conncalc.ricci_parts(alg, c)
     assert np.array_equal(conncalc.ricci_matrix(alg, c), quad - lin)
 

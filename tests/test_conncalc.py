@@ -8,10 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (a_from_torsion, c_tensor, covariant_derivative, curvature, dense_bracket,
-                      dense_classify_type, dense_killing, dense_laquer_basis, dense_metric_defect,
-                      dense_ricci, dense_torsion, dense_torsion_type_conditions, der_tensor,
-                      is_equivariant, random_a_tensor, random_bilinear, random_torsion_tensor,
+from conftest import (a_from_torsion, bracket_family_map, c_tensor, covariant_derivative, curvature,
+                      dense_bracket, dense_classify_type, dense_killing, dense_laquer_basis,
+                      dense_metric_defect, dense_ricci, dense_torsion, dense_torsion_type_conditions,
+                      der_tensor, flatness_defect, full_equivariance_defect, is_equivariant,
+                      random_a_tensor, random_bilinear, random_torsion_tensor, reassembled,
                       rescaled_algebra, ricci_skew_path, sparse_derivative, torsion_from_a, u_tensor)
 
 from invconn import _codes
@@ -91,6 +92,112 @@ def test_equivariance(u3, laquer):
     assert not ok and defect > 0.1
 
 
+def _rows(m):
+    """An orthonormal basis, as rows, of the span of the rows of m."""
+    if not len(m):
+        return m
+    _, sing, vt = np.linalg.svd(m, full_matrices=False)
+    return vt[sing > 1e-9]
+
+
+def _generation_gaps(bracket, generators):
+    """What keeps invariance under `generators` from being invariance under
+    the whole algebra, from the bracket as a dense (d, d, d) array: the
+    dimensions that the span of their iterated brackets (length >= 2)
+    lacks of the derived algebra, d - dim centre, and the largest bracket
+    row of a direction orthogonal to the generators and those brackets.
+    ad(e_g) acts on coefficient rows v as v @ bracket[g]; the centre is the
+    kernel of the Gram matrix of the bracket rows."""
+    d = len(bracket)
+    ads = bracket[list(generators)]
+    span = new = _rows(np.eye(d)[list(generators)])
+    while len(new):
+        grown = np.concatenate([new @ ad for ad in ads])
+        new = _rows(grown - grown @ span.T @ span)
+        span = np.concatenate([span, new])
+    derived = _rows(np.concatenate([span @ ad for ad in ads]))
+    rows = bracket.reshape(d, d * d)
+    centre = d - len(_rows(rows @ rows.T))
+    outside = _rows(np.eye(d) - span.T @ span)
+    return d - centre - len(derived), float(np.abs(np.tensordot(outside, bracket, axes=1)).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name", ["u", "su", "so"])
+def test_generators_generate_the_algebra(name):
+    # n generators for u(n) and su(n), n - 1 for so(n); so(2) is abelian
+    # and u(n) has a one-dimensional centre.
+    for n in range(2, 13):
+        alg = cc.build_algebra(name, n)
+        bracket = np.asarray(alg.bracket)
+        assert len(alg.generators) == n - (name == "so"), (name, n)
+        assert np.array_equal(np.asarray(alg.generator_bracket), bracket[list(alg.generators)])
+        missing, outside = _generation_gaps(bracket, alg.generators)
+        assert missing == 0 and outside < 1e-12, (name, n, missing, outside)
+
+
+def test_su_rotations_alone_do_not_generate():
+    # Without i(E_12 + E_21)/sqrt2 the rotations generate so(n) only.
+    for n in range(2, 13):
+        alg = cc.build_algebra("su", n)
+        sym = np.zeros((n, n), dtype=complex)
+        sym[0, 1] = sym[1, 0] = 1j / np.sqrt(2.0)
+        rotations = [g for g in alg.generators if not np.array_equal(alg.basis[g], sym)]
+        assert len(rotations) == n - 1
+        missing, outside = _generation_gaps(np.asarray(alg.bracket), rotations)
+        assert missing >= n * (n + 1) // 2 - 1 and outside > 0.1, (n, missing, outside)
+
+
+def test_generator_defect_is_zero_where_the_full_basis_defect_is():
+    for n in range(3, 13):
+        alg = cc.build_algebra("u", n)
+        maps = cc.laquer_basis(alg)
+        for key in ("mu1", "mu2", "mu3", "mu4", "mu5", "mu6"):
+            assert cc.equivariance_defect(alg, maps[key]) == full_equivariance_defect(alg, maps[key]) == 0.0
+        mu1 = maps["mu1"]
+        moved = cc.Coo(mu1.shape, mu1.codes, mu1.vals + 1e-6 * (np.arange(len(mu1.vals)) == 0))
+        assert not is_equivariant(alg, moved)[0], n
+        assert not full_equivariance_defect(alg, moved) < cc.DEFAULT_TOL, n
+    # A MatrixAlgebra declared without generators takes every basis element.
+    alg = rescaled_algebra(cc.build_algebra("u", 3), np.linspace(1.0, 2.0, 9))
+    assert alg.generators == tuple(range(9)) and alg.generator_bracket.shape == (9, 9, 9)
+    assert np.array_equal(alg.generator_bracket.codes, alg.bracket.codes)
+
+
+def test_equivariance_line_products(monkeypatch):
+    # The products that the six joins of the `verify-un n` equivariance line
+    # form, counted before any is formed: (over the n generators, over the
+    # n^2 basis elements of the full-basis reference).  Over n = 3..8 that
+    # is 126,282 against 802,884.
+    expect = {3: (1782, 4356), 4: (5112, 17640), 5: (11130, 49560),
+              6: (20628, 112500), 7: (34398, 222012), 8: (53232, 396816)}
+    totals, real = [], cc._einsum_blocks
+
+    def count(terms):
+        shape, total, joins = real(terms)
+        totals.append(total)
+        return shape, total, joins
+
+    monkeypatch.setattr(cc, "_einsum_blocks", count)
+    for n, products in expect.items():
+        alg = cc.build_algebra("u", n)
+        maps = [cc.laquer_basis(alg)[key] for key in ("mu1", "mu2", "mu3", "mu4", "mu5", "mu6")]
+        counted = []
+        for defect in (cc.equivariance_defect, full_equivariance_defect):
+            totals.clear()
+            assert max(defect(alg, mu) for mu in maps) == 0.0
+            assert len(totals) == 6
+            counted.append(sum(totals))
+        assert tuple(counted) == products, n
+
+
+def test_derivative_lambdas_share_one_row_count(u3):
+    mu = u3.bracket
+    for lams in ([u3.generator_bracket, mu, -mu], [mu.take_rows([0, 1]), mu.take_rows([2]), None],
+                 [None, None, None], [cc.Coo((9, 9, 8), [], []), mu, mu]):
+        with pytest.raises(cc.TensorShapeError, match="algebra dimension"):
+            cc._max_derivative(u3, lams, mu, cc._max_slot_norm)
+
+
 def test_metricity(u3, laquer):
     assert cc.is_metric(u3, laquer["mu4"] - laquer["mu5"])[0]
     assert not cc.is_metric(u3, laquer["nu"])[0]
@@ -143,7 +250,7 @@ def test_classify_type_of_vectorial_member(u3):
     assert dec.a2_norm < TOL and dec.a3_norm < TOL
     phi_expected = np.array([float(np.real(-1j * np.trace(b))) for b in u3.basis])
     assert np.abs(dec.phi - phi_expected).max() < 1e-12
-    assert cc.classify_type(np.zeros((9, 9, 9))).reassembled().max_abs() == 0.0
+    assert reassembled(cc.classify_type(np.zeros((9, 9, 9)))).max_abs() == 0.0
 
 
 def test_classify_type_preconditions():
@@ -160,7 +267,7 @@ def test_projector_suite_random():
         for _ in range(100):
             a = random_a_tensor(d, rng)
             dec = cc.classify_type(a)
-            assert np.abs(np.asarray(dec.reassembled()) - a).max() < 1e-9
+            assert np.abs(np.asarray(reassembled(dec)) - a).max() < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a2, axes=3)) < 1e-9
             assert abs(np.tensordot(dec.a1, dec.a3, axes=3)) < 1e-9
             assert abs(np.tensordot(dec.a2, dec.a3, axes=3)) < 1e-9
@@ -209,7 +316,7 @@ def test_torsion_type_conditions(u3, laquer):
     trace_vec = cc.trace_vector(mv)
     assert np.array_equal(trace_vec, np.einsum("iik->k", np.asarray(mv)))
     assert np.abs(trace_vec - 8.0 * u3.coeffs(1j * np.eye(3))).max() < 1e-12
-    rep_a = cc.torsion_type_conditions(u3, cc.bracket_family_map(u3, 2.0))
+    rep_a = cc.torsion_type_conditions(u3, bracket_family_map(u3, 2.0))
     assert rep_a.skew and rep_a.traceless and not rep_a.vectorial
     rep_g = cc.torsion_type_conditions(u3, cc.levi_civita_map(u3))
     assert rep_g.cyclic and rep_g.traceless
@@ -256,7 +363,7 @@ def test_ricci_skew_path(su3):
     for alpha in (0.5, 1.0, 2.0):
         t = -alpha * su3.bracket  # alpha times the canonical torsion
         via_lemma = ricci_skew_path(su3, t)
-        direct = cc.ricci_matrix(su3, cc.bracket_family_map(su3, alpha))
+        direct = cc.ricci_matrix(su3, bracket_family_map(su3, alpha))
         assert np.abs(via_lemma - direct).max() < TOL
     ric_g = cc.ricci_matrix(su3, cc.levi_civita_map(su3))
     assert np.abs(ricci_skew_path(su3, np.zeros((8, 8, 8))) - ric_g).max() < 1e-12
@@ -277,12 +384,13 @@ def test_covariant_derivative_identities(u3, su3, laquer, matrix_reference):
     rng = np.random.default_rng(42)
     mu = random_bilinear(8, rng)
     # der and the equivariance defect against commutators of matrices, for
-    # random maps and the Laquer maps.
+    # random maps and the Laquer maps; the defect reads the generator rows.
     cases = [(su3, mu), (u3, random_bilinear(9, rng))]
     cases += [(u3, laquer[key]) for key in sorted(laquer)]
     for alg, m in cases:
         der, eq = matrix_reference(alg, m)
         assert np.abs(der_tensor(alg, m) - der).max() < 1e-12
+        eq = eq[list(alg.generators)]
         eq_max = float(np.sqrt((eq * eq).sum(axis=3)).max())
         assert abs(cc.equivariance_defect(alg, m) - eq_max) < 1e-12
     # (D_Z T) - (D_Z T^c) = C for arbitrary maps, on the join the batteries
@@ -430,7 +538,7 @@ def test_c_tensor_examples(u3, su3, laquer):
 
 def test_parallel_torsion_of_bracket_family(su3):
     for alpha in (-1.0, 0.5, 1.0, 2.0):
-        mu = cc.bracket_family_map(su3, alpha)
+        mu = bracket_family_map(su3, alpha)
         t = cc.torsion(su3, mu)
         assert (t - (-alpha) * su3.bracket).max_abs() < 1e-12
         assert np.abs(covariant_derivative(su3, mu, t)).max() < 1e-12
@@ -456,20 +564,20 @@ def test_einstein_check(u3, su3):
     so5 = cc.build_algebra("so", 5)
     for alg in (su3, so5):
         for alpha in (-1.0, 0.5, 1.0, 2.0):
-            rep = cc.ricci(alg, cc.bracket_family_map(alg, alpha))
+            rep = cc.ricci(alg, bracket_family_map(alg, alpha))
             assert rep.residual < cc.DEFAULT_TOL, (alg.name, alpha, rep.residual)
     su2 = cc.build_algebra("su", 2)
     rep = cc.ricci(su2, cc.levi_civita_map(su2))
     assert rep.residual < cc.DEFAULT_TOL and rep.scal > 0
     for alpha in (0.5, 2.0):
-        rep = cc.ricci(u3, cc.bracket_family_map(u3, alpha))
+        rep = cc.ricci(u3, bracket_family_map(u3, alpha))
         assert not rep.residual < cc.DEFAULT_TOL
 
 
 def test_flat_connections(u3, su3):
     for alg in (u3, su3):
         for alpha in (-1.0, 1.0):
-            mu = cc.bracket_family_map(alg, alpha)
+            mu = bracket_family_map(alg, alpha)
             assert np.abs(curvature(alg, mu)).max() < 1e-10
 
 
@@ -524,16 +632,17 @@ def _slot_only(mu, f):
 def _kernel_cases(alg, mu):
     """(Lambda list, F, reduce, defect, full-tensor oracle) for every check
     that reduces through `_max_derivative`, with mu, F and every Lambda as
-    Coo.  The curvature and the metric derivative have oracles of their own,
-    `curvature` and `_slot_only`."""
+    Coo.  The equivariance defect's Lambdas and oracle have the generator
+    rows of the bracket.  The curvature and the metric derivative have
+    oracles of their own, `curvature` and `_slot_only`."""
     mu = cc._coo(mu)
     t, eye = cc.torsion(alg, mu), np.eye(alg.dim)
     cases = [(lam, f, reduce, defect, covariant_derivative(alg, lam, f)) for lam, f, reduce, defect in (
-        (alg.bracket, mu, cc._max_slot_norm, cc.equivariance_defect),
+        (alg.generator_bracket, mu, cc._max_slot_norm, cc.equivariance_defect),
         (mu, alg.bracket, cc._max_slot_norm, cc.derivation_defect),
         (mu, t, cc._max_abs, lambda alg, mu: cc.parallel_defect(alg, mu, t)))]
     return [(cc._along(lam, 3), f, reduce, defect, full) for lam, f, reduce, defect, full in cases] + [
-        ([alg.bracket, mu, -mu.transpose((0, 2, 1))], mu, cc._max_abs, cc.flatness_defect,
+        ([alg.bracket, mu, -mu.transpose((0, 2, 1))], mu, cc._max_abs, flatness_defect,
          curvature(alg, mu)),
         ([mu, mu], cc._coo(eye), cc._max_abs, cc.parallel_metric_defect,
          _slot_only(np.asarray(mu), eye))]
@@ -556,14 +665,16 @@ def test_blocked_defects_equal_the_full_tensor(monkeypatch, rows_per_block):
                       covariant_derivative(alg, mu, t))
         for lams, f, reduce, defect, full in _kernel_cases(alg, mu):
             where = (alg.name, defect.__name__)
+            z = len(full)  # d, or the generators of the equivariance defect
+            step = rows_per_block or z
             if rows_per_block is not None:
                 monkeypatch.setattr(cc, "_BLOCK_ENTRIES", rows_per_block * d ** f.ndim)
             blocks.clear()
-            assert _close(cc._max_dense_derivative(alg, lams, f, reduce), reduce(full)), where
-            assert blocks == [rows] * (d // rows) + [d % rows] * (d % rows > 0), where
+            assert _close(cc._max_dense_derivative(lams, f, reduce), reduce(full)), where
+            assert blocks == [step] * (z // step) + [z % step] * (z % step > 0), where
             assert _close(defect(alg, mu), reduce(full)), where
         assert _close(cc.derivation_defect(alg, mu), cc._max_slot_norm(der_tensor(alg, mu)))
-        assert cc.flatness_defect(alg, alg.bracket) < 1e-12
+        assert flatness_defect(alg, alg.bracket) < 1e-12
 
 
 def test_laquer_basis_equals_the_matrix_maps():
@@ -604,7 +715,7 @@ def _oracle_maps(alg, rng):
     masked to about 5 % of the entries and fully dense, general and metric
     (skew in the last two slots)."""
     d = alg.dim
-    maps = {f"alpha={alpha:g}": cc.bracket_family_map(alg, alpha) for alpha in (-1.0, 0.5, 2.0)}
+    maps = {f"alpha={alpha:g}": bracket_family_map(alg, alpha) for alpha in (-1.0, 0.5, 2.0)}
     if alg.name.startswith("u("):
         maps.update(cc.laquer_basis(alg))
         maps["vectorial"] = cc.vectorial_metric_map(alg)
@@ -719,12 +830,12 @@ def _rows_and_blocks(terms):
 
 def _sparse_full(lams, f):
     """The full derivative rebuilt from the sparse path's (code, value) pairs."""
-    d = f.shape[0]
-    full = np.zeros(d ** (f.ndim + 1))
+    shape = (lams[0].shape[0],) + f.shape
+    full = np.zeros(math.prod(shape))
     for codes, vals in _derivative_blocks(lams, f)[1]:
         assert np.all(np.diff(codes) > 0)  # sorted and distinct
         full[codes] = vals
-    return full.reshape((d,) + f.shape)
+    return full.reshape(shape)
 
 
 def _no_dense_path(*args):
@@ -745,7 +856,7 @@ def test_sparse_path_equals_the_dense_blocks(monkeypatch):
         for key, mu in maps.items():
             for lams, f, reduce, defect, full in _kernel_cases(alg, mu):
                 where = (alg.name, key, defect.__name__)
-                expect = dense(alg, lams, f, reduce)
+                expect = dense(lams, f, reduce)
                 assert _close(expect, reduce(full)), where
                 # The default target keeps the smaller derivatives in one
                 # block and splits the larger ones (`split`); blocks of the
@@ -773,9 +884,9 @@ def test_flatness_of_the_bracket_takes_the_sparse_path(monkeypatch):
         alg = cc.build_algebra(name, n)
         # alpha = -1 (the bracket) and alpha = 1 (zero): flat by Jacobi, and
         # without a single product.
-        assert cc.flatness_defect(alg, cc.bracket_family_map(alg, -1.0)) < 1e-12
-        assert cc.flatness_defect(alg, cc.bracket_family_map(alg, 1.0)) == 0.0
-        assert cc.flatness_defect(alg, cc.levi_civita_map(alg)) > 0.1
+        assert flatness_defect(alg, bracket_family_map(alg, -1.0)) < 1e-12
+        assert flatness_defect(alg, bracket_family_map(alg, 1.0)) == 0.0
+        assert flatness_defect(alg, cc.levi_civita_map(alg)) > 0.1
 
 
 def test_sparse_path_gives_zero_for_a_zero_derivative(monkeypatch):
@@ -788,7 +899,7 @@ def test_sparse_path_gives_zero_for_a_zero_derivative(monkeypatch):
         assert cc.equivariance_defect(alg, zero) == 0.0
         assert cc.derivation_defect(alg, zero) == 0.0
         assert cc.parallel_metric_defect(alg, zero) == 0.0
-        flat = cc.bracket_family_map(alg, 1.0)
+        flat = bracket_family_map(alg, 1.0)
         assert cc.parallel_defect(alg, flat, cc.torsion(alg, flat)) == 0.0
         # Products that cancel exactly: Lambda(Z) = Id leaves a vector-valued
         # 1-form F unchanged, so D_Z F = F - F.
@@ -837,16 +948,16 @@ def test_dense_maps_keep_the_dense_path(monkeypatch):
     for alg in _sparse_algebras():
         mu = random_bilinear(alg.dim, rng)
         cases.append((alg, mu, cc.equivariance_defect(alg, mu), cc.derivation_defect(alg, mu),
-                      cc.parallel_defect(alg, mu, cc.torsion(alg, mu)), cc.flatness_defect(alg, mu),
+                      cc.parallel_defect(alg, mu, cc.torsion(alg, mu)), flatness_defect(alg, mu),
                       cc.parallel_metric_defect(alg, mu)))
     monkeypatch.setattr(cc, "_join_blocks", no_sparse_path)
     for alg, mu, eq, der, par, flat, metric in cases:
         assert cc.equivariance_defect(alg, mu) == eq
         assert cc.derivation_defect(alg, mu) == der
         assert cc.parallel_defect(alg, mu, cc.torsion(alg, mu)) == par
-        assert cc.flatness_defect(alg, mu) == flat
+        assert flatness_defect(alg, mu) == flat
         assert cc.parallel_metric_defect(alg, mu) == metric
-        assert _close(eq, cc._max_slot_norm(covariant_derivative(alg, alg.bracket, mu)))
+        assert _close(eq, cc._max_slot_norm(covariant_derivative(alg, alg.generator_bracket, mu)))
 
 
 def test_u8_battery_blocks_stay_within_the_block_target(monkeypatch):
@@ -938,7 +1049,7 @@ def test_sparse_path_peak_memory_is_at_most_the_dense_one():
         sparse_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        dense = cc._max_dense_derivative(alg, cc._along(alg.bracket, 3), mu1, cc._max_slot_norm)
+        dense = cc._max_dense_derivative(cc._along(alg.generator_bracket, 3), mu1, cc._max_slot_norm)
         dense_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
