@@ -85,8 +85,7 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
     alg = conncalc.build_algebra("u", n)
     maps = conncalc.laquer_basis(alg)
     w = maps["mu4"] - maps["mu5"]
-    # First, while no other check has cached join preparations on the
-    # patterns; its line is still printed last.
+    # First, while only the maps are alive; its line is still printed last.
     defect_w = conncalc.derivation_defect(alg, w)
     checks: list[Check] = []
 
@@ -111,7 +110,7 @@ def un_battery(n: int, seed: int = 42) -> list[Check]:
     checks.append(Check("torsion of mu4 - mu5 is -nu - [.,.]", terr < tol, _fmt(terr)))
 
     mv = conncalc.vectorial_metric_map(alg, maps)
-    # No check below reads these: their patterns' join preparations go too.
+    # No check below reads these, so the checks below run without them.
     del maps, w, t
     cond = conncalc.torsion_type_conditions(alg, mv)
     dec = cond.decomposition

@@ -26,10 +26,10 @@ codes sum in the order their products were formed (`_codes.stable_order`,
 the one sort of the package), so the block size changes no sum that the
 sort branch of `sum_by_code` makes.  A signed sum of specs is one join
 (`_einsum_sum`).  Only `Coo` and the einsum turn indices into flat codes,
-which `_codes.sum_by_code` sums by.  The codes are a Coo's pattern, which
-results with the same codes share (-c, s * c, transposes of a skew c): it
-caches the order of a transpose and, per einsum plan, each join side's
-order, keys and output codes, so a join gathers only values.
+which `_codes.sum_by_code` sums by.  A transpose's order and each join
+side's order, keys and output codes are derived from the codes where they
+are used; a result whose codes do not move (-c, s * c, a transpose of a
+skew c) holds the same codes array, so their sum adds values entrywise.
 
 `MatrixAlgebra` forms e_i e_j (`iab,jbc->ijac`) from the nonzeros of the
 basis matrices, reads the bracket from the commutators and checks that the
@@ -55,7 +55,13 @@ reduction, `_max_derivative`: its sparse path reduces the blocks of the
 einsum terms while no Z row forms more than _MAX_ROW_PRODUCTS products (a
 cap on memory, set apart from the block target), and a dense map keeps a
 dense path that reduces blocks of the derivative over its leading Z axis,
-`_BLOCK_ENTRIES` entries at a time.
+`_BLOCK_ENTRIES` entries at a time.  The dense path stays because the
+sparse one costs more where it is taken: for a dense random mu, each term
+of the derivative of its torsion along mu forms d times as many products
+as the derivative has entries, and the sparse path took 80 / 480 / 3,350
+ms with tracemalloc peaks of 6.5 / 38 / 159 MiB on u(4) / u(5) / u(6),
+against 4 / 10 / 26 ms and 1.2 / 6.4 / 17 MiB for the dense one (2-core
+x86-64); along the bracket, whose rows are sparse, the two are level.
 `build_algebra` refuses a size whose largest array would exceed
 `MAX_ARRAY_BYTES`.
 """
@@ -104,8 +110,8 @@ class Coo:
     tensor a public function returns); both are read-only.  The constructor
     takes entries in any order, sums the values that share a code and drops
     zeros (`sum_by_code`, equal codes in the order given).
-    Given `pattern`, the cache of sorted distinct codes (`_cached`), it only
-    drops zeros, and the result keeps the pattern when none was dropped.
+    With `sorted_codes`, the codes given are sorted and distinct: it only
+    drops zeros, and keeps the codes array given when none was dropped.
     `np.asarray` gives the dense array, and `toarray` the vector and matrix
     results of the public functions; numpy ufuncs and mixed arithmetic with
     arrays are refused rather than densifying silently.
@@ -113,22 +119,16 @@ class Coo:
 
     __array_ufunc__ = None
 
-    def __init__(self, shape, codes, vals, pattern: dict | None = None):
-        if pattern is None:
+    def __init__(self, shape, codes, vals, sorted_codes: bool = False):
+        if not sorted_codes:
             shape = tuple(int(s) for s in shape)
             codes, vals = np.asarray(codes, dtype=np.int64), _int_guard(np.asarray(vals))
-            (codes, vals), pattern = sum_by_code([(codes, vals)], _check_codes(shape), len(codes)), {}
+            codes, vals = sum_by_code([(codes, vals)], _check_codes(shape), len(codes))
         elif not vals.all():
             keep = vals != 0
-            codes, vals, pattern = codes[keep], vals[keep], {}
+            codes, vals = codes[keep], vals[keep]
         codes.flags.writeable = vals.flags.writeable = False
-        self.shape, self.codes, self.vals, self._pattern = shape, codes, vals, pattern
-
-    def _cached(self, key, make, *args):
-        """make(*args), once for all the Coos of this pattern."""
-        if key not in self._pattern:
-            self._pattern[key] = make(*args)
-        return self._pattern[key]
+        self.shape, self.codes, self.vals = shape, codes, vals
 
     @classmethod
     def from_dense(cls, a) -> Coo:
@@ -142,14 +142,13 @@ class Coo:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
+    @functools.cached_property
     def index(self) -> tuple:
         """The indices of the nonzeros, one read-only array per axis."""
-        if "index" not in self._pattern:
-            self._pattern["index"] = index = np.unravel_index(self.codes, self.shape)
-            for axis in index:
-                axis.flags.writeable = False
-        return self._pattern["index"]
+        index = np.unravel_index(self.codes, self.shape)
+        for axis in index:
+            axis.flags.writeable = False
+        return index
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(math.prod(self.shape), dtype=self.vals.dtype)
@@ -164,7 +163,7 @@ class Coo:
         return f"Coo(shape={self.shape}, nonzeros={len(self.codes)})"
 
     def __neg__(self) -> Coo:
-        return Coo(self.shape, self.codes, -self.vals, self._pattern)
+        return Coo(self.shape, self.codes, -self.vals, True)
 
     def __add__(self, other) -> Coo:
         if not isinstance(other, Coo):
@@ -172,8 +171,8 @@ class Coo:
         if other.shape != self.shape:
             raise TensorShapeError(f"shapes {self.shape} and {other.shape} differ")
         n, vals = len(self.codes), _int_guard(np.concatenate((self.vals, other.vals)))
-        if self._pattern is other._pattern:  # the same codes
-            return Coo(self.shape, self.codes, vals[:n] + vals[n:], self._pattern)
+        if self.codes is other.codes:
+            return Coo(self.shape, self.codes, vals[:n] + vals[n:], True)
         return Coo(self.shape, np.concatenate((self.codes, other.codes)), vals)
 
     def __sub__(self, other) -> Coo:
@@ -188,29 +187,25 @@ class Coo:
             vals = self.vals.astype(value_dtype(abs(int(scalar)) * _abs_sum(self.vals))) * int(scalar)
         else:
             vals = self.vals * float(scalar)
-        return Coo(self.shape, self.codes, vals, self._pattern)
+        return Coo(self.shape, self.codes, vals, True)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> Coo:
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
-        return Coo(self.shape, self.codes, self.vals / float(scalar), self._pattern)
+        return Coo(self.shape, self.codes, self.vals / float(scalar), True)
 
     def transpose(self, axes) -> Coo:
-        """The axes permuted as by `np.transpose(t, axes)`."""
-        shape, codes, order, pattern = self._cached(("transpose", *axes), self._transposed, axes)
-        return Coo(shape, codes, self.vals[order], self._pattern if pattern is None else pattern)
-
-    def _transposed(self, axes):
-        """A transpose's shape, sorted codes, order of self's entries and
-        pattern cache, None when its codes are self's."""
+        """The axes permuted as by `np.transpose(t, axes)`; the result holds
+        self's codes array when the codes do not move."""
         shape = tuple(self.shape[a] for a in axes)
         codes = np.ravel_multi_index(tuple(self.index[a] for a in axes), shape)
         order = stable_order(codes)
         codes = codes[order]
-        same = shape == self.shape and np.array_equal(codes, self.codes)
-        return (shape, self.codes, order, None) if same else (shape, codes, order, {})
+        if shape == self.shape and np.array_equal(codes, self.codes):
+            codes = self.codes
+        return Coo(shape, codes, self.vals[order], True)
 
     def take_rows(self, rows) -> Coo:
         """`np.take(t, rows, axis=0)` for distinct rows."""
@@ -222,7 +217,7 @@ class Coo:
         return Coo((len(rows), *self.shape[1:]), row[keep] * stride + self.codes[keep] % stride, self.vals[keep])
 
     def real(self) -> Coo:
-        return Coo(self.shape, self.codes, self.vals.real, self._pattern)
+        return Coo(self.shape, self.codes, self.vals.real, True)
 
     def max_abs(self) -> float:
         return float(np.abs(self.vals).max()) if len(self.vals) else 0.0
@@ -257,12 +252,16 @@ def _check_codes(shape) -> int:
 
 def _coo(t, shape=None) -> Coo:
     """t as a Coo: a dense array is converted here, once, on entry to a
-    public function.  With `shape`, t must have that shape."""
+    public function.  With `shape`, t must have that shape.  A complex t is
+    refused, as float64 would keep only its real part."""
     if not isinstance(t, Coo):
-        t = np.asarray(t, dtype=np.float64)
+        t = np.asarray(t)
+    dtype = t.vals.dtype if isinstance(t, Coo) else t.dtype
+    if dtype.kind == "c":
+        raise TensorShapeError(f"expected a real tensor, got one of dtype {dtype}")
     if shape is not None and tuple(t.shape) != tuple(shape):
         raise TensorShapeError("tensor shape does not match the algebra dimension")
-    return t if isinstance(t, Coo) else Coo.from_dense(t)
+    return t if isinstance(t, Coo) else Coo.from_dense(t.astype(np.float64, copy=False))
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,7 +289,7 @@ def _abs_sum(vals: np.ndarray) -> int:
 # The block target is for memory: the sums do not depend on it, as equal
 # codes sum in the order their products were formed, and the time of a
 # battery does not either; 2^14 products hold 640 KiB, and the tracemalloc
-# peak of `un_battery(8)` is 1.73 MiB against 2.29 MiB at 2^15.  The row cap
+# peak of `un_battery(8)` is 1.57 MiB against 2.38 MiB at 2^15.  The row cap
 # is a second bound on memory: a block is at least one row, and
 # `_max_derivative` takes the dense path past 2^18 products in one row, whose
 # five arrays take 10 MiB, the bytes of 1.25 _BLOCK_ENTRIES float64 entries.
@@ -307,7 +306,7 @@ def _einsum_sum(terms) -> Coo:
     """The sum of signed einsum terms [(spec, a, b, sign), ...], one join."""
     shape, total, joins = _einsum_blocks(terms)
     parts = list(_join_blocks(joins, total, shape))
-    return Coo(shape, *(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))), {})
+    return Coo(shape, *(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))), True)
 
 
 def _einsum_blocks(terms):
@@ -321,8 +320,8 @@ def _einsum_blocks(terms):
         dtype = value_dtype(sum(abs(sign) * _abs_sum(a.vals) * _abs_sum(b.vals) for _, a, b, sign in terms))
     for spec, a, b, sign in terms:
         shape, row_axis, nkeys, a_weights, b_weights = _einsum_plan(spec, a.shape, b.shape)
-        a_order, keys, codes = a._cached(("left", row_axis, a_weights), _left_side, a, row_axis, a_weights)
-        b_order, starts, b_codes = b._cached(("right", b_weights), _right_side, b, b_weights, nkeys)
+        a_order, keys, codes = _left_side(a, row_axis, a_weights)
+        b_order, starts, b_codes = _right_side(b, b_weights, nkeys)
         a_vals, b_vals = (t.vals if dtype is None else t.vals.astype(dtype, copy=False) for t in (a, b))
         a_vals = a_vals if sign == 1 else a_vals * sign
         a_vals = a_vals if a_order is None else a_vals[a_order]
@@ -342,19 +341,19 @@ def _einsum_blocks(terms):
 
 
 def _left_side(a: Coo, row_axis: int, weights) -> tuple:
-    """The left side of a join on a's pattern, for `_einsum_plan`'s row axis
-    and weights: the stable order of a's entries by their index on the row
-    axis (None for axis 0, which the codes sort already), and the join keys
-    and the output codes in that order."""
+    """The left side of a join on a, for `_einsum_plan`'s row axis and
+    weights: the stable order of a's entries by their index on the row axis
+    (None for axis 0, which the codes sort already), and the join keys and
+    the output codes in that order."""
     keys, codes = _weighted(a.index, weights[0]), _weighted(a.index, weights[1])
     order = stable_order(a.index[row_axis], a.shape[row_axis]) if row_axis else None
     return (order, keys, codes) if order is None else (order, keys[order], codes[order])
 
 
 def _right_side(b: Coo, weights, nkeys: int) -> tuple:
-    """The right side of a join on b's pattern: the stable order of b's
-    entries by join key (None where the codes sort them), the start of each
-    key's run and the end of the last, and the output codes in that order."""
+    """The right side of a join on b: the stable order of b's entries by
+    join key (None where the codes sort them), the start of each key's run
+    and the end of the last, and the output codes in that order."""
     keys, codes = _weighted(b.index, weights[0]), _weighted(b.index, weights[1])
     order = stable_order(keys, nkeys) if (keys[1:] < keys[:-1]).any() else None
     starts = np.zeros(nkeys + 1, dtype=np.int64)

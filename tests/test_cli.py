@@ -816,17 +816,17 @@ def test_un_battery_10_peak_memory():
 
 
 def test_un_battery_10_peak_memory_with_small_join_blocks():
-    # A join block of 2^14 products holds 640 KiB in its five arrays. The
-    # derivation defect runs before other checks cache join preparations,
-    # and the Laquer maps go once no check reads them, so no check runs on
-    # top of the others' preparations: the equivariance, derivation and
-    # Ricci checks all peak within 0.1 MiB of the 3.5 MiB maximum.
-    assert _un_battery_peak(10) <= 5 << 20
+    # A join block of 2^14 products holds 640 KiB in its five arrays, and no
+    # tensor keeps a join's preparations after the join.  The derivation
+    # defect runs first, while only the maps are alive, and the Laquer maps
+    # go once no check reads them: the peak, 2.2 MiB, is the derivation
+    # defect's, with the algebra's build within 0.1 MiB of it.
+    assert _un_battery_peak(10) <= 3 << 20
 
 
 def test_un_battery_8_peak_memory():
-    # At u(8) the join blocks set the peak: 1.73 MiB with blocks of 2^14
-    # products, 2.29 MiB with blocks of 2^15.
+    # At u(8) the join blocks set the peak: 1.57 MiB with blocks of 2^14
+    # products, 2.38 MiB with blocks of 2^15.
     assert _un_battery_peak(8) <= 2 << 20
 
 

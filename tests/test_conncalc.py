@@ -791,6 +791,37 @@ def test_coo_arithmetic_equals_the_dense_arithmetic():
         ca + a
 
 
+# Each public function that converts a map on entry, given the complex z.
+_TAKES_A_MAP = {
+    "metric_defect": lambda alg, mu, z: cc.metric_defect(alg, z),
+    "is_metric": lambda alg, mu, z: cc.is_metric(alg, z),
+    "parallel_metric_defect": lambda alg, mu, z: cc.parallel_metric_defect(alg, z),
+    "equivariance_defect": lambda alg, mu, z: cc.equivariance_defect(alg, z),
+    "derivation_defect": lambda alg, mu, z: cc.derivation_defect(alg, z),
+    "parallel_defect_mu": lambda alg, mu, z: cc.parallel_defect(alg, z, mu),
+    "parallel_defect_F": lambda alg, mu, z: cc.parallel_defect(alg, mu, z),
+    "torsion": lambda alg, mu, z: cc.torsion(alg, z),
+    "a_tensor": lambda alg, mu, z: cc.a_tensor(alg, z),
+    "trace_vector": lambda alg, mu, z: cc.trace_vector(z),
+    "classify_type": lambda alg, mu, z: cc.classify_type(z),
+    "torsion_type_conditions": lambda alg, mu, z: cc.torsion_type_conditions(alg, z),
+    "ricci_parts": lambda alg, mu, z: cc.ricci_parts(alg, z),
+    "ricci_matrix": lambda alg, mu, z: cc.ricci_matrix(alg, z),
+    "ricci": lambda alg, mu, z: cc.ricci(alg, z),
+}
+
+
+@pytest.mark.parametrize("name", _TAKES_A_MAP)
+def test_complex_maps_are_refused_by_dtype(u3, name):
+    # float64 would keep only the real part: derivation_defect read 7.795,
+    # the real part's defect, for this mu * (1 + 1j).
+    mu = np.random.default_rng(0).standard_normal((u3.dim,) * 3)
+    for z in (mu * (1 + 1j), cc.Coo.from_dense(mu * (1 + 1j)), mu.astype(np.complex64)):
+        dtype = np.asarray(z).dtype
+        with pytest.raises(cc.TensorShapeError, match=f"dtype {dtype}$"):
+            _TAKES_A_MAP[name](u3, mu, z)
+
+
 def test_build_algebra_refuses_sizes_over_the_limit():
     for name, n in (("su", 40), ("u", 30), ("u", 15), ("so", 19)):
         with pytest.raises(cc.AlgebraError, match="MiB limit"):
@@ -1144,43 +1175,21 @@ def test_sorted_results_skip_the_sum(monkeypatch):
     calls = []
     real = _codes.sum_by_code
     monkeypatch.setattr(cc, "sum_by_code", lambda *args: calls.append(args[2]) or real(*args))
+    # The bracket is totally skew, so its transposes hold c's codes, and
+    # adding one to c adds the values entrywise.
     for got, want in ((-c, -dense), (2.5 * c, 2.5 * dense), (c * 3, 3 * dense), (c / 4.0, dense / 4.0),
                       (c.real(), dense), (0 * c, 0 * dense), (c.transpose((1, 2, 0)), dense.transpose(1, 2, 0)),
-                      (c.transpose((2, 1, 0)), dense.transpose(2, 1, 0))):
+                      (c.transpose((2, 1, 0)), dense.transpose(2, 1, 0)),
+                      (c + c.transpose((0, 2, 1)), dense + dense.transpose(0, 2, 1))):
         assert np.array_equal(np.asarray(got), want)
         assert np.all(np.diff(got.codes) > 0) and np.all(got.vals != 0)
     assert calls == []
-    # A result keeps c's pattern unless a zero was dropped; the bracket is
-    # totally skew, so its transposes have c's codes too.
-    assert all(t._pattern is c._pattern for t in (-c, 2.5 * c, c / 4.0, c.real(), c.transpose((1, 2, 0))))
-    assert (0 * c)._pattern is not c._pattern
-    m = cc.Coo.from_dense(dense * (np.random.default_rng(46).random(dense.shape) < 0.5))
-    assert m.transpose((1, 0, 2))._pattern is not m._pattern
-    assert (-m).transpose((1, 0, 2))._pattern is m.transpose((1, 0, 2))._pattern
     # One sum per block of the join, none for their concatenation.
     for block, nblocks in ((cc._BLOCK_PRODUCTS, 1), (0, 9)):
         monkeypatch.setattr(cc, "_BLOCK_PRODUCTS", block)
         calls.clear()
         got = cc._einsum("ipq,jqp->ij", c, c)
         assert len(calls) == nblocks and _close(got.toarray(), np.einsum("ipq,jqp->ij", dense, dense))
-
-
-def test_multiples_of_the_bracket_share_its_join_preparation(monkeypatch):
-    # mu = s c keeps the pattern of c, so the Ricci matrices of three
-    # multiples prepare each join side on c once, in the first call.
-    alg = cc.build_algebra("su", 4)
-    c = alg.bracket
-    builds = []
-    for name in ("_left_side", "_right_side"):
-        monkeypatch.setattr(cc, name, lambda t, *args, real=getattr(cc, name), name=name:
-                            builds.append((name, t._pattern is c._pattern, args)) or real(t, *args))
-    counts = []
-    for s in (0.25, -1.5, 3.0):
-        builds.clear()
-        ricci = cc.ricci_matrix(alg, s * c)
-        counts.append(sum(on_c for _, on_c, _ in builds))
-        assert np.array_equal(ricci, cc.ricci_matrix(alg, np.asarray(s * c)))  # a new pattern, built anew
-    assert counts[0] > 0 and counts[1:] == [0, 0]
 
 
 def test_sums_of_overlapping_patterns_equal_the_dense_sums():
